@@ -13,7 +13,6 @@ from .geometry import (
     curvature_R,
     curvature_family_span,
     random_connection,
-    split_connection,
 )
 from .harness import run_ranks, run_verify_suite
 from .invariants import (
@@ -74,7 +73,6 @@ __all__ = [
     "run_verify_suite",
     "sigma_coeff_matrix",
     "sigma_p",
-    "split_connection",
     "synthesize_instance",
     "torsion_cd_difference_check",
     "transform_connection",

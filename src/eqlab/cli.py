@@ -245,7 +245,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise UsageError(f"instance file {path} does not hold a JSON object")
+    return doc
 
 
 def _load_pair(path: str) -> tuple[int, MappedPair]:

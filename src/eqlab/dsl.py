@@ -485,21 +485,3 @@ def parse_program(src: str) -> list[tuple[str, tuple[Index, ...], ExpressionPlan
         out.append((match.group("name"), lhs, plan))
     return out
 
-
-def evaluate_program(src: str, bindings: dict, *,
-                     dim: int | None = None, order: int | None = None) -> dict:
-    """Evaluates assignments top to bottom; later lines see earlier results.
-
-    Returns only the newly assigned tensors, each with slots ordered as on
-    its left-hand side.
-    """
-    env = dict(bindings)
-    defined: dict[str, TensorField] = {}
-    for name, lhs, plan in parse_program(src):
-        tensor = evaluate(plan, env, dim=dim, order=order)
-        if lhs != plan.free:
-            positions = {index.name: p for p, index in enumerate(plan.free)}
-            tensor = transpose(tensor, tuple(positions[index.name] for index in lhs))
-        env[name] = tensor
-        defined[name] = tensor
-    return defined

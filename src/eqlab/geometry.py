@@ -3,30 +3,19 @@
 A :class:`Space` carries connection coefficients Gamma^i_{jk} that need
 not be symmetric in the two lower slots.  The symmetric part defines an
 associated covariant derivative written ``;`` throughout, the
-antisymmetric part is the torsion, and four further covariant-derivative
-kinds use the full non-symmetric coefficients with the four possible slot
-arrangements.  The curvature of the symmetric part generates a
-five-parameter family K(u, u', v, v', w) of curvature-like tensors built
-from torsion corrections.
+antisymmetric part is the torsion, and two further covariant-derivative
+kinds use the full non-symmetric coefficients, one for each lower slot
+that can meet the derivative direction.  The curvature of the symmetric
+part generates a five-parameter family K(u, u', v, v', w) of
+curvature-like tensors built from torsion corrections.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 
-from .jets import (
-    JetScalar,
-    NotInvertibleError,
-    jet_add,
-    jet_inverse,
-    jet_mul,
-    jet_neg,
-    jet_partial,
-    jet_scale,
-    value_at_base,
-)
+from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_partial, jet_sum
 from .linalg import RationalMatrix, rank_exact
 from .tensors import (
     DOWN,
@@ -44,34 +33,22 @@ from .tensors import (
 GAMMA_VALENCE = (UP, DOWN, DOWN)
 
 
-class SingularMetricError(ValueError):
-    """The metric is not invertible at the base point."""
-
-
 class Space:
-    """Dimension plus connection field, optionally remembering a metric.
+    """Dimension plus connection field.
 
     Derived objects that every verification path reuses (symmetric part,
     torsion, trace, curvature, covariant derivative of torsion) are
     computed once and cached; the instance itself never changes.
     """
 
-    def __init__(self, dim: int, gamma: TensorField,
-                 metric: TensorField | None = None):
+    def __init__(self, dim: int, gamma: TensorField):
         if dim < 2:
             raise ValueError("dim must be at least 2")
         if gamma.dim != dim or gamma.valence != GAMMA_VALENCE:
             raise ValueError("gamma must have valence (up, down, down) at the space dim")
-        if metric is not None and (metric.dim != dim or metric.valence != (DOWN, DOWN)):
-            raise ValueError("metric must have valence (down, down) at the space dim")
         self.dim = dim
         self.gamma = gamma
-        self.metric = metric
         self._cache: dict[str, object] = {}
-
-    @classmethod
-    def from_metric(cls, metric: TensorField) -> "Space":
-        return cls(metric.dim, christoffel_from_metric(metric), metric)
 
     def _cached(self, key: str, compute):
         if key not in self._cache:
@@ -90,13 +67,9 @@ class Space:
         """The (0,1) contraction Gamma^a_{ja} of the symmetric part."""
         def compute():
             s = self.sym()
-            def component(idx):
-                total = None
-                for a in range(self.dim):
-                    term = s[a, idx[0], a]
-                    total = term if total is None else jet_add(total, term)
-                return total
-            return TensorField.build(self.dim, (DOWN,), s.order, component)
+            return TensorField.build(
+                self.dim, (DOWN,), s.order,
+                lambda idx: jet_sum(s[a, idx[0], a] for a in range(self.dim)))
         return self._cached("trace_sym", compute)
 
     def curvature(self) -> TensorField:
@@ -108,22 +81,14 @@ class Space:
                             lambda: cov_deriv_assoc(self.torsion(), self))
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gamma": self.gamma.to_json(),
-            "metric": self.metric.to_json() if self.metric is not None else None,
-        }
+        # the document format keeps a metric slot; no space carries one
+        return {"dim": self.dim, "gamma": self.gamma.to_json(), "metric": None}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Space":
-        metric = obj.get("metric")
-        return cls(int(obj["dim"]), TensorField.from_json(obj["gamma"]),
-                   TensorField.from_json(metric) if metric is not None else None)
-
-
-def split_connection(s: Space) -> tuple[TensorField, TensorField]:
-    """Symmetric part and torsion; their sum reassembles the connection."""
-    return s.sym(), s.torsion()
+        if obj.get("metric") is not None:
+            raise ValueError("spaces with a metric are not supported")
+        return cls(int(obj["dim"]), TensorField.from_json(obj["gamma"]))
 
 
 def _cov_deriv(a: TensorField, dim: int,
@@ -174,29 +139,22 @@ def cov_deriv_assoc(a: TensorField, s: Space) -> TensorField:
 
 
 def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
-    """One of the four covariant-derivative kinds of the full connection.
+    """One of the two covariant-derivative kinds of the full connection.
 
     The kinds differ in which lower slot of Gamma meets the derivative
     direction: kind 1 uses Gamma^i_{ak} on up slots and Gamma^a_{jk} on
-    down slots, kind 2 the transposed pair, kinds 3 and 4 the two mixed
-    arrangements.
+    down slots, kind 2 the transposed pair.
     """
     g = s.gamma
-    ups = {
-        1: lambda i, alpha, k: g[i, alpha, k],
-        2: lambda i, alpha, k: g[i, k, alpha],
-        3: lambda i, alpha, k: g[i, alpha, k],
-        4: lambda i, alpha, k: g[i, k, alpha],
-    }
-    downs = {
-        1: lambda j, alpha, k: g[alpha, j, k],
-        2: lambda j, alpha, k: g[alpha, k, j],
-        3: lambda j, alpha, k: g[alpha, k, j],
-        4: lambda j, alpha, k: g[alpha, j, k],
-    }
-    if kind not in ups:
-        raise ValueError(f"kind must be 1, 2, 3 or 4, got {kind}")
-    return _cov_deriv(a, s.dim, up_term=ups[kind], down_term=downs[kind])
+    if kind == 1:
+        return _cov_deriv(a, s.dim,
+                          up_term=lambda i, alpha, k: g[i, alpha, k],
+                          down_term=lambda j, alpha, k: g[alpha, j, k])
+    if kind == 2:
+        return _cov_deriv(a, s.dim,
+                          up_term=lambda i, alpha, k: g[i, k, alpha],
+                          down_term=lambda j, alpha, k: g[alpha, k, j])
+    raise ValueError(f"kind must be 1 or 2, got {kind}")
 
 
 def curvature_R(s: Space) -> TensorField:
@@ -229,14 +187,10 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
     dim = s.dim
 
     def build(pairing):
-        def component(idx):
-            total = None
-            for alpha in range(dim):
-                x, y = pairing(idx, alpha)
-                term = jet_mul(x, y)
-                total = term if total is None else jet_add(total, term)
-            return total
-        return TensorField.build(dim, (UP, DOWN, DOWN, DOWN), t.order, component)
+        return TensorField.build(
+            dim, (UP, DOWN, DOWN, DOWN), t.order,
+            lambda idx: jet_sum(jet_mul(*pairing(idx, alpha))
+                                for alpha in range(dim)))
 
     v_term = build(lambda idx, a: (t[a, idx[1], idx[2]], t[idx[0], a, idx[3]]))
     vp_term = build(lambda idx, a: (t[a, idx[1], idx[3]], t[idx[0], a, idx[2]]))
@@ -262,82 +216,6 @@ def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,
         if coeff:
             total = tensor_add(total, tensor_scale(coeff, tensor))
     return total
-
-
-def _invert_jet_matrix(rows: list[list[JetScalar]], dim: int, order: int) -> list[list[JetScalar]]:
-    """Gauss-Jordan inverse of an N x N matrix of jets.
-
-    Pivots need a nonzero value at the base point; permutation handles
-    zero leading entries, and total failure means the matrix is singular
-    at the base point.
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    inv = [[JetScalar.constant(dim, order, 1) if i == j else JetScalar.zero(dim, order)
-            for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if value_at_base(a[r][col]) != 0), None)
-        if pivot is None:
-            raise SingularMetricError("matrix of jets is singular at the base point")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = jet_inverse(a[col][col])
-        a[col] = [jet_mul(scale, x) for x in a[col]]
-        inv[col] = [jet_mul(scale, x) for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.is_zero():
-                continue
-            a[r] = [jet_add(x, jet_neg(jet_mul(factor, y)))
-                    for x, y in zip(a[r], a[col])]
-            inv[r] = [jet_add(x, jet_neg(jet_mul(factor, y)))
-                      for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def christoffel_from_metric(g: TensorField) -> TensorField:
-    """Connection coefficients of a possibly non-symmetric metric.
-
-    Gamma_{i.jk} = (g_{ji,k} - g_{jk,i} + g_{ik,j}) / 2 raised through the
-    inverse h of the full metric in the convention h^{ia} g_{ja} = d^i_j.
-    A non-symmetric g generically yields a non-symmetric connection.
-    """
-    if g.valence != (DOWN, DOWN):
-        raise ValueError("metric must have valence (down, down)")
-    dim = g.dim
-
-    # h^{ia} g_{ja} = delta^i_j: invert M[j][a] = g[j, a], then h rows are
-    # the solutions of M x = e_i
-    m_rows = [[g[j, a] for a in range(dim)] for j in range(dim)]
-    try:
-        inv = _invert_jet_matrix(m_rows, dim, g.order)
-    except SingularMetricError:
-        raise SingularMetricError("metric is singular at the base point") from None
-    # inv is M^{-1} with inv[a][i] solving sum_a g[j,a] h[i,a] = delta: take
-    # h[i][a] = inv[a][i]
-    h = [[inv[a][i] for a in range(dim)] for i in range(dim)]
-
-    dg = [TensorField(dim, g.valence, [jet_partial(c, k) for c in g.components])
-          for k in range(dim)]
-    half = Fraction(1, 2)
-
-    def lowered(i, j, k):
-        term = jet_add(dg[k][j, i], jet_neg(dg[i][j, k]))
-        term = jet_add(term, dg[j][i, k])
-        return jet_scale(half, term)
-
-    def component(idx):
-        i, j, k = idx
-        total = None
-        for alpha in range(dim):
-            term = jet_mul(h[i][alpha], lowered(alpha, j, k))
-            total = term if total is None else jet_add(total, term)
-        return total
-
-    return TensorField.build(dim, GAMMA_VALENCE, g.order - 1, component)
 
 
 def random_connection(dim: int, order: int, seed: int,

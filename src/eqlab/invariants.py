@@ -27,7 +27,7 @@ from .geometry import (
     cov_deriv_assoc,
     curvature_K,
 )
-from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_scale
+from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_scale, jet_sum
 from .linalg import (
     ParamMatrix,
     ParamPoly,
@@ -110,14 +110,6 @@ def _check_label(name: str, value: int) -> None:
         raise ValueError(f"{name} must be between 1 and 8, got {value}")
 
 
-def _csum(dim: int, term) -> JetScalar:
-    total = None
-    for a in range(dim):
-        piece = term(a)
-        total = piece if total is None else jet_add(total, piece)
-    return total
-
-
 class _Parts:
     """Derivative-free contractions shared by the U, sigma and W builders."""
 
@@ -135,26 +127,31 @@ class _Parts:
         # T^i_{a k} phi^a, slots (i, k)
         self.torsion_phi = TensorField.build(
             dim, (UP, DOWN), t.order,
-            lambda idx: _csum(dim, lambda a: jet_mul(t[idx[0], a, idx[1]], phi[a])))
+            lambda idx: jet_sum(jet_mul(t[idx[0], a, idx[1]], phi[a])
+                                for a in range(dim)))
         # T^i_{j a} phi^a, slots (i, j)
         self.torsion_phi_last = TensorField.build(
             dim, (UP, DOWN), t.order,
-            lambda idx: _csum(dim, lambda a: jet_mul(t[idx[0], idx[1], a], phi[a])))
+            lambda idx: jet_sum(jet_mul(t[idx[0], idx[1], a], phi[a])
+                                for a in range(dim)))
         # T^a_{j m} G_a, slots (j, m)
         trace = self.trace
         self.torsion_trace = TensorField.build(
             dim, (DOWN, DOWN), t.order,
-            lambda idx: _csum(dim, lambda a: jet_mul(t[a, idx[0], idx[1]], trace[a])))
+            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], trace[a])
+                                for a in range(dim)))
         # T^a_{j m} (sigma phi)_a, slots (j, m)
         sigma_phi = self.sigma_phi
         self.torsion_sigma_phi = TensorField.build(
             dim, (DOWN, DOWN), t.order,
-            lambda idx: _csum(dim, lambda a: jet_mul(t[a, idx[0], idx[1]], sigma_phi[a])))
+            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma_phi[a])
+                                for a in range(dim)))
         # T^a_{j m} sigma_{a n}, slots (j, m, n)
         sigma = self.sigma
         self.torsion_sigma = TensorField.build(
             dim, (DOWN, DOWN, DOWN), t.order,
-            lambda idx: _csum(dim, lambda a: jet_mul(t[a, idx[0], idx[1]], sigma[a, idx[2]])))
+            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma[a, idx[2]])
+                                for a in range(dim)))
 
 
 def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
@@ -171,14 +168,14 @@ def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
     combined = tensor_add(parts.trace, parts.sigma_phi)
     phi, sigma, nu, mu = parts.phi, parts.sigma, m.nu, m.mu
     torsion_phi = parts.torsion_phi
-    phi_combined = _csum(dim, lambda a: jet_mul(phi[a], combined[a]))
+    phi_combined = jet_sum(jet_mul(phi[a], combined[a]) for a in range(dim))
     sigma_cd = cov_deriv_assoc(sigma, s)
 
     def component(idx):
         j, k = idx
         total = jet_scale(c * c * (dim + 1), jet_mul(phi_combined, sigma[j, k]))
         total = jet_add(total, jet_scale(-c * c, jet_mul(combined[j], combined[k])))
-        deriv = _csum(dim, lambda a: jet_mul(sigma_cd[j, a, k], phi[a]))
+        deriv = jet_sum(jet_mul(sigma_cd[j, a, k], phi[a]) for a in range(dim))
         total = jet_add(total, jet_scale(-c, deriv))
         total = jet_add(total, jet_scale(-c, jet_mul(mu, sigma[j, k])))
         for a in range(dim):
@@ -255,15 +252,15 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     sigma, phi = parts.sigma, parts.phi
     i, j, m, n = idx
     if theta == 1:
-        return _csum(dim, lambda a: jet_mul(t[a, j, m], sym[i, a, n]))
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
     if theta == 2:
-        return _csum(dim, lambda a: jet_mul(t[a, j, n], sym[i, a, m]))
+        return jet_sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
     if theta == 3:
-        return _csum(dim, lambda a: jet_mul(t[i, a, m], sym[a, j, n]))
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
     if theta == 4:
-        return _csum(dim, lambda a: jet_mul(t[i, a, n], sym[a, j, m]))
+        return jet_sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
     if theta == 5:
-        return _csum(dim, lambda a: jet_mul(t[i, j, a], sym[a, m, n]))
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
     if theta == 6:
         return jet_mul(t[i, j, m], parts.trace[n])
     if theta == 7:
@@ -321,15 +318,15 @@ def _sigma_component(parts: _Parts, p: int, c: Fraction,
 
     def first_mid():
         # Gamma^a_{v jm} Gamma^i_{_an}
-        return _csum(dim, lambda a: jet_mul(t[a, j, m], sym[i, a, n]))
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
 
     def mid_contr():
         # Gamma^i_{v am} Gamma^a_{_jn}
-        return _csum(dim, lambda a: jet_mul(t[i, a, m], sym[a, j, n]))
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
 
     def last_contr():
         # Gamma^i_{v ja} Gamma^a_{_mn}
-        return _csum(dim, lambda a: jet_mul(t[i, j, a], sym[a, m, n]))
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
 
     def phi_tail():
         # Gamma^a_{v jm} phi^i sigma_{an}
@@ -563,11 +560,12 @@ def torsion_cd_difference_check(pair: MappedPair, p: int) -> VerificationReport:
 
     def direct_component(idx):
         i, j, mm, n = idx
-        total = _csum(dim, lambda a: jet_mul(t[a, j, mm], sym_diff[i, a, n]))
-        total = jet_add(total, jet_neg(
-            _csum(dim, lambda a: jet_mul(t[i, a, mm], sym_diff[a, j, n]))))
-        return jet_add(total, jet_neg(
-            _csum(dim, lambda a: jet_mul(t[i, j, a], sym_diff[a, mm, n]))))
+        total = jet_sum(jet_mul(t[a, j, mm], sym_diff[i, a, n])
+                        for a in range(dim))
+        total = jet_add(total, jet_neg(jet_sum(
+            jet_mul(t[i, a, mm], sym_diff[a, j, n]) for a in range(dim))))
+        return jet_add(total, jet_neg(jet_sum(
+            jet_mul(t[i, j, a], sym_diff[a, mm, n]) for a in range(dim))))
 
     rhs_direct = TensorField.build(dim, W_VALENCE, sym_diff.order,
                                    direct_component)
@@ -633,30 +631,6 @@ class InvariantBundle:
     def u_tensor(self, theta: int) -> TensorField:
         return self._cached(("u", theta),
                             lambda: U_theta(self.space, self.mapping, theta))
-
-    @property
-    def eta1(self) -> TensorField:
-        return self.eta(1)
-
-    @property
-    def eta2(self) -> TensorField:
-        return self.eta(2)
-
-    @property
-    def W1(self) -> TensorField:
-        return self.w_star(1)
-
-    @property
-    def W2(self) -> TensorField:
-        return self.w_star(2)
-
-    @property
-    def sigmas(self) -> tuple[TensorField, ...]:
-        return tuple(self.sigma(p) for p in range(1, 9))
-
-    @property
-    def Us(self) -> tuple[TensorField, ...]:
-        return tuple(self.u_tensor(theta) for theta in range(1, 21))
 
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
         _check_which(which)

@@ -11,7 +11,8 @@ trustworthy.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import reduce
+from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
 
@@ -154,8 +155,12 @@ class JetScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JetScalar":
-        coeffs = {tuple(entry["alpha"]): Fraction(int(entry["num"]), int(entry["den"]))
-                  for entry in obj["coeffs"]}
+        coeffs = {}
+        for entry in obj["coeffs"]:
+            den = int(entry["den"])
+            if den == 0:
+                raise ValueError("jet coefficient has denominator 0")
+            coeffs[tuple(entry["alpha"])] = Fraction(int(entry["num"]), den)
         return cls(int(obj["dim"]), int(obj["order"]), coeffs)
 
 
@@ -178,6 +183,11 @@ def jet_add(a: JetScalar, b: JetScalar) -> JetScalar:
         else:
             coeffs.pop(alpha, None)
     return JetScalar(a.dim, order, coeffs)
+
+
+def jet_sum(terms: Iterable[JetScalar]) -> JetScalar:
+    """Left-to-right sum of a nonempty sequence: one ``jet_add`` per extra term."""
+    return reduce(jet_add, terms)
 
 
 def jet_neg(a: JetScalar) -> JetScalar:

@@ -22,6 +22,7 @@ from .jets import (
     jet_neg,
     jet_partial,
     jet_scale,
+    jet_sum,
     multi_indices,
     value_at_base,
 )
@@ -119,24 +120,15 @@ class AG3Mapping:
 
     def sigma_phi(self) -> TensorField:
         """The (0,1) contraction sigma_{ja} phi^a."""
-        dim = self.dim
-
-        def component(idx):
-            total = None
-            for a in range(dim):
-                term = jet_mul(self.sigma[idx[0], a], self.phi[a])
-                total = term if total is None else jet_add(total, term)
-            return total
-
-        return TensorField.build(dim, (DOWN,), self.sigma.order, component)
+        return TensorField.build(
+            self.dim, (DOWN,), self.sigma.order,
+            lambda idx: jet_sum(jet_mul(self.sigma[idx[0], a], self.phi[a])
+                                for a in range(self.dim)))
 
     def psi_phi(self) -> JetScalar:
         """The scalar psi_a phi^a."""
-        total = None
-        for a in range(self.dim):
-            term = jet_mul(self.psi[a], self.phi[a])
-            total = term if total is None else jet_add(total, term)
-        return total
+        return jet_sum(jet_mul(self.psi[a], self.phi[a])
+                       for a in range(self.dim))
 
 
 def transform_connection(s: Space, m: AG3Mapping) -> Space:
@@ -213,8 +205,9 @@ def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
 class MappedPair:
     """Source space, mapping data, and the resulting image space.
 
-    Construction through :meth:`build` checks the defining invariants:
-    equal torsion tensors and a vanishing basic-equation residual.
+    Construction through :meth:`build` checks that the basic-equation
+    residual vanishes; :meth:`validate`, run on every loaded pair, also
+    checks that the stored target is the image of the source.
     """
 
     def __init__(self, source: Space, mapping: AG3Mapping, target: Space):
@@ -225,14 +218,22 @@ class MappedPair:
 
     @classmethod
     def build(cls, source: Space, mapping: AG3Mapping) -> "MappedPair":
-        target = transform_connection(source, mapping)
-        pair = cls(source, mapping, target)
-        pair.validate()
+        pair = cls(source, mapping, transform_connection(source, mapping))
+        pair._check_basic_equation()
         return pair
 
     def validate(self) -> None:
-        if self.source.torsion() != self.target.torsion():
-            raise ValueError("pair is not equitorsion")
+        """Rejects a target that is not the image of the source.
+
+        The deformation is symmetric, so this also implies equal torsion.
+        """
+        image = transform_connection(self.source, self.mapping)
+        if image.gamma != self.target.gamma:
+            raise ValueError("target is not the image of the source "
+                             "under the mapping")
+        self._check_basic_equation()
+
+    def _check_basic_equation(self) -> None:
         residual = basic_equation_residual(self.source, self.mapping)
         if not residual.is_zero():
             raise BasicEquationError("basic equation residual is nonzero")
@@ -278,16 +279,15 @@ def gamma_diff_factorized(pair: MappedPair) -> TensorField:
         sigma_phi = mapping.sigma_phi()
         combined = tensor_add(trace, sigma_phi)
 
-        def component(idx):
-            i, j, k = idx
-            total = None
+        def terms(i, j, k):
             if i == k:
-                total = jet_scale(c, combined[j])
+                yield jet_scale(c, combined[j])
             if i == j:
-                term = jet_scale(c, combined[k])
-                total = term if total is None else jet_add(total, term)
-            sig_term = jet_neg(jet_mul(mapping.sigma[j, k], mapping.phi[i]))
-            total = sig_term if total is None else jet_add(total, sig_term)
+                yield jet_scale(c, combined[k])
+            yield jet_neg(jet_mul(mapping.sigma[j, k], mapping.phi[i]))
+
+        def component(idx):
+            total = jet_sum(terms(*idx))
             return total if sign > 0 else jet_neg(total)
 
         order = min(trace.order, mapping.sigma.order)
@@ -373,18 +373,12 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     t = [[t_component(i, j) for j in range(dim)] for i in range(dim)]
 
     def bulk_phi_first(i: int, b: int) -> JetScalar:
-        total = None
-        for beta in range(dim):
-            term = jet_mul(bulk[i, beta, b], phi[beta])
-            total = term if total is None else jet_add(total, term)
-        return total
+        return jet_sum(jet_mul(bulk[i, beta, b], phi[beta])
+                       for beta in range(dim))
 
     def bulk_phi_second(i: int, a: int) -> JetScalar:
-        total = None
-        for beta in range(dim):
-            term = jet_mul(bulk[i, a, beta], phi[beta])
-            total = term if total is None else jet_add(total, term)
-        return total
+        return jet_sum(jet_mul(bulk[i, a, beta], phi[beta])
+                       for beta in range(dim))
 
     def gamma_component(idx):
         i, a, b = idx

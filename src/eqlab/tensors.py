@@ -21,6 +21,7 @@ from .jets import (
     jet_neg,
     jet_partial,
     jet_scale,
+    jet_sum,
     value_at_base,
 )
 
@@ -205,16 +206,10 @@ def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
     out_valence = tuple(a.valence[t] for t in keep)
 
     def component(out_idx: tuple[int, ...]) -> JetScalar:
-        full = [0] * a.rank
-        for pos, t in enumerate(keep):
-            full[t] = out_idx[pos]
-        total = None
-        for alpha in range(dim):
-            full[slot_up] = alpha
-            full[slot_down] = alpha
-            term = a[tuple(full)]
-            total = term if total is None else jet_add(total, term)
-        return total
+        kept = dict(zip(keep, out_idx))
+        # every slot not kept is one of the two contracted ones
+        return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
+                       for alpha in range(dim))
 
     return TensorField.build(dim, out_valence, a.order, component)
 

@@ -311,10 +311,23 @@ class TestCliVerify:
         assert code == 3 and err
 
     def test_unreadable_instance_json_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, "verify", "--instance", str(path))
-        assert code == 2 and err
+        doc = synth_document(2, 1, seed=4)
+        den0 = json.loads(json.dumps(doc))
+        den0["source"]["gamma"]["components"][0]["coeffs"][0]["den"] = "0"
+        # Gamma^1_11 is diagonal in its lower slots: the torsion stays equal
+        shifted = json.loads(json.dumps(doc))
+        jet = JetScalar.from_json(shifted["target"]["gamma"]["components"][0])
+        shifted["target"]["gamma"]["components"][0] = (jet + 1).to_json()
+        texts = {"broken": "{not json", "list": json.dumps([doc]),
+                 "den0": json.dumps(den0), "target": json.dumps(shifted)}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code, _, err = run_cli(capsys, "verify", "--instance", str(path),
+                                   "--grid", "1", "--draws", "1")
+            lines = err.splitlines()
+            assert code == 2, name
+            assert len(lines) == 1 and lines[0].startswith("eqlab:"), name
 
     def test_grid_label_out_of_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

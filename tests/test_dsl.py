@@ -13,12 +13,12 @@ from eqlab.dsl import (
     Index,
     IndexUsageError,
     evaluate,
-    evaluate_program,
     parse,
     parse_program,
     render,
 )
 from eqlab.geometry import curvature_R, random_connection
+from eqlab.harness import evaluate_program_lines
 from eqlab.jets import OrderExhaustedError, jet_partial
 from eqlab.mapping import random_jet
 from eqlab.tensors import DOWN, UP, TensorField, tensor_scale, transpose
@@ -204,14 +204,14 @@ class TestPrograms:
         Twice[^i,_j] = 2 * T[^i,_j]
         Traced = Twice[^a,_a]
         """
-        out = evaluate_program(src, {"T": t})
+        out = evaluate_program_lines(src, {"T": t})
         assert set(out) == {"Twice", "Traced"}
         assert out["Twice"] == tensor_scale(2, t)
         assert out["Traced"][()] == out["Twice"][0, 0] + out["Twice"][1, 1]
 
     def test_left_hand_side_reorders_slots(self):
         t = random_field(2, (UP, DOWN), 2, 12)
-        out = evaluate_program("Flipped[_j,^i] = T[^i,_j]", {"T": t})
+        out = evaluate_program_lines("Flipped[_j,^i] = T[^i,_j]", {"T": t})
         assert out["Flipped"] == transpose(t, (1, 0))
 
     def test_left_hand_indices_must_match_free(self):

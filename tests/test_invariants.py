@@ -591,11 +591,9 @@ class TestRKTransformation:
 class TestInvariantBundle:
     def test_properties_expose_cached_objects(self, pair21):
         bundle = InvariantBundle(pair21.source, pair21.mapping)
-        assert bundle.W1 is bundle.w_star(1)
-        assert bundle.eta2 is bundle.eta(2)
-        assert len(bundle.sigmas) == 8
-        assert len(bundle.Us) == 20
-        assert bundle.sigmas[0] == sigma_p(pair21.source, pair21.mapping, 1)
+        assert bundle.sigma(1) is bundle.sigma(1)
+        assert bundle.u_tensor(20) is bundle.u_tensor(20)
+        assert bundle.sigma(1) == sigma_p(pair21.source, pair21.mapping, 1)
 
     def test_family_members_cached(self, pair21):
         bundle = InvariantBundle(pair21.source, pair21.mapping)
