@@ -255,7 +255,7 @@ def _load_pair(path: str) -> tuple[int, MappedPair]:
     doc = _load_document(path)
     try:
         return int(doc.get("seed", 0)), MappedPair.from_json(doc)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise UsageError(f"instance file {path} is malformed: {exc}") from None
 
 
@@ -266,7 +266,7 @@ def _load_bindings_source(path: str):
             return MappedPair.from_json(doc)
         if "gamma" in doc:
             return Space.from_json(doc)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise UsageError(f"instance file {path} is malformed: {exc}") from None
     raise UsageError(f"instance file {path} holds neither a pair nor a space")
 

@@ -25,9 +25,7 @@ from .invariants import (
     PARAM_NAMES,
     InvariantBundle,
     R_and_K_transformation_check,
-    T_tilde,
     VerificationReport,
-    _numerator_digits,
     build_W_matrix,
     family_span_dimension,
     sigma_coeff_matrix,
@@ -74,46 +72,54 @@ def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
 
 
 def _with_inverse(pair: MappedPair, m_bar: AG3Mapping) -> MappedPair:
-    # preload the inverse cache so pair-based checks consume the given
-    # barred data; this is the fault-injection point of the suite
+    # preload the inverse cache so the factorization check, which reads
+    # the pair, consumes the given barred data
     clone = MappedPair(pair.source, pair.mapping, pair.target)
     clone._inverse = m_bar
     return clone
 
 
-def _report(check: str, params: dict, residual: TensorField | None,
-            passed: bool) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        params=params,
-        passed=passed,
-        max_abs_residual_num_digits=_numerator_digits((residual,)),
-        residual=None if passed else residual,
-    )
-
-
 def w_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                        which: int, base: dict) -> VerificationReport:
-    residual = tensor_sub(src.w_star(which), tgt.w_star(which))
-    return _report("W_invariance", {**base, "which": which},
-                   residual, residual.is_zero())
+    return VerificationReport.from_residuals(
+        "W_invariance", {**base, "which": which},
+        (tensor_sub(src.w_star(which), tgt.w_star(which)),))
 
 
-def t_tilde_invariance_check(pair: MappedPair, m_bar: AG3Mapping,
+def t_tilde_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                              rho: int, base: dict) -> VerificationReport:
-    residual = tensor_sub(T_tilde(pair.source, pair.mapping, rho),
-                          T_tilde(pair.target, m_bar, rho))
-    return _report("T_tilde_invariance", {**base, "rho": rho},
-                   residual, residual.is_zero())
+    return VerificationReport.from_residuals(
+        "T_tilde_invariance", {**base, "rho": rho},
+        (tensor_sub(src.t_tilde(rho), tgt.t_tilde(rho)),))
 
 
 def factorization_check(pair: MappedPair, base: dict) -> VerificationReport:
     try:
         gamma_diff_factorized(pair)
+        residuals = ()
     except FactorizationMismatch as exc:
-        return _report("sym_difference_factorization", dict(base),
-                       exc.residual, False)
-    return _report("sym_difference_factorization", dict(base), None, True)
+        residuals = (exc.residual,)
+    return VerificationReport.from_residuals(
+        "sym_difference_factorization", dict(base), residuals)
+
+
+def _grid_report(check: str, head: dict, values: dict, p_values, q_values,
+                 residual_at) -> VerificationReport:
+    """One report over the (p, q) cells, listing the cells that fail."""
+    failed: list[list[int]] = []
+    params = {**head, "cells": len(p_values) * len(q_values),
+              "failed_cells": failed}
+    params.update({name: values[name] for name in PARAM_NAMES})
+
+    def residuals():
+        for p in p_values:
+            for q in q_values:
+                residual = residual_at(p, q)
+                if not residual.is_zero():
+                    failed.append([p, q])
+                yield residual
+
+    return VerificationReport.from_residuals(check, params, residuals())
 
 
 def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
@@ -121,62 +127,42 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                             values: dict, draw: int,
                             base: dict) -> VerificationReport:
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
-    failed: list[list[int]] = []
-    worst: TensorField | None = None
-    digits = 0
-    for p in p_values:
-        for q in q_values:
-            residual = tensor_sub(src.family(which, p, q, u, up, v, vp, w),
-                                  tgt.family(which, p, q, u, up, v, vp, w))
-            if not residual.is_zero():
-                failed.append([p, q])
-                digits = max(digits, _numerator_digits((residual,)))
-                if worst is None:
-                    worst = residual
-    params = {**base, "which": which, "draw": draw,
-              "cells": len(p_values) * len(q_values), "failed_cells": failed}
-    params.update({name: values[name] for name in PARAM_NAMES})
-    return VerificationReport(
-        check="family_invariance", params=params, passed=not failed,
-        max_abs_residual_num_digits=digits, residual=worst)
+    return _grid_report(
+        "family_invariance", {**base, "which": which, "draw": draw}, values,
+        p_values, q_values,
+        lambda p, q: tensor_sub(src.family(which, p, q, u, up, v, vp, w),
+                                tgt.family(which, p, q, u, up, v, vp, w)))
 
 
 def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
                       values: dict, base: dict) -> VerificationReport:
-    """Family member re-assembled from the W tensor and the bare torsion
-    terms; must agree with the family construction cell by cell."""
+    """The family assembly K + (W - R) - u sigma_p - u' sigma*_q against
+    W + u cd + u' cd* + v V + v' V' + w W_t - u sigma_p - u' sigma*_q, cell
+    by cell on one side: cd is the torsion derivative, cd* its m/n swap,
+    V, V', W_t the torsion squares.  Both assemblies share W and sigma, so
+    this checks K - R against its torsion terms.  It is not a source-to-target
+    comparison."""
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
     space = bundle.space
     cd = space.torsion_cd()
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(space)
-    failed: list[list[int]] = []
-    worst: TensorField | None = None
-    digits = 0
-    for p in p_values:
-        for q in q_values:
-            rhs = bundle.w_star(which)
-            for coeff, tensor in ((u, cd), (up, cd_swapped), (v, v_term),
-                                  (vp, vp_term), (w, w_term)):
-                if coeff:
-                    rhs = tensor_add(rhs, tensor_scale(coeff, tensor))
-            if u:
-                rhs = tensor_sub(rhs, tensor_scale(u, bundle.sigma(p)))
-            if up:
-                rhs = tensor_sub(rhs, tensor_scale(up, bundle.sigma_swapped(q)))
-            residual = tensor_sub(
-                bundle.family(which, p, q, u, up, v, vp, w), rhs)
-            if not residual.is_zero():
-                failed.append([p, q])
-                digits = max(digits, _numerator_digits((residual,)))
-                if worst is None:
-                    worst = residual
-    params = {**base, "which": which,
-              "cells": len(p_values) * len(q_values), "failed_cells": failed}
-    params.update({name: values[name] for name in PARAM_NAMES})
-    return VerificationReport(
-        check="correlation", params=params, passed=not failed,
-        max_abs_residual_num_digits=digits, residual=worst)
+    fixed = bundle.w_star(which)
+    for coeff, tensor in ((u, cd), (up, cd_swapped), (v, v_term),
+                          (vp, vp_term), (w, w_term)):
+        if coeff:
+            fixed = tensor_add(fixed, tensor_scale(coeff, tensor))
+
+    def residual_at(p, q):
+        rhs = fixed
+        if u:
+            rhs = tensor_sub(rhs, tensor_scale(u, bundle.sigma(p)))
+        if up:
+            rhs = tensor_sub(rhs, tensor_scale(up, bundle.sigma_swapped(q)))
+        return tensor_sub(bundle.family(which, p, q, u, up, v, vp, w), rhs)
+
+    return _grid_report("correlation", {**base, "which": which}, values,
+                        p_values, q_values, residual_at)
 
 
 def _draw_seed(dim: int, kind: int, label: int, order: int) -> int:
@@ -194,12 +180,11 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
     order = pair.source.gamma.order
     if corrupt is None:
         m_bar = pair.inverse()
-        checked = pair
-    else:
-        if corrupt not in FAULTS:
-            raise ValueError(f"unknown fault {corrupt!r}")
+    elif corrupt in FAULTS:
         m_bar = corrupted_inverse(pair)
-        checked = _with_inverse(pair, m_bar)
+    else:
+        raise ValueError(f"unknown fault {corrupt!r}")
+    # the target bundle carries the inverse in use, corrupted or not
     src = InvariantBundle(pair.source, m)
     tgt = InvariantBundle(pair.target, m_bar)
     rng = random.Random(_draw_seed(dim, kind, label, order))
@@ -208,13 +193,13 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
 
     checks: list[VerificationReport] = []
     for p in p_values:
-        report = torsion_cd_difference_check(checked, p)
+        report = torsion_cd_difference_check(src, tgt, p)
         report.params["seed"] = label
         checks.append(report)
-    checks.append(factorization_check(checked, base))
+    checks.append(factorization_check(_with_inverse(pair, m_bar), base))
     checks.append(w_invariance_check(src, tgt, kind, base))
     for rho in p_values:
-        checks.append(t_tilde_invariance_check(pair, m_bar, rho, base))
+        checks.append(t_tilde_invariance_check(src, tgt, rho, base))
     checks.append(correlation_check(src, kind, p_values, q_values,
                                     draw_values[0], base))
     for draw, values in enumerate(draw_values):
@@ -224,7 +209,7 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
     p_cell = p_values[label % len(p_values)]
     q_cell = q_values[(3 * label + 1) % len(q_values)]
     report = R_and_K_transformation_check(
-        checked, kind, p_cell, q_cell,
+        src, tgt, kind, p_cell, q_cell,
         u=draw_values[0]["u"], up=draw_values[0]["u'"])
     report.params["seed"] = label
     checks.append(report)
@@ -267,14 +252,10 @@ def synthesized_pairs(dim: int, kind: int, seeds, order: int = 2,
 def synth_document(dim: int, kind: int, seed: int, order: int = 2) -> dict:
     """Instance serialization with its basic-equation certificate."""
     pair = synthesize_instance(dim, kind, seed, order)
-    residual = basic_equation_residual(pair.source, pair.mapping)
-    certificate = VerificationReport(
-        check="basic_equation_residual",
-        params={"dim": dim, "kind": kind, "seed": seed, "order": order},
-        passed=residual.is_zero(),
-        max_abs_residual_num_digits=_numerator_digits((residual,)),
-        residual=None if residual.is_zero() else residual,
-    )
+    certificate = VerificationReport.from_residuals(
+        "basic_equation_residual",
+        {"dim": dim, "kind": kind, "seed": seed, "order": order},
+        (basic_equation_residual(pair.source, pair.mapping),))
     doc = {"dim": dim, "kind": kind, "seed": seed, "order": order}
     doc.update(pair.to_json())
     doc["certificate"] = certificate.to_json()

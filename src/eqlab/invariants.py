@@ -1,13 +1,13 @@
 """Invariant objects attached to a mapping between equitorsion spaces.
 
-Everything here is derived data of one ``(Space, AG3Mapping)`` side: the
-eta tensors, the W tensors of both kinds, the twenty torsion products
-U_1..U_20, the eight sigma combinations built from them, the invariant
-difference tensors T-tilde, and the five-parameter W families indexed by
-a pair (p, q) of sigma choices.  The module also carries the exact rank
-analyses over those objects and the verification checks that compare a
-source-side evaluation with an independent target-side evaluation using
-the inverse mapping data.
+Everything here is derived data of one ``(Space, AG3Mapping)`` side,
+built by that side's ``InvariantBundle``: the eta tensors, the W tensors
+of both kinds, the twenty torsion products U_1..U_20, the eight sigma
+combinations built from them, the invariant difference tensors T-tilde,
+and the five-parameter W families indexed by a pair (p, q) of sigma
+choices.  The module also carries the exact rank analyses over those
+objects and the checks that compare a source bundle with an independent
+target bundle built on the inverse mapping data.
 
 Checks never reuse a formula across the two routes they compare: the
 sigma combinations are coded term by term and reconciled against the
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, wraps
 
 from .geometry import (
     GAMMA_VALENCE,
@@ -67,6 +68,19 @@ class VerificationReport:
         self.residual = residual
         self.rank = rank
 
+    @classmethod
+    def from_residuals(cls, check: str, params: dict,
+                       residuals) -> "VerificationReport":
+        """Passes when every residual vanishes; keeps the first that does
+        not, and counts numerator digits over all of them."""
+        failing, digits = None, 0
+        for residual in residuals:
+            if failing is None and not residual.is_zero():
+                failing = residual
+            digits = max(digits, _numerator_digits((residual,)))
+        return cls(check=check, params=params, passed=failing is None,
+                   max_abs_residual_num_digits=digits, residual=failing)
+
     def to_json(self) -> dict:
         return {
             "check": self.check,
@@ -92,8 +106,6 @@ def _numerator_digits(residuals) -> int:
     """Decimal length of the largest coefficient numerator, 0 when all vanish."""
     worst = 0
     for field in residuals:
-        if field is None:
-            continue
         for comp in field.components:
             for value in comp.coeffs.values():
                 worst = max(worst, len(str(abs(value.numerator))))
@@ -154,98 +166,6 @@ class _Parts:
                                 for a in range(dim)))
 
 
-def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
-    """The (0,2) eta tensor of the requested kind.
-
-    The two kinds differ only in the sign in front of the torsion
-    contraction in the last bracket: plus for kind 1, minus for kind 2.
-    """
-    _check_which(which)
-    parts = _Parts(s, m)
-    dim = s.dim
-    c = Fraction(1, dim + 1)
-    eps = 1 if which == 1 else -1
-    combined = tensor_add(parts.trace, parts.sigma_phi)
-    phi, sigma, nu, mu = parts.phi, parts.sigma, m.nu, m.mu
-    torsion_phi = parts.torsion_phi
-    phi_combined = jet_sum(jet_mul(phi[a], combined[a]) for a in range(dim))
-    sigma_cd = cov_deriv_assoc(sigma, s)
-
-    def component(idx):
-        j, k = idx
-        total = jet_scale(c * c * (dim + 1), jet_mul(phi_combined, sigma[j, k]))
-        total = jet_add(total, jet_scale(-c * c, jet_mul(combined[j], combined[k])))
-        deriv = jet_sum(jet_mul(sigma_cd[j, a, k], phi[a]) for a in range(dim))
-        total = jet_add(total, jet_scale(-c, deriv))
-        total = jet_add(total, jet_scale(-c, jet_mul(mu, sigma[j, k])))
-        for a in range(dim):
-            bracket = jet_add(jet_mul(nu[k], phi[a]),
-                              jet_scale(-eps, torsion_phi[a, k]))
-            total = jet_add(total, jet_scale(-c, jet_mul(sigma[j, a], bracket)))
-        return total
-
-    return TensorField.build(dim, (DOWN, DOWN), sigma_cd.order, component)
-
-
-def W_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
-    """The (1,3) W tensor of the requested kind, an invariant of the mapping.
-
-    Assembled from the curvature, the antisymmetrised eta and trace
-    derivatives on the delta slots, and the covariant derivative of the
-    product sigma_{jm} phi^i, the latter written out through the defining
-    equation for phi so that no derivative of phi itself is needed.
-    """
-    _check_which(which)
-    parts = _Parts(s, m)
-    dim = s.dim
-    c = Fraction(1, dim + 1)
-    eps = 1 if which == 1 else -1
-    eta = eta_star(s, m, which)
-    eta_anti = antisym_pair_nodiv(eta, 0, 1)
-    curvature = s.curvature()
-    trace_cd = cov_deriv_assoc(s.trace_sym(), s)
-    trace_cd_anti = antisym_pair_nodiv(trace_cd, 0, 1)
-    sigma_cd = cov_deriv_assoc(m.sigma, s)
-    sigma, phi, sigma_phi = parts.sigma, parts.phi, parts.sigma_phi
-    torsion_phi = parts.torsion_phi
-    nu, mu = m.nu, m.mu
-
-    # bracket_{jn} = G_{j;n} - (N+1) eta_{jn}
-    def bracket_component(idx):
-        j, n = idx
-        return jet_add(trace_cd[j, n], jet_scale(-(dim + 1), eta[j, n]))
-
-    bracket = TensorField.build(dim, (DOWN, DOWN), eta.order, bracket_component)
-
-    def component(idx):
-        i, j, mm, n = idx
-        total = curvature[i, j, mm, n]
-        if i == j:
-            total = jet_add(total, eta_anti[mm, n])
-            total = jet_add(total, jet_scale(-c, trace_cd_anti[mm, n]))
-        if i == mm:
-            total = jet_add(total, jet_scale(-c, bracket[j, n]))
-        if i == n:
-            total = jet_add(total, jet_scale(c, bracket[j, mm]))
-        # (sigma_{jm} phi^i)_{;n} - (m <-> n swap), with phi_{;n} expanded;
-        # the delta pieces of the expansion carry the mu terms below
-        gradient = jet_add(sigma_cd[j, mm, n], jet_neg(sigma_cd[j, n, mm]))
-        gradient = jet_add(gradient, jet_mul(sigma[j, mm], nu[n]))
-        gradient = jet_add(gradient, jet_neg(jet_mul(sigma[j, n], nu[mm])))
-        gradient = jet_add(gradient, jet_mul(sigma[j, mm], sigma_phi[n]))
-        gradient = jet_add(gradient, jet_neg(jet_mul(sigma[j, n], sigma_phi[mm])))
-        total = jet_add(total, jet_mul(gradient, phi[i]))
-        if i == n:
-            total = jet_add(total, jet_mul(mu, sigma[j, mm]))
-        if i == mm:
-            total = jet_add(total, jet_neg(jet_mul(mu, sigma[j, n])))
-        tail = jet_add(jet_mul(sigma[j, mm], torsion_phi[i, n]),
-                       jet_neg(jet_mul(sigma[j, n], torsion_phi[i, mm])))
-        return jet_add(total, jet_scale(-eps, tail))
-
-    return TensorField.build(dim, W_VALENCE, curvature.order, component)
-
-
 def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     dim = parts.dim
     t, sym = parts.torsion, parts.sym
@@ -296,15 +216,6 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     if theta == 20:
         return jet_mul(parts.torsion_sigma[j, n, m], phi[i])
     raise ValueError(f"theta must be between 1 and 20, got {theta}")
-
-
-def U_theta(s: Space, m: AG3Mapping, theta: int) -> TensorField:
-    """One of the twenty torsion products, slots (i, j, m, n)."""
-    if not 1 <= theta <= 20:
-        raise ValueError(f"theta must be between 1 and 20, got {theta}")
-    parts = _Parts(s, m)
-    return TensorField.build(s.dim, W_VALENCE, parts.torsion.order,
-                             lambda idx: _u_component(parts, theta, idx))
 
 
 def _sigma_component(parts: _Parts, p: int, c: Fraction,
@@ -409,15 +320,6 @@ def _sigma_component(parts: _Parts, p: int, c: Fraction,
     raise ValueError(f"p must be between 1 and 8, got {p}")
 
 
-def sigma_p(s: Space, m: AG3Mapping, p: int) -> TensorField:
-    """The p-th sigma combination, slots (i, j, m, n)."""
-    _check_label("p", p)
-    parts = _Parts(s, m)
-    c = Fraction(1, s.dim + 1)
-    return TensorField.build(s.dim, W_VALENCE, parts.torsion.order,
-                             lambda idx: _sigma_component(parts, p, c, idx))
-
-
 # Coefficient of U_theta in sigma_p, encoded as (integer part, multiple of
 # 1/(N+1)).  Row order p = 1..8, keys are theta.
 _SIGMA_COEFFS: dict[int, dict[int, tuple[int, int]]] = {
@@ -443,9 +345,6 @@ _SIGMA_COEFFS: dict[int, dict[int, tuple[int, int]]] = {
 _SWAP_POSITION = (1, 0, 3, 2, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13, 15, 14, 17,
                   16, 19, 18)
 _SWAP_NEGATED = frozenset({7, 13})
-
-_VALIDATED_DIMS: set[int] = set()
-
 
 def _probe_instance(dim: int, seed: int) -> tuple[Space, AG3Mapping]:
     """Random order-0 data; the product identities need no derivatives."""
@@ -496,10 +395,10 @@ def _linear_solve(a_rows: list[list[Fraction]],
 
 
 def _validate_sigma_rows(dim: int, matrix: RationalMatrix) -> None:
-    s, m = _probe_instance(dim, seed=7321 + dim)
-    us = [U_theta(s, m, theta) for theta in range(1, 21)]
+    probe = InvariantBundle(*_probe_instance(dim, seed=7321 + dim))
+    us = [probe.u_tensor(theta) for theta in range(1, 21)]
     for p in range(1, 9):
-        direct = sigma_p(s, m, p)
+        direct = probe.sigma(p)
         combo = TensorField.zero(dim, W_VALENCE, direct.order)
         for theta in range(20):
             coeff = matrix[p - 1, theta]
@@ -520,12 +419,13 @@ def _validate_sigma_rows(dim: int, matrix: RationalMatrix) -> None:
             f"sigma row {p} disagrees with its U expansion at theta {blamed}")
 
 
+@cache
 def sigma_coeff_matrix(N: int) -> RationalMatrix:
     """The 8 x 20 coefficient matrix expressing each sigma over the U basis.
 
-    The first call for a dimension validates every row against a direct
-    evaluation of the sigma definitions on a random instance and raises
-    naming the offending row and positions on any mismatch.
+    Built once per dimension: the first call validates every row against
+    a direct evaluation of the sigma definitions on a random instance and
+    raises naming the offending row and positions on any mismatch.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -537,26 +437,24 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
             whole, scaled = row.get(theta, (0, 0))
             entries.append(Fraction(whole) + scaled * c)
     matrix = RationalMatrix(8, 20, entries)
-    if N not in _VALIDATED_DIMS:
-        _validate_sigma_rows(N, matrix)
-        _VALIDATED_DIMS.add(N)
+    _validate_sigma_rows(N, matrix)
     return matrix
 
 
-def torsion_cd_difference_check(pair: MappedPair, p: int) -> VerificationReport:
+def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
+                                p: int) -> VerificationReport:
     """Exact two-route check of the torsion covariant-derivative difference.
 
     Route one expands the difference through P = sym(target) - sym(source);
-    route two evaluates the p-th sigma combination in both spaces.  Both
+    route two evaluates the p-th sigma combination on both sides.  Both
     must match the directly computed derivative difference.
     """
     _check_label("p", p)
-    src, tgt, m = pair.source, pair.target, pair.mapping
-    m_bar = pair.inverse()
-    dim = src.dim
-    lhs = tensor_sub(tgt.torsion_cd(), src.torsion_cd())
-    t = src.torsion()
-    sym_diff = tensor_sub(tgt.sym(), src.sym())
+    space, space_bar = src.space, tgt.space
+    dim = space.dim
+    lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
+    t = space.torsion()
+    sym_diff = tensor_sub(space_bar.sym(), space.sym())
 
     def direct_component(idx):
         i, j, mm, n = idx
@@ -569,68 +467,180 @@ def torsion_cd_difference_check(pair: MappedPair, p: int) -> VerificationReport:
 
     rhs_direct = TensorField.build(dim, W_VALENCE, sym_diff.order,
                                    direct_component)
-    residual_direct = tensor_sub(lhs, rhs_direct)
-    rhs_sigma = tensor_sub(sigma_p(tgt, m_bar, p), sigma_p(src, m, p))
-    residual_sigma = tensor_sub(lhs, rhs_sigma)
-    passed = residual_direct.is_zero() and residual_sigma.is_zero()
-    residual = None
-    if not passed:
-        residual = residual_direct if not residual_direct.is_zero() else residual_sigma
-    return VerificationReport(
-        check="torsion_cd_difference",
-        params={"p": p, "dim": dim, "kind": m.kind},
-        passed=passed,
-        max_abs_residual_num_digits=_numerator_digits(
-            (residual_direct, residual_sigma)),
-        residual=residual,
-    )
+    rhs_sigma = tensor_sub(tgt.sigma(p), src.sigma(p))
+    return VerificationReport.from_residuals(
+        "torsion_cd_difference",
+        {"p": p, "dim": dim, "kind": src.mapping.kind},
+        (tensor_sub(lhs, rhs_direct), tensor_sub(lhs, rhs_sigma)))
 
 
-def T_tilde(s: Space, m: AG3Mapping, rho: int) -> TensorField:
-    """Invariant difference tensor: torsion derivative minus its U expansion."""
-    _check_label("rho", rho)
-    matrix = sigma_coeff_matrix(s.dim)
-    total = s.torsion_cd()
-    for theta in range(1, 21):
-        coeff = matrix[rho - 1, theta - 1]
-        if coeff:
-            total = tensor_sub(total, tensor_scale(coeff, U_theta(s, m, theta)))
-    return total
+def _kept(build):
+    """A bundle method whose result is kept, keyed by its name and arguments."""
+    @wraps(build)
+    def method(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
+    return method
 
 
 class InvariantBundle:
-    """Lazily cached derived objects of one (space, mapping) side."""
+    """The invariant objects of one (space, mapping) side, each built once.
+
+    The only builder of U, sigma, eta, W and T-tilde, all read off one
+    lazily built ``_Parts``.  What is read more than once is kept (parts,
+    sigma, swapped sigma, eta, W, the W correction, K, family members);
+    U and T-tilde are rebuilt per request, which keeps peak memory flat.
+    An invariance check compares two bundles, one per side, so its routes
+    never share a cached object.
+    """
 
     def __init__(self, space: Space, mapping: AG3Mapping):
         self.space = space
         self.mapping = mapping
         self.families: dict[tuple, TensorField] = {}
-        self._cache: dict = {}
+        self._memo: dict = {}
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+    @_kept
+    def parts(self) -> _Parts:
+        return _Parts(self.space, self.mapping)
 
+    @_kept
     def eta(self, which: int) -> TensorField:
-        return self._cached(("eta", which),
-                            lambda: eta_star(self.space, self.mapping, which))
+        """The (0,2) eta tensor of the requested kind.
 
+        The two kinds differ only in the sign in front of the torsion
+        contraction in the last bracket: plus for kind 1, minus for kind 2.
+        """
+        _check_which(which)
+        s, m, parts = self.space, self.mapping, self.parts()
+        dim = s.dim
+        c = Fraction(1, dim + 1)
+        eps = 1 if which == 1 else -1
+        combined = tensor_add(parts.trace, parts.sigma_phi)
+        phi, sigma, nu, mu = parts.phi, parts.sigma, m.nu, m.mu
+        torsion_phi = parts.torsion_phi
+        phi_combined = jet_sum(jet_mul(phi[a], combined[a]) for a in range(dim))
+        sigma_cd = cov_deriv_assoc(sigma, s)
+
+        def component(idx):
+            j, k = idx
+            total = jet_scale(c * c * (dim + 1),
+                              jet_mul(phi_combined, sigma[j, k]))
+            total = jet_add(total, jet_scale(-c * c,
+                                             jet_mul(combined[j], combined[k])))
+            deriv = jet_sum(jet_mul(sigma_cd[j, a, k], phi[a])
+                            for a in range(dim))
+            total = jet_add(total, jet_scale(-c, deriv))
+            total = jet_add(total, jet_scale(-c, jet_mul(mu, sigma[j, k])))
+            for a in range(dim):
+                bracket = jet_add(jet_mul(nu[k], phi[a]),
+                                  jet_scale(-eps, torsion_phi[a, k]))
+                total = jet_add(total,
+                                jet_scale(-c, jet_mul(sigma[j, a], bracket)))
+            return total
+
+        return TensorField.build(dim, (DOWN, DOWN), sigma_cd.order, component)
+
+    @_kept
     def w_star(self, which: int) -> TensorField:
-        return self._cached(("w", which),
-                            lambda: W_star(self.space, self.mapping, which))
+        """The (1,3) W tensor of the requested kind, an invariant of the mapping.
 
-    def sigma(self, p: int) -> TensorField:
-        return self._cached(("sigma", p),
-                            lambda: sigma_p(self.space, self.mapping, p))
+        Assembled from the curvature, the antisymmetrised eta and trace
+        derivatives on the delta slots, and the covariant derivative of the
+        product sigma_{jm} phi^i, the latter written out through the
+        defining equation for phi so that no derivative of phi is needed.
+        """
+        eta = self.eta(which)  # checks which
+        s, m, parts = self.space, self.mapping, self.parts()
+        dim = s.dim
+        c = Fraction(1, dim + 1)
+        eps = 1 if which == 1 else -1
+        eta_anti = antisym_pair_nodiv(eta, 0, 1)
+        curvature = s.curvature()
+        trace_cd = cov_deriv_assoc(s.trace_sym(), s)
+        trace_cd_anti = antisym_pair_nodiv(trace_cd, 0, 1)
+        sigma_cd = cov_deriv_assoc(m.sigma, s)
+        sigma, phi, sigma_phi = parts.sigma, parts.phi, parts.sigma_phi
+        torsion_phi = parts.torsion_phi
+        nu, mu = m.nu, m.mu
 
-    def sigma_swapped(self, q: int) -> TensorField:
-        return self._cached(("sigma_swapped", q),
-                            lambda: transpose(self.sigma(q), (0, 1, 3, 2)))
+        # bracket_{jn} = G_{j;n} - (N+1) eta_{jn}
+        def bracket_component(idx):
+            j, n = idx
+            return jet_add(trace_cd[j, n], jet_scale(-(dim + 1), eta[j, n]))
+
+        bracket = TensorField.build(dim, (DOWN, DOWN), eta.order,
+                                    bracket_component)
+
+        def component(idx):
+            i, j, mm, n = idx
+            total = curvature[i, j, mm, n]
+            if i == j:
+                total = jet_add(total, eta_anti[mm, n])
+                total = jet_add(total, jet_scale(-c, trace_cd_anti[mm, n]))
+            if i == mm:
+                total = jet_add(total, jet_scale(-c, bracket[j, n]))
+            if i == n:
+                total = jet_add(total, jet_scale(c, bracket[j, mm]))
+            # (sigma_{jm} phi^i)_{;n} - (m <-> n swap), with phi_{;n}
+            # expanded; the delta pieces of the expansion carry the mu terms
+            gradient = jet_add(sigma_cd[j, mm, n], jet_neg(sigma_cd[j, n, mm]))
+            gradient = jet_add(gradient, jet_mul(sigma[j, mm], nu[n]))
+            gradient = jet_add(gradient, jet_neg(jet_mul(sigma[j, n], nu[mm])))
+            gradient = jet_add(gradient, jet_mul(sigma[j, mm], sigma_phi[n]))
+            gradient = jet_add(gradient,
+                               jet_neg(jet_mul(sigma[j, n], sigma_phi[mm])))
+            total = jet_add(total, jet_mul(gradient, phi[i]))
+            if i == n:
+                total = jet_add(total, jet_mul(mu, sigma[j, mm]))
+            if i == mm:
+                total = jet_add(total, jet_neg(jet_mul(mu, sigma[j, n])))
+            tail = jet_add(jet_mul(sigma[j, mm], torsion_phi[i, n]),
+                           jet_neg(jet_mul(sigma[j, n], torsion_phi[i, mm])))
+            return jet_add(total, jet_scale(-eps, tail))
+
+        return TensorField.build(dim, W_VALENCE, curvature.order, component)
+
+    @_kept
+    def correction(self, which: int) -> TensorField:
+        """W minus the curvature: what W adds to R, and to every K."""
+        return tensor_sub(self.w_star(which), self.space.curvature())
 
     def u_tensor(self, theta: int) -> TensorField:
-        return self._cached(("u", theta),
-                            lambda: U_theta(self.space, self.mapping, theta))
+        """One of the twenty torsion products, slots (i, j, m, n); not kept."""
+        parts = self.parts()
+        return TensorField.build(parts.dim, W_VALENCE, parts.torsion.order,
+                                 lambda idx: _u_component(parts, theta, idx))
+
+    @_kept
+    def sigma(self, p: int) -> TensorField:
+        """The p-th sigma combination, slots (i, j, m, n)."""
+        parts = self.parts()
+        c = Fraction(1, parts.dim + 1)
+        return TensorField.build(parts.dim, W_VALENCE, parts.torsion.order,
+                                 lambda idx: _sigma_component(parts, p, c, idx))
+
+    @_kept
+    def sigma_swapped(self, q: int) -> TensorField:
+        return transpose(self.sigma(q), (0, 1, 3, 2))
+
+    @_kept
+    def curvature_k(self, u, up, v, vp, w) -> TensorField:
+        return curvature_K(self.space, u, up, v, vp, w)
+
+    def t_tilde(self, rho: int) -> TensorField:
+        """Torsion derivative minus the rho-th U expansion; not kept."""
+        _check_label("rho", rho)
+        matrix = sigma_coeff_matrix(self.space.dim)
+        total = self.space.torsion_cd()
+        for theta in range(1, 21):
+            coeff = matrix[rho - 1, theta - 1]
+            if coeff:
+                total = tensor_sub(total,
+                                   tensor_scale(coeff, self.u_tensor(theta)))
+        return total
 
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
         _check_which(which)
@@ -639,19 +649,39 @@ class InvariantBundle:
         u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
         key = (which, p, q, u, up, v, vp, w)
         if key not in self.families:
-            base = self._cached(
-                ("K", u, up, v, vp, w),
-                lambda: curvature_K(self.space, u, up, v, vp, w))
-            correction = self._cached(
-                ("corr", which),
-                lambda: tensor_sub(self.w_star(which), self.space.curvature()))
-            total = tensor_add(base, correction)
+            total = tensor_add(self.curvature_k(u, up, v, vp, w),
+                               self.correction(which))
             if u:
                 total = tensor_sub(total, tensor_scale(u, self.sigma(p)))
             if up:
                 total = tensor_sub(total, tensor_scale(up, self.sigma_swapped(q)))
             self.families[key] = total
         return self.families[key]
+
+
+def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
+    """The (0,2) eta tensor of the requested kind."""
+    return InvariantBundle(s, m).eta(which)
+
+
+def W_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
+    """The (1,3) W tensor of the requested kind, an invariant of the mapping."""
+    return InvariantBundle(s, m).w_star(which)
+
+
+def U_theta(s: Space, m: AG3Mapping, theta: int) -> TensorField:
+    """One of the twenty torsion products, slots (i, j, m, n)."""
+    return InvariantBundle(s, m).u_tensor(theta)
+
+
+def sigma_p(s: Space, m: AG3Mapping, p: int) -> TensorField:
+    """The p-th sigma combination, slots (i, j, m, n)."""
+    return InvariantBundle(s, m).sigma(p)
+
+
+def T_tilde(s: Space, m: AG3Mapping, rho: int) -> TensorField:
+    """Invariant difference tensor: torsion derivative minus its U expansion."""
+    return InvariantBundle(s, m).t_tilde(rho)
 
 
 def W_family(s: Space, m: AG3Mapping, which: int, p: int, q: int,
@@ -725,8 +755,9 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
     return rank_exact(RationalMatrix.from_rows(rows))
 
 
-def R_and_K_transformation_check(pair: MappedPair, which: int, p: int, q: int,
-                                 u, up, v=Fraction(1), vp=Fraction(2),
+def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
+                                 which: int, p: int, q: int, u, up,
+                                 v=Fraction(1), vp=Fraction(2),
                                  w=Fraction(3)) -> VerificationReport:
     """Exact check of the curvature transformation under the mapping.
 
@@ -740,33 +771,20 @@ def R_and_K_transformation_check(pair: MappedPair, which: int, p: int, q: int,
     _check_label("p", p)
     _check_label("q", q)
     u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
-    src, tgt, m = pair.source, pair.target, pair.mapping
-    m_bar = pair.inverse()
-    r_src = src.curvature()
-    r_tgt = tgt.curvature()
-    corr_src = tensor_sub(W_star(src, m, which), r_src)
-    corr_tgt = tensor_sub(W_star(tgt, m_bar, which), r_tgt)
-    corr_diff = tensor_sub(corr_src, corr_tgt)
+    r_src = src.space.curvature()
+    r_tgt = tgt.space.curvature()
+    corr_diff = tensor_sub(src.correction(which), tgt.correction(which))
     residual_r = tensor_sub(r_tgt, tensor_add(r_src, corr_diff))
-    rhs_k = tensor_add(curvature_K(src, u, up, v, vp, w), corr_diff)
+    rhs_k = tensor_add(curvature_K(src.space, u, up, v, vp, w), corr_diff)
     if u:
-        sigma_diff = tensor_sub(sigma_p(tgt, m_bar, p), sigma_p(src, m, p))
+        sigma_diff = tensor_sub(tgt.sigma(p), src.sigma(p))
         rhs_k = tensor_add(rhs_k, tensor_scale(u, sigma_diff))
     if up:
-        swapped_diff = transpose(
-            tensor_sub(sigma_p(tgt, m_bar, q), sigma_p(src, m, q)),
-            (0, 1, 3, 2))
+        swapped_diff = tensor_sub(tgt.sigma_swapped(q), src.sigma_swapped(q))
         rhs_k = tensor_add(rhs_k, tensor_scale(up, swapped_diff))
-    residual_k = tensor_sub(curvature_K(tgt, u, up, v, vp, w), rhs_k)
-    passed = residual_r.is_zero() and residual_k.is_zero()
-    residual = None
-    if not passed:
-        residual = residual_r if not residual_r.is_zero() else residual_k
-    return VerificationReport(
-        check="R_K_transformation",
-        params={"which": which, "p": p, "q": q, "u": u, "u'": up,
-                "v": v, "v'": vp, "w": w, "dim": src.dim, "kind": m.kind},
-        passed=passed,
-        max_abs_residual_num_digits=_numerator_digits((residual_r, residual_k)),
-        residual=residual,
-    )
+    residual_k = tensor_sub(curvature_K(tgt.space, u, up, v, vp, w), rhs_k)
+    return VerificationReport.from_residuals(
+        "R_K_transformation",
+        {"which": which, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
+         "w": w, "dim": src.space.dim, "kind": src.mapping.kind},
+        (residual_r, residual_k))

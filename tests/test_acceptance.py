@@ -161,17 +161,18 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
             gamma_diff_factorized(pair)
         except FactorizationMismatch:
             problems.append(f"{tag}: symmetric difference factorization")
+        src = InvariantBundle(pair.source, pair.mapping)
+        tgt = InvariantBundle(pair.target, m_bar)
         for p in LABELS:
-            if not torsion_cd_difference_check(pair, p).passed:
+            if not torsion_cd_difference_check(src, tgt, p).passed:
                 problems.append(f"{tag}: torsion derivative difference "
                                 f"at p={p}")
         values = random_substitution(PARAM_NAMES, rng)
         grid = tuple(LABELS) if dim == 2 else (1, 4, 8)
-        bundle = InvariantBundle(pair.source, pair.mapping)
-        if not correlation_check(bundle, kind, grid, grid, values, {}).passed:
+        if not correlation_check(src, kind, grid, grid, values, {}).passed:
             problems.append(f"{tag}: family correlation")
         transformation = R_and_K_transformation_check(
-            pair, kind, 2, 7, values["u"], values["u'"])
+            src, tgt, kind, 2, 7, values["u"], values["u'"])
         if not transformation.passed:
             problems.append(f"{tag}: curvature transformation")
     announce(6, "the identity suite holds exactly on dim-2 and dim-3 "

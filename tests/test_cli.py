@@ -320,6 +320,9 @@ class TestCliVerify:
         shifted["target"]["gamma"]["components"][0] = (jet + 1).to_json()
         texts = {"broken": "{not json", "list": json.dumps([doc]),
                  "den0": json.dumps(den0), "target": json.dumps(shifted)}
+        for name, value in (("source-list", [1]), ("source-string", "x"),
+                            ("source-null", None)):
+            texts[name] = json.dumps({**doc, "source": value})
         for name, text in texts.items():
             path = tmp_path / f"{name}.json"
             path.write_text(text)

@@ -13,6 +13,8 @@ from eqlab.cli import main
 GOLDEN = (
     (("verify", "--dim", "2", "--seed", "0"), 0,
      "30bd388a2fc7c1aab943eef798628186d20112c1018e8531a4b3670c8cc641fd"),
+    (("verify", "--dim", "2", "--seed", "0", "--kind", "2"), 0,
+     "3effc2367f1671de061b5f6a43c08141270519d44e631503a062e5d8c2f6261c"),
     (("verify", "--dim", "2", "--seed", "0", "--corrupt", "psi-sign"), 1,
      "5caf0629c294d290592bb302baa5e536afb16e29ae21aae15ae812122ee25afe"),
     (("ranks", "--dim", "2"), 1,

@@ -56,6 +56,12 @@ def swap_row(row: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
+    """Source and target bundles of a pair, the target on the inverse."""
+    return (InvariantBundle(pair.source, pair.mapping),
+            InvariantBundle(pair.target, pair.inverse()))
+
+
 def random_space(dim: int, order: int, seed: int) -> Space:
     rng = random.Random(seed)
     gamma = TensorField.build(dim, GAMMA_VALENCE, order,
@@ -358,7 +364,7 @@ class TestSigmaCoeffMatrix:
                   invariants_module._SIGMA_COEFFS.items()}
         broken[3][5] = (1, 0)  # spurious U_5 contribution to sigma_3
         monkeypatch.setattr(invariants_module, "_SIGMA_COEFFS", broken)
-        monkeypatch.setattr(invariants_module, "_VALIDATED_DIMS", set())
+        sigma_coeff_matrix.cache_clear()
         with pytest.raises(ValueError, match=r"sigma row 3 .*theta \[5\]"):
             sigma_coeff_matrix(3)
 
@@ -385,22 +391,23 @@ class TestSwapTransport:
 
 class TestTorsionCdDifference:
     def test_identity_pair_trivial(self):
-        report = torsion_cd_difference_check(identity_pair(), 1)
+        report = torsion_cd_difference_check(*sides(identity_pair()), 1)
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
         assert report.residual is None
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_synthesized_exact(self, p, pair31):
-        report = torsion_cd_difference_check(pair31, p)
+        report = torsion_cd_difference_check(*sides(pair31), p)
         assert report.passed
 
     def test_torsion_free_pair_trivial(self):
-        report = torsion_cd_difference_check(torsion_free_pair(seed=3), 4)
+        report = torsion_cd_difference_check(
+            *sides(torsion_free_pair(seed=3)), 4)
         assert report.passed
 
     def test_report_json_shape(self, pair21):
-        report = torsion_cd_difference_check(pair21, 2)
+        report = torsion_cd_difference_check(*sides(pair21), 2)
         payload = report.to_json()
         assert set(payload) == {"check", "params", "pass",
                                 "max_abs_residual_num_digits", "residual",
@@ -554,16 +561,16 @@ class TestFamilySpanDimension:
 
 class TestRKTransformation:
     def test_identity_pair_trivial(self):
-        report = R_and_K_transformation_check(identity_pair(), 1, 1, 1,
-                                              Fraction(1), Fraction(1))
+        report = R_and_K_transformation_check(*sides(identity_pair()), 1, 1,
+                                              1, Fraction(1), Fraction(1))
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
 
     @pytest.mark.parametrize("kind", [1, 2])
     def test_synthesized_exact(self, kind, pair31, pair32):
         pair = pair_for(kind, pair31, pair32)
-        report = R_and_K_transformation_check(pair, kind, 2, 6, Fraction(2),
-                                              Fraction(-1, 3))
+        report = R_and_K_transformation_check(*sides(pair), kind, 2, 6,
+                                              Fraction(2), Fraction(-1, 3))
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
 
@@ -579,8 +586,8 @@ class TestRKTransformation:
         assert tensor_sub(k_diff, r_diff).is_zero()
 
     def test_report_parameters_serialized(self, pair21):
-        report = R_and_K_transformation_check(pair21, 1, 3, 4, Fraction(1, 2),
-                                              Fraction(5))
+        report = R_and_K_transformation_check(*sides(pair21), 1, 3, 4,
+                                              Fraction(1, 2), Fraction(5))
         payload = report.to_json()
         assert payload["check"] == "R_K_transformation"
         assert payload["params"]["u"] == "1/2"
@@ -592,7 +599,7 @@ class TestInvariantBundle:
     def test_properties_expose_cached_objects(self, pair21):
         bundle = InvariantBundle(pair21.source, pair21.mapping)
         assert bundle.sigma(1) is bundle.sigma(1)
-        assert bundle.u_tensor(20) is bundle.u_tensor(20)
+        assert bundle.parts() is bundle.parts()
         assert bundle.sigma(1) == sigma_p(pair21.source, pair21.mapping, 1)
 
     def test_family_members_cached(self, pair21):

@@ -32,3 +32,5 @@ def test_traced_verify_matches_untraced_and_records_spans(capsys, monkeypatch,
     spans = json.loads(out_path.read_text())["spans"]
     for name in ("invariants.parts", "invariants.family", "geometry.cov_deriv"):
         assert spans[name]["calls"] > 0, name
+    # one _Parts per side plus the sigma-row validation probe
+    assert spans["invariants.parts"]["calls"] == 3
