@@ -21,6 +21,12 @@ GOLDEN = (
      "b4aee1c426cacffafd207cc0d337fc31814f611db05649b6ebcd9dc8196c06db"),
     (("synth", "--dim", "3", "--seed", "0"), 0,
      "add0e63c3c67737af0e8f85f33a013d9765db80d897480da268bce00b6489a3a"),
+    (("synth", "--dim", "3", "--kind", "2", "--order", "3", "--seed", "0"), 0,
+     "e1bda4ebc7d206dd064f8c9704c3ae66045aba4663810e3db933a23c16b1ab3e"),
+    (("verify", "--dim", "3", "--seed", "0"), 0,
+     "40fe094da293d108d081d86939a4fd7ceba4b0efb2c3a9a8d06cce96f3f2c3d2"),
+    (("ranks", "--dim", "3", "--seed", "0"), 0,
+     "d96b4640ebdc2135554424ffad174b19bbaeb78a212a9b0e1cfba84c8c3d9d78"),
 )
 
 
