@@ -23,6 +23,7 @@ from .jets import (
     jet_partial,
     jet_scale,
     jet_sum,
+    jet_truncate,
     multi_indices,
     value_at_base,
 )
@@ -181,6 +182,15 @@ def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
     nubar_j = nu_j + psi_j + 2 sigma_{ja} phi^a, mubar = mu + psi_a phi^a.
     Applying the construction twice returns the original data exactly.
     """
+    return _inverse_onto(s, m, transform_connection(s, m))
+
+
+def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
+    """:func:`reciprocity_inverse` with the image space ``target`` given.
+
+    The round trip target -> s rejects a target that is not the image of
+    s under m, since the inverse increment is exactly minus the forward one.
+    """
     residual = basic_equation_residual(s, m)
     if not residual.is_zero():
         raise BasicEquationError(
@@ -193,7 +203,6 @@ def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
     mu_bar = jet_add(m.mu, m.psi_phi())
     m_bar = AG3Mapping(psi=tensor_neg(m.psi), sigma=tensor_neg(m.sigma),
                        phi=m.phi, nu=nu_bar, mu=mu_bar, kind=m.kind)
-    target = transform_connection(s, m)
     if transform_connection(target, m_bar).gamma != s.gamma:
         raise AssertionError("inverse mapping does not map the image back")
     if not basic_equation_residual(target, m_bar).is_zero():
@@ -207,19 +216,23 @@ class MappedPair:
 
     Construction through :meth:`build` checks that the basic-equation
     residual vanishes; :meth:`validate`, run on every loaded pair, also
-    checks that the stored target is the image of the source.
+    checks that the stored target is the image of the source.  Only a
+    pair that went through one of them lends its target to :meth:`inverse`;
+    a hand-built pair's target may be anything.
     """
 
     def __init__(self, source: Space, mapping: AG3Mapping, target: Space):
         self.source = source
         self.mapping = mapping
         self.target = target
+        self._target_is_image = False
         self._inverse: AG3Mapping | None = None
 
     @classmethod
     def build(cls, source: Space, mapping: AG3Mapping) -> "MappedPair":
         pair = cls(source, mapping, transform_connection(source, mapping))
         pair._check_basic_equation()
+        pair._target_is_image = True
         return pair
 
     def validate(self) -> None:
@@ -232,6 +245,7 @@ class MappedPair:
             raise ValueError("target is not the image of the source "
                              "under the mapping")
         self._check_basic_equation()
+        self._target_is_image = True
 
     def _check_basic_equation(self) -> None:
         residual = basic_equation_residual(self.source, self.mapping)
@@ -240,7 +254,11 @@ class MappedPair:
 
     def inverse(self) -> AG3Mapping:
         if self._inverse is None:
-            self._inverse = reciprocity_inverse(self.source, self.mapping)
+            if self._target_is_image:
+                self._inverse = _inverse_onto(self.source, self.mapping,
+                                              self.target)
+            else:
+                self._inverse = reciprocity_inverse(self.source, self.mapping)
         return self._inverse
 
     def to_json(self) -> dict:
@@ -399,17 +417,10 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     gamma = TensorField.build(dim, GAMMA_VALENCE, order, gamma_component)
     source = Space(dim, gamma)
 
-    def truncate(field: TensorField, target_order: int) -> TensorField:
-        return TensorField.build(
-            field.dim, field.valence, target_order,
-            lambda idx: JetScalar(field.dim, target_order,
-                                  {a: c for a, c in field[idx].coeffs.items()
-                                   if sum(a) <= target_order}))
-
     mapping = AG3Mapping(
         psi=psi, sigma=sigma, phi=phi,
-        nu=truncate(nu_high, order),
-        mu=JetScalar(dim, order, {a: c for a, c in mu_high.coeffs.items()
-                                  if sum(a) <= order}),
+        nu=TensorField.build(dim, (DOWN,), order,
+                             lambda idx: jet_truncate(nu_high[idx], order)),
+        mu=jet_truncate(mu_high, order),
         kind=kind)
     return MappedPair.build(source, mapping)

@@ -318,8 +318,13 @@ class TestCliVerify:
         shifted = json.loads(json.dumps(doc))
         jet = JetScalar.from_json(shifted["target"]["gamma"]["components"][0])
         shifted["target"]["gamma"]["components"][0] = (jet + 1).to_json()
+        # a declared order whose dense basis is out of reach
+        huge = json.loads(json.dumps(doc))
+        for comp in huge["source"]["gamma"]["components"]:
+            comp["order"] = 10**6
         texts = {"broken": "{not json", "list": json.dumps([doc]),
-                 "den0": json.dumps(den0), "target": json.dumps(shifted)}
+                 "den0": json.dumps(den0), "target": json.dumps(shifted),
+                 "huge-order": json.dumps(huge)}
         for name, value in (("source-list", [1]), ("source-string", "x"),
                             ("source-null", None)):
             texts[name] = json.dumps({**doc, "source": value})

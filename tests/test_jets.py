@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,15 @@ from eqlab.jets import (
     JetScalar,
     NotInvertibleError,
     OrderExhaustedError,
+    basis_size,
+    graded_basis,
     jet_add,
     jet_inverse,
     jet_mul,
+    jet_neg,
     jet_partial,
     jet_scale,
+    jet_truncate,
     multi_indices,
     value_at_base,
 )
@@ -201,3 +206,159 @@ def test_inverse_is_one_sided_unit(f, shift):
 @given(jets(), rationals)
 def test_scale_matches_constant_mul(f, c):
     assert jet_scale(c, f) == jet_mul(f, JetScalar.constant(f.dim, f.order, c))
+
+
+class TestTruncate:
+    def test_drops_terms_above_order(self):
+        f = const(2, 3, 4) + coord(2, 3, 0) * coord(2, 3, 1) * coord(2, 3, 1)
+        assert jet_truncate(f, 2) == const(2, 2, 4)
+        assert jet_truncate(f, 3) == f
+
+    def test_reduces_the_shared_denominator(self):
+        # the 1/7 term carries the denominator; dropping it leaves den 1
+        f = const(1, 1, 2) + coord(1, 1, 0) * F(1, 7)
+        assert f.den == 7
+        assert jet_truncate(f, 0).den == 1
+
+    def test_cannot_raise_the_order(self):
+        with pytest.raises(ValueError):
+            jet_truncate(const(2, 1, 1), 2)
+        with pytest.raises(ValueError):
+            jet_truncate(const(2, 1, 1), -1)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_lower_order_basis_is_a_prefix(self, dim):
+        for order in range(5):
+            low, high = graded_basis(dim, order), graded_basis(dim, order + 1)
+            assert high[:len(low)] == low
+            assert len(low) == basis_size(dim, order) == len(set(low))
+            assert set(low) == set(multi_indices(dim, order))
+            degrees = [sum(alpha) for alpha in high]
+            assert degrees == sorted(degrees)
+
+    def test_declared_order_out_of_reach_is_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            JetScalar(3, 10**6)
+        with pytest.raises(ValueError, match="too large"):
+            JetScalar.from_json({"dim": 3, "order": 10**6, "coeffs": []})
+
+    def test_non_integer_exponent_is_rejected(self):
+        with pytest.raises(ValueError):
+            JetScalar(2, 1, {(F(1, 2), F(1, 2)): 1})
+
+
+# A dict-of-Fraction reference kernel: exponent tuple -> nonzero Fraction.
+# It is the straightforward algorithm, kept here to check the dense one.
+
+def ref_add(a, b, order):
+    out = {}
+    for coeffs in (a, b):
+        for alpha, c in coeffs.items():
+            if sum(alpha) <= order:
+                out[alpha] = out.get(alpha, 0) + c
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def ref_mul(a, b, order):
+    out = {}
+    for alpha, ca in a.items():
+        for beta, cb in b.items():
+            if sum(alpha) + sum(beta) <= order:
+                gamma = tuple(x + y for x, y in zip(alpha, beta))
+                out[gamma] = out.get(gamma, 0) + ca * cb
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def ref_scale(c, a):
+    return {alpha: c * v for alpha, v in a.items() if c * v}
+
+
+def ref_partial(a, k):
+    return {alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]: c * alpha[k]
+            for alpha, c in a.items() if alpha[k]}
+
+
+def ref_inverse(a, dim, order):
+    a0 = a.get((0,) * dim, 0)
+    u = {alpha: c for alpha, c in a.items() if any(alpha)}
+    result = term = {(0,) * dim: 1 / a0}
+    for _ in range(order):
+        term = ref_scale(-1 / a0, ref_mul(term, u, order))
+        result = ref_add(result, term, order)
+    return result
+
+
+def assert_canonical(jet):
+    assert jet.den > 0
+    assert len(jet.nums) == basis_size(jet.dim, jet.order)
+    assert math.gcd(jet.den, *jet.nums) == 1
+    if not any(jet.nums):
+        assert jet.den == 1
+
+
+def assert_matches(jet, order, coeffs):
+    assert_canonical(jet)
+    assert jet.order == order
+    assert jet.coeffs == coeffs
+
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def mixed_order_operands(draw):
+    """Two jets of one dim and independent orders, each with its
+    reference: the drawn coefficients, zeros dropped."""
+    dim = draw(st.integers(1, 3))
+    operands = []
+    for _ in range(2):
+        order = draw(st.integers(0, 3))
+        alphas = list(multi_indices(dim, order))
+        coeffs = draw(st.dictionaries(st.sampled_from(alphas), wide_rationals,
+                                      max_size=len(alphas)))
+        operands.append((JetScalar(dim, order, coeffs),
+                         {alpha: c for alpha, c in coeffs.items() if c}))
+    return operands
+
+
+@settings(max_examples=200)
+@given(mixed_order_operands(), wide_rationals, st.integers(0, 2))
+def test_kernel_matches_dict_reference(operands, c, k):
+    (a, ra), (b, rb) = operands
+    dim, order = a.dim, min(a.order, b.order)
+    assert_matches(a, a.order, ra)
+    assert_matches(jet_add(a, b), order, ref_add(ra, rb, order))
+    assert_matches(jet_mul(a, b), order, ref_mul(ra, rb, order))
+    assert_matches(jet_neg(a), a.order, ref_scale(-1, ra))
+    assert_matches(jet_scale(c, a), a.order, ref_scale(c, ra))
+    if a.order >= 1:
+        assert_matches(jet_partial(a, k % dim), a.order - 1,
+                       ref_partial(ra, k % dim))
+    # shift the base value to 1 + c^2, which is never zero
+    shift = {(0,) * dim: 1 - ra.get((0,) * dim, 0) + c * c}
+    shifted = jet_add(a, const(dim, a.order, shift[(0,) * dim]))
+    assert_matches(jet_inverse(shifted), a.order,
+                   ref_inverse(ref_add(ra, shift, a.order), dim, a.order))
+
+
+@settings(max_examples=100)
+@given(mixed_order_operands())
+def test_equal_jets_hash_alike_across_routes(operands):
+    (a, _), (b, _) = operands
+    order = min(a.order, b.order)
+    routes = [
+        jet_add(jet_add(a, b), jet_neg(b)),
+        jet_add(jet_truncate(a, order), jet_mul(b, JetScalar.zero(a.dim, order))),
+        JetScalar(a.dim, order, jet_truncate(a, order).coeffs),
+        JetScalar.from_json(jet_truncate(a, order).to_json()),
+    ]
+    for jet in routes:
+        assert_canonical(jet)
+        assert jet == routes[0]
+        assert hash(jet) == hash(routes[0])
+    product = jet_mul(a, b)
+    assert product == jet_mul(b, a)
+    assert hash(product) == hash(jet_mul(b, a))
+    assert hash(JetScalar.from_json(product.to_json())) == hash(product)

@@ -15,6 +15,7 @@ from eqlab.mapping import (
     BasicEquationError,
     FactorizationMismatch,
     MappedPair,
+    _inverse_onto,
     basic_equation_residual,
     gamma_diff_factorized,
     random_jet,
@@ -238,6 +239,21 @@ class TestReciprocity:
             expected = m.nu[j] + m.psi[j] + jet_scale(2, sigma_phi[j])
             assert inverse.nu[j] == expected
         assert inverse.mu == m.mu + m.psi_phi()
+
+    def test_inverse_reuses_only_a_checked_target(self):
+        pair = synthesize_instance(2, 1, 3)
+        expected = reciprocity_inverse(pair.source, pair.mapping)
+        assert pair.inverse() == expected
+        assert MappedPair.from_json(pair.to_json()).inverse() == expected
+        order = pair.target.gamma.order
+        bump = TensorField.build(
+            2, GAMMA_VALENCE, order,
+            lambda idx: JetScalar.constant(2, order, 1 if idx == (0, 1, 1) else 0))
+        fake_target = Space(2, tensor_add(pair.target.gamma, bump))
+        with pytest.raises(AssertionError, match="image back"):
+            _inverse_onto(pair.source, pair.mapping, fake_target)
+        # a hand-built pair is inverted from its source, whatever its target
+        assert MappedPair(pair.source, pair.mapping, fake_target).inverse() == expected
 
     def test_nonzero_residual_rejected(self):
         space, mapping = flat_instance()
