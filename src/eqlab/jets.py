@@ -256,6 +256,7 @@ class JetScalar:
         return cls(int(obj["dim"]), int(obj["order"]), coeffs)
 
 
+# Slot setters: the trusted constructor writes past the immutability guard.
 _set_dim = JetScalar.dim.__set__
 _set_order = JetScalar.order.__set__
 _set_den = JetScalar.den.__set__
