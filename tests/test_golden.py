@@ -27,6 +27,8 @@ GOLDEN = (
      "40fe094da293d108d081d86939a4fd7ceba4b0efb2c3a9a8d06cce96f3f2c3d2"),
     (("ranks", "--dim", "3", "--seed", "0"), 0,
      "d96b4640ebdc2135554424ffad174b19bbaeb78a212a9b0e1cfba84c8c3d9d78"),
+    (("verify", "--dim", "3", "--seed", "0", "--corrupt", "psi-sign"), 1,
+     "3796d1b478f1fc167a32bb710dcc478c3165c660bf8ee8b1360f58b117c86dec"),
 )
 
 
