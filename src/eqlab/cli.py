@@ -28,6 +28,7 @@ from .harness import (
     synth_document,
     synthesized_pairs,
 )
+from .jets import json_int
 from .mapping import MappedPair, synthesize_instance
 
 EXIT_PASS = 0
@@ -254,7 +255,7 @@ def _load_document(path: str) -> dict:
 def _load_pair(path: str) -> tuple[int, MappedPair]:
     doc = _load_document(path)
     try:
-        return int(doc.get("seed", 0)), MappedPair.from_json(doc)
+        return json_int(doc.get("seed", 0), "the seed"), MappedPair.from_json(doc)
     except (AttributeError, KeyError, TypeError) as exc:
         raise UsageError(f"instance file {path} is malformed: {exc}") from None
 

@@ -24,17 +24,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import JetScalar, jet_partial
+from .jets import jet_partial
 from .tensors import (
     DOWN,
     UP,
     TensorField,
     contract,
     outer,
-    tensor_add,
-    tensor_neg,
-    tensor_scale,
-    tensor_sub,
+    tensor_lincomb,
     transpose,
 )
 
@@ -393,7 +390,7 @@ def _evaluate(node, ctx: _Context):
                 tensor, sig = _contract_repeats(outer(tensor, f_tensor), sig + f_sig)
         return tensor, sig, scale
     if isinstance(node, Sum):
-        total = None
+        terms: list[tuple[Fraction, TensorField]] = []
         total_sig: list[Index] = []
         pending = Fraction(0)
         for sign, term in node.terms:
@@ -401,22 +398,22 @@ def _evaluate(node, ctx: _Context):
             if tensor is None:
                 pending += sign * scale
                 continue
-            tensor = _apply_scale(tensor, scale)
-            if total is None:
-                total, total_sig = (tensor if sign > 0 else tensor_neg(tensor)), sig
+            if not terms:
+                total_sig = sig
             else:
                 # align this term's slots to the first tensor term by name
                 positions = {index.name: p for p, index in enumerate(sig)}
-                perm = tuple(positions[index.name] for index in total_sig)
-                aligned = transpose(tensor, perm)
-                total = tensor_add(total, aligned) if sign > 0 else tensor_sub(total, aligned)
-        if total is None:
+                tensor = transpose(tensor, tuple(positions[index.name]
+                                                 for index in total_sig))
+            terms.append((sign * scale, tensor))
+        if not terms:
             return None, [], pending
         if pending:
             if total_sig:
                 raise EvaluationError("cannot add a bare rational to an indexed tensor")
-            total = tensor_add(total, TensorField.scalar(total.dim, total.order, pending))
-        return total, total_sig, Fraction(1)
+            order = min(tensor.order for _, tensor in terms)
+            terms.append((pending, TensorField.scalar(terms[0][1].dim, order, 1)))
+        return tensor_lincomb(terms), total_sig, Fraction(1)
     if isinstance(node, Derivative):
         tensor, sig, scale = _evaluate(node.operand, ctx)
         if tensor is None:
@@ -425,14 +422,10 @@ def _evaluate(node, ctx: _Context):
             tensor, sig = TensorField.scalar(dim, order, scale), []
             scale = Fraction(1)
         derived = TensorField.build(
-            tensor.dim, tensor.valence + (DOWN,), tensor.order - 1,
+            tensor.dim, tensor.valence + (DOWN,),
             lambda idx: jet_partial(tensor[idx[:-1]], idx[-1]))
         return (*_contract_repeats(derived, sig + [node.index]), scale)
     raise TypeError(f"unknown node {node!r}")
-
-
-def _apply_scale(tensor: TensorField, scale: Fraction) -> TensorField:
-    return tensor if scale == 1 else tensor_scale(scale, tensor)
 
 
 def evaluate(plan: ExpressionPlan, bindings: dict, *,
@@ -441,7 +434,7 @@ def evaluate(plan: ExpressionPlan, bindings: dict, *,
     tensor, sig, scale = _evaluate(plan.root, ctx)
     if tensor is None:
         return TensorField.scalar(ctx.require_dim(), ctx.require_order(), scale)
-    tensor = _apply_scale(tensor, scale)
+    tensor = tensor_lincomb([(scale, tensor)])
     # present slots in the plan's declared free order
     if tuple(sig) != plan.free:
         positions = {index.name: p for p, index in enumerate(sig)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_partial, jet_sum
+from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_partial, jet_sum, json_int
 from .linalg import RationalMatrix, rank_exact
 from .tensors import (
     DOWN,
@@ -23,10 +23,9 @@ from .tensors import (
     TensorField,
     antisym_pair,
     flatten_at_base,
+    partial_deriv_field,
     sym_pair,
-    tensor_add,
-    tensor_scale,
-    tensor_sub,
+    tensor_lincomb,
     transpose,
 )
 
@@ -68,7 +67,7 @@ class Space:
         def compute():
             s = self.sym()
             return TensorField.build(
-                self.dim, (DOWN,), s.order,
+                self.dim, (DOWN,),
                 lambda idx: jet_sum(s[a, idx[0], a] for a in range(self.dim)))
         return self._cached("trace_sym", compute)
 
@@ -88,7 +87,8 @@ class Space:
     def from_json(cls, obj: dict) -> "Space":
         if obj.get("metric") is not None:
             raise ValueError("spaces with a metric are not supported")
-        return cls(int(obj["dim"]), TensorField.from_json(obj["gamma"]))
+        return cls(json_int(obj["dim"], "a space dim"),
+                   TensorField.from_json(obj["gamma"]))
 
 
 def _cov_deriv(a: TensorField, dim: int,
@@ -121,7 +121,7 @@ def _cov_deriv(a: TensorField, dim: int,
                 total = jet_add(total, jet_mul(coeff, value))
         return total
 
-    return TensorField.build(dim, out_valence, a.order - 1, component)
+    return TensorField.build(dim, out_valence, component)
 
 
 def cov_deriv_assoc(a: TensorField, s: Space) -> TensorField:
@@ -161,10 +161,7 @@ def curvature_R(s: Space) -> TensorField:
     """Curvature of the symmetric part, slots (i, j, m, n)."""
     sym = s.sym()
     dim = s.dim
-    d_sym = [
-        TensorField(dim, sym.valence, [jet_partial(c, n) for c in sym.components])
-        for n in range(dim)
-    ]
+    d_sym = [partial_deriv_field(sym, n) for n in range(dim)]
 
     def component(idx: tuple[int, ...]) -> JetScalar:
         i, j, m, n = idx
@@ -174,7 +171,7 @@ def curvature_R(s: Space) -> TensorField:
             total = jet_add(total, jet_neg(jet_mul(sym[alpha, j, n], sym[i, alpha, m])))
         return total
 
-    return TensorField.build(dim, (UP, DOWN, DOWN, DOWN), sym.order - 1, component)
+    return TensorField.build(dim, (UP, DOWN, DOWN, DOWN), component)
 
 
 def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorField]:
@@ -188,7 +185,7 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
 
     def build(pairing):
         return TensorField.build(
-            dim, (UP, DOWN, DOWN, DOWN), t.order,
+            dim, (UP, DOWN, DOWN, DOWN),
             lambda idx: jet_sum(jet_mul(*pairing(idx, alpha))
                                 for alpha in range(dim)))
 
@@ -210,12 +207,8 @@ def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,
     cd = s.torsion_cd()
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(s)
-    total = s.curvature()
-    for coeff, tensor in ((u, cd), (up, cd_swapped), (v, v_term),
-                          (vp, vp_term), (w, w_term)):
-        if coeff:
-            total = tensor_add(total, tensor_scale(coeff, tensor))
-    return total
+    return tensor_lincomb([(1, s.curvature()), (u, cd), (up, cd_swapped),
+                           (v, v_term), (vp, vp_term), (w, w_term)])
 
 
 def random_connection(dim: int, order: int, seed: int,
@@ -225,7 +218,7 @@ def random_connection(dim: int, order: int, seed: int,
     from .mapping import random_jet  # deferred: mapping depends on geometry
 
     gamma = TensorField.build(
-        dim, GAMMA_VALENCE, order, lambda idx: random_jet(rng, dim, order))
+        dim, GAMMA_VALENCE, lambda idx: random_jet(rng, dim, order))
     space = Space(dim, gamma)
     if torsion_free:
         space = Space(dim, space.sym())

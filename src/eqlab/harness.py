@@ -31,7 +31,6 @@ from .invariants import (
     sigma_coeff_matrix,
     torsion_cd_difference_check,
 )
-from .jets import jet_add, jet_neg
 from .linalg import generic_rank, random_substitution, rank_exact
 from .mapping import (
     AG3Mapping,
@@ -43,9 +42,8 @@ from .mapping import (
 )
 from .tensors import (
     TensorField,
-    tensor_add,
+    tensor_lincomb,
     tensor_neg,
-    tensor_scale,
     tensor_sub,
     transpose,
 )
@@ -64,9 +62,8 @@ def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
     """
     m = pair.mapping
     psi_wrong = m.psi  # the correct inverse carries -psi
-    nu_wrong = tensor_add(tensor_sub(m.nu, m.psi),
-                          tensor_scale(2, m.sigma_phi()))
-    mu_wrong = jet_add(m.mu, jet_neg(m.psi_phi()))
+    nu_wrong = tensor_lincomb([(1, m.nu), (-1, m.psi), (2, m.sigma_phi())])
+    mu_wrong = m.mu - m.psi_phi()
     return AG3Mapping(psi=psi_wrong, sigma=tensor_neg(m.sigma), phi=m.phi,
                       nu=nu_wrong, mu=mu_wrong, kind=m.kind)
 
@@ -147,19 +144,14 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     cd = space.torsion_cd()
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(space)
-    fixed = bundle.w_star(which)
-    for coeff, tensor in ((u, cd), (up, cd_swapped), (v, v_term),
-                          (vp, vp_term), (w, w_term)):
-        if coeff:
-            fixed = tensor_add(fixed, tensor_scale(coeff, tensor))
+    fixed = tensor_lincomb([(1, bundle.w_star(which)), (u, cd),
+                            (up, cd_swapped), (v, v_term), (vp, vp_term),
+                            (w, w_term)])
 
     def residual_at(p, q):
-        rhs = fixed
-        if u:
-            rhs = tensor_sub(rhs, tensor_scale(u, bundle.sigma(p)))
-        if up:
-            rhs = tensor_sub(rhs, tensor_scale(up, bundle.sigma_swapped(q)))
-        return tensor_sub(bundle.family(which, p, q, u, up, v, vp, w), rhs)
+        return tensor_lincomb(
+            [(1, bundle.family(which, p, q, u, up, v, vp, w)), (-1, fixed),
+             (u, bundle.sigma(p)), (up, bundle.sigma_swapped(q))])
 
     return _grid_report("correlation", {**base, "which": which}, values,
                         p_values, q_values, residual_at)

@@ -44,7 +44,7 @@ from .tensors import (
     antisym_pair_nodiv,
     flatten_at_base,
     tensor_add,
-    tensor_scale,
+    tensor_lincomb,
     tensor_sub,
     transpose,
 )
@@ -138,30 +138,30 @@ class _Parts:
 
         # T^i_{a k} phi^a, slots (i, k)
         self.torsion_phi = TensorField.build(
-            dim, (UP, DOWN), t.order,
+            dim, (UP, DOWN),
             lambda idx: jet_sum(jet_mul(t[idx[0], a, idx[1]], phi[a])
                                 for a in range(dim)))
         # T^i_{j a} phi^a, slots (i, j)
         self.torsion_phi_last = TensorField.build(
-            dim, (UP, DOWN), t.order,
+            dim, (UP, DOWN),
             lambda idx: jet_sum(jet_mul(t[idx[0], idx[1], a], phi[a])
                                 for a in range(dim)))
         # T^a_{j m} G_a, slots (j, m)
         trace = self.trace
         self.torsion_trace = TensorField.build(
-            dim, (DOWN, DOWN), t.order,
+            dim, (DOWN, DOWN),
             lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], trace[a])
                                 for a in range(dim)))
         # T^a_{j m} (sigma phi)_a, slots (j, m)
         sigma_phi = self.sigma_phi
         self.torsion_sigma_phi = TensorField.build(
-            dim, (DOWN, DOWN), t.order,
+            dim, (DOWN, DOWN),
             lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma_phi[a])
                                 for a in range(dim)))
         # T^a_{j m} sigma_{a n}, slots (j, m, n)
         sigma = self.sigma
         self.torsion_sigma = TensorField.build(
-            dim, (DOWN, DOWN, DOWN), t.order,
+            dim, (DOWN, DOWN, DOWN),
             lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma[a, idx[2]])
                                 for a in range(dim)))
 
@@ -349,17 +349,17 @@ _SWAP_NEGATED = frozenset({7, 13})
 def _probe_instance(dim: int, seed: int) -> tuple[Space, AG3Mapping]:
     """Random order-0 data; the product identities need no derivatives."""
     rng = random.Random(seed)
-    gamma = TensorField.build(dim, GAMMA_VALENCE, 0,
+    gamma = TensorField.build(dim, GAMMA_VALENCE,
                               lambda idx: random_jet(rng, dim, 0))
-    psi = TensorField.build(dim, (DOWN,), 0, lambda idx: random_jet(rng, dim, 0))
+    psi = TensorField.build(dim, (DOWN,), lambda idx: random_jet(rng, dim, 0))
     upper = {}
     for j in range(dim):
         for k in range(j, dim):
             upper[(j, k)] = random_jet(rng, dim, 0)
-    sigma = TensorField.build(dim, (DOWN, DOWN), 0,
+    sigma = TensorField.build(dim, (DOWN, DOWN),
                               lambda idx: upper[tuple(sorted(idx))])
-    phi = TensorField.build(dim, (UP,), 0, lambda idx: random_jet(rng, dim, 0))
-    nu = TensorField.build(dim, (DOWN,), 0, lambda idx: random_jet(rng, dim, 0))
+    phi = TensorField.build(dim, (UP,), lambda idx: random_jet(rng, dim, 0))
+    nu = TensorField.build(dim, (DOWN,), lambda idx: random_jet(rng, dim, 0))
     mu = random_jet(rng, dim, 0)
     return Space(dim, gamma), AG3Mapping(psi, sigma, phi, nu, mu, kind=1)
 
@@ -398,13 +398,8 @@ def _validate_sigma_rows(dim: int, matrix: RationalMatrix) -> None:
     probe = InvariantBundle(*_probe_instance(dim, seed=7321 + dim))
     us = [probe.u_tensor(theta) for theta in range(1, 21)]
     for p in range(1, 9):
-        direct = probe.sigma(p)
-        combo = TensorField.zero(dim, W_VALENCE, direct.order)
-        for theta in range(20):
-            coeff = matrix[p - 1, theta]
-            if coeff:
-                combo = tensor_add(combo, tensor_scale(coeff, us[theta]))
-        residual = tensor_sub(direct, combo)
+        residual = tensor_lincomb(
+            [(1, probe.sigma(p))] + [(-c, u) for c, u in zip(matrix.row(p - 1), us)])
         if residual.is_zero():
             continue
         columns = [flatten_at_base(u) for u in us]
@@ -452,7 +447,6 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
     _check_label("p", p)
     space, space_bar = src.space, tgt.space
     dim = space.dim
-    lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
     t = space.torsion()
     sym_diff = tensor_sub(space_bar.sym(), space.sym())
 
@@ -465,13 +459,13 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
         return jet_add(total, jet_neg(jet_sum(
             jet_mul(t[i, j, a], sym_diff[a, mm, n]) for a in range(dim))))
 
-    rhs_direct = TensorField.build(dim, W_VALENCE, sym_diff.order,
-                                   direct_component)
-    rhs_sigma = tensor_sub(tgt.sigma(p), src.sigma(p))
+    rhs_direct = TensorField.build(dim, W_VALENCE, direct_component)
+    lhs = [(1, space_bar.torsion_cd()), (-1, space.torsion_cd())]
     return VerificationReport.from_residuals(
         "torsion_cd_difference",
         {"p": p, "dim": dim, "kind": src.mapping.kind},
-        (tensor_sub(lhs, rhs_direct), tensor_sub(lhs, rhs_sigma)))
+        (tensor_lincomb(lhs + [(-1, rhs_direct)]),
+         tensor_lincomb(lhs + [(-1, tgt.sigma(p)), (1, src.sigma(p))])))
 
 
 def _kept(build):
@@ -541,7 +535,7 @@ class InvariantBundle:
                                 jet_scale(-c, jet_mul(sigma[j, a], bracket)))
             return total
 
-        return TensorField.build(dim, (DOWN, DOWN), sigma_cd.order, component)
+        return TensorField.build(dim, (DOWN, DOWN), component)
 
     @_kept
     def w_star(self, which: int) -> TensorField:
@@ -567,12 +561,7 @@ class InvariantBundle:
         nu, mu = m.nu, m.mu
 
         # bracket_{jn} = G_{j;n} - (N+1) eta_{jn}
-        def bracket_component(idx):
-            j, n = idx
-            return jet_add(trace_cd[j, n], jet_scale(-(dim + 1), eta[j, n]))
-
-        bracket = TensorField.build(dim, (DOWN, DOWN), eta.order,
-                                    bracket_component)
+        bracket = tensor_lincomb([(1, trace_cd), (-(dim + 1), eta)])
 
         def component(idx):
             i, j, mm, n = idx
@@ -601,7 +590,7 @@ class InvariantBundle:
                            jet_neg(jet_mul(sigma[j, n], torsion_phi[i, mm])))
             return jet_add(total, jet_scale(-eps, tail))
 
-        return TensorField.build(dim, W_VALENCE, curvature.order, component)
+        return TensorField.build(dim, W_VALENCE, component)
 
     @_kept
     def correction(self, which: int) -> TensorField:
@@ -611,7 +600,7 @@ class InvariantBundle:
     def u_tensor(self, theta: int) -> TensorField:
         """One of the twenty torsion products, slots (i, j, m, n); not kept."""
         parts = self.parts()
-        return TensorField.build(parts.dim, W_VALENCE, parts.torsion.order,
+        return TensorField.build(parts.dim, W_VALENCE,
                                  lambda idx: _u_component(parts, theta, idx))
 
     @_kept
@@ -619,7 +608,7 @@ class InvariantBundle:
         """The p-th sigma combination, slots (i, j, m, n)."""
         parts = self.parts()
         c = Fraction(1, parts.dim + 1)
-        return TensorField.build(parts.dim, W_VALENCE, parts.torsion.order,
+        return TensorField.build(parts.dim, W_VALENCE,
                                  lambda idx: _sigma_component(parts, p, c, idx))
 
     @_kept
@@ -633,14 +622,11 @@ class InvariantBundle:
     def t_tilde(self, rho: int) -> TensorField:
         """Torsion derivative minus the rho-th U expansion; not kept."""
         _check_label("rho", rho)
-        matrix = sigma_coeff_matrix(self.space.dim)
-        total = self.space.torsion_cd()
-        for theta in range(1, 21):
-            coeff = matrix[rho - 1, theta - 1]
-            if coeff:
-                total = tensor_sub(total,
-                                   tensor_scale(coeff, self.u_tensor(theta)))
-        return total
+        coeffs = sigma_coeff_matrix(self.space.dim).row(rho - 1)
+        return tensor_lincomb(
+            [(1, self.space.torsion_cd())]
+            + [(-c, self.u_tensor(theta))
+               for theta, c in enumerate(coeffs, start=1) if c])
 
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
         _check_which(which)
@@ -649,13 +635,10 @@ class InvariantBundle:
         u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
         key = (which, p, q, u, up, v, vp, w)
         if key not in self.families:
-            total = tensor_add(self.curvature_k(u, up, v, vp, w),
-                               self.correction(which))
-            if u:
-                total = tensor_sub(total, tensor_scale(u, self.sigma(p)))
-            if up:
-                total = tensor_sub(total, tensor_scale(up, self.sigma_swapped(q)))
-            self.families[key] = total
+            self.families[key] = tensor_lincomb(
+                [(1, self.curvature_k(u, up, v, vp, w)),
+                 (1, self.correction(which)),
+                 (-u, self.sigma(p)), (-up, self.sigma_swapped(q))])
         return self.families[key]
 
 
@@ -771,18 +754,15 @@ def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
     _check_label("p", p)
     _check_label("q", q)
     u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
-    r_src = src.space.curvature()
-    r_tgt = tgt.space.curvature()
-    corr_diff = tensor_sub(src.correction(which), tgt.correction(which))
-    residual_r = tensor_sub(r_tgt, tensor_add(r_src, corr_diff))
-    rhs_k = tensor_add(curvature_K(src.space, u, up, v, vp, w), corr_diff)
-    if u:
-        sigma_diff = tensor_sub(tgt.sigma(p), src.sigma(p))
-        rhs_k = tensor_add(rhs_k, tensor_scale(u, sigma_diff))
-    if up:
-        swapped_diff = tensor_sub(tgt.sigma_swapped(q), src.sigma_swapped(q))
-        rhs_k = tensor_add(rhs_k, tensor_scale(up, swapped_diff))
-    residual_k = tensor_sub(curvature_K(tgt.space, u, up, v, vp, w), rhs_k)
+    # target minus source, less the difference of the two W corrections
+    corr_diff = [(-1, src.correction(which)), (1, tgt.correction(which))]
+    residual_r = tensor_lincomb(
+        [(1, tgt.space.curvature()), (-1, src.space.curvature())] + corr_diff)
+    residual_k = tensor_lincomb(
+        [(1, curvature_K(tgt.space, u, up, v, vp, w)),
+         (-1, curvature_K(src.space, u, up, v, vp, w))] + corr_diff
+        + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
+           (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))])
     return VerificationReport.from_residuals(
         "R_K_transformation",
         {"which": which, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,

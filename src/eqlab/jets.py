@@ -19,6 +19,7 @@ manner of Bareiss: one gcd per result instead of one per coefficient.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement
@@ -46,6 +47,19 @@ def as_rational(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def json_int(value, what: str, text: bool = False) -> int:
+    """A document's integer, never coerced: a JSON int that is not a bool,
+    or a decimal string where ``text`` allows one."""
+    if type(value) is int:
+        return value
+    if text and type(value) is str and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def basis_size(dim: int, order: int) -> int:
@@ -132,12 +146,11 @@ class JetScalar:
         values: dict[int, Fraction] = {}
         for alpha, value in (coeffs or {}).items():
             alpha = tuple(alpha)
-            if len(alpha) != dim or any(e < 0 for e in alpha):
+            # exact ints: 1.0 and True would pass as the index 1
+            if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
                 raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
             if sum(alpha) > order:
                 raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
-            if alpha not in index:
-                raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
             value = as_rational(value)
             if value != 0:
                 values[index[alpha]] = value
@@ -249,11 +262,13 @@ class JetScalar:
     def from_json(cls, obj: dict) -> "JetScalar":
         coeffs = {}
         for entry in obj["coeffs"]:
-            den = int(entry["den"])
+            den = json_int(entry["den"], "a coefficient denominator", text=True)
             if den == 0:
                 raise ValueError("jet coefficient has denominator 0")
-            coeffs[tuple(entry["alpha"])] = Fraction(int(entry["num"]), den)
-        return cls(int(obj["dim"]), int(obj["order"]), coeffs)
+            coeffs[tuple(entry["alpha"])] = Fraction(
+                json_int(entry["num"], "a coefficient numerator", text=True), den)
+        return cls(json_int(obj["dim"], "a jet dim"),
+                   json_int(obj["order"], "a jet order"), coeffs)
 
 
 # Slot setters: the trusted constructor writes past the immutability guard.
@@ -374,11 +389,6 @@ def value_at_base(a: JetScalar) -> Fraction:
 
 
 def multi_indices(dim: int, order: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples of length dim with total degree at most order."""
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int):
-        if remaining == 0:
-            yield prefix
-            return
-        for e in range(budget + 1):
-            yield from rec(prefix + (e,), remaining - 1, budget - e)
-    return rec((), dim, order)
+    """All exponent tuples of length dim with total degree at most order,
+    in ascending lexicographic order."""
+    return iter(sorted(graded_basis(dim, order)))

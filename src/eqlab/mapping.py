@@ -24,6 +24,7 @@ from .jets import (
     jet_scale,
     jet_sum,
     jet_truncate,
+    json_int,
     multi_indices,
     value_at_base,
 )
@@ -32,14 +33,18 @@ from .tensors import (
     UP,
     TensorField,
     tensor_add,
+    tensor_lincomb,
     tensor_neg,
-    tensor_scale,
     tensor_sub,
 )
 
 
 class BasicEquationError(ValueError):
     """The mapping data does not satisfy its basic equation on this space."""
+
+
+class ReciprocityError(ValueError):
+    """The inverse mapping does not carry the image back onto the source."""
 
 
 class FactorizationMismatch(AssertionError):
@@ -107,7 +112,7 @@ class AG3Mapping:
             phi=TensorField.from_json(obj["phi"]),
             nu=TensorField.from_json(obj["nu"]),
             mu=JetScalar.from_json(obj["mu"]),
-            kind=int(obj["kind"]),
+            kind=json_int(obj["kind"], "the mapping kind"),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -122,7 +127,7 @@ class AG3Mapping:
     def sigma_phi(self) -> TensorField:
         """The (0,1) contraction sigma_{ja} phi^a."""
         return TensorField.build(
-            self.dim, (DOWN,), self.sigma.order,
+            self.dim, (DOWN,),
             lambda idx: jet_sum(jet_mul(self.sigma[idx[0], a], self.phi[a])
                                 for a in range(self.dim)))
 
@@ -154,14 +159,13 @@ def transform_connection(s: Space, m: AG3Mapping) -> Space:
         total = jet_add(total, jet_scale(two, jet_mul(m.sigma[j, k], m.phi[i])))
         return total
 
-    return Space(s.dim, TensorField.build(s.dim, GAMMA_VALENCE, gamma.order, component))
+    return Space(s.dim, TensorField.build(s.dim, GAMMA_VALENCE, component))
 
 
 def basic_equation_residual(s: Space, m: AG3Mapping) -> TensorField:
     """phi^i_{s|j} - nu_j phi^i - mu d^i_j; zero iff m is almost geodesic
     of its kind on s."""
     derived = cov_deriv_kind(m.phi, s, m.kind)
-    order = derived.order
 
     def component(idx):
         i, j = idx
@@ -171,7 +175,7 @@ def basic_equation_residual(s: Space, m: AG3Mapping) -> TensorField:
             total = jet_add(total, jet_neg(m.mu))
         return total
 
-    return TensorField.build(s.dim, (UP, DOWN), order, component)
+    return TensorField.build(s.dim, (UP, DOWN), component)
 
 
 def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
@@ -195,16 +199,12 @@ def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
     if not residual.is_zero():
         raise BasicEquationError(
             "cannot invert: basic equation residual is nonzero on the source space")
-    sigma_phi = m.sigma_phi()
-    nu_bar = TensorField.build(
-        m.dim, (DOWN,), m.nu.order,
-        lambda idx: jet_add(jet_add(m.nu[idx], m.psi[idx]),
-                            jet_scale(2, sigma_phi[idx])))
+    nu_bar = tensor_lincomb([(1, m.nu), (1, m.psi), (2, m.sigma_phi())])
     mu_bar = jet_add(m.mu, m.psi_phi())
     m_bar = AG3Mapping(psi=tensor_neg(m.psi), sigma=tensor_neg(m.sigma),
                        phi=m.phi, nu=nu_bar, mu=mu_bar, kind=m.kind)
     if transform_connection(target, m_bar).gamma != s.gamma:
-        raise AssertionError("inverse mapping does not map the image back")
+        raise ReciprocityError("inverse mapping does not map the image back")
     if not basic_equation_residual(target, m_bar).is_zero():
         raise BasicEquationError(
             "inverse mapping violates the basic equation on the image space")
@@ -239,7 +239,13 @@ class MappedPair:
         """Rejects a target that is not the image of the source.
 
         The deformation is symmetric, so this also implies equal torsion.
+        The image is truncated to the mapping's order, so a source of
+        higher order than its target is rejected first.
         """
+        orders = (self.source.gamma.order, self.target.gamma.order)
+        if orders[0] != orders[1]:
+            raise ValueError("source and target connections differ in order: "
+                             "%d and %d" % orders)
         image = transform_connection(self.source, self.mapping)
         if image.gamma != self.target.gamma:
             raise ValueError("target is not the image of the source "
@@ -292,10 +298,8 @@ def gamma_diff_factorized(pair: MappedPair) -> TensorField:
     dim = pair.source.dim
     c = Fraction(1, dim + 1)
 
-    def bracket(space: Space, mapping: AG3Mapping, sign: int) -> TensorField:
-        trace = space.trace_sym()
-        sigma_phi = mapping.sigma_phi()
-        combined = tensor_add(trace, sigma_phi)
+    def bracket(space: Space, mapping: AG3Mapping) -> TensorField:
+        combined = tensor_add(space.trace_sym(), mapping.sigma_phi())
 
         def terms(i, j, k):
             if i == k:
@@ -304,18 +308,13 @@ def gamma_diff_factorized(pair: MappedPair) -> TensorField:
                 yield jet_scale(c, combined[k])
             yield jet_neg(jet_mul(mapping.sigma[j, k], mapping.phi[i]))
 
-        def component(idx):
-            total = jet_sum(terms(*idx))
-            return total if sign > 0 else jet_neg(total)
+        return TensorField.build(dim, GAMMA_VALENCE, lambda idx: jet_sum(terms(*idx)))
 
-        order = min(trace.order, mapping.sigma.order)
-        return TensorField.build(dim, GAMMA_VALENCE, order, component)
-
-    rhs = tensor_add(bracket(pair.target, m_bar, +1),
-                     bracket(pair.source, m, -1))
     lhs = tensor_sub(pair.target.sym(), pair.source.sym())
-    if lhs != rhs:
-        raise FactorizationMismatch(tensor_sub(lhs, rhs))
+    residual = tensor_lincomb([(1, lhs), (-1, bracket(pair.target, m_bar)),
+                               (1, bracket(pair.source, m))])
+    if not residual.is_zero():
+        raise FactorizationMismatch(residual)
     return lhs
 
 
@@ -333,7 +332,7 @@ def _random_symmetric(rng: random.Random, dim: int, order: int) -> TensorField:
     for j in range(dim):
         for k in range(j, dim):
             upper[(j, k)] = random_jet(rng, dim, order)
-    return TensorField.build(dim, (DOWN, DOWN), order,
+    return TensorField.build(dim, (DOWN, DOWN),
                              lambda idx: upper[tuple(sorted(idx))])
 
 
@@ -363,7 +362,7 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
 
     phi = None
     for _ in range(16):
-        candidate = TensorField.build(dim, (UP,), order + 1,
+        candidate = TensorField.build(dim, (UP,),
                                       lambda idx: random_jet(rng, dim, order + 1))
         if value_at_base(candidate[0]) != 0:
             phi = candidate
@@ -371,13 +370,12 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     if phi is None:
         raise SynthesisError("phi^1 kept vanishing at the base point")
 
-    nu_high = TensorField.build(dim, (DOWN,), order + 1,
+    nu_high = TensorField.build(dim, (DOWN,),
                                 lambda idx: random_jet(rng, dim, order + 1))
     mu_high = random_jet(rng, dim, order + 1)
-    psi = TensorField.build(dim, (DOWN,), order,
-                            lambda idx: random_jet(rng, dim, order))
+    psi = TensorField.build(dim, (DOWN,), lambda idx: random_jet(rng, dim, order))
     sigma = _random_symmetric(rng, dim, order)
-    bulk = TensorField.build(dim, GAMMA_VALENCE, order,
+    bulk = TensorField.build(dim, GAMMA_VALENCE,
                              lambda idx: random_jet(rng, dim, order))
 
     w = jet_inverse(phi[0])  # lives at order + 1
@@ -414,12 +412,12 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
                                                       jet_neg(bulk_phi_second(i, a)))))
         return total
 
-    gamma = TensorField.build(dim, GAMMA_VALENCE, order, gamma_component)
+    gamma = TensorField.build(dim, GAMMA_VALENCE, gamma_component)
     source = Space(dim, gamma)
 
     mapping = AG3Mapping(
         psi=psi, sigma=sigma, phi=phi,
-        nu=TensorField.build(dim, (DOWN,), order,
+        nu=TensorField.build(dim, (DOWN,),
                              lambda idx: jet_truncate(nu_high[idx], order)),
         mu=jet_truncate(mu_high, order),
         kind=kind)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .jets import (
     DimensionMismatchError,
     JetScalar,
-    jet_add,
+    _jet,
+    as_rational,
+    basis_size,
     jet_mul,
-    jet_neg,
     jet_partial,
-    jet_scale,
     jet_sum,
+    json_int,
     value_at_base,
 )
 
@@ -57,13 +59,10 @@ class TensorField:
         if len(components) != dim ** len(valence):
             raise ValueError(
                 f"expected {dim ** len(valence)} components, got {len(components)}")
-        order = None
         for c in components:
             if c.dim != dim:
                 raise DimensionMismatchError("component dim differs from tensor dim")
-            if order is None:
-                order = c.order
-            elif c.order != order:
+            if c.order != components[0].order:
                 raise ValueError("components must share one truncation order")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "valence", valence)
@@ -116,13 +115,12 @@ class TensorField:
                 f"order={self.order}, zero={self.is_zero()})")
 
     @classmethod
-    def build(cls, dim: int, valence: Sequence[str], order: int,
+    def build(cls, dim: int, valence: Sequence[str],
               component: Callable[[tuple[int, ...]], JetScalar]) -> "TensorField":
+        """Components evaluated row-major; their order is the field's."""
         valence = _check_valence(valence)
-        comps = [component(idx) for idx in product(range(dim), repeat=len(valence))]
-        if not comps:
-            comps = [component(())]
-        return cls(dim, valence, comps)
+        return cls(dim, valence, [component(idx) for idx in
+                                  product(range(dim), repeat=len(valence))])
 
     @classmethod
     def zero(cls, dim: int, valence: Sequence[str], order: int) -> "TensorField":
@@ -140,7 +138,7 @@ class TensorField:
         """Kronecker delta with valence (up, down)."""
         one = JetScalar.constant(dim, order, 1)
         zero = JetScalar.zero(dim, order)
-        return cls.build(dim, (UP, DOWN), order,
+        return cls.build(dim, (UP, DOWN),
                          lambda idx: one if idx[0] == idx[1] else zero)
 
     def to_json(self) -> dict:
@@ -152,7 +150,7 @@ class TensorField:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorField":
-        return cls(int(obj["dim"]), tuple(obj["valence"]),
+        return cls(json_int(obj["dim"], "a tensor dim"), tuple(obj["valence"]),
                    [JetScalar.from_json(c) for c in obj["components"]])
 
 
@@ -164,26 +162,56 @@ def _require_same_shape(a: TensorField, b: TensorField) -> None:
             f"valence mismatch: {a.valence} vs {b.valence}")
 
 
+def tensor_lincomb(terms: Sequence[tuple[Fraction | int, TensorField]],
+                   ) -> TensorField:
+    """The sum of c * T over ``(rational c, tensor T)`` pairs, at the lowest
+    order among the terms whose c is nonzero (among all when none is).
+
+    Each component sums integer numerators over one common denominator
+    and is reduced once, the dense linear combination of truncated Taylor
+    series (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+    """
+    terms = [(as_rational(c), t) for c, t in terms]
+    if not terms:
+        raise ValueError("a linear combination needs at least one term")
+    first = terms[0][1]
+    for _, t in terms[1:]:
+        _require_same_shape(first, t)
+    live = [(c, t) for c, t in terms if c] or terms
+    if len(live) == 1 and live[0][0] == 1:
+        return live[0][1]
+    dim = first.dim
+    order = min(t.order for _, t in live)
+    size = basis_size(dim, order)
+    scales = [(c.numerator, c.denominator) for c, _ in live]
+    components = []
+    for jets in zip(*(t.components for _, t in live)):
+        den = lcm(*[cd * j.den for (_, cd), j in zip(scales, jets)])
+        nums = [0] * size
+        for (cn, cd), j in zip(scales, jets):
+            f = cn * (den // (cd * j.den))
+            # zip stops at the basis prefix of the result's order
+            nums = [x + f * y for x, y in zip(nums, j.nums)]
+        components.append(_jet(dim, order, den, nums))
+    return TensorField(dim, first.valence, components)
+
+
 def tensor_add(a: TensorField, b: TensorField) -> TensorField:
-    _require_same_shape(a, b)
-    return TensorField(a.dim, a.valence,
-                       [jet_add(x, y) for x, y in zip(a.components, b.components)])
+    return tensor_lincomb([(1, a), (1, b)])
 
 
 def tensor_sub(a: TensorField, b: TensorField) -> TensorField:
-    _require_same_shape(a, b)
-    return TensorField(a.dim, a.valence,
-                       [jet_add(x, jet_neg(y)) for x, y in zip(a.components, b.components)])
+    return tensor_lincomb([(1, a), (-1, b)])
 
 
 def tensor_neg(a: TensorField) -> TensorField:
-    return TensorField(a.dim, a.valence, [jet_neg(c) for c in a.components])
+    return tensor_lincomb([(-1, a)])
 
 
 def tensor_scale(c: JetScalar | Fraction | int, a: TensorField) -> TensorField:
     if isinstance(c, JetScalar):
         return TensorField(a.dim, a.valence, [jet_mul(c, x) for x in a.components])
-    return TensorField(a.dim, a.valence, [jet_scale(c, x) for x in a.components])
+    return tensor_lincomb([(c, a)])
 
 
 def outer(a: TensorField, b: TensorField) -> TensorField:
@@ -211,7 +239,7 @@ def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
         return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
                        for alpha in range(dim))
 
-    return TensorField.build(dim, out_valence, a.order, component)
+    return TensorField.build(dim, out_valence, component)
 
 
 def transpose(a: TensorField, perm: Sequence[int]) -> TensorField:
@@ -221,7 +249,7 @@ def transpose(a: TensorField, perm: Sequence[int]) -> TensorField:
         raise ValueError(f"perm {perm!r} is not a permutation of the slots")
     valence = tuple(a.valence[p] for p in perm)
     return TensorField.build(
-        a.dim, valence, a.order,
+        a.dim, valence,
         lambda idx: a[tuple(idx[perm.index(t)] for t in range(a.rank))])
 
 
@@ -247,12 +275,14 @@ def antisym_pair_nodiv(a: TensorField, s1: int, s2: int) -> TensorField:
 
 def sym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     _check_pair(a, s1, s2)
-    return tensor_scale(Fraction(1, 2), tensor_add(a, _swapped(a, s1, s2)))
+    half = Fraction(1, 2)
+    return tensor_lincomb([(half, a), (half, _swapped(a, s1, s2))])
 
 
 def antisym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     _check_pair(a, s1, s2)
-    return tensor_scale(Fraction(1, 2), tensor_sub(a, _swapped(a, s1, s2)))
+    half = Fraction(1, 2)
+    return tensor_lincomb([(half, a), (-half, _swapped(a, s1, s2))])
 
 
 def partial_deriv_field(a: TensorField, k: int) -> TensorField:

@@ -259,11 +259,11 @@ def test_criterion_10_algebra_property_suites():
             problems.append(f"jet case {case}: mixed partials")
     for case in range(100):
         dim = rng.choice((2, 3))
-        t = TensorField.build(dim, (DOWN, DOWN), 2,
+        t = TensorField.build(dim, (DOWN, DOWN),
                               lambda idx: random_jet(rng, dim, 2))
-        u = TensorField.build(dim, (UP, DOWN), 2,
+        u = TensorField.build(dim, (UP, DOWN),
                               lambda idx: random_jet(rng, dim, 2))
-        v = TensorField.build(dim, (UP, DOWN), 2,
+        v = TensorField.build(dim, (UP, DOWN),
                               lambda idx: random_jet(rng, dim, 2))
         if tensor_add(sym_pair(t, 0, 1), antisym_pair(t, 0, 1)) != t:
             problems.append(f"tensor case {case}: pair decomposition")

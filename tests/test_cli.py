@@ -50,17 +50,17 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 40) -> MappedPai
     with zero torsion, so every torsion-difference check degenerates."""
     rng = random.Random(seed)
     zero = JetScalar.zero(dim, order)
-    gamma = TensorField.build(dim, GAMMA_VALENCE, order, lambda idx: zero)
-    phi = TensorField.build(dim, (UP,), order + 1,
+    gamma = TensorField.build(dim, GAMMA_VALENCE, lambda idx: zero)
+    phi = TensorField.build(dim, (UP,),
                             lambda idx: JetScalar.constant(dim, order + 1,
                                                            idx[0] + 2))
-    psi = TensorField.build(dim, (DOWN,), order,
+    psi = TensorField.build(dim, (DOWN,),
                             lambda idx: random_jet(rng, dim, order))
     upper = {(j, k): random_jet(rng, dim, order)
              for j in range(dim) for k in range(j, dim)}
-    sigma = TensorField.build(dim, (DOWN, DOWN), order,
+    sigma = TensorField.build(dim, (DOWN, DOWN),
                               lambda idx: upper[tuple(sorted(idx))])
-    nu = TensorField.build(dim, (DOWN,), order, lambda idx: zero)
+    nu = TensorField.build(dim, (DOWN,), lambda idx: zero)
     mapping = AG3Mapping(psi=psi, sigma=sigma, phi=phi, nu=nu,
                          mu=zero, kind=1)
     return MappedPair.build(Space(dim, gamma), mapping)
@@ -322,9 +322,32 @@ class TestCliVerify:
         huge = json.loads(json.dumps(doc))
         for comp in huge["source"]["gamma"]["components"]:
             comp["order"] = 10**6
+        # a source of higher order than its mapping and target
+        order5 = json.loads(json.dumps(doc))
+        for comp in order5["source"]["gamma"]["components"]:
+            comp["order"] = 5
         texts = {"broken": "{not json", "list": json.dumps([doc]),
                  "den0": json.dumps(den0), "target": json.dumps(shifted),
-                 "huge-order": json.dumps(huge)}
+                 "huge-order": json.dumps(huge),
+                 "source-order-5": json.dumps(order5)}
+        # integers that int() would coerce without changing the pair
+        coeff = doc["source"]["gamma"]["components"][0]["coeffs"][0]
+        one = next(c for comp in doc["source"]["gamma"]["components"]
+                   for c in comp["coeffs"] if c["num"] == "1")
+        for name, target, key, value in (
+                ("seed-float", doc, "seed", 4.0),
+                ("kind-float", doc["mapping"], "kind", 1.7),
+                ("kind-string", doc["mapping"], "kind", "1"),
+                ("dim-float", doc["source"], "dim", 2.9),
+                ("order-float", doc["mapping"]["mu"], "order", 2.0),
+                ("num-bool", one, "num", True),
+                ("den-float", coeff, "den", int(coeff["den"]) + 0.5),
+                ("alpha-float", coeff, "alpha",
+                 [float(e) for e in coeff["alpha"]])):
+            saved = target[key]
+            target[key] = value
+            texts[name] = json.dumps(doc)
+            target[key] = saved
         for name, value in (("source-list", [1]), ("source-string", "x"),
                             ("source-null", None)):
             texts[name] = json.dumps({**doc, "source": value})

@@ -32,7 +32,7 @@ seeds = st.integers(min_value=0, max_value=10**6)
 
 def random_field(dim: int, valence, order: int, seed: int) -> TensorField:
     rng = random.Random(seed)
-    return TensorField.build(dim, valence, order,
+    return TensorField.build(dim, valence,
                              lambda idx: random_jet(rng, dim, order))
 
 
@@ -120,6 +120,10 @@ class TestEvaluate:
         t = random_field(2, (UP, DOWN), 2, 2)
         result = evaluate(parse("0 * T[^i,_j]"), {"T": t})
         assert result.is_zero()
+        # a zero summand does not truncate the sum to its lower order
+        low = random_field(2, (UP, DOWN), 1, 3)
+        result = evaluate(parse("0 * S[^i,_j] + T[^i,_j]"), {"S": low, "T": t})
+        assert result == t
 
     def test_scalar_scaling(self):
         t = random_field(2, (UP,), 2, 3)

@@ -36,14 +36,14 @@ seeds = st.integers(min_value=0, max_value=10**6)
 
 def space_from_entries(dim: int, order: int, entries: dict) -> Space:
     gamma = TensorField.build(
-        dim, GAMMA_VALENCE, order,
+        dim, GAMMA_VALENCE,
         lambda idx: entries.get(idx, JetScalar.zero(dim, order)))
     return Space(dim, gamma)
 
 
 def random_field(dim: int, valence, order: int, seed: int) -> TensorField:
     rng = random.Random(seed)
-    return TensorField.build(dim, valence, order,
+    return TensorField.build(dim, valence,
                              lambda idx: random_jet(rng, dim, order))
 
 
@@ -173,7 +173,7 @@ class TestCovDerivKind:
             # truncate the product to the derivative's order
             return jet_add(jet_add(total, total), JetScalar.zero(dim, 1))
 
-        expected = TensorField.build(dim, (UP, DOWN), 1, expected_component)
+        expected = TensorField.build(dim, (UP, DOWN), expected_component)
         assert diff == expected
 
     def test_invalid_kind_rejected(self):

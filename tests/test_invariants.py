@@ -64,7 +64,7 @@ def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
 
 def random_space(dim: int, order: int, seed: int) -> Space:
     rng = random.Random(seed)
-    gamma = TensorField.build(dim, GAMMA_VALENCE, order,
+    gamma = TensorField.build(dim, GAMMA_VALENCE,
                               lambda idx: random_jet(rng, dim, order))
     return Space(dim, gamma)
 
@@ -77,7 +77,7 @@ def torsion_free_space(dim: int, order: int, seed: int) -> Space:
             for i in range(dim):
                 lower[(i, j, k)] = random_jet(rng, dim, order)
     gamma = TensorField.build(
-        dim, GAMMA_VALENCE, order,
+        dim, GAMMA_VALENCE,
         lambda idx: lower[(idx[0],) + tuple(sorted(idx[1:]))])
     return Space(dim, gamma)
 
@@ -99,7 +99,7 @@ def pure_torsion_space(dim: int, order: int, seed: int) -> Space:
             return upper[(i, j, k)]
         return jet_scale(-1, upper[(i, k, j)])
 
-    return Space(dim, TensorField.build(dim, GAMMA_VALENCE, order, component))
+    return Space(dim, TensorField.build(dim, GAMMA_VALENCE, component))
 
 
 def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
@@ -113,15 +113,15 @@ def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
         for j in range(dim):
             for k in range(j, dim):
                 upper[(j, k)] = random_jet(rng, dim, order)
-        sigma = TensorField.build(dim, (DOWN, DOWN), order,
+        sigma = TensorField.build(dim, (DOWN, DOWN),
                                   lambda idx: upper[tuple(sorted(idx))])
     return AG3Mapping(
-        psi=TensorField.build(dim, (DOWN,), order,
+        psi=TensorField.build(dim, (DOWN,),
                               lambda idx: random_jet(rng, dim, order)),
         sigma=sigma,
-        phi=TensorField.build(dim, (UP,), order + 1,
+        phi=TensorField.build(dim, (UP,),
                               lambda idx: random_jet(rng, dim, order + 1)),
-        nu=TensorField.build(dim, (DOWN,), order,
+        nu=TensorField.build(dim, (DOWN,),
                              lambda idx: random_jet(rng, dim, order)),
         mu=random_jet(rng, dim, order),
         kind=kind)
@@ -135,7 +135,7 @@ def identity_pair(dim: int = 2, order: int = 2,
         psi=TensorField.zero(dim, (DOWN,), order),
         sigma=TensorField.zero(dim, (DOWN, DOWN), order),
         phi=TensorField.build(
-            dim, (UP,), order + 1,
+            dim, (UP,),
             lambda idx: JetScalar.constant(dim, order + 1, scale)),
         nu=TensorField.zero(dim, (DOWN,), order),
         mu=JetScalar.zero(dim, order),
@@ -151,16 +151,16 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 0,
     space = Space(dim, TensorField.zero(dim, GAMMA_VALENCE, order))
     scale = Fraction(rng.randint(1, 9))
     phi = TensorField.build(
-        dim, (UP,), order + 1,
+        dim, (UP,),
         lambda idx: jet_scale(scale, JetScalar.coordinate(dim, order + 1, idx[0])))
     upper = {}
     for j in range(dim):
         for k in range(j, dim):
             upper[(j, k)] = random_jet(rng, dim, order)
     mapping = AG3Mapping(
-        psi=TensorField.build(dim, (DOWN,), order,
+        psi=TensorField.build(dim, (DOWN,),
                               lambda idx: random_jet(rng, dim, order)),
-        sigma=TensorField.build(dim, (DOWN, DOWN), order,
+        sigma=TensorField.build(dim, (DOWN, DOWN),
                                 lambda idx: upper[tuple(sorted(idx))]),
         phi=phi,
         nu=TensorField.zero(dim, (DOWN,), order),
@@ -204,7 +204,7 @@ class TestEtaStar:
         trace = space.trace_sym()
         cut = JetScalar.zero(dim, eta.order)
         expected = TensorField.build(
-            dim, (DOWN, DOWN), eta.order,
+            dim, (DOWN, DOWN),
             lambda idx: jet_add(cut, jet_scale(-c * c, jet_mul(trace[idx[0]],
                                                                trace[idx[1]]))))
         assert eta == expected

@@ -8,7 +8,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqlab.jets import JetScalar, jet_add, jet_mul, jet_partial, multi_indices, value_at_base
+from eqlab.jets import (
+    DimensionMismatchError,
+    JetScalar,
+    jet_add,
+    jet_mul,
+    jet_partial,
+    jet_scale,
+    jet_sum,
+    multi_indices,
+    value_at_base,
+)
 from eqlab.tensors import (
     DOWN,
     UP,
@@ -22,6 +32,7 @@ from eqlab.tensors import (
     partial_deriv_field,
     sym_pair,
     tensor_add,
+    tensor_lincomb,
     tensor_neg,
     tensor_scale,
     tensor_sub,
@@ -81,9 +92,9 @@ class TestBasics:
             tensor_add(a, b)
 
     def test_outer_components(self):
-        phi = TensorField.build(2, (UP,), 1,
+        phi = TensorField.build(2, (UP,),
                                 lambda idx: JetScalar.constant(2, 1, idx[0] + 1))
-        psi = TensorField.build(2, (DOWN,), 1,
+        psi = TensorField.build(2, (DOWN,),
                                 lambda idx: JetScalar.constant(2, 1, 5 - idx[0]))
         prod = outer(phi, psi)
         assert prod.valence == (UP, DOWN)
@@ -91,7 +102,7 @@ class TestBasics:
             assert prod[i, j] == jet_mul(phi[i], psi[j])
 
     def test_json_round_trip(self):
-        t = TensorField.build(2, (UP, DOWN), 1,
+        t = TensorField.build(2, (UP, DOWN),
                               lambda idx: JetScalar.constant(2, 1, F(idx[0] - idx[1], 3)))
         assert TensorField.from_json(t.to_json()) == t
 
@@ -104,9 +115,9 @@ class TestContract:
         assert value_at_base(tr[()]) == 4
 
     def test_contract_outer_is_dot(self):
-        phi = TensorField.build(3, (UP,), 1,
+        phi = TensorField.build(3, (UP,),
                                 lambda idx: JetScalar.constant(3, 1, idx[0] + 1))
-        psi = TensorField.build(3, (DOWN,), 1,
+        psi = TensorField.build(3, (DOWN,),
                                 lambda idx: JetScalar.constant(3, 1, idx[0] * 2))
         s = contract(outer(phi, psi), 0, 1)
         expected = sum(value_at_base(phi[a]) * value_at_base(psi[a]) for a in range(3))
@@ -124,21 +135,21 @@ class TestContract:
 
 class TestSymmetrizers:
     def test_antisym_nodiv_on_symmetric_is_zero(self):
-        sigma = TensorField.build(2, (DOWN, DOWN), 1,
+        sigma = TensorField.build(2, (DOWN, DOWN),
                                   lambda idx: JetScalar.constant(2, 1, idx[0] + idx[1]))
         assert antisym_pair_nodiv(sigma, 0, 1).is_zero()
 
     def test_antisym_nodiv_direct_values(self):
         # eta_{12}=1, eta_{21}=0: result_{12}=1, result_{21}=-1
         comps = {(0, 1): F(1)}
-        eta = TensorField.build(2, (DOWN, DOWN), 1,
+        eta = TensorField.build(2, (DOWN, DOWN),
                                 lambda idx: JetScalar.constant(2, 1, comps.get(idx, 0)))
         r = antisym_pair_nodiv(eta, 0, 1)
         assert value_at_base(r[0, 1]) == 1
         assert value_at_base(r[1, 0]) == -1
 
     def test_antisym_nodiv_twice_doubles(self):
-        t = TensorField.build(2, (DOWN, DOWN), 1,
+        t = TensorField.build(2, (DOWN, DOWN),
                               lambda idx: JetScalar.constant(2, 1, 3 * idx[0] - idx[1] ** 2))
         once = antisym_pair_nodiv(t, 0, 1)
         assert antisym_pair_nodiv(once, 0, 1) == tensor_scale(2, once)
@@ -149,7 +160,7 @@ class TestSymmetrizers:
             sym_pair(t, 0, 1)
 
     def test_sym_pair_matches_half_sum(self):
-        g = TensorField.build(2, (UP, DOWN, DOWN), 1,
+        g = TensorField.build(2, (UP, DOWN, DOWN),
                               lambda idx: JetScalar.constant(2, 1, idx[0] + 2 * idx[1] - idx[2]))
         s = sym_pair(g, 1, 2)
         for i, j, k in product(range(2), repeat=3):
@@ -164,7 +175,7 @@ class TestDerivative:
 
     def test_coordinate_times_delta(self):
         x1 = JetScalar.coordinate(2, 1, 0)
-        t = TensorField.build(2, (UP, DOWN), 1,
+        t = TensorField.build(2, (UP, DOWN),
                               lambda idx: x1 if idx[0] == idx[1] else JetScalar.zero(2, 1))
         d = partial_deriv_field(t, 0)
         assert d == TensorField.delta(2, 0)
@@ -178,9 +189,9 @@ class TestFlatten:
         assert flatten_at_base(TensorField.zero(2, (DOWN, DOWN), 1)) == [F(0)] * 4
 
     def test_outer_matches_flat_products(self):
-        phi = TensorField.build(2, (UP,), 1,
+        phi = TensorField.build(2, (UP,),
                                 lambda idx: JetScalar.constant(2, 1, F(idx[0] + 1, 2)))
-        psi = TensorField.build(2, (DOWN,), 1,
+        psi = TensorField.build(2, (DOWN,),
                                 lambda idx: JetScalar.constant(2, 1, 3 - idx[0]))
         flat = flatten_at_base(outer(phi, psi))
         direct = [value_at_base(phi[i]) * value_at_base(psi[j])
@@ -194,6 +205,52 @@ def test_add_commutes_and_sub_inverts(ab):
     a, b = ab
     assert tensor_add(a, b) == tensor_add(b, a)
     assert tensor_add(tensor_sub(a, b), b) == a
+
+
+@st.composite
+def lincomb_terms(draw):
+    """One to four same-shape terms, each at its own order; zero
+    coefficients are common, and sometimes every coefficient is zero."""
+    dim = draw(st.integers(2, 3))
+    valence = tuple(draw(st.lists(st.sampled_from([UP, DOWN]),
+                                  min_size=1, max_size=2)))
+    count = draw(st.integers(1, 4))
+    all_zero = draw(st.booleans()) and draw(st.booleans())
+    terms = []
+    for _ in range(count):
+        coeff = F(0) if all_zero else draw(st.one_of(st.just(F(0)), rationals))
+        terms.append((coeff, draw(tensor_fields(dim=dim, valence=valence))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(lincomb_terms())
+def test_lincomb_matches_add_scale_chain(terms):
+    # the chain skips zero coefficients, as callers did before the
+    # primitive; with none left it keeps every term
+    live = [(c, t) for c, t in terms if c] or terms
+    chain = tensor_scale(*live[0])
+    for c, t in live[1:]:
+        chain = tensor_add(chain, tensor_scale(c, t))
+    result = tensor_lincomb(terms)
+    assert result == chain
+    assert result.order == min(t.order for _, t in live)
+    # and componentwise against the jet layer alone
+    for pos, comp in enumerate(result.components):
+        assert comp == jet_sum(jet_scale(c, t.components[pos]) for c, t in live)
+
+
+@pytest.mark.parametrize("coeff", [F(0), F(-2, 3)])
+def test_lincomb_rejects_mismatched_shapes(coeff):
+    a = TensorField.delta(2, 1)
+    wider = TensorField.delta(3, 1)
+    flipped = TensorField.zero(2, (DOWN, UP), 1)
+    with pytest.raises(DimensionMismatchError):
+        tensor_lincomb([(1, a), (coeff, wider)])
+    with pytest.raises(ValenceMismatchError):
+        tensor_lincomb([(1, a), (coeff, flipped)])
+    with pytest.raises(ValueError):
+        tensor_lincomb([])
 
 
 @settings(max_examples=100)
