@@ -330,7 +330,8 @@ class TestCliVerify:
                  "den0": json.dumps(den0), "target": json.dumps(shifted),
                  "huge-order": json.dumps(huge),
                  "source-order-5": json.dumps(order5)}
-        # integers that int() would coerce without changing the pair
+        # values that coerce to the stored integers: only a strict reader
+        # rejects them
         coeff = doc["source"]["gamma"]["components"][0]["coeffs"][0]
         one = next(c for comp in doc["source"]["gamma"]["components"]
                    for c in comp["coeffs"] if c["num"] == "1")
