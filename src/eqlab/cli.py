@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .geometry import Space
 from .harness import (
@@ -39,24 +38,6 @@ EXIT_IO = 3
 
 class UsageError(ValueError):
     """Bad arguments or unusable input files; exits with code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    dim: int = 3
-    kind: int = 1
-    seeds: tuple[int, ...] = (0,)
-    order: int = 2
-    trials: int = 5
-    draws: int = 3
-    p_values: tuple[int, ...] = ALL_LABELS
-    q_values: tuple[int, ...] = ALL_LABELS
-    corrupt: str | None = None
-    instance: str | None = None
-    program: str | None = None
-    out: str | None = None
-    format: str = "json"
 
 
 def _dim_value(text: str) -> int:
@@ -157,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="space dimension (default 3)")
     ranks.add_argument("--order", type=int, choices=(2, 3), default=2)
     ranks.add_argument("--seed", type=int, default=0)
+    ranks.set_defaults(seeds=None)
     ranks.add_argument("--trials", type=_positive, default=5,
                        help="substitutions for the generic rank (default 5)")
     ranks.add_argument("--format", choices=("json", "csv"), default="json")
@@ -174,21 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_seed(parser: argparse.ArgumentParser) -> int | None:
-    text = os.environ.get("EQLAB_SEED")
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        parser.error(f"EQLAB_SEED must be an integer, got {text!r}")
-
-
 def _resolve_seeds(parser: argparse.ArgumentParser,
                    args: argparse.Namespace) -> tuple[int, ...]:
-    override = _env_seed(parser)
-    if override is not None:
-        return (override,)
+    """The seeds to run; the EQLAB_SEED variable overrides the options."""
+    text = os.environ.get("EQLAB_SEED")
+    if text is not None:
+        try:
+            return (int(text),)
+        except ValueError:
+            parser.error(f"EQLAB_SEED must be an integer, got {text!r}")
     if args.seed is not None and args.seeds is not None:
         parser.error("--seed and --seeds are mutually exclusive")
     if args.seed is not None:
@@ -196,30 +172,6 @@ def _resolve_seeds(parser: argparse.ArgumentParser,
     if args.seeds is not None:
         return args.seeds
     return args.default_seeds
-
-
-def _config(parser: argparse.ArgumentParser,
-            args: argparse.Namespace) -> RunConfig:
-    if args.command == "ranks":
-        override = _env_seed(parser)
-        seed = override if override is not None else args.seed
-        return RunConfig("ranks", dim=args.dim, order=args.order,
-                         trials=args.trials, seeds=(seed,),
-                         format=args.format, out=args.out)
-    seeds = _resolve_seeds(parser, args)
-    if args.command == "synth":
-        return RunConfig("synth", dim=args.dim, kind=args.kind,
-                         order=args.order, seeds=seeds, out=args.out)
-    if args.command == "verify":
-        p_values, q_values = args.grid
-        return RunConfig("verify", dim=args.dim, kind=args.kind,
-                         order=args.order, seeds=seeds, draws=args.draws,
-                         p_values=p_values, q_values=q_values,
-                         corrupt=args.corrupt, instance=args.instance,
-                         out=args.out)
-    return RunConfig("eval", dim=args.dim, kind=args.kind, order=args.order,
-                     seeds=seeds, instance=args.instance,
-                     program=args.program, out=args.out)
 
 
 def _json_text(doc) -> str:
@@ -272,74 +224,76 @@ def _load_bindings_source(path: str):
     raise UsageError(f"instance file {path} holds neither a pair nor a space")
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    docs = [(seed, synth_document(cfg.dim, cfg.kind, seed, cfg.order))
-            for seed in cfg.seeds]
-    if cfg.out is not None and os.path.isdir(cfg.out):
+def cmd_synth(args: argparse.Namespace) -> int:
+    docs = [(seed, synth_document(args.dim, args.kind, seed, args.order))
+            for seed in args.seeds]
+    if args.out is not None and os.path.isdir(args.out):
         for seed, doc in docs:
-            name = f"pair-d{cfg.dim}-k{cfg.kind}-s{seed}.json"
-            _emit(_json_text(doc), os.path.join(cfg.out, name))
+            name = f"pair-d{args.dim}-k{args.kind}-s{seed}.json"
+            _emit(_json_text(doc), os.path.join(args.out, name))
         return EXIT_PASS
     if len(docs) > 1:
         raise UsageError("several seeds need --out pointing at a directory")
-    _emit(_json_text(docs[0][1]), cfg.out)
+    _emit(_json_text(docs[0][1]), args.out)
     return EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.instance is not None:
-        pairs = [_load_pair(cfg.instance)]
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.instance is not None:
+        pairs = [_load_pair(args.instance)]
     else:
-        pairs = synthesized_pairs(cfg.dim, cfg.kind, cfg.seeds, cfg.order)
+        pairs = synthesized_pairs(args.dim, args.kind, args.seeds, args.order)
+    p_values, q_values = args.grid
     passed, checks, notes = run_verify_suite(
-        pairs, cfg.p_values, cfg.q_values, cfg.draws, cfg.corrupt)
+        pairs, p_values, q_values, args.draws, args.corrupt)
     doc = {
         "command": "verify",
         "config": {
-            "dim": cfg.dim, "kind": cfg.kind, "seeds": list(cfg.seeds),
-            "order": cfg.order, "draws": cfg.draws,
-            "p": list(cfg.p_values), "q": list(cfg.q_values),
-            "corrupt": cfg.corrupt, "instance": cfg.instance,
+            "dim": args.dim, "kind": args.kind, "seeds": list(args.seeds),
+            "order": args.order, "draws": args.draws,
+            "p": list(p_values), "q": list(q_values),
+            "corrupt": args.corrupt, "instance": args.instance,
         },
         "pass": passed,
         "notes": notes,
         "checks": [check.to_json() for check in checks],
     }
-    _emit(_json_text(doc), cfg.out)
+    _emit(_json_text(doc), args.out)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_ranks(cfg: RunConfig) -> int:
-    passed, rows = run_ranks(cfg.dim, trials=cfg.trials, seed=cfg.seeds[0],
-                             order=cfg.order)
-    if cfg.format == "csv":
+def cmd_ranks(args: argparse.Namespace) -> int:
+    seed = args.seeds[0]
+    passed, rows = run_ranks(args.dim, trials=args.trials, seed=seed,
+                             order=args.order)
+    if args.format == "csv":
         text = _csv_text(rows)
     else:
         text = _json_text({
             "command": "ranks",
-            "config": {"dim": cfg.dim, "order": cfg.order,
-                       "seed": cfg.seeds[0], "trials": cfg.trials},
+            "config": {"dim": args.dim, "order": args.order,
+                       "seed": seed, "trials": args.trials},
             "pass": passed,
             "rows": rows,
         })
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    with open(cfg.program, "r", encoding="utf-8") as handle:
+def cmd_eval(args: argparse.Namespace) -> int:
+    with open(args.program, "r", encoding="utf-8") as handle:
         text = handle.read()
-    if cfg.instance is not None:
-        source = _load_bindings_source(cfg.instance)
+    if args.instance is not None:
+        source = _load_bindings_source(args.instance)
     else:
-        source = synthesize_instance(cfg.dim, cfg.kind, cfg.seeds[0],
-                                     cfg.order)
+        source = synthesize_instance(args.dim, args.kind, args.seeds[0],
+                                     args.order)
     defined = evaluate_program_lines(text, instance_bindings(source))
     doc = {
         "command": "eval",
         "results": {name: tensor.to_json() for name, tensor in defined.items()},
     }
-    _emit(_json_text(doc), cfg.out)
+    _emit(_json_text(doc), args.out)
     return EXIT_PASS
 
 
@@ -354,9 +308,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(parser, args)
+    args.seeds = _resolve_seeds(parser, args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         # covers usage, parse, index-discipline and malformed-input errors
         print(f"eqlab: {exc}", file=sys.stderr)

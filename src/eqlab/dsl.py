@@ -446,8 +446,12 @@ _ASSIGN = re.compile(r"^\s*(?P<name>[A-Za-z][A-Za-z0-9]*)"
                      r"\s*(?:\[(?P<indices>[^\]]*)\])?\s*=(?P<rhs>.*)$")
 
 
-def parse_program(src: str) -> list[tuple[str, tuple[Index, ...], ExpressionPlan]]:
-    """Lines of ``Name[indices] = expr``; ``#`` comments and blanks skipped."""
+def parse_program(src: str,
+                  ) -> list[tuple[int, str, tuple[Index, ...], ExpressionPlan]]:
+    """Lines of ``Name[indices] = expr``; ``#`` comments and blanks skipped.
+
+    Each assignment comes with its one-based line number in ``src``.
+    """
     out = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
@@ -475,6 +479,6 @@ def parse_program(src: str) -> list[tuple[str, tuple[Index, ...], ExpressionPlan
             raise IndexUsageError(
                 f"line {lineno}: left-hand indices {[str(i) for i in lhs]} do not "
                 f"match the free indices {[str(i) for i in plan.free]}")
-        out.append((match.group("name"), lhs, plan))
+        out.append((lineno, match.group("name"), lhs, plan))
     return out
 

@@ -123,12 +123,23 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                             which: int, p_values, q_values,
                             values: dict, draw: int,
                             base: dict) -> VerificationReport:
-    u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
+    """F_src - F_tgt cell by cell, through the linearity of the family:
+    the parameter-free part and each sigma label's difference are built
+    once, every cell sums three of them.  Each difference is a source
+    value minus an independent target value."""
+    params = [values[name] for name in PARAM_NAMES]
+    u, up = params[:2]
+    common = tensor_lincomb(
+        [(1, src.curvature_k(*params)), (1, src.correction(which)),
+         (-1, tgt.curvature_k(*params)), (-1, tgt.correction(which))])
+    d_sigma = {p: tensor_sub(src.sigma(p), tgt.sigma(p)) for p in p_values}
+    d_swapped = {q: tensor_sub(src.sigma_swapped(q), tgt.sigma_swapped(q))
+                 for q in q_values}
     return _grid_report(
         "family_invariance", {**base, "which": which, "draw": draw}, values,
         p_values, q_values,
-        lambda p, q: tensor_sub(src.family(which, p, q, u, up, v, vp, w),
-                                tgt.family(which, p, q, u, up, v, vp, w)))
+        lambda p, q: tensor_lincomb([(1, common), (-u, d_sigma[p]),
+                                     (-up, d_swapped[q])]))
 
 
 def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
@@ -305,20 +316,13 @@ def instance_bindings(obj) -> dict[str, TensorField]:
     }
 
 
-def _assignment_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.split("#", 1)[0].strip():
-            yield lineno
-
-
 def evaluate_program_lines(text: str, bindings: dict,
                            ) -> dict[str, TensorField]:
     """Assignments evaluated top to bottom, evaluation errors labeled
     with their line number; parse errors already carry theirs."""
     env = dict(bindings)
     defined: dict[str, TensorField] = {}
-    for lineno, (name, lhs, plan) in zip(_assignment_lines(text),
-                                         parse_program(text)):
+    for lineno, name, lhs, plan in parse_program(text):
         try:
             tensor = evaluate(plan, env)
         except EvaluationError as exc:

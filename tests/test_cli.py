@@ -299,6 +299,14 @@ class TestCliVerify:
         assert code == 0
         assert json.loads(out)["config"]["seeds"] == [11]
 
+    def test_env_seed_overrides_ranks_seed(self, capsys, monkeypatch):
+        argv = ("ranks", "--dim", "2", "--trials", "1")
+        _, direct, _ = run_cli(capsys, *argv, "--seed", "11")
+        monkeypatch.setenv("EQLAB_SEED", "11")
+        _, overridden, _ = run_cli(capsys, *argv, "--seed", "0")
+        assert json.loads(overridden)["config"]["seed"] == 11
+        assert overridden == direct
+
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("EQLAB_SEED", "eleven")
         with pytest.raises(SystemExit) as excinfo:

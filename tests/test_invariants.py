@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from eqlab.geometry import GAMMA_VALENCE, Space, torsion_square_terms, curvature_K
+from eqlab.harness import corrupted_inverse, family_invariance_check
 from eqlab.invariants import (
+    PARAM_NAMES,
     InvariantBundle,
     R_and_K_transformation_check,
     T_tilde,
@@ -492,6 +494,37 @@ class TestWFamily:
             rhs = target.family(kind, p, q, *params)
             assert tensor_sub(lhs, rhs).is_zero()
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_grid_residuals_equal_member_differences(self, corrupt, pair21):
+        # each one-cell report of the invariance grid carries exactly the
+        # difference of the two family members, also under a faulty inverse
+        m_bar = corrupted_inverse(pair21) if corrupt else pair21.inverse()
+        src = InvariantBundle(pair21.source, pair21.mapping)
+        tgt = InvariantBundle(pair21.target, m_bar)
+        values = dict(zip(PARAM_NAMES, (Fraction(3), Fraction(-1, 2),
+                                        Fraction(2), Fraction(1, 3),
+                                        Fraction(-4))))
+        params = [values[name] for name in PARAM_NAMES]
+        differing = []
+        for p in range(1, 9):
+            for q in range(1, 9):
+                report = family_invariance_check(src, tgt, 1, [p], [q],
+                                                 values, 0, {})
+                expected = tensor_sub(src.family(1, p, q, *params),
+                                      tgt.family(1, p, q, *params))
+                if expected.is_zero():
+                    assert report.passed and report.residual is None
+                    assert report.params["failed_cells"] == []
+                else:
+                    differing.append([p, q])
+                    assert report.residual == expected
+                    assert report.params["failed_cells"] == [[p, q]]
+        assert bool(differing) == corrupt
+        labels = list(range(1, 9))
+        report = family_invariance_check(src, tgt, 1, labels, labels,
+                                         values, 0, {})
+        assert report.params["failed_cells"] == differing
+
     def test_invalid_labels(self, pair21):
         s, m = pair21.source, pair21.mapping
         one = Fraction(1)
@@ -600,6 +633,7 @@ class TestInvariantBundle:
         bundle = InvariantBundle(pair21.source, pair21.mapping)
         assert bundle.sigma(1) is bundle.sigma(1)
         assert bundle.parts() is bundle.parts()
+        assert bundle.u_tensor(20) is bundle.u_tensor(20)
         assert bundle.sigma(1) == sigma_p(pair21.source, pair21.mapping, 1)
 
     def test_family_members_cached(self, pair21):
