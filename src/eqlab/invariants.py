@@ -729,8 +729,8 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
     bundles = [InvariantBundle(pair.source, pair.mapping) for pair in pairs]
     rows = []
     for _ in range(samples):
-        # W cancels from family minus W, so the deviation does not depend
-        # on the kind; it is still drawn to keep the sampled (p, q) cells
+        # the kind does not change the deviation, but drawing it keeps
+        # the RNG stream, so the sampled (p, q) cells stay the same
         rng.choice((1, 2))
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
