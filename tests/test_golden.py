@@ -31,6 +31,11 @@ GOLDEN = (
      "f0fa75633256b46f9546a07e429446381df37591f388becc5ffb749b6bc4209a"),
     (("verify", "--dim", "3", "--seed", "0", "--corrupt", "psi-sign"), 1,
      "3796d1b478f1fc167a32bb710dcc478c3165c660bf8ee8b1360f58b117c86dec"),
+    (("verify", "--dim", "3", "--seed", "0", "--order", "3", "--grid", "1..3",
+      "--corrupt", "psi-sign"), 1,
+     "5a304728f52bfcb08362dea9b767a3677fa46ab1c26ab920650ab6ee30d687af"),
+    (("verify", "--dim", "4", "--seed", "0"), 0,
+     "2e574418f002daf2afbccae3e81b9d186b4440aeae027700c82a4c562b88c2cd"),
 )
 
 
