@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_partial, jet_sum, json_int
+from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_sum, json_int
 from .linalg import RationalMatrix, rank_exact
 from .tensors import (
     DOWN,
@@ -26,6 +26,7 @@ from .tensors import (
     partial_deriv_field,
     sym_pair,
     tensor_lincomb,
+    tensor_truncate,
     transpose,
 )
 
@@ -36,8 +37,12 @@ class Space:
     """Dimension plus connection field.
 
     Derived objects that every verification path reuses (symmetric part,
-    torsion, trace, curvature, covariant derivative of torsion) are
-    computed once and cached; the instance itself never changes.
+    torsion, trace, curvature, covariant derivative of torsion, torsion
+    squares) are computed once and cached; the instance itself never
+    changes.  The connection's own parts keep its order o.  Whatever
+    holds a derivative (curvature, torsion derivative) is at o - 1, and so
+    are the torsion squares: every tensor they are summed with has lost
+    one order, so their top coefficients would only be dropped.
     """
 
     def __init__(self, dim: int, gamma: TensorField):
@@ -79,6 +84,10 @@ class Space:
         return self._cached("torsion_cd",
                             lambda: cov_deriv_assoc(self.torsion(), self))
 
+    def torsion_squares(self) -> tuple[TensorField, TensorField, TensorField]:
+        """See ``torsion_square_terms``."""
+        return self._cached("torsion_squares", lambda: _torsion_squares(self))
+
     def to_json(self) -> dict:
         # the document format keeps a metric slot; no space carries one
         return {"dim": self.dim, "gamma": self.gamma.to_json(), "metric": None}
@@ -91,22 +100,27 @@ class Space:
                    TensorField.from_json(obj["gamma"]))
 
 
-def _cov_deriv(a: TensorField, dim: int,
-               up_term, down_term) -> TensorField:
+def _cov_deriv(a: TensorField, conn: TensorField,
+               up_index, down_index) -> TensorField:
     """Shared skeleton: comma derivative plus one correction per slot.
 
-    up_term(i, alpha, k) and down_term(slot_index, alpha, k) supply the
-    connection coefficient multiplying a with slot replaced by alpha, for
-    derivative direction k.  The derivative direction becomes a trailing
-    covariant slot.
+    up_index(i, alpha, k) and down_index(slot_index, alpha, k) give the
+    index of the coefficient of ``conn`` multiplying a with the slot
+    replaced by alpha, for derivative direction k.  The derivative
+    direction becomes a trailing covariant slot.  The comma derivative
+    reads the whole of a and leaves order a.order - 1, so the correction
+    products are taken from a and conn cut to that order.
     """
-    rank = a.rank
+    dim, rank = a.dim, a.rank
     out_valence = a.valence + (DOWN,)
+    comma = [partial_deriv_field(a, k) for k in range(dim)]
+    order = a.order - 1
+    a, conn = tensor_truncate(a, order), tensor_truncate(conn, order)
 
     def component(idx: tuple[int, ...]) -> JetScalar:
         base_idx = idx[:rank]
         k = idx[rank]
-        total = jet_partial(a[base_idx], k)
+        total = comma[k][base_idx]
         for t in range(rank):
             replaced = list(base_idx)
             for alpha in range(dim):
@@ -115,9 +129,9 @@ def _cov_deriv(a: TensorField, dim: int,
                 if value.is_zero():
                     continue
                 if a.valence[t] == UP:
-                    coeff = up_term(base_idx[t], alpha, k)
+                    coeff = conn[up_index(base_idx[t], alpha, k)]
                 else:
-                    coeff = jet_neg(down_term(base_idx[t], alpha, k))
+                    coeff = jet_neg(conn[down_index(base_idx[t], alpha, k)])
                 total = jet_add(total, jet_mul(coeff, value))
         return total
 
@@ -132,10 +146,9 @@ def cov_deriv_assoc(a: TensorField, s: Space) -> TensorField:
     connection trace are handled by treating them formally as fields of
     their apparent valence.
     """
-    sym = s.sym()
-    return _cov_deriv(a, s.dim,
-                      up_term=lambda i, alpha, k: sym[i, alpha, k],
-                      down_term=lambda j, alpha, k: sym[alpha, j, k])
+    return _cov_deriv(a, s.sym(),
+                      up_index=lambda i, alpha, k: (i, alpha, k),
+                      down_index=lambda j, alpha, k: (alpha, j, k))
 
 
 def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
@@ -145,23 +158,26 @@ def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
     direction: kind 1 uses Gamma^i_{ak} on up slots and Gamma^a_{jk} on
     down slots, kind 2 the transposed pair.
     """
-    g = s.gamma
     if kind == 1:
-        return _cov_deriv(a, s.dim,
-                          up_term=lambda i, alpha, k: g[i, alpha, k],
-                          down_term=lambda j, alpha, k: g[alpha, j, k])
+        return _cov_deriv(a, s.gamma,
+                          up_index=lambda i, alpha, k: (i, alpha, k),
+                          down_index=lambda j, alpha, k: (alpha, j, k))
     if kind == 2:
-        return _cov_deriv(a, s.dim,
-                          up_term=lambda i, alpha, k: g[i, k, alpha],
-                          down_term=lambda j, alpha, k: g[alpha, k, j])
+        return _cov_deriv(a, s.gamma,
+                          up_index=lambda i, alpha, k: (i, k, alpha),
+                          down_index=lambda j, alpha, k: (alpha, k, j))
     raise ValueError(f"kind must be 1 or 2, got {kind}")
 
 
 def curvature_R(s: Space) -> TensorField:
-    """Curvature of the symmetric part, slots (i, j, m, n)."""
-    sym = s.sym()
+    """Curvature of the symmetric part, slots (i, j, m, n).
+
+    The comma derivatives read the whole symmetric part; the quadratic
+    terms are taken from it cut to the derivatives' order.
+    """
     dim = s.dim
-    d_sym = [partial_deriv_field(sym, n) for n in range(dim)]
+    d_sym = [partial_deriv_field(s.sym(), n) for n in range(dim)]
+    sym = tensor_truncate(s.sym(), d_sym[0].order)
 
     def component(idx: tuple[int, ...]) -> JetScalar:
         i, j, m, n = idx
@@ -178,9 +194,17 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
     """The three quadratic torsion contractions entering the K family.
 
     Returns (T^a_{jm} T^i_{an}, T^a_{jn} T^i_{am}, T^a_{mn} T^i_{aj}),
-    each with slots (i, j, m, n).
+    each with slots (i, j, m, n), as kept by the space.  They are at the
+    torsion's order less one (never below 0), the order of the curvature
+    and the torsion derivative they are summed with: the products are
+    taken from the torsion cut to that order.
     """
+    return s.torsion_squares()
+
+
+def _torsion_squares(s: Space) -> tuple[TensorField, TensorField, TensorField]:
     t = s.torsion()
+    t = tensor_truncate(t, max(t.order - 1, 0))
     dim = s.dim
 
     def build(pairing):

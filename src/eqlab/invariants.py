@@ -46,6 +46,7 @@ from .tensors import (
     tensor_add,
     tensor_lincomb,
     tensor_sub,
+    tensor_truncate,
     transpose,
 )
 
@@ -121,17 +122,29 @@ def _check_label(name: str, value: int) -> None:
 
 
 class _Parts:
-    """Derivative-free contractions shared by the U, sigma and W builders."""
+    """Derivative-free contractions shared by the U, sigma and W builders.
 
-    def __init__(self, s: Space, m: AG3Mapping):
+    Works at ``order``: its six inputs (torsion, symmetric part, trace,
+    sigma, phi, sigma phi) are cut to it first, so every product built
+    here, and by the readers of these fields, is taken at the order its
+    consumers read.  Truncated Taylor arithmetic commutes with truncation,
+    so the kept coefficients are the same as from the uncut inputs.
+    ``None`` keeps the data's order.  No derivative may read these fields:
+    a derivative of a cut field would lose one more order.
+    """
+
+    def __init__(self, s: Space, m: AG3Mapping, order: int | None):
+        def cut(a: TensorField) -> TensorField:
+            return a if order is None else tensor_truncate(a, order)
+
         dim = s.dim
         self.dim = dim
-        self.torsion = s.torsion()
-        self.sym = s.sym()
-        self.trace = s.trace_sym()
-        self.sigma = m.sigma
-        self.phi = m.phi
-        self.sigma_phi = m.sigma_phi()
+        self.torsion = cut(s.torsion())
+        self.sym = cut(s.sym())
+        self.trace = cut(s.trace_sym())
+        self.sigma = cut(m.sigma)
+        self.phi = cut(m.phi)
+        self.sigma_phi = cut(m.sigma_phi())
         t, phi = self.torsion, self.phi
 
         # T^i_{a k} phi^a, slots (i, k)
@@ -435,18 +448,25 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
 
 
 def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
-                                p: int) -> VerificationReport:
-    """Exact two-route check of the torsion covariant-derivative difference.
+                                p_values) -> list[VerificationReport]:
+    """Exact two-route check of the torsion covariant-derivative difference,
+    one report per label p.
 
     Route one expands the difference through P = sym(target) - sym(source);
     route two evaluates the p-th sigma combination on both sides.  Both
-    must match the directly computed derivative difference.
+    must match the directly computed derivative difference.  Route one
+    does not depend on p, so it is built once, from the torsion and P cut
+    to the order of the derivative difference.
     """
-    _check_label("p", p)
+    p_values = list(p_values)
+    for p in p_values:
+        _check_label("p", p)
     space, space_bar = src.space, tgt.space
     dim = space.dim
-    t = space.torsion()
-    sym_diff = tensor_sub(space_bar.sym(), space.sym())
+    lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
+    t = tensor_truncate(space.torsion(), lhs.order)
+    sym_diff = tensor_truncate(tensor_sub(space_bar.sym(), space.sym()),
+                               lhs.order)
 
     def direct_component(idx):
         i, j, mm, n = idx
@@ -457,13 +477,14 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
         return jet_add(total, jet_neg(jet_sum(
             jet_mul(t[i, j, a], sym_diff[a, mm, n]) for a in range(dim))))
 
-    rhs_direct = TensorField.build(dim, W_VALENCE, direct_component)
-    lhs = [(1, space_bar.torsion_cd()), (-1, space.torsion_cd())]
-    return VerificationReport.from_residuals(
+    direct = tensor_sub(lhs, TensorField.build(dim, W_VALENCE,
+                                               direct_component))
+    return [VerificationReport.from_residuals(
         "torsion_cd_difference",
         {"p": p, "dim": dim, "kind": src.mapping.kind},
-        (tensor_lincomb(lhs + [(-1, rhs_direct)]),
-         tensor_lincomb(lhs + [(-1, tgt.sigma(p)), (1, src.sigma(p))])))
+        (direct,
+         tensor_lincomb([(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))])))
+        for p in p_values]
 
 
 def _kept(build):
@@ -488,17 +509,26 @@ class InvariantBundle:
     grid sums per-label differences instead.  The dict stays because
     ``bench/layertrace.py`` counts its hits.  An invariance check compares
     two bundles, one per side, so its routes never share a cached object.
+
+    ``order`` is the order the bundle's products are taken at, handed to
+    ``_Parts``; every value comes out at most at that order and equals the
+    full-order value cut to it.  A check whose residuals hold a derivative
+    reads them one order below the data, so it builds its bundles there;
+    ``None`` keeps the data's order, as the module functions do.
+    Derivatives (of sigma, of the trace) read the uncut fields.
     """
 
-    def __init__(self, space: Space, mapping: AG3Mapping):
+    def __init__(self, space: Space, mapping: AG3Mapping,
+                 order: int | None = None):
         self.space = space
         self.mapping = mapping
+        self.order = order
         self.families: dict[tuple, TensorField] = {}
         self._memo: dict = {}
 
     @_kept
     def parts(self) -> _Parts:
-        return _Parts(self.space, self.mapping)
+        return _Parts(self.space, self.mapping, self.order)
 
     @_kept
     def eta(self, which: int) -> TensorField:
@@ -516,7 +546,8 @@ class InvariantBundle:
         phi, sigma, nu, mu = parts.phi, parts.sigma, m.nu, m.mu
         torsion_phi = parts.torsion_phi
         phi_combined = jet_sum(jet_mul(phi[a], combined[a]) for a in range(dim))
-        sigma_cd = cov_deriv_assoc(sigma, s)
+        # the derivative reads the uncut sigma; parts.sigma may be cut
+        sigma_cd = cov_deriv_assoc(m.sigma, s)
 
         def component(idx):
             j, k = idx
@@ -726,7 +757,8 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
     rng = random.Random(seed)
     values = random_substitution(PARAM_NAMES, rng)
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
-    bundles = [InvariantBundle(pair.source, pair.mapping) for pair in pairs]
+    # only base-point values are read, so the products are taken at order 0
+    bundles = [InvariantBundle(pair.source, pair.mapping, 0) for pair in pairs]
     rows = []
     for _ in range(samples):
         # the kind does not change the deviation, but drawing it keeps

@@ -23,6 +23,7 @@ from .jets import (
     jet_mul,
     jet_partial,
     jet_sum,
+    jet_truncate,
     json_int,
     value_at_base,
 )
@@ -292,6 +293,14 @@ def partial_deriv_field(a: TensorField, k: int) -> TensorField:
     a tensorial derivative go through the covariant-derivative builders.
     """
     return TensorField(a.dim, a.valence, [jet_partial(c, k) for c in a.components])
+
+
+def tensor_truncate(a: TensorField, order: int) -> TensorField:
+    """``a`` with every component cut to ``order``; ``a`` itself when its
+    order is no higher."""
+    if order >= a.order:
+        return a
+    return TensorField(a.dim, a.valence, [jet_truncate(c, order) for c in a.components])
 
 
 def flatten_at_base(a: TensorField) -> list[Fraction]:

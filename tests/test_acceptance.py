@@ -163,10 +163,10 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
             problems.append(f"{tag}: symmetric difference factorization")
         src = InvariantBundle(pair.source, pair.mapping)
         tgt = InvariantBundle(pair.target, m_bar)
-        for p in LABELS:
-            if not torsion_cd_difference_check(src, tgt, p).passed:
+        for report in torsion_cd_difference_check(src, tgt, LABELS):
+            if not report.passed:
                 problems.append(f"{tag}: torsion derivative difference "
-                                f"at p={p}")
+                                f"at p={report.params['p']}")
         values = random_substitution(PARAM_NAMES, rng)
         grid = tuple(LABELS) if dim == 2 else (1, 4, 8)
         if not correlation_check(src, kind, grid, grid, values, {}).passed:

@@ -18,7 +18,7 @@ from eqlab.harness import (
     synthesized_pairs,
 )
 from eqlab.invariants import W_star
-from eqlab.jets import JetScalar
+from eqlab.jets import JetScalar, jet_truncate
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -368,6 +368,41 @@ class TestCliVerify:
             lines = err.splitlines()
             assert code == 2, name
             assert len(lines) == 1 and lines[0].startswith("eqlab:"), name
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_instance_cut_below_order_two(self, capsys, tmp_path, order):
+        """Every jet of a stored pair cut to order 1: the checks read their
+        residuals at order 0 and still tell the negative control apart.
+        Cut to order 0, no derivative is left: a usage error."""
+        def cut(obj):
+            if isinstance(obj, dict):
+                if set(obj) == {"dim", "order", "coeffs"}:
+                    return jet_truncate(JetScalar.from_json(obj),
+                                        order).to_json()
+                return {key: cut(value) for key, value in obj.items()}
+            if isinstance(obj, list):
+                return [cut(value) for value in obj]
+            return obj
+
+        path = tmp_path / f"order{order}.json"
+        path.write_text(json.dumps(cut(synth_document(2, 1, seed=4))))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        corrupt_code, corrupt_out, corrupt_err = run_cli(
+            capsys, "verify", "--instance", str(path),
+            "--corrupt", "psi-sign")
+        if order == 0:
+            for code, err in ((code, err), (corrupt_code, corrupt_err)):
+                assert code == 2
+                assert err.splitlines() == [
+                    "eqlab: cannot differentiate an order-0 jet"]
+            return
+        assert (code, err) == (0, "")
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+        assert (corrupt_code, corrupt_err) == (1, "")
+        failed = {c["check"] for c in json.loads(corrupt_out)["checks"]
+                  if not c["pass"]}
+        assert failed == {"W_invariance", "family_invariance",
+                          "R_K_transformation"}
 
     def test_grid_label_out_of_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -24,7 +24,7 @@ from eqlab.invariants import (
     torsion_cd_difference_check,
 )
 import eqlab.invariants as invariants_module
-from eqlab.jets import JetScalar, jet_add, jet_mul, jet_scale
+from eqlab.jets import JetScalar, jet_add, jet_mul, jet_scale, jet_sum
 from eqlab.linalg import RationalMatrix, generic_rank, rank_exact
 from eqlab.mapping import AG3Mapping, MappedPair, random_jet, synthesize_instance
 from eqlab.tensors import (
@@ -35,6 +35,7 @@ from eqlab.tensors import (
     tensor_add,
     tensor_scale,
     tensor_sub,
+    tensor_truncate,
     transpose,
 )
 
@@ -393,23 +394,36 @@ class TestSwapTransport:
 
 class TestTorsionCdDifference:
     def test_identity_pair_trivial(self):
-        report = torsion_cd_difference_check(*sides(identity_pair()), 1)
+        [report] = torsion_cd_difference_check(*sides(identity_pair()), [1])
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
         assert report.residual is None
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_synthesized_exact(self, p, pair31):
-        report = torsion_cd_difference_check(*sides(pair31), p)
+        [report] = torsion_cd_difference_check(*sides(pair31), [p])
         assert report.passed
 
+    def test_one_report_per_label_in_order(self, pair21):
+        src, tgt = sides(pair21)
+        labels = [8, 2, 5]
+        reports = torsion_cd_difference_check(src, tgt, labels)
+        assert [r.params["p"] for r in reports] == labels
+        for p, report in zip(labels, reports):
+            [alone] = torsion_cd_difference_check(*sides(pair21), [p])
+            assert report.to_json() == alone.to_json()
+
+    def test_invalid_label_rejected_before_any_report(self, pair21):
+        with pytest.raises(ValueError, match="p must be between 1 and 8"):
+            torsion_cd_difference_check(*sides(pair21), [1, 9])
+
     def test_torsion_free_pair_trivial(self):
-        report = torsion_cd_difference_check(
-            *sides(torsion_free_pair(seed=3)), 4)
+        [report] = torsion_cd_difference_check(
+            *sides(torsion_free_pair(seed=3)), [4])
         assert report.passed
 
     def test_report_json_shape(self, pair21):
-        report = torsion_cd_difference_check(*sides(pair21), 2)
+        [report] = torsion_cd_difference_check(*sides(pair21), [2])
         payload = report.to_json()
         assert set(payload) == {"check", "params", "pass",
                                 "max_abs_residual_num_digits", "residual",
@@ -642,3 +656,55 @@ class TestInvariantBundle:
                   Fraction(5))
         first = bundle.family(1, 1, 2, *params)
         assert bundle.family(1, 1, 2, *params) is first
+
+
+def bundle_values(bundle: InvariantBundle) -> dict[str, TensorField]:
+    """Every U, sigma, swapped sigma, T-tilde, eta and W of one bundle."""
+    values = {f"u_tensor({theta})": bundle.u_tensor(theta)
+              for theta in range(1, 21)}
+    for p in range(1, 9):
+        values[f"sigma({p})"] = bundle.sigma(p)
+        values[f"sigma_swapped({p})"] = bundle.sigma_swapped(p)
+        values[f"t_tilde({p})"] = bundle.t_tilde(p)
+    for which in (1, 2):
+        values[f"eta({which})"] = bundle.eta(which)
+        values[f"w_star({which})"] = bundle.w_star(which)
+    return values
+
+
+class TestCutOrder:
+    """Products taken at a lower order give the full-order values cut to
+    that order: truncated Taylor arithmetic commutes with truncation."""
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_bundle_at_k_is_full_bundle_cut_to_k(self, order, kind):
+        pair = synthesize_instance(2, kind, seed=6, order=order)
+        for space, mapping in ((pair.source, pair.mapping),
+                               (pair.target, pair.inverse())):
+            full = bundle_values(InvariantBundle(space, mapping))
+            for k in range(order):
+                cut = bundle_values(InvariantBundle(space, mapping, k))
+                for name, value in full.items():
+                    assert cut[name].order == k, (k, name)
+                    assert cut[name] == tensor_truncate(value, k), (k, name)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_torsion_squares_are_full_squares_cut(self, order):
+        s = random_space(2, order, seed=17)
+        t, dim = s.torsion(), s.dim
+
+        def square(pairing):
+            return TensorField.build(
+                dim, W_VALENCE,
+                lambda idx: jet_sum(jet_mul(*pairing(idx, a))
+                                    for a in range(dim)))
+
+        expected = (
+            square(lambda idx, a: (t[a, idx[1], idx[2]], t[idx[0], a, idx[3]])),
+            square(lambda idx, a: (t[a, idx[1], idx[3]], t[idx[0], a, idx[2]])),
+            square(lambda idx, a: (t[a, idx[2], idx[3]], t[idx[0], a, idx[1]])))
+        kept = torsion_square_terms(s)
+        assert kept is torsion_square_terms(s)
+        assert kept == tuple(tensor_truncate(e, order - 1) for e in expected)
+        assert all(term.order == order - 1 for term in kept)
