@@ -84,10 +84,6 @@ class Space:
         return self._cached("torsion_cd",
                             lambda: cov_deriv_assoc(self.torsion(), self))
 
-    def torsion_squares(self) -> tuple[TensorField, TensorField, TensorField]:
-        """See ``torsion_square_terms``."""
-        return self._cached("torsion_squares", lambda: _torsion_squares(self))
-
     def to_json(self) -> dict:
         # the document format keeps a metric slot; no space carries one
         return {"dim": self.dim, "gamma": self.gamma.to_json(), "metric": None}
@@ -199,7 +195,7 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
     and the torsion derivative they are summed with: the products are
     taken from the torsion cut to that order.
     """
-    return s.torsion_squares()
+    return s._cached("torsion_squares", lambda: _torsion_squares(s))
 
 
 def _torsion_squares(s: Space) -> tuple[TensorField, TensorField, TensorField]:

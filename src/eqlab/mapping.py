@@ -36,6 +36,7 @@ from .tensors import (
     tensor_lincomb,
     tensor_neg,
     tensor_sub,
+    tensor_truncate,
 )
 
 
@@ -417,8 +418,7 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
 
     mapping = AG3Mapping(
         psi=psi, sigma=sigma, phi=phi,
-        nu=TensorField.build(dim, (DOWN,),
-                             lambda idx: jet_truncate(nu_high[idx], order)),
+        nu=tensor_truncate(nu_high, order),
         mu=jet_truncate(mu_high, order),
         kind=kind)
     return MappedPair.build(source, mapping)

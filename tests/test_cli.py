@@ -391,9 +391,10 @@ class TestCliVerify:
             capsys, "verify", "--instance", str(path),
             "--corrupt", "psi-sign")
         if order == 0:
-            for code, err in ((code, err), (corrupt_code, corrupt_err)):
-                assert code == 2
-                assert err.splitlines() == [
+            for exit_code, stderr in ((code, err),
+                                      (corrupt_code, corrupt_err)):
+                assert exit_code == 2
+                assert stderr.splitlines() == [
                     "eqlab: cannot differentiate an order-0 jet"]
             return
         assert (code, err) == (0, "")

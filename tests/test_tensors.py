@@ -36,6 +36,7 @@ from eqlab.tensors import (
     tensor_neg,
     tensor_scale,
     tensor_sub,
+    tensor_truncate,
     transpose,
 )
 
@@ -300,3 +301,21 @@ def test_field_leibniz(t, k):
                     [jet_mul(jet_partial(x, k), c) for c in t.components]),
         tensor_scale(x, partial_deriv_field(t, k)))
     assert lhs == rhs
+
+
+@settings(max_examples=50)
+@given(tensor_field_pairs(), st.integers(0, 3))
+def test_truncate_commutes_with_products(ab, order):
+    """Cutting the factors to an order keeps every coefficient of the
+    product up to that order, which is what lets a builder take its
+    products at the order its consumers read."""
+    a, b = ab
+    whole = outer(a, b)
+    cut = tensor_truncate(whole, order)
+    assert cut == outer(tensor_truncate(a, order), tensor_truncate(b, order))
+    assert cut.order == min(order, whole.order)
+    for full_jet, cut_jet in zip(whole.components, cut.components):
+        assert cut_jet.coeffs == {alpha: c for alpha, c in full_jet.coeffs.items()
+                                  if sum(alpha) <= order}
+    if order >= a.order:
+        assert tensor_truncate(a, order) is a
