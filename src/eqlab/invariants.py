@@ -511,11 +511,12 @@ class InvariantBundle:
     two bundles, one per side, so its routes never share a cached object.
 
     ``order`` is the order the bundle's products are taken at, handed to
-    ``_Parts``; every value comes out at most at that order and equals the
-    full-order value cut to it.  A check whose residuals hold a derivative
-    reads them one order below the data, so it builds its bundles there;
-    ``None`` keeps the data's order, as the module functions do.
-    Derivatives (of sigma, of the trace) read the uncut fields.
+    ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
+    comes out at that order or lower and equals the full-order value cut
+    to it.  A check whose residuals hold a derivative reads them one order
+    below the data, so it builds its bundles there; ``None`` keeps the
+    data's order, as the module functions do.  Derivatives (of sigma, of
+    the trace) read the uncut fields.
     """
 
     def __init__(self, space: Space, mapping: AG3Mapping,
