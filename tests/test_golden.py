@@ -36,6 +36,8 @@ GOLDEN = (
      "5a304728f52bfcb08362dea9b767a3677fa46ab1c26ab920650ab6ee30d687af"),
     (("verify", "--dim", "4", "--seed", "0"), 0,
      "2e574418f002daf2afbccae3e81b9d186b4440aeae027700c82a4c562b88c2cd"),
+    (("ranks", "--dim", "3", "--seed", "1", "--order", "3"), 0,
+     "f2de22629703beae5b5561c709567ddf23894ae3ffb66efb0730beec7b371153"),
 )
 
 
