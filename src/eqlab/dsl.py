@@ -288,36 +288,6 @@ def parse(src: str, line: int | None = None) -> ExpressionPlan:
     return ExpressionPlan(root, free)
 
 
-def render(plan: ExpressionPlan) -> str:
-    return _render(plan.root)
-
-
-def _render(node) -> str:
-    if isinstance(node, Literal):
-        return str(node.value)
-    if isinstance(node, Ref):
-        return f"{node.name}[{','.join(str(i) for i in node.indices)}]"
-    if isinstance(node, Product):
-        texts = []
-        for factor in node.factors:
-            text = _render(factor)
-            texts.append(f"({text})" if isinstance(factor, Sum) else text)
-        return " * ".join(texts)
-    if isinstance(node, Sum):
-        out = _render_term(node.terms[0][1])
-        for sign, term in node.terms[1:]:
-            out += (" + " if sign > 0 else " - ") + _render_term(term)
-        return out
-    if isinstance(node, Derivative):
-        return f"d({_render(node.operand)}, {node.index})"
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _render_term(node) -> str:
-    text = _render(node)
-    return f"({text})" if isinstance(node, Sum) else text
-
-
 class _Context:
     def __init__(self, bindings: dict, dim: int | None, order: int | None):
         dims = {t.dim for t in bindings.values()}

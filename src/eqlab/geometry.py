@@ -251,13 +251,16 @@ def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,
 
     Each of the five tensors is flattened at the base point on `instances`
     random connections and the concatenated vectors are ranked exactly.
-    Torsion-free draws would be degenerate and are not used.
+    Torsion-free draws would be degenerate and are not used.  The draw is
+    taken at `order`, which keeps the random stream, and then cut to order
+    1: one derivative reaches the base values, and nothing above it does.
     """
     if instances < 1:
         raise ValueError("instances must be at least 1")
     rows: list[list[Fraction]] = [[] for _ in range(5)]
     for trial in range(instances):
-        s = random_connection(dim, order, seed * 1009 + trial)
+        drawn = random_connection(dim, order, seed * 1009 + trial)
+        s = Space(dim, tensor_truncate(drawn.gamma, 1))
         cd = s.torsion_cd()
         tensors = (cd, transpose(cd, (0, 1, 3, 2))) + torsion_square_terms(s)
         for row, tensor in zip(rows, tensors):

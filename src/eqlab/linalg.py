@@ -2,8 +2,9 @@
 
 Two flavors are needed by the rank claims under verification: plain rank
 of a matrix of Fractions, and generic rank of a matrix whose entries are
-rational-coefficient polynomials in a handful of named parameters.  Both
-reduce to fraction-free (Bareiss) elimination on integers: rows are first
+affine in a handful of named parameters, ranked at random rational
+values of them.  Both reduce to fraction-free (Bareiss) elimination on
+integers, the only elimination routine in the package: rows are first
 scaled by the least common multiple of their denominators, which does not
 change the rank, and the elimination then performs exact integer division
 only.
@@ -103,117 +104,22 @@ def rank_exact(m: RationalMatrix) -> int:
     return rank
 
 
-class ParamPoly:
-    """Polynomial with Fraction coefficients over a fixed parameter tuple.
-
-    Terms map exponent tuples (one entry per parameter) to coefficients.
-    """
-
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params: tuple[str, ...],
-                 terms: dict[tuple[int, ...], Fraction] | None = None):
-        clean = {}
-        for expo, c in (terms or {}).items():
-            expo = tuple(expo)
-            if len(expo) != len(params):
-                raise ValueError("exponent length does not match parameter count")
-            c = as_rational(c)
-            if c != 0:
-                clean[expo] = c
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
-
-    @classmethod
-    def constant(cls, params: tuple[str, ...], value: Fraction | int) -> "ParamPoly":
-        return cls(params, {(0,) * len(params): as_rational(value)})
-
-    @classmethod
-    def variable(cls, params: tuple[str, ...], name: str) -> "ParamPoly":
-        k = params.index(name)
-        expo = tuple(1 if i == k else 0 for i in range(len(params)))
-        return cls(params, {expo: Fraction(1)})
-
-    def _require_same_params(self, other: "ParamPoly") -> None:
-        if self.params != other.params:
-            raise ValueError("parameter tuples differ")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.constant(self.params, other)
-        self._require_same_params(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            total = terms.get(expo, Fraction(0)) + c
-            if total:
-                terms[expo] = total
-            else:
-                terms.pop(expo, None)
-        return ParamPoly(self.params, terms)
-
-    def __neg__(self):
-        return ParamPoly(self.params, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.constant(self.params, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.constant(self.params, other)
-        self._require_same_params(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                total = terms.get(expo, Fraction(0)) + c1 * c2
-                if total:
-                    terms[expo] = total
-                else:
-                    del terms[expo]
-        return ParamPoly(self.params, terms)
-
-    __rmul__ = __mul__
-
-    def substitute(self, values: dict[str, Fraction]) -> Fraction:
-        missing = [p for p in self.params if p not in values]
-        if missing:
-            raise ValueError(f"no values for parameters {missing}")
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            term = c
-            for p, e in zip(self.params, expo):
-                if e:
-                    term *= values[p] ** e
-            total += term
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.params, frozenset(self.terms.items())))
-
-
 class ParamMatrix:
-    """Matrix whose entries are ParamPoly values over one parameter tuple."""
+    """Matrix whose entries are affine in a tuple of named parameters.
+
+    Each entry is a tuple: the constant, then one coefficient per
+    parameter, in the order of ``params``.
+    """
 
     __slots__ = ("rows", "cols", "params", "entries")
 
     def __init__(self, rows: int, cols: int, params: tuple[str, ...],
-                 entries: Sequence[ParamPoly]):
-        entries = tuple(entries)
+                 entries: Sequence[Sequence[Fraction | int]]):
+        entries = tuple(tuple(as_rational(c) for c in e) for e in entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if e.params != tuple(params):
-                raise ValueError("entry parameter tuple differs from matrix")
+        if any(len(e) != len(params) + 1 for e in entries):
+            raise ValueError("entry length is not one plus the parameter count")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "params", tuple(params))
@@ -222,13 +128,18 @@ class ParamMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ParamMatrix is immutable")
 
-    def __getitem__(self, pos: tuple[int, int]) -> ParamPoly:
+    def __getitem__(self, pos: tuple[int, int]) -> tuple[Fraction, ...]:
         r, c = pos
         return self.entries[r * self.cols + c]
 
     def substitute(self, values: dict[str, Fraction]) -> RationalMatrix:
-        return RationalMatrix(self.rows, self.cols,
-                              [e.substitute(values) for e in self.entries])
+        missing = [p for p in self.params if p not in values]
+        if missing:
+            raise ValueError(f"no values for parameters {missing}")
+        point = (1, *(values[p] for p in self.params))
+        return RationalMatrix(
+            self.rows, self.cols,
+            [sum(c * x for c, x in zip(e, point) if c) for e in self.entries])
 
 
 def random_substitution(params: Sequence[str], rng: random.Random) -> dict[str, Fraction]:

@@ -240,13 +240,23 @@ class MappedPair:
         """Rejects a target that is not the image of the source.
 
         The deformation is symmetric, so this also implies equal torsion.
-        The image is truncated to the mapping's order, so a source of
-        higher order than its target is rejected first.
+        The image is truncated to the mapping's order, so orders are
+        checked first: both connections share one order o, psi, sigma, nu
+        and mu have order o, and phi, which the basic equation
+        differentiates, has order o or o + 1.
         """
         orders = (self.source.gamma.order, self.target.gamma.order)
         if orders[0] != orders[1]:
             raise ValueError("source and target connections differ in order: "
                              "%d and %d" % orders)
+        o, m = orders[0], self.mapping
+        for name, order in (("psi", m.psi.order), ("sigma", m.sigma.order),
+                            ("nu", m.nu.order), ("mu", m.mu.order),
+                            ("phi", m.phi.order)):
+            allowed = (o, o + 1) if name == "phi" else (o,)
+            if order not in allowed:
+                raise ValueError(f"mapping {name} has order {order}, but the "
+                                 f"connections have order {o}")
         image = transform_connection(self.source, self.mapping)
         if image.gamma != self.target.gamma:
             raise ValueError("target is not the image of the source "

@@ -209,9 +209,7 @@ def tensor_neg(a: TensorField) -> TensorField:
     return tensor_lincomb([(-1, a)])
 
 
-def tensor_scale(c: JetScalar | Fraction | int, a: TensorField) -> TensorField:
-    if isinstance(c, JetScalar):
-        return TensorField(a.dim, a.valence, [jet_mul(c, x) for x in a.components])
+def tensor_scale(c: Fraction | int, a: TensorField) -> TensorField:
     return tensor_lincomb([(c, a)])
 
 

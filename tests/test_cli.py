@@ -405,6 +405,39 @@ class TestCliVerify:
         assert failed == {"W_invariance", "family_invariance",
                           "R_K_transformation"}
 
+    @pytest.mark.parametrize("synth_order, cut_order, fields, message", [
+        (2, 1, ("source", "target"),
+         "mapping psi has order 2, but the connections have order 1"),
+        (3, 2, ("source", "target"),
+         "mapping psi has order 3, but the connections have order 2"),
+        (2, 1, ("source", "target", "psi", "sigma", "nu", "mu"),
+         "mapping phi has order 3, but the connections have order 1"),
+    ], ids=["connections-cut-to-1", "order-3-connections-cut-to-2",
+            "phi-two-orders-above"])
+    def test_mapping_order_must_match_connections(
+            self, capsys, tmp_path, synth_order, cut_order, fields, message):
+        """Connections cut below the mapping data: psi, sigma, nu and mu
+        must share the connections' order o, and phi must have o or o + 1."""
+        def cut(obj):
+            if isinstance(obj, dict):
+                if set(obj) == {"dim", "order", "coeffs"}:
+                    return jet_truncate(JetScalar.from_json(obj),
+                                        cut_order).to_json()
+                return {key: cut(value) for key, value in obj.items()}
+            if isinstance(obj, list):
+                return [cut(value) for value in obj]
+            return obj
+
+        doc = synth_document(2, 1, seed=4, order=synth_order)
+        for name in fields:
+            holder = doc if name in ("source", "target") else doc["mapping"]
+            holder[name] = cut(holder[name])
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"eqlab: {message}"]
+
     def test_grid_label_out_of_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--grid", "9"])

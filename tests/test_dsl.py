@@ -1,4 +1,4 @@
-"""Parsing, index discipline, rendering, and evaluation of the expression DSL."""
+"""Parsing, index discipline, and evaluation of the expression DSL."""
 
 import random
 from fractions import Fraction
@@ -15,7 +15,6 @@ from eqlab.dsl import (
     evaluate,
     parse,
     parse_program,
-    render,
 )
 from eqlab.geometry import curvature_R, random_connection
 from eqlab.harness import evaluate_program_lines
@@ -93,21 +92,6 @@ class TestParse:
     def test_curvature_signature(self):
         plan = parse(CURVATURE_SRC)
         assert [str(i) for i in plan.free] == ["^i", "_j", "_m", "_n"]
-
-
-class TestRender:
-    @pytest.mark.parametrize("src", [
-        "Gamma[^i,_j,_k]",
-        "1/2 * T[^i] + 3 * S[^i]",
-        "(A[^i] + B[^i]) * C[_i]",
-        "d(Gamma[^i,_j,_m],_n) - d(Gamma[^i,_j,_n],_m)",
-        "d(A[^i] + B[^i], _j)",
-        CURVATURE_SRC,
-    ])
-    def test_round_trip(self, src: str):
-        plan = parse(src)
-        again = parse(render(plan))
-        assert again == plan
 
 
 class TestEvaluate:

@@ -23,7 +23,6 @@ from eqlab.invariants import (
     sigma_p,
     torsion_cd_difference_check,
 )
-import eqlab.invariants as invariants_module
 from eqlab.jets import JetScalar, jet_add, jet_mul, jet_scale, jet_sum
 from eqlab.linalg import RationalMatrix, generic_rank, rank_exact
 from eqlab.mapping import AG3Mapping, MappedPair, random_jet, synthesize_instance
@@ -33,6 +32,7 @@ from eqlab.tensors import (
     TensorField,
     flatten_at_base,
     tensor_add,
+    tensor_lincomb,
     tensor_scale,
     tensor_sub,
     tensor_truncate,
@@ -362,14 +362,24 @@ class TestSigmaCoeffMatrix:
         assert {matrix[p, theta] for p in range(8)
                 for theta in range(20)} <= allowed
 
-    def test_corrupted_row_is_reported(self, monkeypatch):
-        broken = {p: dict(row) for p, row in
-                  invariants_module._SIGMA_COEFFS.items()}
-        broken[3][5] = (1, 0)  # spurious U_5 contribution to sigma_3
-        monkeypatch.setattr(invariants_module, "_SIGMA_COEFFS", broken)
-        sigma_coeff_matrix.cache_clear()
-        with pytest.raises(ValueError, match=r"sigma row 3 .*theta \[5\]"):
-            sigma_coeff_matrix(3)
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_table_matches_term_by_term_sigma(self, dim):
+        """The proof of the table behind the matrix.  On a generic
+        instance the twenty U's are independent at the base point, so
+        each sigma has one expansion over them, and it must be the table
+        row.  The term-by-term sigma and the row are both affine in
+        c = 1/(N+1), with coefficients that do not depend on N, so
+        agreement at c = 1/4 and c = 1/5 fixes the table for every N."""
+        bundle = InvariantBundle(random_space(dim, 0, seed=7321 + dim),
+                                 random_mapping(dim, 0, seed=7322 + dim))
+        us = [bundle.u_tensor(theta) for theta in range(1, 21)]
+        flat = RationalMatrix.from_rows([flatten_at_base(u) for u in us])
+        assert rank_exact(flat) == 20
+        matrix = sigma_coeff_matrix(dim)
+        for p in range(1, 9):
+            expansion = tensor_lincomb(
+                [(matrix[p - 1, theta], u) for theta, u in enumerate(us)])
+            assert bundle.sigma(p) == expansion, f"sigma row {p}"
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from eqlab.linalg import (
     ParamMatrix,
-    ParamPoly,
     RationalMatrix,
     generic_rank,
     rank_exact,
@@ -102,35 +101,27 @@ def test_rank_invariant_under_column_permutation(pair):
     assert rank_exact(permuted) == rank_exact(m)
 
 
-def _uv_matrix():
-    params = ("u", "v")
-    u = ParamPoly.variable(params, "u")
-    zero = ParamPoly.constant(params, 0)
-    return params, u, zero
+# affine entries: (constant, coefficient of each parameter)
+U, V, ZERO = (0, 1, 0), (0, 0, 1), (0, 0, 0)
 
 
 class TestGenericRank:
     def test_diagonal_parameter(self):
-        params, u, zero = _uv_matrix()
-        m = ParamMatrix(2, 2, params, [u, zero, zero, u])
+        m = ParamMatrix(2, 2, ("u", "v"), [U, ZERO, ZERO, U])
         assert generic_rank(m, trials=3, seed=1) == 2
 
     def test_identical_rows(self):
-        params, u, zero = _uv_matrix()
-        m = ParamMatrix(2, 2, params, [u, u, u, u])
+        m = ParamMatrix(2, 2, ("u", "v"), [U, U, U, U])
         assert generic_rank(m, trials=3, seed=1) == 1
 
     def test_trials_must_be_positive(self):
-        params, u, zero = _uv_matrix()
-        m = ParamMatrix(1, 1, params, [u])
+        m = ParamMatrix(1, 1, ("u", "v"), [U])
         with pytest.raises(ValueError):
             generic_rank(m, trials=0)
 
     def test_monotone_in_trials_and_bounds_single_substitution(self):
-        params = ("u",)
-        u = ParamPoly.variable(params, "u")
-        one = ParamPoly.constant(params, 1)
-        m = ParamMatrix(2, 2, params, [u, one, one, u])
+        u, one = (0, 1), (1, 0)
+        m = ParamMatrix(2, 2, ("u",), [u, one, one, u])
         r1 = generic_rank(m, trials=1, seed=3)
         r10 = generic_rank(m, trials=10, seed=3)
         assert r1 <= r10 == 2
@@ -138,24 +129,22 @@ class TestGenericRank:
         assert r10 >= single
 
     def test_substitution_determinism(self):
-        params = ("u", "v")
-        u = ParamPoly.variable(params, "u")
-        v = ParamPoly.variable(params, "v")
-        m = ParamMatrix(2, 2, params, [u, v, v, u])
+        m = ParamMatrix(2, 2, ("u", "v"), [U, V, V, U])
         assert generic_rank(m, trials=4, seed=9) == generic_rank(m, trials=4, seed=9)
 
 
-class TestParamPoly:
-    def test_arithmetic_and_substitution(self):
-        params = ("u", "v")
-        u = ParamPoly.variable(params, "u")
-        v = ParamPoly.variable(params, "v")
-        p = (u + v) * (u - v)
-        values = {"u": F(3, 2), "v": F(1, 2)}
-        assert p.substitute(values) == F(9, 4) - F(1, 4)
+class TestParamMatrix:
+    def test_affine_substitution(self):
+        m = ParamMatrix(1, 2, ("u", "v"), [(F(1, 2), 3, -1), (0, 0, 2)])
+        values = {"u": F(3, 2), "v": F(1, 3)}
+        assert m.substitute(values).row(0) == [F(1, 2) + F(9, 2) - F(1, 3),
+                                               F(2, 3)]
 
     def test_missing_parameter_value(self):
-        params = ("u",)
-        u = ParamPoly.variable(params, "u")
-        with pytest.raises(ValueError):
-            u.substitute({})
+        m = ParamMatrix(1, 1, ("u",), [(0, 1)])
+        with pytest.raises(ValueError, match="no values"):
+            m.substitute({})
+
+    def test_entry_length_checked(self):
+        with pytest.raises(ValueError, match="entry length"):
+            ParamMatrix(1, 1, ("u", "v"), [(0, 1)])

@@ -294,12 +294,14 @@ def test_contract_outer_matches_loop(ab):
 def test_field_leibniz(t, k):
     k = k % t.dim
     x = JetScalar.coordinate(t.dim, 2, k)
-    scaled = tensor_scale(x, t)
-    lhs = partial_deriv_field(scaled, k)
-    rhs = tensor_add(
-        TensorField(t.dim, t.valence,
-                    [jet_mul(jet_partial(x, k), c) for c in t.components]),
-        tensor_scale(x, partial_deriv_field(t, k)))
+
+    def times(f, field):
+        return TensorField(field.dim, field.valence,
+                           [jet_mul(f, c) for c in field.components])
+
+    lhs = partial_deriv_field(times(x, t), k)
+    rhs = tensor_add(times(jet_partial(x, k), t),
+                     times(x, partial_deriv_field(t, k)))
     assert lhs == rhs
 
 
