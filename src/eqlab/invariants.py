@@ -10,11 +10,11 @@ objects and the checks that compare a source bundle with an independent
 target bundle built on the inverse mapping data.
 
 Checks never reuse a formula across the two routes they compare: the
-sigma combinations are coded term by term, apart from the coefficient
-table that writes each of them over the U basis (the test suite
-reconciles the two), the m/n swap of the q term is an index transposition
-of a fresh evaluation, and barred objects are always recomputed in the
-target space.
+sigma combinations are coded term by term, independently of the
+coefficient table that writes them over the U basis (the test suite
+reconciles the two); the m/n swap of the q term is an index
+transposition of a fresh evaluation; and barred objects are always
+recomputed in the target space.
 """
 
 from __future__ import annotations
@@ -352,6 +352,7 @@ _SWAP_POSITION = (1, 0, 3, 2, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13, 15, 14, 17,
                   16, 19, 18)
 _SWAP_NEGATED = frozenset({7, 13})
 
+
 @cache
 def sigma_coeff_matrix(N: int) -> RationalMatrix:
     """The 8 x 20 coefficient matrix expressing each sigma over the U basis.
@@ -654,7 +655,8 @@ def build_W_matrix(N: int) -> ParamMatrix:
          for pos in range(20)]
         for row in plain
     ]
-    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w)
+    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w); each
+    # row ends in the five bare parameters
     bare = [tuple(int(k == slot) for k in range(6)) for slot in range(1, 6)]
     entries = []
     for p in range(8):

@@ -35,6 +35,17 @@ CURVATURE_SRC = (
     " - GammaSym[^a,_j,_n]*GammaSym[^i,_a,_m]\n")
 
 
+def cut_jets(obj, order: int):
+    """A copy of a JSON document with every jet truncated to ``order``."""
+    if isinstance(obj, dict):
+        if set(obj) == {"dim", "order", "coeffs"}:
+            return jet_truncate(JetScalar.from_json(obj), order).to_json()
+        return {key: cut_jets(value, order) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [cut_jets(value, order) for value in obj]
+    return obj
+
+
 @pytest.fixture(scope="module")
 def pair21():
     return synthesize_instance(2, 1, seed=1)
@@ -374,18 +385,9 @@ class TestCliVerify:
         """Every jet of a stored pair cut to order 1: the checks read their
         residuals at order 0 and still tell the negative control apart.
         Cut to order 0, no derivative is left: a usage error."""
-        def cut(obj):
-            if isinstance(obj, dict):
-                if set(obj) == {"dim", "order", "coeffs"}:
-                    return jet_truncate(JetScalar.from_json(obj),
-                                        order).to_json()
-                return {key: cut(value) for key, value in obj.items()}
-            if isinstance(obj, list):
-                return [cut(value) for value in obj]
-            return obj
-
         path = tmp_path / f"order{order}.json"
-        path.write_text(json.dumps(cut(synth_document(2, 1, seed=4))))
+        path.write_text(json.dumps(cut_jets(synth_document(2, 1, seed=4),
+                                            order)))
         code, out, err = run_cli(capsys, "verify", "--instance", str(path))
         corrupt_code, corrupt_out, corrupt_err = run_cli(
             capsys, "verify", "--instance", str(path),
@@ -418,20 +420,10 @@ class TestCliVerify:
             self, capsys, tmp_path, synth_order, cut_order, fields, message):
         """Connections cut below the mapping data: psi, sigma, nu and mu
         must share the connections' order o, and phi must have o or o + 1."""
-        def cut(obj):
-            if isinstance(obj, dict):
-                if set(obj) == {"dim", "order", "coeffs"}:
-                    return jet_truncate(JetScalar.from_json(obj),
-                                        cut_order).to_json()
-                return {key: cut(value) for key, value in obj.items()}
-            if isinstance(obj, list):
-                return [cut(value) for value in obj]
-            return obj
-
         doc = synth_document(2, 1, seed=4, order=synth_order)
         for name in fields:
             holder = doc if name in ("source", "target") else doc["mapping"]
-            holder[name] = cut(holder[name])
+            holder[name] = cut_jets(holder[name], cut_order)
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--instance", str(path))
