@@ -96,16 +96,16 @@ class Space:
                    TensorField.from_json(obj["gamma"]))
 
 
-def _cov_deriv(a: TensorField, conn: TensorField,
-               up_index, down_index) -> TensorField:
+def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:
     """Shared skeleton: comma derivative plus one correction per slot.
 
-    up_index(i, alpha, k) and down_index(slot_index, alpha, k) give the
-    index of the coefficient of ``conn`` multiplying a with the slot
-    replaced by alpha, for derivative direction k.  The derivative
-    direction becomes a trailing covariant slot.  The comma derivative
-    reads the whole of a and leaves order a.order - 1, so the correction
-    products are taken from a and conn cut to that order.
+    For derivative direction k, an up slot i of a is corrected by
+    ``conn[i, alpha, k]`` times a with that slot replaced by alpha, and a
+    down slot j by ``-conn[alpha, j, k]``: the derivative direction meets
+    the last lower slot of ``conn``.  The derivative direction becomes a
+    trailing covariant slot.  The comma derivative reads the whole of a
+    and leaves order a.order - 1, so the correction products are taken
+    from a and conn cut to that order.
     """
     dim, rank = a.dim, a.rank
     out_valence = a.valence + (DOWN,)
@@ -125,9 +125,9 @@ def _cov_deriv(a: TensorField, conn: TensorField,
                 if value.is_zero():
                     continue
                 if a.valence[t] == UP:
-                    coeff = conn[up_index(base_idx[t], alpha, k)]
+                    coeff = conn[base_idx[t], alpha, k]
                 else:
-                    coeff = jet_neg(conn[down_index(base_idx[t], alpha, k)])
+                    coeff = jet_neg(conn[alpha, base_idx[t], k])
                 total = jet_add(total, jet_mul(coeff, value))
         return total
 
@@ -142,9 +142,7 @@ def cov_deriv_assoc(a: TensorField, s: Space) -> TensorField:
     connection trace are handled by treating them formally as fields of
     their apparent valence.
     """
-    return _cov_deriv(a, s.sym(),
-                      up_index=lambda i, alpha, k: (i, alpha, k),
-                      down_index=lambda j, alpha, k: (alpha, j, k))
+    return _cov_deriv(a, s.sym())
 
 
 def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
@@ -155,13 +153,9 @@ def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
     down slots, kind 2 the transposed pair.
     """
     if kind == 1:
-        return _cov_deriv(a, s.gamma,
-                          up_index=lambda i, alpha, k: (i, alpha, k),
-                          down_index=lambda j, alpha, k: (alpha, j, k))
+        return _cov_deriv(a, s.gamma)
     if kind == 2:
-        return _cov_deriv(a, s.gamma,
-                          up_index=lambda i, alpha, k: (i, k, alpha),
-                          down_index=lambda j, alpha, k: (alpha, k, j))
+        return _cov_deriv(a, transpose(s.gamma, (0, 2, 1)))
     raise ValueError(f"kind must be 1 or 2, got {kind}")
 
 

@@ -9,12 +9,12 @@ choices.  The module also carries the exact rank analyses over those
 objects and the checks that compare a source bundle with an independent
 target bundle built on the inverse mapping data.
 
-Checks never reuse a formula across the two routes they compare: the
-sigma combinations are coded term by term, independently of the
-coefficient table that writes them over the U basis (the test suite
-reconciles the two); the m/n swap of the q term is an index
-transposition of a fresh evaluation; and barred objects are always
-recomputed in the target space.
+Each sigma combination is read off the U basis through one coefficient
+table, ``_SIGMA_COEFFS``; the test suite proves every row of it against
+the paper's term-by-term definition of sigma_p.  The m/n swap of the q
+term is an index transposition of a fresh evaluation, and barred objects
+are always recomputed in the target space, so the two routes of a check
+never share a cached object.
 """
 
 from __future__ import annotations
@@ -117,7 +117,10 @@ def _check_label(name: str, value: int) -> None:
 
 
 class _Parts:
-    """Derivative-free contractions shared by the U, sigma and W builders.
+    """Derivative-free contractions shared by the U and W builders.
+
+    The sigma combinations are sums of U's, so they read these fields
+    only through the U builder.
 
     Works at ``order``: its six inputs (torsion, symmetric part, trace,
     sigma, phi, sigma phi) are cut to it first, so every product built
@@ -224,108 +227,6 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     raise ValueError(f"theta must be between 1 and 20, got {theta}")
 
 
-def _sigma_component(parts: _Parts, p: int, c: Fraction,
-                     idx: tuple[int, ...]) -> JetScalar:
-    """Term-by-term transcription of the p-th sigma definition."""
-    dim = parts.dim
-    t, sym = parts.torsion, parts.sym
-    trace, sigma, phi = parts.trace, parts.sigma, parts.phi
-    sigma_phi = parts.sigma_phi
-    i, j, m, n = idx
-
-    def first_mid():
-        # Gamma^a_{v jm} Gamma^i_{_an}
-        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
-
-    def mid_contr():
-        # Gamma^i_{v am} Gamma^a_{_jn}
-        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
-
-    def last_contr():
-        # Gamma^i_{v ja} Gamma^a_{_mn}
-        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
-
-    def phi_tail():
-        # Gamma^a_{v jm} phi^i sigma_{an}
-        return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
-
-    def delta_n(field_value):
-        return field_value if i == n else JetScalar.zero(dim, field_value.order)
-
-    if p == 1:
-        total = first_mid()
-        total = jet_add(total, jet_neg(mid_contr()))
-        return jet_add(total, jet_neg(last_contr()))
-    if p == 2:
-        total = first_mid()
-        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
-        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
-        traces = jet_add(jet_scale(2, jet_mul(t[i, j, m], trace[n])),
-                         jet_add(jet_mul(t[i, j, n], trace[m]),
-                                 jet_neg(jet_mul(t[i, m, n], trace[j]))))
-        total = jet_add(total, jet_scale(-c, traces))
-        mixed = jet_add(jet_scale(2, jet_mul(t[i, j, m], sigma_phi[n])),
-                        jet_add(jet_mul(t[i, j, n], sigma_phi[m]),
-                                jet_neg(jet_mul(t[i, m, n], sigma_phi[j]))))
-        return jet_add(total, jet_scale(-c, mixed))
-    if p == 3:
-        total = jet_add(first_mid(), jet_neg(mid_contr()))
-        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
-        inner = jet_add(jet_add(jet_mul(t[i, j, m], trace[n]),
-                                jet_mul(t[i, j, n], trace[m])),
-                        jet_add(jet_mul(t[i, j, m], sigma_phi[n]),
-                                jet_mul(t[i, j, n], sigma_phi[m])))
-        return jet_add(total, jet_scale(-c, inner))
-    if p == 4:
-        total = jet_add(first_mid(), jet_neg(last_contr()))
-        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
-        inner = jet_add(jet_add(jet_mul(t[i, j, m], trace[n]),
-                                jet_neg(jet_mul(t[i, m, n], trace[j]))),
-                        jet_add(jet_mul(t[i, j, m], sigma_phi[n]),
-                                jet_neg(jet_mul(t[i, m, n], sigma_phi[j]))))
-        return jet_add(total, jet_scale(-c, inner))
-    if p == 5:
-        total = jet_neg(phi_tail())
-        total = jet_add(total, jet_neg(mid_contr()))
-        total = jet_add(total, jet_neg(last_contr()))
-        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
-                                jet_mul(t[i, j, m], trace[n])),
-                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
-                                jet_mul(t[i, j, m], sigma_phi[n])))
-        return jet_add(total, jet_scale(c, inner))
-    if p == 6:
-        total = jet_neg(phi_tail())
-        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
-        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
-        traces = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
-                                 jet_neg(jet_mul(t[i, j, m], trace[n]))),
-                         jet_add(jet_neg(jet_mul(t[i, j, n], trace[m])),
-                                 jet_mul(t[i, m, n], trace[j])))
-        total = jet_add(total, jet_scale(c, traces))
-        mixed = jet_add(jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
-                                jet_neg(jet_mul(t[i, j, m], sigma_phi[n]))),
-                        jet_add(jet_neg(jet_mul(t[i, j, n], sigma_phi[m])),
-                                jet_mul(t[i, m, n], sigma_phi[j])))
-        return jet_add(total, jet_scale(c, mixed))
-    if p == 7:
-        total = jet_add(jet_neg(phi_tail()), jet_neg(mid_contr()))
-        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
-        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
-                                jet_neg(jet_mul(t[i, j, n], trace[m]))),
-                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
-                                jet_neg(jet_mul(t[i, j, n], sigma_phi[m]))))
-        return jet_add(total, jet_scale(c, inner))
-    if p == 8:
-        total = jet_add(jet_neg(phi_tail()), jet_neg(last_contr()))
-        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
-        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
-                                jet_mul(t[i, m, n], trace[j])),
-                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
-                                jet_mul(t[i, m, n], sigma_phi[j])))
-        return jet_add(total, jet_scale(c, inner))
-    raise ValueError(f"p must be between 1 and 8, got {p}")
-
-
 # Coefficient of U_theta in sigma_p, encoded as (integer part, multiple of
 # 1/(N+1)).  Row order p = 1..8, keys are theta.
 _SIGMA_COEFFS: dict[int, dict[int, tuple[int, int]]] = {
@@ -430,7 +331,9 @@ class InvariantBundle:
     """The invariant objects of one (space, mapping) side, each built once.
 
     The only builder of U, sigma, eta, W and T-tilde, all read off one
-    lazily built ``_Parts``.  What is read more than once is kept (parts,
+    lazily built ``_Parts``: U, eta and W directly, sigma as the U
+    combination of its table row, T-tilde as the torsion derivative less
+    a sigma.  What is read more than once is kept (parts,
     U, sigma, swapped sigma, eta, W, the W correction, K); T-tilde is
     rebuilt per request.  ``family`` still keeps each member it builds in
     ``families``, though no check reads a member twice: the invariance
@@ -566,11 +469,12 @@ class InvariantBundle:
 
     @_kept
     def sigma(self, p: int) -> TensorField:
-        """The p-th sigma combination, slots (i, j, m, n)."""
-        parts = self.parts()
-        c = Fraction(1, parts.dim + 1)
-        return TensorField.build(parts.dim, W_VALENCE,
-                                 lambda idx: _sigma_component(parts, p, c, idx))
+        """The p-th sigma combination, slots (i, j, m, n): row p of the
+        coefficient table over the kept U tensors."""
+        _check_label("p", p)
+        coeffs = sigma_coeff_matrix(self.space.dim).row(p - 1)
+        return tensor_lincomb([(c, self.u_tensor(theta))
+                               for theta, c in enumerate(coeffs, start=1) if c])
 
     @_kept
     def sigma_swapped(self, q: int) -> TensorField:
@@ -581,13 +485,9 @@ class InvariantBundle:
         return curvature_K(self.space, u, up, v, vp, w)
 
     def t_tilde(self, rho: int) -> TensorField:
-        """Torsion derivative minus the rho-th U expansion; not kept."""
+        """Torsion derivative minus the rho-th sigma; not kept."""
         _check_label("rho", rho)
-        coeffs = sigma_coeff_matrix(self.space.dim).row(rho - 1)
-        return tensor_lincomb(
-            [(1, self.space.torsion_cd())]
-            + [(-c, self.u_tensor(theta))
-               for theta, c in enumerate(coeffs, start=1) if c])
+        return tensor_sub(self.space.torsion_cd(), self.sigma(rho))
 
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
         _check_which(which)

@@ -26,8 +26,6 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 
 class DimensionMismatchError(ValueError):
     """Operands disagree on the number of coordinates."""

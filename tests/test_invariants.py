@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from eqlab.geometry import GAMMA_VALENCE, Space, torsion_square_terms, curvature_K
-from eqlab.harness import corrupted_inverse, family_invariance_check
+from eqlab.harness import (
+    corrupted_inverse,
+    family_invariance_check,
+    verify_instance,
+)
 from eqlab.invariants import (
     PARAM_NAMES,
     InvariantBundle,
+    _Parts,
+    _SIGMA_COEFFS,
     R_and_K_transformation_check,
     T_tilde,
     U_theta,
@@ -23,7 +29,14 @@ from eqlab.invariants import (
     sigma_p,
     torsion_cd_difference_check,
 )
-from eqlab.jets import JetScalar, jet_add, jet_mul, jet_scale, jet_sum
+from eqlab.jets import (
+    JetScalar,
+    jet_add,
+    jet_mul,
+    jet_neg,
+    jet_scale,
+    jet_sum,
+)
 from eqlab.linalg import RationalMatrix, generic_rank, rank_exact
 from eqlab.mapping import AG3Mapping, MappedPair, random_jet, synthesize_instance
 from eqlab.tensors import (
@@ -57,6 +70,118 @@ def swap_row(row: list[Fraction]) -> list[Fraction]:
     for theta in SWAP_NEGATED:
         out[theta - 1] = -row[theta - 1]
     return out
+
+
+# The term-by-term definitions of the eight sigma combinations, the
+# reference the coefficient table over the U basis is proved against.
+def _sigma_component(parts: _Parts, p: int, c: Fraction,
+                     idx: tuple[int, ...]) -> JetScalar:
+    """Term-by-term transcription of the p-th sigma definition."""
+    dim = parts.dim
+    t, sym = parts.torsion, parts.sym
+    trace, sigma, phi = parts.trace, parts.sigma, parts.phi
+    sigma_phi = parts.sigma_phi
+    i, j, m, n = idx
+
+    def first_mid():
+        # Gamma^a_{v jm} Gamma^i_{_an}
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+
+    def mid_contr():
+        # Gamma^i_{v am} Gamma^a_{_jn}
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+
+    def last_contr():
+        # Gamma^i_{v ja} Gamma^a_{_mn}
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+
+    def phi_tail():
+        # Gamma^a_{v jm} phi^i sigma_{an}
+        return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
+
+    def delta_n(field_value):
+        return field_value if i == n else JetScalar.zero(dim, field_value.order)
+
+    if p == 1:
+        total = first_mid()
+        total = jet_add(total, jet_neg(mid_contr()))
+        return jet_add(total, jet_neg(last_contr()))
+    if p == 2:
+        total = first_mid()
+        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
+        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
+        traces = jet_add(jet_scale(2, jet_mul(t[i, j, m], trace[n])),
+                         jet_add(jet_mul(t[i, j, n], trace[m]),
+                                 jet_neg(jet_mul(t[i, m, n], trace[j]))))
+        total = jet_add(total, jet_scale(-c, traces))
+        mixed = jet_add(jet_scale(2, jet_mul(t[i, j, m], sigma_phi[n])),
+                        jet_add(jet_mul(t[i, j, n], sigma_phi[m]),
+                                jet_neg(jet_mul(t[i, m, n], sigma_phi[j]))))
+        return jet_add(total, jet_scale(-c, mixed))
+    if p == 3:
+        total = jet_add(first_mid(), jet_neg(mid_contr()))
+        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
+        inner = jet_add(jet_add(jet_mul(t[i, j, m], trace[n]),
+                                jet_mul(t[i, j, n], trace[m])),
+                        jet_add(jet_mul(t[i, j, m], sigma_phi[n]),
+                                jet_mul(t[i, j, n], sigma_phi[m])))
+        return jet_add(total, jet_scale(-c, inner))
+    if p == 4:
+        total = jet_add(first_mid(), jet_neg(last_contr()))
+        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
+        inner = jet_add(jet_add(jet_mul(t[i, j, m], trace[n]),
+                                jet_neg(jet_mul(t[i, m, n], trace[j]))),
+                        jet_add(jet_mul(t[i, j, m], sigma_phi[n]),
+                                jet_neg(jet_mul(t[i, m, n], sigma_phi[j]))))
+        return jet_add(total, jet_scale(-c, inner))
+    if p == 5:
+        total = jet_neg(phi_tail())
+        total = jet_add(total, jet_neg(mid_contr()))
+        total = jet_add(total, jet_neg(last_contr()))
+        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
+                                jet_mul(t[i, j, m], trace[n])),
+                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
+                                jet_mul(t[i, j, m], sigma_phi[n])))
+        return jet_add(total, jet_scale(c, inner))
+    if p == 6:
+        total = jet_neg(phi_tail())
+        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
+        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
+        traces = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
+                                 jet_neg(jet_mul(t[i, j, m], trace[n]))),
+                         jet_add(jet_neg(jet_mul(t[i, j, n], trace[m])),
+                                 jet_mul(t[i, m, n], trace[j])))
+        total = jet_add(total, jet_scale(c, traces))
+        mixed = jet_add(jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
+                                jet_neg(jet_mul(t[i, j, m], sigma_phi[n]))),
+                        jet_add(jet_neg(jet_mul(t[i, j, n], sigma_phi[m])),
+                                jet_mul(t[i, m, n], sigma_phi[j])))
+        return jet_add(total, jet_scale(c, mixed))
+    if p == 7:
+        total = jet_add(jet_neg(phi_tail()), jet_neg(mid_contr()))
+        total = jet_add(total, jet_mul(parts.torsion_phi_last[i, j], sigma[m, n]))
+        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
+                                jet_neg(jet_mul(t[i, j, n], trace[m]))),
+                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
+                                jet_neg(jet_mul(t[i, j, n], sigma_phi[m]))))
+        return jet_add(total, jet_scale(c, inner))
+    if p == 8:
+        total = jet_add(jet_neg(phi_tail()), jet_neg(last_contr()))
+        total = jet_add(total, jet_mul(parts.torsion_phi[i, m], sigma[j, n]))
+        inner = jet_add(jet_add(delta_n(parts.torsion_trace[j, m]),
+                                jet_mul(t[i, m, n], trace[j])),
+                        jet_add(delta_n(parts.torsion_sigma_phi[j, m]),
+                                jet_mul(t[i, m, n], sigma_phi[j])))
+        return jet_add(total, jet_scale(c, inner))
+    raise ValueError(f"p must be between 1 and 8, got {p}")
+
+
+def term_by_term_sigma(bundle: InvariantBundle, p: int) -> TensorField:
+    """The p-th sigma of a bundle, built from its parts term by term."""
+    parts = bundle.parts()
+    c = Fraction(1, parts.dim + 1)
+    return TensorField.build(parts.dim, W_VALENCE,
+                             lambda idx: _sigma_component(parts, p, c, idx))
 
 
 def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
@@ -328,15 +453,10 @@ class TestSigmaP:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_matches_coefficient_row(self, p, pair21):
+        # sigma_p reads the table row; the reference is coded term by term
         s, m = pair21.source, pair21.mapping
-        matrix = sigma_coeff_matrix(s.dim)
-        combo = TensorField.zero(s.dim, W_VALENCE, s.torsion().order)
-        for theta in range(20):
-            coeff = matrix[p - 1, theta]
-            if coeff:
-                combo = tensor_add(combo,
-                                   tensor_scale(coeff, U_theta(s, m, theta + 1)))
-        assert sigma_p(s, m, p) == combo
+        expected = term_by_term_sigma(InvariantBundle(s, m), p)
+        assert sigma_p(s, m, p) == expected
 
     def test_invalid_p(self, pair21):
         with pytest.raises(ValueError, match="p"):
@@ -364,10 +484,11 @@ class TestSigmaCoeffMatrix:
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_table_matches_term_by_term_sigma(self, dim):
-        """The proof of the table behind the matrix.  On a generic
-        instance the twenty U's are independent at the base point, so
-        each sigma has one expansion over them, and it must be the table
-        row.  The term-by-term sigma and the row are both affine in
+        """The proof of the table behind the matrix, and so behind every
+        sigma the program builds.  On a generic instance the twenty U's
+        are independent at the base point, so each sigma has one expansion
+        over them, and ``bundle.sigma`` (the table row over the U's) must
+        equal the term-by-term definition.  Both are affine in
         c = 1/(N+1), with coefficients that do not depend on N, so
         agreement at c = 1/4 and c = 1/5 fixes the table for every N."""
         bundle = InvariantBundle(random_space(dim, 0, seed=7321 + dim),
@@ -375,15 +496,28 @@ class TestSigmaCoeffMatrix:
         us = [bundle.u_tensor(theta) for theta in range(1, 21)]
         flat = RationalMatrix.from_rows([flatten_at_base(u) for u in us])
         assert rank_exact(flat) == 20
-        matrix = sigma_coeff_matrix(dim)
         for p in range(1, 9):
-            expansion = tensor_lincomb(
-                [(matrix[p - 1, theta], u) for theta, u in enumerate(us)])
-            assert bundle.sigma(p) == expansion, f"sigma row {p}"
+            assert bundle.sigma(p) == term_by_term_sigma(bundle, p), \
+                f"sigma row {p}"
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             sigma_coeff_matrix(1)
+
+    def test_run_time_suite_sees_a_corrupted_row(self, monkeypatch, pair31):
+        # every sigma the suite builds is read off the table, so a wrong
+        # row breaks the torsion derivative route as well as T-tilde
+        sigma_coeff_matrix.cache_clear()
+        monkeypatch.setitem(_SIGMA_COEFFS[3], 5, (1, 0))
+        try:
+            reports, _ = verify_instance(pair31, 0, [3], [3], 1)
+        finally:
+            monkeypatch.undo()
+            sigma_coeff_matrix.cache_clear()
+        failed = {(r.check, r.params.get("p", r.params.get("rho")))
+                  for r in reports if not r.passed}
+        assert ("torsion_cd_difference", 3) in failed
+        assert ("T_tilde_invariance", 3) in failed
 
 
 class TestSwapTransport:
