@@ -45,7 +45,6 @@ from eqlab.tensors import (
     TensorField,
     flatten_at_base,
     tensor_add,
-    tensor_lincomb,
     tensor_scale,
     tensor_sub,
     tensor_truncate,
