@@ -40,7 +40,19 @@ GOLDEN = (
      "2e574418f002daf2afbccae3e81b9d186b4440aeae027700c82a4c562b88c2cd"),
     (("ranks", "--dim", "3", "--seed", "1", "--order", "3"), 0,
      "f2de22629703beae5b5561c709567ddf23894ae3ffb66efb0730beec7b371153"),
+    (("verify", "--dim", "3", "--kind", "2", "--order", "3", "--seed", "0",
+      "--grid", "1", "--corrupt", "psi-sign"), 1,
+     "670366a053897dc90be78e89a1e59a00446ea0bd098a7fac14260a2347e5dff4"),
 )
+
+# A product, a repeated-index contraction, a comma derivative and
+# differences, evaluated on a stored order-3 pair.
+EVAL_PROGRAM = """\
+R[^i,_j,_m,_n] = d(GammaSym[^i,_j,_m],_n) - d(GammaSym[^i,_j,_n],_m) \
++ GammaSym[^a,_j,_m]*GammaSym[^i,_a,_n] - GammaSym[^a,_j,_n]*GammaSym[^i,_a,_m]
+D[^i,_j,_k] = BarGammaSym[^i,_j,_k] - GammaSym[^i,_j,_k]
+"""
+EVAL_DIGEST = "c25f4f5c6f9a9ec0c0af51ba06c62b1d3c561cb14be14a008d19d62c01fd4ef5"
 
 
 @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN,
@@ -52,3 +64,16 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, argv, exit_code,
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_eval_report_matches_golden_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("EQLAB_SEED", raising=False)
+    pair, program = tmp_path / "pair.json", tmp_path / "program.eqs"
+    assert main(["synth", "--dim", "3", "--kind", "2", "--order", "3",
+                 "--seed", "1", "--out", str(pair)]) == 0
+    program.write_text(EVAL_PROGRAM, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", str(program), "--instance", str(pair)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_DIGEST
