@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_sum, json_int
+from .jets import (JetScalar, jet_add, jet_mul, jet_neg, jet_sum, json_int,
+                   load_field)
 from .linalg import RationalMatrix, rank_exact
 from .tensors import (
     DOWN,
@@ -93,7 +94,7 @@ class Space:
         if obj.get("metric") is not None:
             raise ValueError("spaces with a metric are not supported")
         return cls(json_int(obj["dim"], "a space dim"),
-                   TensorField.from_json(obj["gamma"]))
+                   load_field("gamma", TensorField.from_json, obj["gamma"]))
 
 
 def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, wraps
+from math import gcd
 
 from .geometry import Space, cov_deriv_assoc, curvature_K
 from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_scale, jet_sum
@@ -97,12 +98,16 @@ def _json_value(value):
 
 
 def _numerator_digits(residuals) -> int:
-    """Decimal length of the largest coefficient numerator, 0 when all vanish."""
+    """Decimal length of the largest coefficient numerator, 0 when all vanish.
+
+    A coefficient is ``n / den`` over the field's shared denominator, so
+    its numerator in lowest terms is ``n // gcd(n, den)``."""
     worst = 0
     for field in residuals:
-        for comp in field.components:
-            for value in comp.coeffs.values():
-                worst = max(worst, len(str(abs(value.numerator))))
+        if not field.is_zero():
+            den = field.den
+            largest = max(abs(n // gcd(n, den)) for n in field.nums if n)
+            worst = max(worst, len(str(largest)))
     return worst
 
 

@@ -60,6 +60,26 @@ def json_int(value, what: str, text: bool = False) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+class FieldError(ValueError):
+    """A document field that does not load, named by its path from the top
+    of the document, for example ``mapping psi``."""
+
+    def __init__(self, path: tuple[str, ...], reason: str):
+        super().__init__(f"{' '.join(path)}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+def load_field(name: str, load, obj):
+    """``load(obj)``, with a ``ValueError`` restated to name the field."""
+    try:
+        return load(obj)
+    except FieldError as exc:
+        raise FieldError((name, *exc.path), exc.reason) from None
+    except ValueError as exc:
+        raise FieldError((name,), str(exc)) from None
+
+
 def basis_size(dim: int, order: int) -> int:
     """Number of monomials in ``dim`` coordinates of total degree <= ``order``."""
     return comb(dim + order, order)

@@ -25,6 +25,7 @@ from .jets import (
     jet_sum,
     jet_truncate,
     json_int,
+    load_field,
     multi_indices,
     value_at_base,
 )
@@ -107,14 +108,11 @@ class AG3Mapping:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AG3Mapping":
-        return cls(
-            psi=TensorField.from_json(obj["psi"]),
-            sigma=TensorField.from_json(obj["sigma"]),
-            phi=TensorField.from_json(obj["phi"]),
-            nu=TensorField.from_json(obj["nu"]),
-            mu=JetScalar.from_json(obj["mu"]),
-            kind=json_int(obj["kind"], "the mapping kind"),
-        )
+        fields = {name: load_field(name, TensorField.from_json, obj[name])
+                  for name in ("psi", "sigma", "phi", "nu")}
+        return cls(**fields,
+                   mu=load_field("mu", JetScalar.from_json, obj["mu"]),
+                   kind=json_int(obj["kind"], "the mapping kind"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AG3Mapping):
@@ -287,9 +285,9 @@ class MappedPair:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MappedPair":
-        pair = cls(Space.from_json(obj["source"]),
-                   AG3Mapping.from_json(obj["mapping"]),
-                   Space.from_json(obj["target"]))
+        pair = cls(load_field("source", Space.from_json, obj["source"]),
+                   load_field("mapping", AG3Mapping.from_json, obj["mapping"]),
+                   load_field("target", Space.from_json, obj["target"]))
         pair.validate()
         return pair
 

@@ -5,27 +5,33 @@ components addressed by a tuple of slot indices, together with a valence
 that records whether each slot is contravariant (``"up"``) or covariant
 (``"down"``).  Slots are identified by 0-based position; index names live
 one layer up, in the expression DSL.
+
+A field stores all its components as one jet would store one: integer
+numerators over one shared denominator, the components' coefficient
+blocks laid end to end in row-major order.  Linear combinations, zero
+tests, slot permutations, contractions, derivatives and truncations
+work on that flat list, with one lcm and one gcd per result; single
+components are read as jet views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from .jets import (
     DimensionMismatchError,
     JetScalar,
+    OrderExhaustedError,
     _jet,
+    _partial_table,
     as_rational,
     basis_size,
     jet_mul,
-    jet_partial,
-    jet_sum,
-    jet_truncate,
     json_int,
-    value_at_base,
 )
 
 UP = "up"
@@ -47,27 +53,45 @@ def _check_valence(valence: Sequence[str]) -> tuple[str, ...]:
 class TensorField:
     """Dense array of jets with a declared slot signature.
 
-    Components are stored row-major over the slot tuple; all components
-    share dim and order.
+    The field is stored as ``(dim, valence, order, den, nums)``: one
+    positive denominator ``den`` and one tuple of integer numerators
+    ``nums``.  ``nums`` holds the components' coefficient blocks, each
+    ``basis_size(dim, order)`` long on the jets' graded basis, in
+    row-major order over the slot tuple, so the coefficient of monomial i
+    in component k is ``nums[k * size + i] / den``.  The form is
+    canonical: ``gcd(den, *nums) == 1``, and the zero field has
+    ``den == 1``, so equal fields have equal storage.
+
+    ``t[idx]`` and ``components`` are views, built on demand: each is a
+    slice of ``nums`` reduced to a canonical :class:`JetScalar`.
+    Instances are immutable.
     """
 
-    __slots__ = ("dim", "valence", "components")
+    __slots__ = ("dim", "valence", "order", "den", "nums")
 
     def __init__(self, dim: int, valence: Sequence[str],
                  components: Sequence[JetScalar]):
         valence = _check_valence(valence)
         components = tuple(components)
+        if dim < 1:
+            raise ValueError(f"tensor dim must be at least 1, got {dim}")
         if len(components) != dim ** len(valence):
             raise ValueError(
                 f"expected {dim ** len(valence)} components, got {len(components)}")
+        order = components[0].order
         for c in components:
             if c.dim != dim:
                 raise DimensionMismatchError("component dim differs from tensor dim")
-            if c.order != components[0].order:
+            if c.order != order:
                 raise ValueError("components must share one truncation order")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "valence", valence)
-        object.__setattr__(self, "components", components)
+        # each jet is canonical, so over the lcm of their denominators the
+        # numerators again have no common factor with it
+        den = lcm(*[c.den for c in components])
+        nums = []
+        for c in components:
+            f = den // c.den
+            nums.extend(c.nums if f == 1 else [f * x for x in c.nums])
+        _set_fields(self, dim, valence, order, den, tuple(nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
@@ -77,23 +101,26 @@ class TensorField:
         return len(self.valence)
 
     @property
-    def order(self) -> int:
-        return self.components[0].order
+    def components(self) -> tuple[JetScalar, ...]:
+        """Every component as a jet view, row-major."""
+        dim, order, den, nums = self.dim, self.order, self.den, self.nums
+        size = basis_size(dim, order)
+        return tuple(_jet(dim, order, den, nums[i:i + size])
+                     for i in range(0, len(nums), size))
 
     def _offset(self, idx: tuple[int, ...]) -> int:
-        if len(idx) != self.rank:
-            raise IndexError(f"expected {self.rank} indices, got {len(idx)}")
-        offset = 0
-        for i in idx:
-            if not 0 <= i < self.dim:
-                raise IndexError(f"index {i} out of range for dim {self.dim}")
-            offset = offset * self.dim + i
+        offset = _offsets(self.dim, len(self.valence)).get(idx)
+        if offset is None:
+            raise _index_error(idx, self.dim, len(self.valence))
         return offset
 
     def __getitem__(self, idx) -> JetScalar:
         if isinstance(idx, int):
             idx = (idx,)
-        return self.components[self._offset(tuple(idx))]
+        dim, order = self.dim, self.order
+        size = basis_size(dim, order)
+        start = self._offset(tuple(idx)) * size
+        return _jet(dim, order, self.den, self.nums[start:start + size])
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return product(range(self.dim), repeat=self.rank)
@@ -102,13 +129,14 @@ class TensorField:
         if not isinstance(other, TensorField):
             return NotImplemented
         return (self.dim == other.dim and self.valence == other.valence
-                and self.components == other.components)
+                and self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.valence, self.components))
+        return hash((self.dim, self.valence, self.order, self.den, self.nums))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not any(self.nums)
 
     def __repr__(self) -> str:
         sig = ",".join("^" if v == UP else "_" for v in self.valence)
@@ -155,6 +183,58 @@ class TensorField:
                    [JetScalar.from_json(c) for c in obj["components"]])
 
 
+# Slot setters: the trusted constructor writes past the immutability guard.
+_SETTERS = tuple(getattr(TensorField, name).__set__
+                 for name in TensorField.__slots__)
+_new_field = object.__new__
+
+
+def _set_fields(t: TensorField, *values) -> None:
+    for setter, value in zip(_SETTERS, values):
+        setter(t, value)
+
+
+def _field(dim: int, valence: tuple[str, ...], order: int, den: int,
+           nums) -> TensorField:
+    """Trusted constructor: ``nums`` holds ``dim ** rank`` blocks of the
+    order's basis size and ``den > 0``.
+
+    Divides out ``gcd(den, *nums)``, which leaves the canonical form.
+    """
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    t = _new_field(TensorField)
+    _set_fields(t, dim, valence, order, den, tuple(nums))
+    return t
+
+
+@cache
+def _offsets(dim: int, rank: int) -> dict[tuple[int, ...], int]:
+    """Row-major block offset of every index tuple of the slot shape."""
+    return {idx: k for k, idx in enumerate(product(range(dim), repeat=rank))}
+
+
+def _index_error(idx: tuple, dim: int, rank: int) -> IndexError:
+    if len(idx) != rank:
+        return IndexError(f"expected {rank} indices, got {len(idx)}")
+    for i in idx:
+        if not 0 <= i < dim:
+            return IndexError(f"index {i} out of range for dim {dim}")
+    return IndexError(f"index {idx!r} is not a tuple of ints")
+
+
+def _cut(a: TensorField, order: int):
+    """``a``'s numerators with every block cut to the basis of ``order``."""
+    size, keep = basis_size(a.dim, a.order), basis_size(a.dim, order)
+    nums = a.nums
+    if keep == size:
+        return nums
+    return [x for start in range(0, len(nums), size)
+            for x in nums[start:start + keep]]
+
+
 def _require_same_shape(a: TensorField, b: TensorField) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"tensor dims differ: {a.dim} vs {b.dim}")
@@ -168,8 +248,8 @@ def tensor_lincomb(terms: Sequence[tuple[Fraction | int, TensorField]],
     """The sum of c * T over ``(rational c, tensor T)`` pairs, at the lowest
     order among the terms whose c is nonzero (among all when none is).
 
-    Each component sums integer numerators over one common denominator
-    and is reduced once, the dense linear combination of truncated Taylor
+    Sums the flat numerator lists over one common denominator in one pass
+    and reduces once, the dense linear combination of truncated Taylor
     series (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
     """
     terms = [(as_rational(c), t) for c, t in terms]
@@ -181,20 +261,15 @@ def tensor_lincomb(terms: Sequence[tuple[Fraction | int, TensorField]],
     live = [(c, t) for c, t in terms if c] or terms
     if len(live) == 1 and live[0][0] == 1:
         return live[0][1]
-    dim = first.dim
     order = min(t.order for _, t in live)
-    size = basis_size(dim, order)
-    scales = [(c.numerator, c.denominator) for c, _ in live]
-    components = []
-    for jets in zip(*(t.components for _, t in live)):
-        den = lcm(*[cd * j.den for (_, cd), j in zip(scales, jets)])
-        nums = [0] * size
-        for (cn, cd), j in zip(scales, jets):
-            f = cn * (den // (cd * j.den))
-            # zip stops at the basis prefix of the result's order
-            nums = [x + f * y for x, y in zip(nums, j.nums)]
-        components.append(_jet(dim, order, den, nums))
-    return TensorField(dim, first.valence, components)
+    den = lcm(*[c.denominator * t.den for c, t in live])
+    nums = None
+    for c, t in live:
+        f = c.numerator * (den // (c.denominator * t.den))
+        src = _cut(t, order)
+        nums = ([f * y for y in src] if nums is None
+                else [x + f * y for x, y in zip(nums, src)])
+    return _field(first.dim, first.valence, order, den, nums)
 
 
 def tensor_add(a: TensorField, b: TensorField) -> TensorField:
@@ -220,6 +295,22 @@ def outer(a: TensorField, b: TensorField) -> TensorField:
     return TensorField(a.dim, a.valence + b.valence, comps)
 
 
+@cache
+def _contract_sources(dim: int, rank: int, slot_up: int,
+                      slot_down: int) -> tuple[tuple[int, ...], ...]:
+    """For each output block, row-major, the input blocks it sums."""
+    offsets = _offsets(dim, rank)
+    keep = [t for t in range(rank) if t not in (slot_up, slot_down)]
+    sources = []
+    for out_idx in product(range(dim), repeat=len(keep)):
+        kept = dict(zip(keep, out_idx))
+        # every slot not kept is one of the two contracted ones
+        sources.append(tuple(
+            offsets[tuple(kept.get(t, alpha) for t in range(rank))]
+            for alpha in range(dim)))
+    return tuple(sources)
+
+
 def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
     """Sum over a shared range of one contravariant and one covariant slot."""
     if slot_up == slot_down:
@@ -228,17 +319,23 @@ def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
         raise ValenceMismatchError(f"slot {slot_up} is not contravariant")
     if a.valence[slot_down] != DOWN:
         raise ValenceMismatchError(f"slot {slot_down} is not covariant")
-    dim = a.dim
-    keep = [t for t in range(a.rank) if t not in (slot_up, slot_down)]
-    out_valence = tuple(a.valence[t] for t in keep)
+    slot_up, slot_down = slot_up % a.rank, slot_down % a.rank
+    out_valence = tuple(v for t, v in enumerate(a.valence)
+                        if t not in (slot_up, slot_down))
+    size, nums = basis_size(a.dim, a.order), a.nums
+    out = []
+    for sources in _contract_sources(a.dim, a.rank, slot_up, slot_down):
+        out.extend(map(sum, zip(*[nums[k * size:(k + 1) * size]
+                                  for k in sources])))
+    return _field(a.dim, out_valence, a.order, a.den, out)
 
-    def component(out_idx: tuple[int, ...]) -> JetScalar:
-        kept = dict(zip(keep, out_idx))
-        # every slot not kept is one of the two contracted ones
-        return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
-                       for alpha in range(dim))
 
-    return TensorField.build(dim, out_valence, component)
+@cache
+def _transpose_sources(dim: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """For each output block, row-major, the input block it copies."""
+    offsets = _offsets(dim, len(perm))
+    return tuple(offsets[tuple(idx[perm.index(t)] for t in range(len(perm)))]
+                 for idx in product(range(dim), repeat=len(perm)))
 
 
 def transpose(a: TensorField, perm: Sequence[int]) -> TensorField:
@@ -247,9 +344,11 @@ def transpose(a: TensorField, perm: Sequence[int]) -> TensorField:
     if sorted(perm) != list(range(a.rank)):
         raise ValueError(f"perm {perm!r} is not a permutation of the slots")
     valence = tuple(a.valence[p] for p in perm)
-    return TensorField.build(
-        a.dim, valence,
-        lambda idx: a[tuple(idx[perm.index(t)] for t in range(a.rank))])
+    size, nums = basis_size(a.dim, a.order), a.nums
+    out = []
+    for k in _transpose_sources(a.dim, perm):
+        out.extend(nums[k * size:(k + 1) * size])
+    return _field(a.dim, valence, a.order, a.den, out)
 
 
 def _swapped(a: TensorField, s1: int, s2: int) -> TensorField:
@@ -290,7 +389,15 @@ def partial_deriv_field(a: TensorField, k: int) -> TensorField:
     The result is not a tensor under coordinate change; callers that need
     a tensorial derivative go through the covariant-derivative builders.
     """
-    return TensorField(a.dim, a.valence, [jet_partial(c, k) for c in a.components])
+    if not 0 <= k < a.dim:
+        raise ValueError(f"coordinate index {k} out of range for dim {a.dim}")
+    if a.order < 1:
+        raise OrderExhaustedError("cannot differentiate an order-0 jet")
+    table = _partial_table(a.dim, a.order, k)
+    size, nums = basis_size(a.dim, a.order), a.nums
+    out = [nums[start + i] * f for start in range(0, len(nums), size)
+           for i, f in table]
+    return _field(a.dim, a.valence, a.order - 1, a.den, out)
 
 
 def tensor_truncate(a: TensorField, order: int) -> TensorField:
@@ -298,8 +405,12 @@ def tensor_truncate(a: TensorField, order: int) -> TensorField:
     order is no higher."""
     if order >= a.order:
         return a
-    return TensorField(a.dim, a.valence, [jet_truncate(c, order) for c in a.components])
+    if order < 0:
+        raise ValueError(f"cannot truncate an order-{a.order} jet to order {order}")
+    return _field(a.dim, a.valence, order, a.den, _cut(a, order))
 
 
 def flatten_at_base(a: TensorField) -> list[Fraction]:
-    return [value_at_base(c) for c in a.components]
+    """The value at the base point of every component, row-major."""
+    den = a.den
+    return [Fraction(n, den) for n in a.nums[::basis_size(a.dim, a.order)]]

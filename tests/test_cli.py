@@ -430,6 +430,28 @@ class TestCliVerify:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"eqlab: {message}"]
 
+    @pytest.mark.parametrize("holder, field, key, value", [
+        ("mapping", "psi", "order", 3),
+        ("source", "gamma", "dim", -1),
+        ("mapping", "sigma", "dim", 0),
+    ], ids=["psi-jet-order-3", "gamma-dim-minus-1", "sigma-dim-0"])
+    def test_loader_error_names_the_field(self, capsys, tmp_path, holder,
+                                          field, key, value):
+        doc = synth_document(2, 1, seed=4)
+        tensor = doc[holder][field]
+        if key == "order":
+            tensor["components"][0]["order"] = value
+        else:
+            tensor["dim"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--grid", "1", "--draws", "1")
+        lines = err.splitlines()
+        assert (code, out) == (2, "")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"eqlab: {holder} {field}: "), lines[0]
+
     def test_grid_label_out_of_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--grid", "9"])

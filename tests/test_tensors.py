@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 from eqlab.jets import (
     DimensionMismatchError,
     JetScalar,
+    basis_size,
     jet_add,
     jet_mul,
     jet_partial,
     jet_scale,
     jet_sum,
+    jet_truncate,
     multi_indices,
     value_at_base,
 )
+from eqlab.invariants import _numerator_digits
 from eqlab.tensors import (
     DOWN,
     UP,
@@ -321,3 +325,223 @@ def test_truncate_commutes_with_products(ab, order):
                                   if sum(alpha) <= order}
     if order >= a.order:
         assert tensor_truncate(a, order) is a
+
+
+# Flat storage.  The component-wise bodies below are the operations as
+# they were written before the components shared one numerator list; each
+# flat operation is checked against its reference.
+
+def reference_contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
+    if slot_up == slot_down:
+        raise ValueError("contraction slots must differ")
+    if a.valence[slot_up] != UP:
+        raise ValenceMismatchError(f"slot {slot_up} is not contravariant")
+    if a.valence[slot_down] != DOWN:
+        raise ValenceMismatchError(f"slot {slot_down} is not covariant")
+    dim = a.dim
+    keep = [t for t in range(a.rank) if t not in (slot_up, slot_down)]
+    out_valence = tuple(a.valence[t] for t in keep)
+
+    def component(out_idx: tuple[int, ...]) -> JetScalar:
+        kept = dict(zip(keep, out_idx))
+        # every slot not kept is one of the two contracted ones
+        return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
+                       for alpha in range(dim))
+
+    return TensorField.build(dim, out_valence, component)
+
+
+def reference_transpose(a: TensorField, perm) -> TensorField:
+    perm = tuple(perm)
+    if sorted(perm) != list(range(a.rank)):
+        raise ValueError(f"perm {perm!r} is not a permutation of the slots")
+    valence = tuple(a.valence[p] for p in perm)
+    return TensorField.build(
+        a.dim, valence,
+        lambda idx: a[tuple(idx[perm.index(t)] for t in range(a.rank))])
+
+
+def reference_partial_deriv_field(a: TensorField, k: int) -> TensorField:
+    return TensorField(a.dim, a.valence, [jet_partial(c, k) for c in a.components])
+
+
+def reference_tensor_truncate(a: TensorField, order: int) -> TensorField:
+    if order >= a.order:
+        return a
+    return TensorField(a.dim, a.valence, [jet_truncate(c, order) for c in a.components])
+
+
+def reference_flatten_at_base(a: TensorField) -> list[Fraction]:
+    return [value_at_base(c) for c in a.components]
+
+
+def reference_numerator_digits(residuals) -> int:
+    worst = 0
+    for field in residuals:
+        for comp in field.components:
+            for value in comp.coeffs.values():
+                worst = max(worst, len(str(abs(value.numerator))))
+    return worst
+
+
+def assert_canonical(t: TensorField) -> None:
+    assert t.den > 0 and gcd(t.den, *t.nums) == 1
+    assert not t.is_zero() or t.den == 1
+    assert len(t.nums) == t.dim ** t.rank * basis_size(t.dim, t.order)
+
+
+wide_rationals = st.fractions(min_value=-99, max_value=99, max_denominator=60)
+
+
+@st.composite
+def mixed_jets(draw, dim, order):
+    """A jet that is often zero, else with denominators that differ."""
+    if draw(st.integers(0, 3)) == 0:
+        return JetScalar.zero(dim, order)
+    alphas = list(multi_indices(dim, order))
+    return JetScalar(dim, order, draw(st.dictionaries(
+        st.sampled_from(alphas), wide_rationals, max_size=5)))
+
+
+@st.composite
+def jet_lists(draw, dim=None, valence=None, order=None):
+    """``(dim, valence, jets)`` for one field, not yet built."""
+    dim = dim if dim is not None else draw(st.integers(1, 3))
+    order = order if order is not None else draw(st.integers(0, 3))
+    if valence is None:
+        valence = tuple(draw(st.lists(st.sampled_from([UP, DOWN]),
+                                      min_size=0, max_size=3)))
+    return dim, valence, [draw(mixed_jets(dim, order))
+                          for _ in range(dim ** len(valence))]
+
+
+def mixed_fields(**kwargs):
+    return jet_lists(**kwargs).map(lambda spec: TensorField(*spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_lists())
+def test_field_built_from_jets_is_canonical_and_reads_back(spec):
+    dim, valence, comps = spec
+    t = TensorField(dim, valence, comps)
+    assert_canonical(t)
+    assert t.order == comps[0].order
+    assert t.components == tuple(comps)
+    for k, idx in enumerate(t.indices()):
+        assert t[idx] == comps[k]
+    assert t.is_zero() == all(c.is_zero() for c in comps)
+    assert TensorField.from_json(t.to_json()) == t
+
+
+@st.composite
+def field_pairs_maybe_equal(draw):
+    """Two fields of one shape that are often equal by another route."""
+    dim, valence, comps = draw(jet_lists())
+    a = TensorField(dim, valence, comps)
+    route = draw(st.integers(0, 4))
+    if route == 0:
+        b = TensorField(dim, valence, [JetScalar.from_json(c.to_json())
+                                       for c in comps])
+    elif route == 1:
+        other = draw(mixed_fields(dim=dim, valence=valence))
+        b = tensor_sub(tensor_add(a, other), other)
+    elif route == 2:
+        # the same numerators over another denominator when a.den is even
+        b = tensor_scale(2, a)
+    elif route == 3:
+        b = draw(mixed_fields(dim=dim, valence=valence, order=a.order))
+    else:
+        # one component changed
+        k = draw(st.integers(0, len(comps) - 1))
+        changed = list(comps)
+        changed[k] = jet_add(changed[k], JetScalar.constant(dim, a.order, 1))
+        b = TensorField(dim, valence, changed)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_pairs_maybe_equal())
+def test_eq_and_hash_agree_with_componentwise_equality(ab):
+    a, b = ab
+    same = (a.dim == b.dim and a.valence == b.valence
+            and a.components == b.components)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lincomb_terms())
+def test_lincomb_of_mixed_orders_is_canonical(terms):
+    assert_canonical(tensor_lincomb(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flat_transpose_matches_reference(data):
+    t = data.draw(mixed_fields())
+    perm = data.draw(st.permutations(range(t.rank)))
+    result = transpose(t, perm)
+    assert_canonical(result)
+    assert result == reference_transpose(t, perm)
+
+
+@st.composite
+def contractible_fields(draw):
+    """A field with at least one up and one down slot, and such a pair."""
+    valence = draw(st.lists(st.sampled_from([UP, DOWN]), min_size=0,
+                            max_size=1))
+    valence = tuple(draw(st.permutations(valence + [UP, DOWN])))
+    t = draw(mixed_fields(valence=valence, dim=draw(st.integers(1, 3))))
+    up = draw(st.sampled_from([s for s, v in enumerate(valence) if v == UP]))
+    down = draw(st.sampled_from([s for s, v in enumerate(valence)
+                                 if v == DOWN]))
+    return t, up, down
+
+
+@settings(max_examples=60, deadline=None)
+@given(contractible_fields())
+def test_flat_contract_matches_reference(spec):
+    t, up, down = spec
+    result = contract(t, up, down)
+    assert_canonical(result)
+    assert result == reference_contract(t, up, down)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flat_partial_matches_reference(data):
+    t = data.draw(mixed_fields(order=data.draw(st.integers(1, 3))))
+    k = data.draw(st.integers(0, t.dim - 1))
+    result = partial_deriv_field(t, k)
+    assert_canonical(result)
+    assert result == reference_partial_deriv_field(t, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fields(), st.integers(0, 3))
+def test_flat_truncate_and_flatten_match_reference(t, order):
+    result = tensor_truncate(t, order)
+    assert_canonical(result)
+    assert result == reference_tensor_truncate(t, order)
+    assert flatten_at_base(t) == reference_flatten_at_base(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(mixed_fields(), lincomb_terms().map(tensor_lincomb)),
+                max_size=3))
+def test_numerator_digits_match_componentwise_reading(fields):
+    assert _numerator_digits(fields) == reference_numerator_digits(fields)
+
+
+def test_index_errors_name_the_bad_index():
+    t = TensorField.delta(3, 1)
+    with pytest.raises(IndexError, match=r"^expected 2 indices, got 3$"):
+        t[0, 1, 2]
+    with pytest.raises(IndexError, match=r"^expected 2 indices, got 1$"):
+        t[1]
+    with pytest.raises(IndexError, match=r"^index 3 out of range for dim 3$"):
+        t[0, 3]
+    with pytest.raises(IndexError, match=r"^index -1 out of range for dim 3$"):
+        t[-1, 0]
+    assert t[2, 2] == JetScalar.constant(3, 1, 1)
