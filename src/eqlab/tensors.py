@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from .jets import (
@@ -108,18 +108,14 @@ class TensorField:
         return tuple(_jet(dim, order, den, nums[i:i + size])
                      for i in range(0, len(nums), size))
 
-    def _offset(self, idx: tuple[int, ...]) -> int:
-        offset = _offsets(self.dim, len(self.valence)).get(idx)
-        if offset is None:
-            raise _index_error(idx, self.dim, len(self.valence))
-        return offset
-
     def __getitem__(self, idx) -> JetScalar:
-        if isinstance(idx, int):
-            idx = (idx,)
+        idx = (idx,) if isinstance(idx, int) else tuple(idx)
         dim, order = self.dim, self.order
-        size = basis_size(dim, order)
-        start = self._offset(tuple(idx)) * size
+        offset = _offsets(dim, len(self.valence)).get(idx)
+        if offset is None:
+            raise _index_error(idx, dim, len(self.valence))
+        size = comb(dim + order, order)
+        start = offset * size
         return _jet(dim, order, self.den, self.nums[start:start + size])
 
     def indices(self) -> Iterator[tuple[int, ...]]:
@@ -319,7 +315,6 @@ def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
         raise ValenceMismatchError(f"slot {slot_up} is not contravariant")
     if a.valence[slot_down] != DOWN:
         raise ValenceMismatchError(f"slot {slot_down} is not covariant")
-    slot_up, slot_down = slot_up % a.rank, slot_down % a.rank
     out_valence = tuple(v for t, v in enumerate(a.valence)
                         if t not in (slot_up, slot_down))
     size, nums = basis_size(a.dim, a.order), a.nums
