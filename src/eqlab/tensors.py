@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from .jets import (
@@ -114,7 +114,7 @@ class TensorField:
         offset = _offsets(dim, len(self.valence)).get(idx)
         if offset is None:
             raise _index_error(idx, dim, len(self.valence))
-        size = comb(dim + order, order)
+        size = basis_size(dim, order)
         start = offset * size
         return _jet(dim, order, self.den, self.nums[start:start + size])
 
