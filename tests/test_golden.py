@@ -54,6 +54,16 @@ D[^i,_j,_k] = BarGammaSym[^i,_j,_k] - GammaSym[^i,_j,_k]
 """
 EVAL_DIGEST = "c25f4f5c6f9a9ec0c0af51ba06c62b1d3c561cb14be14a008d19d62c01fd4ef5"
 
+# Products of three factors, one contracting its first factor with its
+# third, products with rational literal factors, and a rank-0 result.
+EVAL_PRODUCTS = """\
+P[_j,_k] = Phi[^a]*Sigma[_j,_k]*Psi[_a]
+Q[^i,_j] = 2/3*Phi[^i]*Nu[_j] - Sigma[_j,_a]*Phi[^a]*Phi[^i]*1/2
+S = Psi[_a]*BarPhi[^a] + 3
+"""
+EVAL_PRODUCTS_DIGEST = (
+    "8a5d79c878df0cb2e0285daf3ced1e62f8d812c758433bf1642eb6b46e2684ad")
+
 
 @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN,
                          ids=[" ".join(case[0]) for case in GOLDEN])
@@ -66,14 +76,25 @@ def test_stdout_matches_golden_digest(capsys, monkeypatch, argv, exit_code,
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_eval_report_matches_golden_digest(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("EQLAB_SEED", raising=False)
+def _eval_digest(capsys, tmp_path, text: str) -> tuple[int, str]:
+    """Exit code and stdout digest of ``eval`` of ``text`` on a stored
+    ``synth --dim 3 --kind 2 --order 3 --seed 1`` pair."""
     pair, program = tmp_path / "pair.json", tmp_path / "program.eqs"
     assert main(["synth", "--dim", "3", "--kind", "2", "--order", "3",
                  "--seed", "1", "--out", str(pair)]) == 0
-    program.write_text(EVAL_PROGRAM, encoding="utf-8")
+    program.write_text(text, encoding="utf-8")
     capsys.readouterr()
     code = main(["eval", str(program), "--instance", str(pair)])
     out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_DIGEST
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_eval_report_matches_golden_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("EQLAB_SEED", raising=False)
+    assert _eval_digest(capsys, tmp_path, EVAL_PROGRAM) == (0, EVAL_DIGEST)
+
+
+def test_eval_products_match_golden_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("EQLAB_SEED", raising=False)
+    assert _eval_digest(capsys, tmp_path, EVAL_PRODUCTS) == (
+        0, EVAL_PRODUCTS_DIGEST)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqlab.geometry import GAMMA_VALENCE, Space, torsion_square_terms, curvature_K
+from eqlab import harness
 from eqlab.harness import (
     corrupted_inverse,
     family_invariance_check,
@@ -181,6 +182,67 @@ def term_by_term_sigma(bundle: InvariantBundle, p: int) -> TensorField:
     c = Fraction(1, parts.dim + 1)
     return TensorField.build(parts.dim, W_VALENCE,
                              lambda idx: _sigma_component(parts, p, c, idx))
+
+
+# The term-by-term definitions of the twenty torsion products, the
+# reference the contraction table is proved against.
+def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
+    dim = parts.dim
+    t, sym = parts.torsion, parts.sym
+    sigma, phi = parts.sigma, parts.phi
+    i, j, m, n = idx
+    if theta == 1:
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+    if theta == 2:
+        return jet_sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
+    if theta == 3:
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+    if theta == 4:
+        return jet_sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
+    if theta == 5:
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+    if theta == 6:
+        return jet_mul(t[i, j, m], parts.trace[n])
+    if theta == 7:
+        return jet_mul(t[i, j, n], parts.trace[m])
+    if theta == 8:
+        return jet_mul(t[i, m, n], parts.trace[j])
+    if theta == 9:
+        return jet_mul(parts.torsion_phi[i, m], sigma[j, n])
+    if theta == 10:
+        return jet_mul(parts.torsion_phi[i, n], sigma[j, m])
+    if theta == 11:
+        return jet_mul(parts.torsion_phi_last[i, j], sigma[m, n])
+    if theta == 12:
+        return jet_mul(t[i, j, m], parts.sigma_phi[n])
+    if theta == 13:
+        return jet_mul(t[i, j, n], parts.sigma_phi[m])
+    if theta == 14:
+        return jet_mul(t[i, m, n], parts.sigma_phi[j])
+    if theta == 15:
+        value = parts.torsion_trace[j, m]
+        return value if i == n else JetScalar.zero(dim, value.order)
+    if theta == 16:
+        value = parts.torsion_trace[j, n]
+        return value if i == m else JetScalar.zero(dim, value.order)
+    if theta == 17:
+        value = parts.torsion_sigma_phi[j, m]
+        return value if i == n else JetScalar.zero(dim, value.order)
+    if theta == 18:
+        value = parts.torsion_sigma_phi[j, n]
+        return value if i == m else JetScalar.zero(dim, value.order)
+    if theta == 19:
+        return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
+    if theta == 20:
+        return jet_mul(parts.torsion_sigma[j, n, m], phi[i])
+    raise ValueError(f"theta must be between 1 and 20, got {theta}")
+
+
+def term_by_term_u(bundle: InvariantBundle, theta: int) -> TensorField:
+    """U_theta of a bundle, built from its parts term by term."""
+    parts = bundle.parts()
+    return TensorField.build(parts.dim, W_VALENCE,
+                             lambda idx: _u_component(parts, theta, idx))
 
 
 def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
@@ -424,6 +486,18 @@ class TestUTheta:
         pair = identity_pair()
         with pytest.raises(ValueError, match="theta"):
             U_theta(pair.source, pair.mapping, 21)
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_table_matches_term_by_term_u(self, dim, kind):
+        """Every U the bundle builds equals its term-by-term definition.
+        The order-1 instance has phi one order above the connection, so
+        products of mixed orders are covered too."""
+        pair = synthesize_instance(dim, kind, seed=40 + dim, order=1)
+        bundle = InvariantBundle(pair.source, pair.mapping)
+        for theta in range(1, 21):
+            assert bundle.u_tensor(theta) == term_by_term_u(bundle, theta), \
+                f"U_{theta}"
 
 
 class TestSigmaP:
@@ -851,3 +925,48 @@ class TestCutOrder:
         assert kept is torsion_square_terms(s)
         assert kept == tuple(tensor_truncate(e, order - 1) for e in expected)
         assert all(term.order == order - 1 for term in kept)
+
+
+def _reachable_fields(roots) -> dict[int, TensorField]:
+    """Every tensor field held in ``roots``, through dicts, sequences and
+    ``_Parts`` attributes, by object identity."""
+    found: dict[int, TensorField] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, TensorField):
+            found[id(obj)] = obj
+        elif isinstance(obj, _Parts):
+            stack.extend(vars(obj).values())
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return found
+
+
+@pytest.mark.parametrize("dim, order", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_routes_share_no_cached_field(monkeypatch, dim, order):
+    """A check compares a source value with an independent target value;
+    a field cached on both sides would make it compare a value with
+    itself.  After every check of ``verify_instance``, no field kept by
+    the source bundle or space is kept by the target side too."""
+    bundles = []
+
+    class RecordedBundle(InvariantBundle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            bundles.append(self)
+
+    monkeypatch.setattr(harness, "InvariantBundle", RecordedBundle)
+    # kind 1 at order 2, kind 2 at order 3
+    pair = synthesize_instance(dim, order - 1, seed=3, order=order)
+    labels = list(range(1, 9))
+    reports, _ = verify_instance(pair, 0, labels, labels, 2)
+    assert all(report.passed for report in reports)
+    src, tgt = bundles
+    kept = [_reachable_fields([bundle._memo, bundle.families,
+                               bundle.space._cache])
+            for bundle in (src, tgt)]
+    assert kept[0] and kept[1]
+    assert not kept[0].keys() & kept[1].keys()
