@@ -24,13 +24,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import jet_partial
 from .tensors import (
     DOWN,
     UP,
     TensorField,
     contract,
-    outer,
+    gradient,
+    tensor_contract,
     tensor_lincomb,
     transpose,
 )
@@ -334,6 +334,20 @@ def _contract_repeats(tensor: TensorField, sig: list[Index]):
         sig = [i for p, i in enumerate(sig) if p not in (first, second)]
 
 
+def _product(a: TensorField, a_sig: list[Index], b: TensorField,
+             b_sig: list[Index]):
+    """a times b, every index name the two share summed, in one call."""
+    names = [i.name for i in a_sig + b_sig]
+    letters = {name: chr(65 + k) for k, name in enumerate(dict.fromkeys(names))}
+    free = [i for i in a_sig + b_sig if names.count(i.name) == 1]
+
+    def word(sig):
+        return "".join(letters[i.name] for i in sig)
+
+    spec = f"{word(a_sig)},{word(b_sig)}->{word(free)}"
+    return tensor_contract(spec, a, b), free
+
+
 def _evaluate(node, ctx: _Context):
     """Returns (tensor_or_None, ordered signature, rational multiplier)."""
     if isinstance(node, Literal):
@@ -357,7 +371,7 @@ def _evaluate(node, ctx: _Context):
             if tensor is None:
                 tensor, sig = f_tensor, f_sig
             else:
-                tensor, sig = _contract_repeats(outer(tensor, f_tensor), sig + f_sig)
+                tensor, sig = _product(tensor, sig, f_tensor, f_sig)
         return tensor, sig, scale
     if isinstance(node, Sum):
         terms: list[tuple[Fraction, TensorField]] = []
@@ -391,10 +405,8 @@ def _evaluate(node, ctx: _Context):
             dim, order = ctx.require_dim(), ctx.require_order()
             tensor, sig = TensorField.scalar(dim, order, scale), []
             scale = Fraction(1)
-        derived = TensorField.build(
-            tensor.dim, tensor.valence + (DOWN,),
-            lambda idx: jet_partial(tensor[idx[:-1]], idx[-1]))
-        return (*_contract_repeats(derived, sig + [node.index]), scale)
+        return (*_contract_repeats(gradient(tensor), sig + [node.index]),
+                scale)
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -15,17 +15,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jets import (JetScalar, jet_add, jet_mul, jet_neg, jet_sum, json_int,
-                   load_field)
+from .jets import json_int, load_field
 from .linalg import RationalMatrix, rank_exact
 from .tensors import (
     DOWN,
     UP,
     TensorField,
     antisym_pair,
+    antisym_pair_nodiv,
+    contract,
     flatten_at_base,
-    partial_deriv_field,
+    gradient,
     sym_pair,
+    tensor_contract,
     tensor_lincomb,
     tensor_truncate,
     transpose,
@@ -70,12 +72,7 @@ class Space:
 
     def trace_sym(self) -> TensorField:
         """The (0,1) contraction Gamma^a_{ja} of the symmetric part."""
-        def compute():
-            s = self.sym()
-            return TensorField.build(
-                self.dim, (DOWN,),
-                lambda idx: jet_sum(s[a, idx[0], a] for a in range(self.dim)))
-        return self._cached("trace_sym", compute)
+        return self._cached("trace_sym", lambda: contract(self.sym(), 0, 2))
 
     def curvature(self) -> TensorField:
         return self._cached("curvature", lambda: curvature_R(self))
@@ -108,31 +105,19 @@ def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:
     and leaves order a.order - 1, so the correction products are taken
     from a and conn cut to that order.
     """
-    dim, rank = a.dim, a.rank
-    out_valence = a.valence + (DOWN,)
-    comma = [partial_deriv_field(a, k) for k in range(dim)]
-    order = a.order - 1
-    a, conn = tensor_truncate(a, order), tensor_truncate(conn, order)
-
-    def component(idx: tuple[int, ...]) -> JetScalar:
-        base_idx = idx[:rank]
-        k = idx[rank]
-        total = comma[k][base_idx]
-        for t in range(rank):
-            replaced = list(base_idx)
-            for alpha in range(dim):
-                replaced[t] = alpha
-                value = a[tuple(replaced)]
-                if value.is_zero():
-                    continue
-                if a.valence[t] == UP:
-                    coeff = conn[base_idx[t], alpha, k]
-                else:
-                    coeff = jet_neg(conn[alpha, base_idx[t], k])
-                total = jet_add(total, jet_mul(coeff, value))
-        return total
-
-    return TensorField.build(dim, out_valence, component)
+    comma = gradient(a)
+    a, conn = tensor_truncate(a, comma.order), tensor_truncate(conn, comma.order)
+    # a's slots are A, B, ...; k is the direction and s the summed index
+    slots = "".join(chr(65 + t) for t in range(a.rank))
+    terms = [(1, comma)]
+    for t, v in enumerate(a.valence):
+        replaced = slots[:t] + "s" + slots[t + 1:]
+        if v == UP:
+            spec, sign = f"{slots[t]}sk,{replaced}->{slots}k", 1
+        else:
+            spec, sign = f"s{slots[t]}k,{replaced}->{slots}k", -1
+        terms.append((sign, tensor_contract(spec, conn, a)))
+    return tensor_lincomb(terms)
 
 
 def cov_deriv_assoc(a: TensorField, s: Space) -> TensorField:
@@ -161,24 +146,16 @@ def cov_deriv_kind(a: TensorField, s: Space, kind: int) -> TensorField:
 
 
 def curvature_R(s: Space) -> TensorField:
-    """Curvature of the symmetric part, slots (i, j, m, n).
+    """Curvature of the symmetric part, slots (i, j, m, n):
+    G^i_{jm,n} + G^a_{jm} G^i_{an} less the same with m and n exchanged.
 
     The comma derivatives read the whole symmetric part; the quadratic
-    terms are taken from it cut to the derivatives' order.
+    term is taken from it cut to the derivatives' order.
     """
-    dim = s.dim
-    d_sym = [partial_deriv_field(s.sym(), n) for n in range(dim)]
-    sym = tensor_truncate(s.sym(), d_sym[0].order)
-
-    def component(idx: tuple[int, ...]) -> JetScalar:
-        i, j, m, n = idx
-        total = jet_add(d_sym[n][i, j, m], jet_neg(d_sym[m][i, j, n]))
-        for alpha in range(dim):
-            total = jet_add(total, jet_mul(sym[alpha, j, m], sym[i, alpha, n]))
-            total = jet_add(total, jet_neg(jet_mul(sym[alpha, j, n], sym[i, alpha, m])))
-        return total
-
-    return TensorField.build(dim, (UP, DOWN, DOWN, DOWN), component)
+    comma = gradient(s.sym())
+    sym = tensor_truncate(s.sym(), comma.order)
+    return antisym_pair_nodiv(tensor_lincomb(
+        [(1, comma), (1, tensor_contract("ajm,ian->ijmn", sym, sym))]), 2, 3)
 
 
 def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorField]:
@@ -196,18 +173,10 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
 def _torsion_squares(s: Space) -> tuple[TensorField, TensorField, TensorField]:
     t = s.torsion()
     t = tensor_truncate(t, max(t.order - 1, 0))
-    dim = s.dim
-
-    def build(pairing):
-        return TensorField.build(
-            dim, (UP, DOWN, DOWN, DOWN),
-            lambda idx: jet_sum(jet_mul(*pairing(idx, alpha))
-                                for alpha in range(dim)))
-
-    v_term = build(lambda idx, a: (t[a, idx[1], idx[2]], t[idx[0], a, idx[3]]))
-    vp_term = build(lambda idx, a: (t[a, idx[1], idx[3]], t[idx[0], a, idx[2]]))
-    w_term = build(lambda idx, a: (t[a, idx[2], idx[3]], t[idx[0], a, idx[1]]))
-    return v_term, vp_term, w_term
+    v_term = tensor_contract("ajm,ian->ijmn", t, t)
+    # T^a_{jn} T^i_{am} is the first square with m and n exchanged
+    return (v_term, transpose(v_term, (0, 1, 3, 2)),
+            tensor_contract("amn,iaj->ijmn", t, t))
 
 
 def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,

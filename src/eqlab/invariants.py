@@ -25,7 +25,6 @@ from functools import cache, wraps
 from math import gcd
 
 from .geometry import Space, cov_deriv_assoc, curvature_K
-from .jets import JetScalar, jet_add, jet_mul, jet_neg, jet_scale, jet_sum
 from .linalg import (
     ParamMatrix,
     RationalMatrix,
@@ -34,19 +33,16 @@ from .linalg import (
 )
 from .mapping import AG3Mapping, MappedPair
 from .tensors import (
-    DOWN,
-    UP,
     TensorField,
     antisym_pair_nodiv,
     flatten_at_base,
     tensor_add,
+    tensor_contract,
     tensor_lincomb,
     tensor_sub,
     tensor_truncate,
     transpose,
 )
-
-W_VALENCE = (UP, DOWN, DOWN, DOWN)
 
 PARAM_NAMES = ("u", "u'", "v", "v'", "w")
 
@@ -148,88 +144,47 @@ class _Parts:
         self.sigma = cut(m.sigma)
         self.phi = cut(m.phi)
         self.sigma_phi = cut(m.sigma_phi())
-        t, phi = self.torsion, self.phi
-
+        t = self.torsion
+        # the Kronecker delta at the parts' order, the sparse first factor
+        # of the products that carry one
+        self.delta = TensorField.delta(dim, t.order)
         # T^i_{a k} phi^a, slots (i, k)
-        self.torsion_phi = TensorField.build(
-            dim, (UP, DOWN),
-            lambda idx: jet_sum(jet_mul(t[idx[0], a, idx[1]], phi[a])
-                                for a in range(dim)))
+        self.torsion_phi = tensor_contract("iak,a->ik", t, self.phi)
         # T^i_{j a} phi^a, slots (i, j)
-        self.torsion_phi_last = TensorField.build(
-            dim, (UP, DOWN),
-            lambda idx: jet_sum(jet_mul(t[idx[0], idx[1], a], phi[a])
-                                for a in range(dim)))
+        self.torsion_phi_last = tensor_contract("ija,a->ij", t, self.phi)
         # T^a_{j m} G_a, slots (j, m)
-        trace = self.trace
-        self.torsion_trace = TensorField.build(
-            dim, (DOWN, DOWN),
-            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], trace[a])
-                                for a in range(dim)))
+        self.torsion_trace = tensor_contract("ajm,a->jm", t, self.trace)
         # T^a_{j m} (sigma phi)_a, slots (j, m)
-        sigma_phi = self.sigma_phi
-        self.torsion_sigma_phi = TensorField.build(
-            dim, (DOWN, DOWN),
-            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma_phi[a])
-                                for a in range(dim)))
+        self.torsion_sigma_phi = tensor_contract("ajm,a->jm", t,
+                                                 self.sigma_phi)
         # T^a_{j m} sigma_{a n}, slots (j, m, n)
-        sigma = self.sigma
-        self.torsion_sigma = TensorField.build(
-            dim, (DOWN, DOWN, DOWN),
-            lambda idx: jet_sum(jet_mul(t[a, idx[0], idx[1]], sigma[a, idx[2]])
-                                for a in range(dim)))
+        self.torsion_sigma = tensor_contract("ajm,an->jmn", t, self.sigma)
 
 
-def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
-    dim = parts.dim
-    t, sym = parts.torsion, parts.sym
-    sigma, phi = parts.sigma, parts.phi
-    i, j, m, n = idx
-    if theta == 1:
-        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
-    if theta == 2:
-        return jet_sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
-    if theta == 3:
-        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
-    if theta == 4:
-        return jet_sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
-    if theta == 5:
-        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
-    if theta == 6:
-        return jet_mul(t[i, j, m], parts.trace[n])
-    if theta == 7:
-        return jet_mul(t[i, j, n], parts.trace[m])
-    if theta == 8:
-        return jet_mul(t[i, m, n], parts.trace[j])
-    if theta == 9:
-        return jet_mul(parts.torsion_phi[i, m], sigma[j, n])
-    if theta == 10:
-        return jet_mul(parts.torsion_phi[i, n], sigma[j, m])
-    if theta == 11:
-        return jet_mul(parts.torsion_phi_last[i, j], sigma[m, n])
-    if theta == 12:
-        return jet_mul(t[i, j, m], parts.sigma_phi[n])
-    if theta == 13:
-        return jet_mul(t[i, j, n], parts.sigma_phi[m])
-    if theta == 14:
-        return jet_mul(t[i, m, n], parts.sigma_phi[j])
-    if theta == 15:
-        value = parts.torsion_trace[j, m]
-        return value if i == n else JetScalar.zero(dim, value.order)
-    if theta == 16:
-        value = parts.torsion_trace[j, n]
-        return value if i == m else JetScalar.zero(dim, value.order)
-    if theta == 17:
-        value = parts.torsion_sigma_phi[j, m]
-        return value if i == n else JetScalar.zero(dim, value.order)
-    if theta == 18:
-        value = parts.torsion_sigma_phi[j, n]
-        return value if i == m else JetScalar.zero(dim, value.order)
-    if theta == 19:
-        return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
-    if theta == 20:
-        return jet_mul(parts.torsion_sigma[j, n, m], phi[i])
-    raise ValueError(f"theta must be between 1 and 20, got {theta}")
+# U_1..U_20, slots (i, j, m, n): each is one contraction of two fields
+# of ``_Parts``, named by attribute.
+_U_TERMS = (
+    ("ajm,ian->ijmn", "torsion", "sym"),
+    ("ajn,iam->ijmn", "torsion", "sym"),
+    ("iam,ajn->ijmn", "torsion", "sym"),
+    ("ian,ajm->ijmn", "torsion", "sym"),
+    ("ija,amn->ijmn", "torsion", "sym"),
+    ("ijm,n->ijmn", "torsion", "trace"),
+    ("ijn,m->ijmn", "torsion", "trace"),
+    ("imn,j->ijmn", "torsion", "trace"),
+    ("im,jn->ijmn", "torsion_phi", "sigma"),
+    ("in,jm->ijmn", "torsion_phi", "sigma"),
+    ("ij,mn->ijmn", "torsion_phi_last", "sigma"),
+    ("ijm,n->ijmn", "torsion", "sigma_phi"),
+    ("ijn,m->ijmn", "torsion", "sigma_phi"),
+    ("imn,j->ijmn", "torsion", "sigma_phi"),
+    ("in,jm->ijmn", "delta", "torsion_trace"),
+    ("im,jn->ijmn", "delta", "torsion_trace"),
+    ("in,jm->ijmn", "delta", "torsion_sigma_phi"),
+    ("im,jn->ijmn", "delta", "torsion_sigma_phi"),
+    ("jmn,i->ijmn", "torsion_sigma", "phi"),
+    ("jnm,i->ijmn", "torsion_sigma", "phi"),
+)
 
 
 # Coefficient of U_theta in sigma_p, encoded as (integer part, multiple of
@@ -296,26 +251,18 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
     for p in p_values:
         _check_label("p", p)
     space, space_bar = src.space, tgt.space
-    dim = space.dim
     lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
     t = tensor_truncate(space.torsion(), lhs.order)
     sym_diff = tensor_truncate(tensor_sub(space_bar.sym(), space.sym()),
                                lhs.order)
-
-    def direct_component(idx):
-        i, j, mm, n = idx
-        total = jet_sum(jet_mul(t[a, j, mm], sym_diff[i, a, n])
-                        for a in range(dim))
-        total = jet_add(total, jet_neg(jet_sum(
-            jet_mul(t[i, a, mm], sym_diff[a, j, n]) for a in range(dim))))
-        return jet_add(total, jet_neg(jet_sum(
-            jet_mul(t[i, j, a], sym_diff[a, mm, n]) for a in range(dim))))
-
-    direct = tensor_sub(lhs, TensorField.build(dim, W_VALENCE,
-                                               direct_component))
+    # T^a_{jm} P^i_{an} - T^i_{am} P^a_{jn} - T^i_{ja} P^a_{mn}
+    direct = tensor_lincomb(
+        [(1, lhs), (-1, tensor_contract("ajm,ian->ijmn", t, sym_diff)),
+         (1, tensor_contract("iam,ajn->ijmn", t, sym_diff)),
+         (1, tensor_contract("ija,amn->ijmn", t, sym_diff))])
     return [VerificationReport.from_residuals(
         "torsion_cd_difference",
-        {"p": p, "dim": dim, "kind": src.mapping.kind},
+        {"p": p, "dim": space.dim, "kind": src.mapping.kind},
         (direct,
          tensor_lincomb([(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))])))
         for p in p_values]
@@ -376,34 +323,24 @@ class InvariantBundle:
         """
         _check_which(which)
         s, m, parts = self.space, self.mapping, self.parts()
-        dim = s.dim
-        c = Fraction(1, dim + 1)
+        c = Fraction(1, s.dim + 1)
         eps = 1 if which == 1 else -1
         combined = tensor_add(parts.trace, parts.sigma_phi)
-        phi, sigma, nu, mu = parts.phi, parts.sigma, m.nu, m.mu
-        torsion_phi = parts.torsion_phi
-        phi_combined = jet_sum(jet_mul(phi[a], combined[a]) for a in range(dim))
+        phi, sigma = parts.phi, parts.sigma
+        # phi^a (G_a + (sigma phi)_a), a scalar field
+        phi_combined = tensor_contract("a,a->", phi, combined)
+        mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
         # the derivative reads the uncut sigma; parts.sigma may be cut
         sigma_cd = cov_deriv_assoc(m.sigma, s)
-
-        def component(idx):
-            j, k = idx
-            total = jet_scale(c * c * (dim + 1),
-                              jet_mul(phi_combined, sigma[j, k]))
-            total = jet_add(total, jet_scale(-c * c,
-                                             jet_mul(combined[j], combined[k])))
-            deriv = jet_sum(jet_mul(sigma_cd[j, a, k], phi[a])
-                            for a in range(dim))
-            total = jet_add(total, jet_scale(-c, deriv))
-            total = jet_add(total, jet_scale(-c, jet_mul(mu, sigma[j, k])))
-            for a in range(dim):
-                bracket = jet_add(jet_mul(nu[k], phi[a]),
-                                  jet_scale(-eps, torsion_phi[a, k]))
-                total = jet_add(total,
-                                jet_scale(-c, jet_mul(sigma[j, a], bracket)))
-            return total
-
-        return TensorField.build(dim, (DOWN, DOWN), component)
+        return tensor_lincomb([
+            (c, tensor_contract(",jk->jk", phi_combined, sigma)),
+            (-c * c, tensor_contract("j,k->jk", combined, combined)),
+            (-c, tensor_contract("jak,a->jk", sigma_cd, phi)),
+            (-c, tensor_contract(",jk->jk", mu, sigma)),
+            # sigma_{ja} (nu_k phi^a - eps T^a_{bk} phi^b)
+            (-c, tensor_contract("j,k->jk", parts.sigma_phi, m.nu)),
+            (c * eps, tensor_contract("ja,ak->jk", sigma, parts.torsion_phi)),
+        ])
 
     @_kept
     def w_star(self, which: int) -> TensorField:
@@ -416,49 +353,33 @@ class InvariantBundle:
         """
         eta = self.eta(which)  # checks which
         s, m, parts = self.space, self.mapping, self.parts()
-        dim = s.dim
-        c = Fraction(1, dim + 1)
+        c = Fraction(1, s.dim + 1)
         eps = 1 if which == 1 else -1
-        eta_anti = antisym_pair_nodiv(eta, 0, 1)
-        curvature = s.curvature()
         trace_cd = cov_deriv_assoc(s.trace_sym(), s)
-        trace_cd_anti = antisym_pair_nodiv(trace_cd, 0, 1)
         sigma_cd = cov_deriv_assoc(m.sigma, s)
-        sigma, phi, sigma_phi = parts.sigma, parts.phi, parts.sigma_phi
-        torsion_phi = parts.torsion_phi
-        nu, mu = m.nu, m.mu
-
-        # bracket_{jn} = G_{j;n} - (N+1) eta_{jn}
-        bracket = tensor_lincomb([(1, trace_cd), (-(dim + 1), eta)])
-
-        def component(idx):
-            i, j, mm, n = idx
-            total = curvature[i, j, mm, n]
-            if i == j:
-                total = jet_add(total, eta_anti[mm, n])
-                total = jet_add(total, jet_scale(-c, trace_cd_anti[mm, n]))
-            if i == mm:
-                total = jet_add(total, jet_scale(-c, bracket[j, n]))
-            if i == n:
-                total = jet_add(total, jet_scale(c, bracket[j, mm]))
-            # (sigma_{jm} phi^i)_{;n} - (m <-> n swap), with phi_{;n}
-            # expanded; the delta pieces of the expansion carry the mu terms
-            gradient = jet_add(sigma_cd[j, mm, n], jet_neg(sigma_cd[j, n, mm]))
-            gradient = jet_add(gradient, jet_mul(sigma[j, mm], nu[n]))
-            gradient = jet_add(gradient, jet_neg(jet_mul(sigma[j, n], nu[mm])))
-            gradient = jet_add(gradient, jet_mul(sigma[j, mm], sigma_phi[n]))
-            gradient = jet_add(gradient,
-                               jet_neg(jet_mul(sigma[j, n], sigma_phi[mm])))
-            total = jet_add(total, jet_mul(gradient, phi[i]))
-            if i == n:
-                total = jet_add(total, jet_mul(mu, sigma[j, mm]))
-            if i == mm:
-                total = jet_add(total, jet_neg(jet_mul(mu, sigma[j, n])))
-            tail = jet_add(jet_mul(sigma[j, mm], torsion_phi[i, n]),
-                           jet_neg(jet_mul(sigma[j, n], torsion_phi[i, mm])))
-            return jet_add(total, jet_scale(-eps, tail))
-
-        return TensorField.build(dim, W_VALENCE, component)
+        sigma, delta = parts.sigma, parts.delta
+        mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
+        # d^i_j (eta_{[mn]} - c G_{[m;n]})
+        on_ij = tensor_lincomb([(1, antisym_pair_nodiv(eta, 0, 1)),
+                                (-c, antisym_pair_nodiv(trace_cd, 0, 1))])
+        # d^i_n (c (G_{j;m} - (N+1) eta_{jm}) + mu sigma_{jm}), less the
+        # same on d^i_m with m and n exchanged
+        on_in = tensor_lincomb([(c, trace_cd), (-1, eta),
+                                (1, tensor_contract(",jm->jm", mu, sigma))])
+        # (sigma_{jm} phi^i)_{;n} - (m <-> n), with phi_{;n} expanded
+        gradient = antisym_pair_nodiv(tensor_lincomb(
+            [(1, sigma_cd),
+             (1, tensor_contract("jm,n->jmn", sigma,
+                                 tensor_add(m.nu, parts.sigma_phi)))]), 1, 2)
+        return tensor_lincomb([
+            (1, s.curvature()),
+            (1, tensor_contract("ij,mn->ijmn", delta, on_ij)),
+            (1, tensor_contract("in,jm->ijmn", delta, on_in)),
+            (-1, tensor_contract("im,jn->ijmn", delta, on_in)),
+            (1, tensor_contract("jmn,i->ijmn", gradient, parts.phi)),
+            (-eps, tensor_contract("jm,in->ijmn", sigma, parts.torsion_phi)),
+            (eps, tensor_contract("jn,im->ijmn", sigma, parts.torsion_phi)),
+        ])
 
     @_kept
     def correction(self, which: int) -> TensorField:
@@ -468,9 +389,12 @@ class InvariantBundle:
     @_kept
     def u_tensor(self, theta: int) -> TensorField:
         """One of the twenty torsion products, slots (i, j, m, n)."""
+        if not 1 <= theta <= 20:
+            raise ValueError(f"theta must be between 1 and 20, got {theta}")
+        spec, left, right = _U_TERMS[theta - 1]
         parts = self.parts()
-        return TensorField.build(parts.dim, W_VALENCE,
-                                 lambda idx: _u_component(parts, theta, idx))
+        return tensor_contract(spec, getattr(parts, left),
+                               getattr(parts, right))
 
     @_kept
     def sigma(self, p: int) -> TensorField:

@@ -21,7 +21,6 @@ from .jets import (
     jet_mul,
     jet_neg,
     jet_partial,
-    jet_scale,
     jet_sum,
     jet_truncate,
     json_int,
@@ -34,6 +33,7 @@ from .tensors import (
     UP,
     TensorField,
     tensor_add,
+    tensor_contract,
     tensor_lincomb,
     tensor_neg,
     tensor_sub,
@@ -125,15 +125,21 @@ class AG3Mapping:
 
     def sigma_phi(self) -> TensorField:
         """The (0,1) contraction sigma_{ja} phi^a."""
-        return TensorField.build(
-            self.dim, (DOWN,),
-            lambda idx: jet_sum(jet_mul(self.sigma[idx[0], a], self.phi[a])
-                                for a in range(self.dim)))
+        return tensor_contract("ja,a->j", self.sigma, self.phi)
 
     def psi_phi(self) -> JetScalar:
         """The scalar psi_a phi^a."""
-        return jet_sum(jet_mul(self.psi[a], self.phi[a])
-                       for a in range(self.dim))
+        return tensor_contract("a,a->", self.psi, self.phi)[()]
+
+
+def _increment(x: TensorField, c: Fraction, sigma: TensorField,
+               phi: TensorField, c_phi: Fraction) -> list:
+    """The terms of c (x_j d^i_k + x_k d^i_j) + c_phi sigma_{jk} phi^i,
+    slots (i, j, k), for ``tensor_lincomb``."""
+    delta = TensorField.delta(x.dim, x.order)
+    return [(c, tensor_contract("ik,j->ijk", delta, x)),
+            (c, tensor_contract("ij,k->ijk", delta, x)),
+            (c_phi, tensor_contract("jk,i->ijk", sigma, phi))]
 
 
 def transform_connection(s: Space, m: AG3Mapping) -> Space:
@@ -145,36 +151,19 @@ def transform_connection(s: Space, m: AG3Mapping) -> Space:
     """
     if s.dim != m.dim:
         raise ValueError("space and mapping dimensions differ")
-    gamma = s.gamma
-    two = Fraction(2)
-
-    def component(idx):
-        i, j, k = idx
-        total = gamma[i, j, k]
-        if i == k:
-            total = jet_add(total, m.psi[j])
-        if i == j:
-            total = jet_add(total, m.psi[k])
-        total = jet_add(total, jet_scale(two, jet_mul(m.sigma[j, k], m.phi[i])))
-        return total
-
-    return Space(s.dim, TensorField.build(s.dim, GAMMA_VALENCE, component))
+    return Space(s.dim, tensor_lincomb(
+        [(1, s.gamma)] + _increment(m.psi, 1, m.sigma, m.phi, 2)))
 
 
 def basic_equation_residual(s: Space, m: AG3Mapping) -> TensorField:
     """phi^i_{s|j} - nu_j phi^i - mu d^i_j; zero iff m is almost geodesic
     of its kind on s."""
-    derived = cov_deriv_kind(m.phi, s, m.kind)
-
-    def component(idx):
-        i, j = idx
-        total = derived[i, j]
-        total = jet_add(total, jet_neg(jet_mul(m.nu[j], m.phi[i])))
-        if i == j:
-            total = jet_add(total, jet_neg(m.mu))
-        return total
-
-    return TensorField.build(s.dim, (UP, DOWN), component)
+    mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
+    return tensor_lincomb(
+        [(1, cov_deriv_kind(m.phi, s, m.kind)),
+         (-1, tensor_contract("j,i->ij", m.nu, m.phi)),
+         (-1, tensor_contract("ij,->ij", TensorField.delta(s.dim, mu.order),
+                              mu))])
 
 
 def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
@@ -307,21 +296,14 @@ def gamma_diff_factorized(pair: MappedPair) -> TensorField:
     dim = pair.source.dim
     c = Fraction(1, dim + 1)
 
-    def bracket(space: Space, mapping: AG3Mapping) -> TensorField:
+    def bracket(space: Space, mapping: AG3Mapping) -> list:
         combined = tensor_add(space.trace_sym(), mapping.sigma_phi())
-
-        def terms(i, j, k):
-            if i == k:
-                yield jet_scale(c, combined[j])
-            if i == j:
-                yield jet_scale(c, combined[k])
-            yield jet_neg(jet_mul(mapping.sigma[j, k], mapping.phi[i]))
-
-        return TensorField.build(dim, GAMMA_VALENCE, lambda idx: jet_sum(terms(*idx)))
+        return _increment(combined, c, mapping.sigma, mapping.phi, -1)
 
     lhs = tensor_sub(pair.target.sym(), pair.source.sym())
-    residual = tensor_lincomb([(1, lhs), (-1, bracket(pair.target, m_bar)),
-                               (1, bracket(pair.source, m))])
+    residual = tensor_lincomb(
+        [(1, lhs)] + [(-k, t) for k, t in bracket(pair.target, m_bar)]
+        + bracket(pair.source, m))
     if not residual.is_zero():
         raise FactorizationMismatch(residual)
     return lhs

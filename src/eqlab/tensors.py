@@ -27,10 +27,10 @@ from .jets import (
     JetScalar,
     OrderExhaustedError,
     _jet,
+    _mul_table,
     _partial_table,
     as_rational,
     basis_size,
-    jet_mul,
     json_int,
 )
 
@@ -284,27 +284,91 @@ def tensor_scale(c: Fraction | int, a: TensorField) -> TensorField:
     return tensor_lincomb([(c, a)])
 
 
-def outer(a: TensorField, b: TensorField) -> TensorField:
+@cache
+def _contract_plan(spec: str, dim: int, valence_a: tuple[str, ...],
+                   valence_b: tuple[str, ...],
+                   ) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The output valence of ``spec`` and, for each output block, row-major,
+    the block offsets ``(ka, kb, ka, kb, ...)`` of the products it sums."""
+    try:
+        inputs, out = spec.split("->")
+        left, right = inputs.split(",")
+    except ValueError:
+        raise ValueError(f"contraction spec {spec!r} is not 'x,y->z'") from None
+    if (len(left), len(right)) != (len(valence_a), len(valence_b)):
+        raise ValueError(f"contraction spec {spec!r} does not fit slots "
+                         f"{valence_a} and {valence_b}")
+    slots: dict[str, list[str]] = {}
+    for letter, v in zip(left + right, valence_a + valence_b):
+        slots.setdefault(letter, []).append(v)
+    for letter, vs in slots.items():
+        if len(vs) > 2:
+            raise ValueError(f"index {letter!r} is used {len(vs)} times")
+        if len(vs) == 2 and sorted(vs) != [DOWN, UP]:
+            raise ValenceMismatchError(
+                f"summed index {letter!r} must pair an up and a down slot")
+    free = [letter for letter, vs in slots.items() if len(vs) == 1]
+    if sorted(out) != sorted(free):
+        raise ValueError(f"contraction spec {spec!r} must list each free "
+                         "index once on the right, and no summed one")
+    summed = [letter for letter, vs in slots.items() if len(vs) == 2]
+    offsets_a, offsets_b = _offsets(dim, len(left)), _offsets(dim, len(right))
+    plan = []
+    for out_idx in product(range(dim), repeat=len(out)):
+        value = dict(zip(out, out_idx))
+        pairs: list[int] = []
+        for sum_idx in product(range(dim), repeat=len(summed)):
+            value.update(zip(summed, sum_idx))
+            pairs += (offsets_a[tuple(value[x] for x in left)],
+                      offsets_b[tuple(value[x] for x in right)])
+        plan.append(tuple(pairs))
+    return tuple(slots[letter][0] for letter in out), tuple(plan)
+
+
+def tensor_contract(spec: str, a: TensorField, b: TensorField) -> TensorField:
+    """Exact einsum of two fields, for example ``"ajm,ian->ijmn"``: the
+    sum over each index named twice of the products of ``a``'s and ``b``'s
+    components, at the lower of the two orders, with the free indices in
+    the order written after ``->``.
+
+    A summed index pairs one up slot with one down slot; a free index is
+    named once on the left and once on the right.  Every output block is
+    a Cauchy product convolution of integer numerators through
+    ``jets._mul_table``, over the one denominator ``a.den * b.den``, and
+    the result is reduced once.  The notation follows ``numpy.einsum``.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"tensor dims differ: {a.dim} vs {b.dim}")
-    comps = [jet_mul(x, y) for x in a.components for y in b.components]
-    return TensorField(a.dim, a.valence + b.valence, comps)
+    dim, order = a.dim, min(a.order, b.order)
+    valence, plan = _contract_plan(spec, dim, a.valence, b.valence)
+    table = _mul_table(dim, order)
+    size = len(table)
+    step_a, step_b = basis_size(dim, a.order), basis_size(dim, b.order)
+    an, bn = a.nums, b.nums
+    out: list[int] = []
+    if size == 1:
+        for pairs in plan:
+            out.append(sum(an[pairs[k] * step_a] * bn[pairs[k + 1] * step_b]
+                           for k in range(0, len(pairs), 2)))
+        return _field(dim, valence, order, a.den * b.den, out)
+    for pairs in plan:
+        acc = [0] * size
+        for k in range(0, len(pairs), 2):
+            start, y = pairs[k] * step_a, pairs[k + 1] * step_b
+            # zip stops at the end of the table, so a longer block of a is
+            # truncated; the table never reaches past b's order either
+            for x, row in zip(an[start:start + size], table):
+                if x:
+                    for j, m in row:
+                        acc[m] += x * bn[y + j]
+        out += acc
+    return _field(dim, valence, order, a.den * b.den, out)
 
 
-@cache
-def _contract_sources(dim: int, rank: int, slot_up: int,
-                      slot_down: int) -> tuple[tuple[int, ...], ...]:
-    """For each output block, row-major, the input blocks it sums."""
-    offsets = _offsets(dim, rank)
-    keep = [t for t in range(rank) if t not in (slot_up, slot_down)]
-    sources = []
-    for out_idx in product(range(dim), repeat=len(keep)):
-        kept = dict(zip(keep, out_idx))
-        # every slot not kept is one of the two contracted ones
-        sources.append(tuple(
-            offsets[tuple(kept.get(t, alpha) for t in range(rank))]
-            for alpha in range(dim)))
-    return tuple(sources)
+def outer(a: TensorField, b: TensorField) -> TensorField:
+    letters = "".join(chr(65 + k) for k in range(a.rank + b.rank))
+    return tensor_contract(
+        f"{letters[:a.rank]},{letters[a.rank:]}->{letters}", a, b)
 
 
 def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
@@ -315,14 +379,12 @@ def contract(a: TensorField, slot_up: int, slot_down: int) -> TensorField:
         raise ValenceMismatchError(f"slot {slot_up} is not contravariant")
     if a.valence[slot_down] != DOWN:
         raise ValenceMismatchError(f"slot {slot_down} is not covariant")
-    out_valence = tuple(v for t, v in enumerate(a.valence)
-                        if t not in (slot_up, slot_down))
-    size, nums = basis_size(a.dim, a.order), a.nums
-    out = []
-    for sources in _contract_sources(a.dim, a.rank, slot_up, slot_down):
-        out.extend(map(sum, zip(*[nums[k * size:(k + 1) * size]
-                                  for k in sources])))
-    return _field(a.dim, out_valence, a.order, a.den, out)
+    letters = [chr(65 + t) for t in range(a.rank)]
+    letters[slot_down] = letters[slot_up]
+    kept = "".join(x for x in letters if x != letters[slot_up])
+    # the constant 1 as the first factor reads one entry per block
+    return tensor_contract(f",{''.join(letters)}->{kept}",
+                           TensorField.scalar(a.dim, a.order, 1), a)
 
 
 @cache
@@ -393,6 +455,22 @@ def partial_deriv_field(a: TensorField, k: int) -> TensorField:
     out = [nums[start + i] * f for start in range(0, len(nums), size)
            for i, f in table]
     return _field(a.dim, a.valence, a.order - 1, a.den, out)
+
+
+def gradient(a: TensorField) -> TensorField:
+    """Every comma derivative of ``a`` in one field, the direction k as a
+    new trailing covariant slot: ``gradient(a)[idx + (k,)]`` is
+    ``partial_deriv_field(a, k)[idx]``."""
+    parts = [partial_deriv_field(a, k) for k in range(a.dim)]
+    den = lcm(*[p.den for p in parts])
+    lists = [p.nums if p.den == den else [x * (den // p.den) for x in p.nums]
+             for p in parts]
+    size = basis_size(a.dim, a.order - 1)
+    out: list[int] = []
+    for start in range(0, len(lists[0]), size):
+        for nums in lists:
+            out += nums[start:start + size]
+    return _field(a.dim, a.valence + (DOWN,), a.order - 1, den, out)
 
 
 def tensor_truncate(a: TensorField, order: int) -> TensorField:

@@ -36,6 +36,7 @@ from eqlab.tensors import (
     partial_deriv_field,
     sym_pair,
     tensor_add,
+    tensor_contract,
     tensor_lincomb,
     tensor_neg,
     tensor_scale,
@@ -545,3 +546,99 @@ def test_index_errors_name_the_bad_index():
     with pytest.raises(IndexError, match=r"^index -1 out of range for dim 3$"):
         t[-1, 0]
     assert t[2, 2] == JetScalar.constant(3, 1, 1)
+
+
+# The contraction primitive against the component-wise route it replaces:
+# the outer product of jet products, contracted pair by pair, transposed.
+
+def reference_tensor_contract(spec: str, a: TensorField,
+                              b: TensorField) -> TensorField:
+    inputs, out = spec.split("->")
+    letters = list(inputs.replace(",", ""))
+    t = TensorField(a.dim, a.valence + b.valence,
+                    [jet_mul(x, y) for x in a.components for y in b.components])
+    while (repeated := next((x for x in letters if letters.count(x) == 2),
+                            None)) is not None:
+        first = letters.index(repeated)
+        second = letters.index(repeated, first + 1)
+        up, down = (first, second) if t.valence[first] == UP else (second, first)
+        t = reference_contract(t, up, down)
+        letters = [x for k, x in enumerate(letters) if k not in (first, second)]
+    return reference_transpose(t, [letters.index(x) for x in out])
+
+
+@st.composite
+def contraction_specs(draw):
+    """``(spec, a, b)``: two fields of mixed orders and denominators, often
+    with zero components, and a spec summing random up/down slot pairs,
+    within one factor or across the two, with the free slots permuted."""
+    dim = draw(st.integers(1, 3))
+    rank_a = draw(st.integers(0, 2))
+    rank_b = draw(st.integers(0, 4 - rank_a))
+    a, b = (draw(mixed_fields(
+        dim=dim, order=draw(st.integers(0, 3)),
+        valence=tuple(draw(st.lists(st.sampled_from([UP, DOWN]),
+                                    min_size=rank, max_size=rank)))))
+        for rank in (rank_a, rank_b))
+    valence = a.valence + b.valence
+    pending = list(draw(st.permutations(range(len(valence)))))
+    letter: dict[int, str] = {}
+    free = []
+    while pending:
+        s = pending.pop()
+        partner = next((t for t in pending if valence[t] != valence[s]), None)
+        if partner is not None and draw(st.booleans()):
+            pending.remove(partner)
+            letter[s] = letter[partner] = chr(97 + len(letter))
+        else:
+            letter[s] = chr(65 + len(letter))
+            free.append(s)
+    word = "".join(letter[s] for s in range(len(valence)))
+    out = "".join(letter[s] for s in draw(st.permutations(free)))
+    return f"{word[:rank_a]},{word[rank_a:]}->{out}", a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(contraction_specs())
+def test_tensor_contract_matches_outer_then_contract(case):
+    spec, a, b = case
+    result = tensor_contract(spec, a, b)
+    assert_canonical(result)
+    assert result.order == min(a.order, b.order)
+    assert result == reference_tensor_contract(spec, a, b)
+
+
+def test_tensor_contract_rank_zero_and_outer():
+    phi = TensorField.build(3, (UP,),
+                            lambda idx: JetScalar.constant(3, 1, idx[0] + 1))
+    psi = TensorField.build(3, (DOWN,),
+                            lambda idx: JetScalar.constant(3, 2, F(1, idx[0] + 2)))
+    dot = tensor_contract("a,a->", phi, psi)
+    assert dot.valence == () and dot.order == 1
+    assert dot[()] == JetScalar.constant(3, 1, F(1, 2) + F(2, 3) + F(3, 4))
+    assert tensor_contract("i,j->ji", phi, psi) == transpose(outer(phi, psi),
+                                                             (1, 0))
+
+
+class TestTensorContractRejects:
+    up = TensorField.zero(2, (UP,), 1)
+    mixed = TensorField.zero(2, (UP, DOWN), 1)
+
+    def test_summed_index_on_two_up_slots(self):
+        with pytest.raises(ValenceMismatchError, match="up and a down"):
+            tensor_contract("a,a->", self.up, self.up)
+
+    def test_index_used_three_times(self):
+        with pytest.raises(ValueError, match="used 3 times"):
+            tensor_contract("aa,a->", self.mixed, self.up)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            tensor_contract("a,a->", TensorField.zero(3, (UP,), 1),
+                            TensorField.zero(2, (DOWN,), 1))
+
+    @pytest.mark.parametrize("spec", ["ij,j->ij", "ij,j->", "ij,j->ii",
+                                      "ij,k->ij", "ij->ij", "i,j->ij"])
+    def test_spec_must_fit_and_name_each_free_index_once(self, spec):
+        with pytest.raises(ValueError):
+            tensor_contract(spec, self.mixed, self.up)
