@@ -198,7 +198,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise UsageError(f"instance file {path} is nested too deeply") \
+                from None
     if not isinstance(doc, dict):
         raise UsageError(f"instance file {path} does not hold a JSON object")
     return doc

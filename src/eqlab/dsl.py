@@ -95,6 +95,10 @@ class ExpressionPlan:
     free: tuple[Index, ...]
 
 
+# Deepest nesting of parentheses and derivatives a formula may have; the
+# parser and the evaluator recurse once per level.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)"
                     r"|(?P<punct>[\^_\[\](),+\-*/=]))")
 
@@ -125,6 +129,7 @@ class _Parser:
         self.line = line
         self.tokens = _tokenize(src, line)
         self.at = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.at] if self.at < len(self.tokens) else None
@@ -142,6 +147,15 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {kind!r}, got {token[1]!r}",
                                         token[2], self.line)
         return token
+
+    def _nested_expr(self, position: int):
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"nested deeper than {MAX_NESTING} levels", position, self.line)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.depth -= 1
+        return inner
 
     def parse_expr(self):
         terms = [(1, self.parse_term())]
@@ -174,14 +188,14 @@ class _Parser:
             return Literal(value)
         if kind == "(":
             self.at += 1
-            inner = self.parse_expr()
+            inner = self._nested_expr(pos)
             self._expect(")")
             return inner
         if kind == "name":
             follower = self.tokens[self.at + 1] if self.at + 1 < len(self.tokens) else None
             if text == "d" and follower is not None and follower[0] == "(":
                 self.at += 2
-                operand = self.parse_expr()
+                operand = self._nested_expr(pos)
                 self._expect(",")
                 index = self.parse_index()
                 self._expect(")")

@@ -26,7 +26,7 @@ from eqlab.mapping import (
     random_jet,
     synthesize_instance,
 )
-from eqlab.dsl import EvaluationError
+from eqlab.dsl import MAX_NESTING, EvaluationError
 from eqlab.tensors import DOWN, UP, TensorField, tensor_sub
 
 CURVATURE_SRC = (
@@ -329,6 +329,14 @@ class TestCliVerify:
                                "--instance", str(tmp_path / "nope.json"))
         assert code == 3 and err
 
+    def test_deeply_nested_instance_json_is_usage_error(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == f"eqlab: instance file {path} is nested too deeply\n"
+
     def test_unreadable_instance_json_is_usage_error(self, capsys, tmp_path):
         doc = synth_document(2, 1, seed=4)
         den0 = json.loads(json.dumps(doc))
@@ -542,6 +550,22 @@ class TestCliEval:
     def test_missing_program_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "none.eqs"))
         assert code == 3 and err
+
+    def test_deep_nesting_exits_two_with_one_line(self, capsys, tmp_path):
+        depth = 3000
+        program = self.write(tmp_path, "A[^i,_j] = " + "(" * depth
+                             + "Phi[^i]*Nu[_j]" + ")" * depth + "\n")
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("eqlab: line 1, ") and err.count("\n") == 1
+        assert "nested deeper than" in err
+
+    def test_nesting_up_to_the_limit_evaluates(self, capsys, tmp_path):
+        depth = MAX_NESTING
+        program = self.write(tmp_path, "A[^i,_j] = " + "(" * depth
+                             + "Phi[^i]*Nu[_j]" + ")" * depth + "\n")
+        code, out, _ = run_cli(capsys, "eval", program, "--dim", "2")
+        assert code == 0 and "A" in json.loads(out)["results"]
 
     def test_output_file_written(self, capsys, tmp_path):
         program = self.write(tmp_path, "S[_j,_k] = Sigma[_j,_k]\n")
