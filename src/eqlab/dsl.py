@@ -352,14 +352,11 @@ def _product(a: TensorField, a_sig: list[Index], b: TensorField,
              b_sig: list[Index]):
     """a times b, every index name the two share summed, in one call."""
     names = [i.name for i in a_sig + b_sig]
-    letters = {name: chr(65 + k) for k, name in enumerate(dict.fromkeys(names))}
+    letter = {name: chr(65 + k) for k, name in enumerate(names)}
     free = [i for i in a_sig + b_sig if names.count(i.name) == 1]
-
-    def word(sig):
-        return "".join(letters[i.name] for i in sig)
-
-    spec = f"{word(a_sig)},{word(b_sig)}->{word(free)}"
-    return tensor_contract(spec, a, b), free
+    left, right, out = ("".join(letter[i.name] for i in sig)
+                        for sig in (a_sig, b_sig, free))
+    return tensor_contract(f"{left},{right}->{out}", a, b), free
 
 
 def _evaluate(node, ctx: _Context):
