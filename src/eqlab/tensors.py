@@ -9,9 +9,10 @@ one layer up, in the expression DSL.
 A field stores all its components as one jet would store one: integer
 numerators over one shared denominator, the components' coefficient
 blocks laid end to end in row-major order.  Linear combinations, zero
-tests, slot permutations, contractions, derivatives and truncations
-work on that flat list, with one lcm and one gcd per result; single
-components are read as jet views.
+tests, slot permutations, derivatives and truncations work on that flat
+list, with one lcm and one gcd per result, and every sum of products,
+from an outer product to a contraction, is one einsum over it,
+:func:`tensor_contract`.  Single components are read as jet views.
 """
 
 from __future__ import annotations
@@ -366,6 +367,7 @@ def tensor_contract(spec: str, a: TensorField, b: TensorField) -> TensorField:
 
 
 def outer(a: TensorField, b: TensorField) -> TensorField:
+    """Tensor product: the slots of a, then the slots of b."""
     letters = "".join(chr(65 + k) for k in range(a.rank + b.rank))
     return tensor_contract(
         f"{letters[:a.rank]},{letters[a.rank:]}->{letters}", a, b)
