@@ -28,7 +28,6 @@ from .tensors import (
     DOWN,
     UP,
     TensorField,
-    contract,
     gradient,
     tensor_contract,
     tensor_lincomb,
@@ -334,18 +333,13 @@ class _Context:
 
 
 def _contract_repeats(tensor: TensorField, sig: list[Index]):
-    while True:
-        names = [i.name for i in sig]
-        dup = next((n for n in names if names.count(n) == 2), None)
-        if dup is None:
-            return tensor, sig
-        first = names.index(dup)
-        second = names.index(dup, first + 1)
-        if sig[first].variance == UP:
-            tensor = contract(tensor, first, second)
-        else:
-            tensor = contract(tensor, second, first)
-        sig = [i for p, i in enumerate(sig) if p not in (first, second)]
+    """Sum each index name that repeats inside one reference or derivative,
+    as one product with the constant 1."""
+    names = [i.name for i in sig]
+    if len(set(names)) == len(names):
+        return tensor, sig
+    return _product(TensorField.scalar(tensor.dim, tensor.order, 1), [],
+                    tensor, sig)
 
 
 def _product(a: TensorField, a_sig: list[Index], b: TensorField,

@@ -347,11 +347,6 @@ def tensor_contract(spec: str, a: TensorField, b: TensorField) -> TensorField:
     step_a, step_b = basis_size(dim, a.order), basis_size(dim, b.order)
     an, bn = a.nums, b.nums
     out: list[int] = []
-    if size == 1:
-        for pairs in plan:
-            out.append(sum(an[pairs[k] * step_a] * bn[pairs[k + 1] * step_b]
-                           for k in range(0, len(pairs), 2)))
-        return _field(dim, valence, order, a.den * b.den, out)
     for pairs in plan:
         acc = [0] * size
         for k in range(0, len(pairs), 2):

@@ -120,6 +120,19 @@ class TestEvaluate:
         assert result.valence == ()
         assert result[()] == t[0, 0] + t[1, 1]
 
+    def test_trace_keeps_free_slots_in_written_order(self):
+        t = random_field(2, (DOWN, UP, UP, DOWN), 2, 8)
+        result = evaluate(parse("T[_j,^a,^i,_a]"), {"T": t})
+        assert result.valence == (DOWN, UP)
+        for j in range(2):
+            for i in range(2):
+                assert result[j, i] == t[j, 0, i, 0] + t[j, 1, i, 1]
+
+    def test_divergence_sums_the_derivative_slot(self):
+        t = random_field(2, (UP,), 2, 9)
+        result = evaluate(parse("d(T[^k],_k)"), {"T": t})
+        assert result[()] == jet_partial(t[0], 0) + jet_partial(t[1], 1)
+
     def test_derivative_is_comma(self):
         t = random_field(2, (UP,), 2, 5)
         result = evaluate(parse("d(T[^i],_j)"), {"T": t})
