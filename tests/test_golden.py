@@ -40,6 +40,8 @@ GOLDEN = (
      "2e574418f002daf2afbccae3e81b9d186b4440aeae027700c82a4c562b88c2cd"),
     (("ranks", "--dim", "3", "--seed", "1", "--order", "3"), 0,
      "f2de22629703beae5b5561c709567ddf23894ae3ffb66efb0730beec7b371153"),
+    (("ranks", "--dim", "5"), 0,
+     "1b3547e01acabc21a295c3b7eabca142abed7afca533a5a9a20e42dbe4d41afb"),
     (("verify", "--dim", "3", "--kind", "2", "--order", "3", "--seed", "0",
       "--grid", "1", "--corrupt", "psi-sign"), 1,
      "670366a053897dc90be78e89a1e59a00446ea0bd098a7fac14260a2347e5dff4"),
