@@ -21,8 +21,8 @@ slot order of the surrounding sum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .tensors import (
     DOWN,
@@ -51,8 +51,7 @@ class EvaluationError(ValueError):
     """A plan cannot be evaluated against the given bindings."""
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(NamedTuple):
     variance: str
     name: str
 
@@ -60,36 +59,30 @@ class Index:
         return ("^" if self.variance == UP else "_") + self.name
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     name: str
     indices: tuple[Index, ...]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     # (sign, node) pairs; the grammar guarantees the first sign is +1
     terms: tuple
 
 
-@dataclass(frozen=True)
-class Derivative:
+class Derivative(NamedTuple):
     operand: object
     index: Index
 
 
-@dataclass(frozen=True)
-class ExpressionPlan:
+class ExpressionPlan(NamedTuple):
     root: object
     free: tuple[Index, ...]
 

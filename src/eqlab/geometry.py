@@ -23,8 +23,8 @@ from .tensors import (
     TensorField,
     antisym_pair,
     antisym_pair_nodiv,
+    base_numerators,
     contract,
-    flatten_at_base,
     gradient,
     sym_pair,
     tensor_contract,
@@ -221,12 +221,12 @@ def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,
     """
     if instances < 1:
         raise ValueError("instances must be at least 1")
-    rows: list[list[Fraction]] = [[] for _ in range(5)]
+    rows: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(5)]
     for trial in range(instances):
         drawn = random_connection(dim, order, seed * 1009 + trial)
         s = Space(dim, tensor_truncate(drawn.gamma, 1))
         cd = s.torsion_cd()
         tensors = (cd, transpose(cd, (0, 1, 3, 2))) + torsion_square_terms(s)
         for row, tensor in zip(rows, tensors):
-            row.extend(flatten_at_base(tensor))
-    return rank_exact(RationalMatrix.from_rows(rows))
+            row.append(base_numerators(tensor))
+    return rank_exact(RationalMatrix.from_runs(rows))

@@ -35,7 +35,7 @@ from .mapping import AG3Mapping, MappedPair
 from .tensors import (
     TensorField,
     antisym_pair_nodiv,
-    flatten_at_base,
+    base_numerators,
     tensor_add,
     tensor_contract,
     tensor_lincomb,
@@ -214,6 +214,20 @@ _SWAP_POSITION = (1, 0, 3, 2, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13, 15, 14, 17,
 _SWAP_NEGATED = frozenset({7, 13})
 
 
+def _sigma_numerators(N: int) -> list[list[int]]:
+    """The rows of ``_SIGMA_COEFFS`` as integer numerators over N + 1.
+
+    With c = 1/(N+1), the entry ``whole + scaled * c`` is
+    ``(whole * (N + 1) + scaled) / (N + 1)``.
+    """
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    return [[whole * (N + 1) + scaled
+             for whole, scaled in (_SIGMA_COEFFS[p].get(theta, (0, 0))
+                                   for theta in range(1, 21))]
+            for p in range(1, 9)]
+
+
 @cache
 def sigma_coeff_matrix(N: int) -> RationalMatrix:
     """The 8 x 20 coefficient matrix expressing each sigma over the U basis.
@@ -224,16 +238,8 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
     sides are affine in c with coefficients free of N, so the two values
     of c fix the table for every N.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    c = Fraction(1, N + 1)
-    entries = []
-    for p in range(1, 9):
-        row = _SIGMA_COEFFS[p]
-        for theta in range(1, 21):
-            whole, scaled = row.get(theta, (0, 0))
-            entries.append(Fraction(whole) + scaled * c)
-    return RationalMatrix(8, 20, entries)
+    return RationalMatrix.from_runs(
+        [[(N + 1, row)] for row in _sigma_numerators(N)])
 
 
 def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
@@ -475,26 +481,26 @@ def build_W_matrix(N: int) -> ParamMatrix:
     -(u u^p_theta + u' u^q*_theta) with the starred row transported
     through the m/n swap, then the five bare parameters.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    base = sigma_coeff_matrix(N)
-    plain = [[base[p, theta] for theta in range(20)] for p in range(8)]
+    plain = _sigma_numerators(N)
     swapped = [
         [(-1 if pos in _SWAP_NEGATED else 1) * row[_SWAP_POSITION[pos]]
          for pos in range(20)]
         for row in plain
     ]
-    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w); each
-    # row ends in the five bare parameters
-    bare = [tuple(int(k == slot) for k in range(6)) for slot in range(1, 6)]
-    entries = []
+    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w), every
+    # row over N + 1 like the sigma rows; each row ends in the five bare
+    # parameters
+    one = N + 1
+    bare = [tuple(one * (k == slot) for k in range(6)) for slot in range(1, 6)]
+    rows = []
     for p in range(8):
         for q in range(8):
-            entries.append((1, 0, 0, 0, 0, 0))
+            entries = [(one, 0, 0, 0, 0, 0)]
             entries.extend((0, -plain[p][theta], -swapped[q][theta], 0, 0, 0)
                            for theta in range(20))
             entries.extend(bare)
-    return ParamMatrix(64, 26, PARAM_NAMES, entries)
+            rows.append((one, entries))
+    return ParamMatrix.from_integer_rows(PARAM_NAMES, rows)
 
 
 def family_span_dimension(pairs: list[MappedPair], samples: int,
@@ -527,15 +533,12 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
         rng.choice((1, 2))
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
-        row: list[Fraction] = []
-        for bundle in bundles:
-            deviation = tensor_lincomb(
-                [(1, bundle.curvature_k(u, up, v, vp, w)),
-                 (-1, bundle.space.curvature()),
-                 (-u, bundle.sigma(p)), (-up, bundle.sigma_swapped(q))])
-            row.extend(flatten_at_base(deviation))
-        rows.append(row)
-    return rank_exact(RationalMatrix.from_rows(rows))
+        rows.append([base_numerators(tensor_lincomb(
+            [(1, bundle.curvature_k(u, up, v, vp, w)),
+             (-1, bundle.space.curvature()),
+             (-u, bundle.sigma(p)), (-up, bundle.sigma_swapped(q))]))
+            for bundle in bundles])
+    return rank_exact(RationalMatrix.from_runs(rows))
 
 
 def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,

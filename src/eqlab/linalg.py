@@ -1,78 +1,118 @@
 """Exact rank computation over the rationals.
 
 Two flavors are needed by the rank claims under verification: plain rank
-of a matrix of Fractions, and generic rank of a matrix whose entries are
+of a rational matrix, and generic rank of a matrix whose entries are
 affine in a handful of named parameters, ranked at random rational
 values of them.  Both reduce to fraction-free (Bareiss) elimination on
-integers, the only elimination routine in the package: rows are first
-scaled by the least common multiple of their denominators, which does not
-change the rank, and the elimination then performs exact integer division
-only.
+integers, the only elimination routine in the package.  A matrix is
+stored as one integer row over one positive denominator per row, so the
+elimination reads the integer rows as they are: scaling a row by a
+positive integer does not change the rank, and the elimination then
+performs exact integer division only.  Callers that hold integers, such
+as a tensor's numerators over its denominator, build the rows without a
+``Fraction`` per entry.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .jets import as_rational
 
 
-class RationalMatrix:
-    """Dense rows x cols matrix of Fractions, entries row-major."""
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``values`` as integer numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _check_positive(den: int) -> None:
+    if den <= 0:
+        raise ValueError(f"row denominators must be positive, got {den}")
+
+
+class RationalMatrix:
+    """Dense rows x cols matrix over Q.
+
+    Row r is stored as integer numerators ``nums[r]`` over one positive
+    denominator ``dens[r]``, so entry (r, c) is ``nums[r][c] / dens[r]``.
+    ``entries``, ``m[r, c]`` and ``row`` are ``Fraction`` views.
+    Instances are immutable.
+    """
+
+    __slots__ = ("rows", "cols", "dens", "nums")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction | int]):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        entries = tuple(as_rational(e) for e in entries)
+        entries = [as_rational(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
+        self._fill([_over_lcm(entries[r * cols:(r + 1) * cols])
+                    for r in range(rows)])
+
+    def _fill(self, integer_rows: list[tuple[int, list[int]]]) -> None:
+        if not integer_rows:
+            raise ValueError("need at least one row")
+        cols = len(integer_rows[0][1])
+        if cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        if any(len(nums) != cols for _, nums in integer_rows):
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", len(integer_rows))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dens", tuple(den for den, _ in integer_rows))
+        object.__setattr__(self, "nums",
+                           tuple(tuple(nums) for _, nums in integer_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, den) for den, row in zip(self.dens, self.nums)
+                     for n in row)
 
     def __getitem__(self, pos: tuple[int, int]) -> Fraction:
         r, c = pos
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"position {pos!r} out of range")
-        return self.entries[r * self.cols + c]
+        return Fraction(self.nums[r][c], self.dens[r])
 
     def row(self, r: int) -> list[Fraction]:
         return [self[r, c] for c in range(self.cols)]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        if not rows:
-            raise ValueError("need at least one row")
-        width = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(len(rows), width, flat)
+        return cls.from_runs(
+            [[_over_lcm([as_rational(e) for e in row])] for row in rows])
 
-
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    # scaling a row by a positive integer preserves rank
-    out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        scale = math.lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * scale) for e in row])
-    return out
+    @classmethod
+    def from_runs(cls, rows: Sequence[Sequence[tuple[int, Sequence[int]]]]
+                  ) -> "RationalMatrix":
+        """Matrix from integer runs: row r is its runs laid end to end, and
+        a run ``(den, nums)`` holds the entries ``nums[k] / den``."""
+        integer_rows = []
+        for runs in rows:
+            for den, _ in runs:
+                _check_positive(den)
+            row_den = lcm(*(den for den, _ in runs))
+            nums: list[int] = []
+            for den, run in runs:
+                f = row_den // den
+                nums.extend(run if f == 1 else [f * x for x in run])
+            integer_rows.append((row_den, nums))
+        m = object.__new__(cls)
+        m._fill(integer_rows)
+        return m
 
 
 def rank_exact(m: RationalMatrix) -> int:
     """Rank over Q via fraction-free elimination with full pivoting."""
-    a = _integer_rows(m)
+    a = [list(row) for row in m.nums]
     rows, cols = m.rows, m.cols
     rank = 0
     prev = 1
@@ -107,39 +147,78 @@ def rank_exact(m: RationalMatrix) -> int:
 class ParamMatrix:
     """Matrix whose entries are affine in a tuple of named parameters.
 
-    Each entry is a tuple: the constant, then one coefficient per
-    parameter, in the order of ``params``.
+    Row r is stored over one positive denominator ``dens[r]``.
+    ``coeffs[r]`` holds one integer tuple per entry: the constant, then
+    one coefficient per parameter, in the order of ``params``, each over
+    ``dens[r]``.  ``m[r, c]`` is the entry's tuple as ``Fraction``s.
     """
 
-    __slots__ = ("rows", "cols", "params", "entries")
+    __slots__ = ("rows", "cols", "params", "dens", "coeffs")
 
     def __init__(self, rows: int, cols: int, params: tuple[str, ...],
                  entries: Sequence[Sequence[Fraction | int]]):
-        entries = tuple(tuple(as_rational(c) for c in e) for e in entries)
+        entries = [[as_rational(c) for c in e] for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        if any(len(e) != len(params) + 1 for e in entries):
-            raise ValueError("entry length is not one plus the parameter count")
-        object.__setattr__(self, "rows", rows)
+        integer_rows = []
+        for r in range(rows):
+            block = entries[r * cols:(r + 1) * cols]
+            den = lcm(*(c.denominator for e in block for c in e))
+            integer_rows.append((den, [[c.numerator * (den // c.denominator)
+                                        for c in e] for e in block]))
+        self._fill(params, integer_rows)
+
+    def _fill(self, params: tuple[str, ...],
+              integer_rows: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> None:
+        if not integer_rows:
+            raise ValueError("need at least one row")
+        cols = len(integer_rows[0][1])
+        if cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        for den, entries in integer_rows:
+            _check_positive(den)
+            if len(entries) != cols:
+                raise ValueError("ragged rows")
+            if any(len(e) != len(params) + 1 for e in entries):
+                raise ValueError("entry length is not one plus the parameter count")
+        object.__setattr__(self, "rows", len(integer_rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dens", tuple(den for den, _ in integer_rows))
+        object.__setattr__(self, "coeffs", tuple(
+            tuple(tuple(e) for e in entries) for _, entries in integer_rows))
+
+    @classmethod
+    def from_integer_rows(cls, params: tuple[str, ...],
+                          rows: Sequence[tuple[int, Sequence[Sequence[int]]]]
+                          ) -> "ParamMatrix":
+        """Matrix from ``(den, entries)`` rows, each entry an integer tuple
+        (constant, one coefficient per parameter) over the row's ``den``."""
+        m = object.__new__(cls)
+        m._fill(params, rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamMatrix is immutable")
 
     def __getitem__(self, pos: tuple[int, int]) -> tuple[Fraction, ...]:
         r, c = pos
-        return self.entries[r * self.cols + c]
+        den = self.dens[r]
+        return tuple(Fraction(x, den) for x in self.coeffs[r][c])
 
     def substitute(self, values: dict[str, Fraction]) -> RationalMatrix:
         missing = [p for p in self.params if p not in values]
         if missing:
             raise ValueError(f"no values for parameters {missing}")
-        point = (1, *(values[p] for p in self.params))
-        return RationalMatrix(
-            self.rows, self.cols,
-            [sum(c * x for c, x in zip(e, point) if c) for e in self.entries])
+        # one common denominator for the values: the k-th value is
+        # point[k + 1] / scale, and point[0] = scale carries the constant
+        xs = [as_rational(values[p]) for p in self.params]
+        scale = lcm(*(x.denominator for x in xs))
+        point = (scale, *(x.numerator * (scale // x.denominator) for x in xs))
+        return RationalMatrix.from_runs(
+            [[(den * scale,
+               [sum(c * x for c, x in zip(e, point) if c) for e in row])]
+             for den, row in zip(self.dens, self.coeffs)])
 
 
 def random_substitution(params: Sequence[str], rng: random.Random) -> dict[str, Fraction]:

@@ -480,7 +480,13 @@ def tensor_truncate(a: TensorField, order: int) -> TensorField:
     return _field(a.dim, a.valence, order, a.den, _cut(a, order))
 
 
+def base_numerators(a: TensorField) -> tuple[int, tuple[int, ...]]:
+    """The value at the base point of every component, row-major, as
+    integer numerators over ``a.den``: ``(a.den, numerators)``."""
+    return a.den, a.nums[::basis_size(a.dim, a.order)]
+
+
 def flatten_at_base(a: TensorField) -> list[Fraction]:
     """The value at the base point of every component, row-major."""
-    den = a.den
-    return [Fraction(n, den) for n in a.nums[::basis_size(a.dim, a.order)]]
+    den, nums = base_numerators(a)
+    return [Fraction(n, den) for n in nums]

@@ -1,7 +1,11 @@
 """Parsing, index discipline, and evaluation of the expression DSL."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +231,24 @@ class TestPrograms:
     def test_repeated_lhs_index_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_program("Bad[^i,_i] = T[^i] * S[_i]")
+
+
+def test_cli_import_does_not_load_dataclasses():
+    """The syntax nodes are named tuples: every command imports the DSL,
+    and ``dataclasses`` (with ``inspect``) would cost each one its import
+    and class-building time."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eqlab.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_index_equality_is_by_variance_and_name():
+    assert Index(UP, "i") == Index(UP, "i")
+    assert Index(UP, "i") != Index(DOWN, "i")
+    assert Index(UP, "i") != Index(UP, "j")
+    assert str(Index(DOWN, "k")) == "_k"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -573,6 +574,45 @@ class TestSigmaCoeffMatrix:
             assert bundle.sigma(p) == term_by_term_sigma(bundle, p), \
                 f"sigma row {p}"
 
+    def test_rank_is_four_for_every_n(self):
+        """The paper's sigma rank 4, proved for every N at once.  The
+        table is affine in c, and ``sigma_coeff_matrix(N)`` is it at
+        c = 1/(N+1).  Every 5x5 minor is a polynomial of degree <= 5 in
+        c, so rank <= 4 at six values of c makes every one of them vanish
+        identically.  The 4x4 minor on rows p = 1, 5, 7, 8 and columns
+        theta = 1, 3, 11, 9 is a polynomial of degree <= 4 that equals -1
+        at five values of c, so it is the constant -1: it has no root, and
+        none of the form 1/(N+1) with N >= 3."""
+        def table(c):
+            return [[whole + scaled * c
+                     for whole, scaled in (_SIGMA_COEFFS[p].get(theta, (0, 0))
+                                           for theta in range(1, 21))]
+                    for p in range(1, 9)]
+
+        def det(rows):
+            # Leibniz expansion; the sign is the parity of the inversions
+            total = Fraction(0)
+            for perm in permutations(range(len(rows))):
+                inversions = sum(perm[i] > perm[j] for i, j in
+                                 combinations(range(len(perm)), 2))
+                term = Fraction(-1) ** inversions
+                for r, c in enumerate(perm):
+                    term *= rows[r][c]
+                total += term
+            return total
+
+        for n in range(2, 7):
+            assert sigma_coeff_matrix(n).entries == tuple(
+                e for row in table(Fraction(1, n + 1)) for e in row)
+        six = [Fraction(x) for x in (0, 1, -1, "1/3", "2/7", "-3/2")]
+        for c in six:
+            assert rank_exact(RationalMatrix.from_rows(table(c))) <= 4, c
+        for c in six[:5]:
+            t = table(c)
+            minor = [[t[p - 1][theta - 1] for theta in (1, 3, 11, 9)]
+                     for p in (1, 5, 7, 8)]
+            assert det(minor) == -1, c
+
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             sigma_coeff_matrix(1)
@@ -770,6 +810,23 @@ class TestWFamily:
 class TestBuildWMatrix:
     def test_generic_rank_six(self):
         assert generic_rank(build_W_matrix(3)) == 6
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_entries_follow_the_sigma_rows(self, n):
+        matrix = build_W_matrix(n)
+        sigma = sigma_coeff_matrix(n)
+        zero, one = Fraction(0), Fraction(1)
+        for p in range(8):
+            plain = sigma.row(p)
+            for q in range(8):
+                swapped = swap_row(sigma.row(q))
+                row = [matrix[8 * p + q, col] for col in range(26)]
+                assert row[0] == (one,) + (zero,) * 5
+                assert row[1:21] == [(zero, -plain[t], -swapped[t], zero, zero,
+                                      zero) for t in range(20)]
+                assert row[21:] == [tuple(Fraction(int(k == slot))
+                                          for k in range(6))
+                                    for slot in range(1, 6)]
 
     def test_both_parameters_zero_collapses_to_one_row(self):
         matrix = build_W_matrix(2)

@@ -148,3 +148,113 @@ class TestParamMatrix:
     def test_entry_length_checked(self):
         with pytest.raises(ValueError, match="entry length"):
             ParamMatrix(1, 1, ("u", "v"), [(0, 1)])
+
+
+# The integer path: rows given as runs of (den, numerators), with mixed
+# denominators across runs and rows, and rows that are entirely zero.
+
+@st.composite
+def integer_runs(draw):
+    """Rows of runs sharing one run-width pattern, and the same rows as
+    Fraction entries."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rows, fraction_rows = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        zero_row = draw(st.booleans()) and draw(st.booleans())
+        runs = []
+        for width in widths:
+            den = draw(st.integers(1, 12))
+            nums = [0] * width if zero_row else draw(
+                st.lists(st.integers(-20, 20), min_size=width, max_size=width))
+            runs.append((den, nums))
+        rows.append(runs)
+        fraction_rows.append([F(n, den) for den, nums in runs for n in nums])
+    return rows, fraction_rows
+
+
+@settings(max_examples=80)
+@given(integer_runs())
+def test_runs_match_fraction_rows(case):
+    rows, fraction_rows = case
+    m = RationalMatrix.from_runs(rows)
+    reference = RationalMatrix.from_rows(fraction_rows)
+    assert (m.rows, m.cols) == (reference.rows, reference.cols)
+    assert m.entries == reference.entries
+    assert rank_exact(m) == rank_exact(reference)
+    assert all(den > 0 for den in m.dens)
+
+
+class TestRunsValidation:
+    def test_nonpositive_denominator(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                RationalMatrix.from_runs([[(1, [1, 2]), (den, [3])]])
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            RationalMatrix.from_runs([[(1, [1, 2])], [(2, [1])]])
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            RationalMatrix.from_runs([])
+        for empty_row in ([], [(1, [])]):
+            with pytest.raises(ValueError, match="positive"):
+                RationalMatrix.from_runs([empty_row])
+
+
+@st.composite
+def affine_substitutions(draw):
+    """An integer-row ParamMatrix, parameter values, and each entry
+    evaluated in Fractions."""
+    params = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    integer_rows = []
+    for _ in range(rows):
+        den = draw(st.integers(1, 12))
+        zero_row = draw(st.booleans()) and draw(st.booleans())
+        entry = st.tuples(*[st.integers(-9, 9)] * (len(params) + 1))
+        entries = ([(0,) * (len(params) + 1)] * cols if zero_row
+                   else draw(st.lists(entry, min_size=cols, max_size=cols)))
+        integer_rows.append((den, entries))
+    values = {p: draw(small_fracs) for p in params}
+    expected = [F(e[0], den) + sum(F(k, den) * values[p]
+                                   for k, p in zip(e[1:], params))
+                for den, entries in integer_rows for e in entries]
+    return params, integer_rows, values, expected
+
+
+@settings(max_examples=80)
+@given(affine_substitutions())
+def test_substitute_matches_fraction_evaluation(case):
+    params, integer_rows, values, expected = case
+    m = ParamMatrix.from_integer_rows(params, integer_rows)
+    assert m.substitute(values).entries == tuple(expected)
+    # the Fraction constructor stores the same matrix
+    fraction_entries = [tuple(F(k, den) for k in e)
+                        for den, entries in integer_rows for e in entries]
+    same = ParamMatrix(m.rows, m.cols, params, fraction_entries)
+    assert same.substitute(values).entries == tuple(expected)
+    assert all(same[r, c] == m[r, c]
+               for r in range(m.rows) for c in range(m.cols))
+
+
+class TestIntegerRowsValidation:
+    def test_nonpositive_denominator(self):
+        with pytest.raises(ValueError, match="positive"):
+            ParamMatrix.from_integer_rows(("u",), [(0, [(1, 2)])])
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            ParamMatrix.from_integer_rows(("u",), [(1, [(1, 2)]),
+                                                   (1, [(1, 2), (0, 1)])])
+
+    def test_entry_length(self):
+        with pytest.raises(ValueError, match="entry length"):
+            ParamMatrix.from_integer_rows(("u", "v"), [(1, [(1, 2)])])
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            ParamMatrix.from_integer_rows(("u",), [])
+        with pytest.raises(ValueError, match="positive"):
+            ParamMatrix.from_integer_rows(("u",), [(1, [])])

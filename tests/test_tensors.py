@@ -28,6 +28,7 @@ from eqlab.tensors import (
     UP,
     TensorField,
     ValenceMismatchError,
+    _field,
     antisym_pair,
     antisym_pair_nodiv,
     contract,
@@ -51,21 +52,22 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @st.composite
-def jets(draw, dim, order):
-    alphas = list(multi_indices(dim, order))
-    coeffs = draw(st.dictionaries(st.sampled_from(alphas), rationals, max_size=4))
-    return JetScalar(dim, order, coeffs)
-
-
-@st.composite
 def tensor_fields(draw, dim=None, valence=None, order=None):
+    """A field drawn as its storage: one denominator and the flat
+    numerators, coefficients at most 9 in absolute value.  One drawn bit
+    per component keeps it or zeroes it, so zero components stay common."""
     dim = dim if dim is not None else draw(st.integers(2, 3))
     order = order if order is not None else draw(st.integers(0, 2))
     if valence is None:
         valence = tuple(draw(st.lists(st.sampled_from([UP, DOWN]),
                                       min_size=1, max_size=3)))
-    comps = [draw(jets(dim, order)) for _ in range(dim ** len(valence))]
-    return TensorField(dim, valence, comps)
+    blocks, size = dim ** len(valence), basis_size(dim, order)
+    den = draw(st.integers(1, 36))
+    nums = draw(st.lists(st.integers(-9 * den, 9 * den),
+                         min_size=blocks * size, max_size=blocks * size))
+    live = draw(st.integers(0, 2 ** blocks - 1))
+    nums = [x if live >> (k // size) & 1 else 0 for k, x in enumerate(nums)]
+    return _field(dim, tuple(valence), order, den, nums)
 
 
 @st.composite
