@@ -3,77 +3,62 @@
 Scalars are truncated Taylor jets with rational coefficients, tensors
 are dense arrays of them, and every identity the package claims is
 checked by exact equality on synthesized witnesses, never by tolerance.
+
+The exported names load lazily (PEP 562): ``import eqlab`` loads no
+submodule, and reading a name loads the submodule that defines it and
+what that submodule imports, nothing more.
 """
 
-from .geometry import (
-    Space,
-    cov_deriv_assoc,
-    cov_deriv_kind,
-    curvature_K,
-    curvature_R,
-    curvature_family_span,
-    random_connection,
-)
-from .harness import run_ranks, run_verify_suite
-from .invariants import (
-    InvariantBundle,
-    R_and_K_transformation_check,
-    T_tilde,
-    U_theta,
-    VerificationReport,
-    W_family,
-    W_star,
-    build_W_matrix,
-    eta_star,
-    family_span_dimension,
-    sigma_coeff_matrix,
-    sigma_p,
-    torsion_cd_difference_check,
-)
-from .jets import JetScalar
-from .mapping import (
-    AG3Mapping,
-    MappedPair,
-    basic_equation_residual,
-    gamma_diff_factorized,
-    reciprocity_inverse,
-    synthesize_instance,
-    transform_connection,
-)
-from .tensors import DOWN, UP, TensorField
+from importlib import import_module
 
-__all__ = [
-    "AG3Mapping",
-    "DOWN",
-    "InvariantBundle",
-    "JetScalar",
-    "MappedPair",
-    "R_and_K_transformation_check",
-    "Space",
-    "TensorField",
-    "T_tilde",
-    "UP",
-    "U_theta",
-    "VerificationReport",
-    "W_family",
-    "W_star",
-    "basic_equation_residual",
-    "build_W_matrix",
-    "cov_deriv_assoc",
-    "cov_deriv_kind",
-    "curvature_K",
-    "curvature_R",
-    "curvature_family_span",
-    "eta_star",
-    "family_span_dimension",
-    "gamma_diff_factorized",
-    "random_connection",
-    "reciprocity_inverse",
-    "run_ranks",
-    "run_verify_suite",
-    "sigma_coeff_matrix",
-    "sigma_p",
-    "synthesize_instance",
-    "torsion_cd_difference_check",
-    "transform_connection",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "AG3Mapping": "mapping",
+    "DOWN": "tensors",
+    "InvariantBundle": "invariants",
+    "JetScalar": "jets",
+    "MappedPair": "mapping",
+    "R_and_K_transformation_check": "invariants",
+    "Space": "geometry",
+    "TensorField": "tensors",
+    "T_tilde": "invariants",
+    "UP": "tensors",
+    "U_theta": "invariants",
+    "VerificationReport": "invariants",
+    "W_family": "invariants",
+    "W_star": "invariants",
+    "basic_equation_residual": "mapping",
+    "build_W_matrix": "invariants",
+    "cov_deriv_assoc": "geometry",
+    "cov_deriv_kind": "geometry",
+    "curvature_K": "geometry",
+    "curvature_R": "geometry",
+    "curvature_family_span": "geometry",
+    "eta_star": "invariants",
+    "family_span_dimension": "invariants",
+    "gamma_diff_factorized": "mapping",
+    "random_connection": "geometry",
+    "reciprocity_inverse": "mapping",
+    "run_ranks": "harness",
+    "run_verify_suite": "harness",
+    "sigma_coeff_matrix": "invariants",
+    "sigma_p": "invariants",
+    "synthesize_instance": "mapping",
+    "torsion_cd_difference_check": "invariants",
+    "transform_connection": "mapping",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,24 +16,19 @@ import json
 import os
 import sys
 
-from .geometry import Space
-from .harness import (
-    ALL_LABELS,
-    FAULTS,
-    evaluate_program_lines,
-    instance_bindings,
-    run_ranks,
-    run_verify_suite,
-    synth_document,
-    synthesized_pairs,
-)
-from .jets import json_int
-from .mapping import MappedPair, synthesize_instance
+# The parser is built from this module alone: each command imports the
+# layers it runs when it runs, so a rejected input loads only what
+# rejecting it takes.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# sigma labels of the verify grid, and the faults of the negative control
+ALL_LABELS = tuple(range(1, 9))
+
+FAULTS = ("psi-sign",)
 
 
 class UsageError(ValueError):
@@ -196,31 +191,74 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _long_as_text(literal: str):
+    """A JSON integer literal, kept as text when it has more digits than
+    ``int`` converts, so the loader names the field that holds it."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past the digit limit
+        return json.loads(text, parse_int=_long_as_text)
+
+
 def _load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except RecursionError:
-            raise UsageError(f"instance file {path} is nested too deeply") \
-                from None
+        text = handle.read()
+    try:
+        doc = _parse_json(text)
+    except RecursionError:
+        raise UsageError(f"instance file {path} is nested too deeply") \
+            from None
     if not isinstance(doc, dict):
         raise UsageError(f"instance file {path} does not hold a JSON object")
     return doc
 
 
-def _load_pair(path: str) -> tuple[int, MappedPair]:
-    doc = _load_document(path)
+def _pair_from(doc: dict, path: str) -> "MappedPair":
+    """The pair a document holds.  The header ``dim``, ``kind`` and
+    ``order`` that ``synth`` writes are optional, but one that is present
+    must state the pair it heads."""
+    from .jets import json_int
+    from .mapping import MappedPair
+
     try:
-        return json_int(doc.get("seed", 0), "the seed"), MappedPair.from_json(doc)
+        pair = MappedPair.from_json(doc)
     except (AttributeError, KeyError, TypeError) as exc:
         raise UsageError(f"instance file {path} is malformed: {exc}") from None
+    for field, holder, value in (
+            ("dim", "the source connection has dim", pair.source.dim),
+            ("kind", "the mapping has kind", pair.mapping.kind),
+            ("order", "the connections have order", pair.source.gamma.order)):
+        if field in doc:
+            stated = json_int(doc[field], f"the header {field}")
+            if stated != value:
+                raise UsageError(f"instance file {path}: header {field} is "
+                                 f"{stated}, but {holder} {value}")
+    return pair
+
+
+def _load_pair(path: str) -> tuple[int, "MappedPair"]:
+    doc = _load_document(path)
+    from .jets import json_int
+
+    return json_int(doc.get("seed", 0), "the seed"), _pair_from(doc, path)
 
 
 def _load_bindings_source(path: str):
     doc = _load_document(path)
+    if "mapping" in doc:
+        return _pair_from(doc, path)
+    from .geometry import Space
+
     try:
-        if "mapping" in doc:
-            return MappedPair.from_json(doc)
         if "gamma" in doc:
             return Space.from_json(doc)
     except (AttributeError, KeyError, TypeError) as exc:
@@ -228,7 +266,18 @@ def _load_bindings_source(path: str):
     raise UsageError(f"instance file {path} holds neither a pair nor a space")
 
 
+def _require_dim(dim: int) -> None:
+    """``--dim`` within the cap the loader applies to instance files."""
+    from .jets import MAX_DIM
+
+    if dim > MAX_DIM:
+        raise UsageError(f"--dim {dim} is above the cap of {MAX_DIM}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    _require_dim(args.dim)
+    from .harness import synth_document
+
     docs = [(seed, synth_document(args.dim, args.kind, seed, args.order))
             for seed in args.seeds]
     if args.out is not None and os.path.isdir(args.out):
@@ -246,7 +295,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.instance is not None:
         pairs = [_load_pair(args.instance)]
     else:
+        _require_dim(args.dim)
+        from .harness import synthesized_pairs
+
         pairs = synthesized_pairs(args.dim, args.kind, args.seeds, args.order)
+    from .harness import run_verify_suite
+
     p_values, q_values = args.grid
     passed, checks, notes = run_verify_suite(
         pairs, p_values, q_values, args.draws, args.corrupt)
@@ -267,6 +321,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ranks(args: argparse.Namespace) -> int:
+    _require_dim(args.dim)
+    from .harness import run_ranks
+
     seed = args.seeds[0]
     passed, rows = run_ranks(args.dim, trials=args.trials, seed=seed,
                              order=args.order)
@@ -290,8 +347,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.instance is not None:
         source = _load_bindings_source(args.instance)
     else:
+        _require_dim(args.dim)
+        from .mapping import synthesize_instance
+
         source = synthesize_instance(args.dim, args.kind, args.seeds[0],
                                      args.order)
+    from .harness import evaluate_program_lines, instance_bindings
+
     defined = evaluate_program_lines(text, instance_bindings(source))
     doc = {
         "command": "eval",

@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jets import json_int, load_field
-from .linalg import RationalMatrix, rank_exact
+from .jets import json_dim, load_field
 from .tensors import (
     DOWN,
     UP,
@@ -90,7 +89,7 @@ class Space:
     def from_json(cls, obj: dict) -> "Space":
         if obj.get("metric") is not None:
             raise ValueError("spaces with a metric are not supported")
-        return cls(json_int(obj["dim"], "a space dim"),
+        return cls(json_dim(obj["dim"], "a space dim"),
                    load_field("gamma", TensorField.from_json, obj["gamma"]))
 
 
@@ -219,6 +218,8 @@ def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,
     taken at `order`, which keeps the random stream, and then cut to order
     1: one derivative reaches the base values, and nothing above it does.
     """
+    from .linalg import RationalMatrix, rank_exact  # loaded by ranks alone
+
     if instances < 1:
         raise ValueError("instances must be at least 1")
     rows: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(5)]

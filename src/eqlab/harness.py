@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .dsl import EvaluationError, evaluate, parse_program
+from .cli import ALL_LABELS, FAULTS
 from .geometry import Space, curvature_family_span, torsion_square_terms
 from .invariants import (
     PARAM_NAMES,
@@ -47,10 +47,6 @@ from .tensors import (
     tensor_sub,
     transpose,
 )
-
-ALL_LABELS = tuple(range(1, 9))
-
-FAULTS = ("psi-sign",)
 
 
 def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
@@ -320,7 +316,10 @@ def instance_bindings(obj) -> dict[str, TensorField]:
 def evaluate_program_lines(text: str, bindings: dict,
                            ) -> dict[str, TensorField]:
     """Assignments evaluated top to bottom, evaluation errors labeled
-    with their line number; parse errors already carry theirs."""
+    with their line number; parse errors already carry theirs.  Only
+    this function loads the expression language."""
+    from .dsl import EvaluationError, evaluate, parse_program
+
     env = dict(bindings)
     defined: dict[str, TensorField] = {}
     for lineno, name, lhs, plan in parse_program(text):

@@ -20,6 +20,7 @@ manner of Bareiss: one gcd per result instead of one per coefficient.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement
@@ -52,12 +53,34 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 def json_int(value, what: str, text: bool = False) -> int:
     """A document's integer, never coerced: a JSON int that is not a bool,
-    or a decimal string where ``text`` allows one."""
+    or a decimal string where ``text`` allows one.  A decimal string with
+    more digits than ``int`` converts is rejected by name and limit."""
     if type(value) is int:
         return value
-    if text and type(value) is str and _DECIMAL.fullmatch(value):
-        return int(value)
+    if type(value) is str and _DECIMAL.fullmatch(value):
+        try:
+            number = int(value)
+        except ValueError:  # past the interpreter's digit limit
+            raise ValueError(
+                f"{what} has {len(value.lstrip('-'))} digits, more than the "
+                f"limit of {sys.get_int_max_str_digits()}") from None
+        if text:
+            return number
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+# Cap on the dim of a loaded document and of ``--dim``.  At dim 7 the
+# heaviest command, ``verify --order 3``, takes 42 s and 670 MB per
+# instance; each further dim multiplies that (README table).
+MAX_DIM = 7
+
+
+def json_dim(value, what: str) -> int:
+    """A document's dim, read before the components it sizes."""
+    dim = json_int(value, what)
+    if dim > MAX_DIM:
+        raise ValueError(f"{what} is {dim}, above the cap of {MAX_DIM}")
+    return dim
 
 
 class FieldError(ValueError):

@@ -32,7 +32,7 @@ from .jets import (
     _partial_table,
     as_rational,
     basis_size,
-    json_int,
+    json_dim,
 )
 
 UP = "up"
@@ -176,7 +176,7 @@ class TensorField:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorField":
-        return cls(json_int(obj["dim"], "a tensor dim"), tuple(obj["valence"]),
+        return cls(json_dim(obj["dim"], "a tensor dim"), tuple(obj["valence"]),
                    [JetScalar.from_json(c) for c in obj["components"]])
 
 

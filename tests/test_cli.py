@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from eqlab.harness import (
     synthesized_pairs,
 )
 from eqlab.invariants import W_star
-from eqlab.jets import JetScalar, jet_truncate
+from eqlab.jets import MAX_DIM, JetScalar, jet_truncate
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -259,6 +260,29 @@ class TestCliSynth:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "verify", "ranks", "eval"])
+def test_dim_above_the_cap_is_refused_before_any_work(capsys, monkeypatch,
+                                                      tmp_path, command):
+    import eqlab.harness
+    import eqlab.mapping
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped dim reached the work")
+
+    for module, name in ((eqlab.harness, "synth_document"),
+                         (eqlab.harness, "synthesized_pairs"),
+                         (eqlab.harness, "run_ranks"),
+                         (eqlab.mapping, "synthesize_instance")):
+        monkeypatch.setattr(module, name, refuse)
+    program = tmp_path / "empty.eqs"
+    program.write_text("")
+    argv = [command] + ([str(program)] if command == "eval" else [])
+    code, out, err = run_cli(capsys, *argv, "--dim", str(MAX_DIM + 1))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"eqlab: --dim {MAX_DIM + 1} is above the cap of {MAX_DIM}"]
+
+
 class TestCliVerify:
     def test_small_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--dim", "2", "--seed", "0",
@@ -393,9 +417,10 @@ class TestCliVerify:
         """Every jet of a stored pair cut to order 1: the checks read their
         residuals at order 0 and still tell the negative control apart.
         Cut to order 0, no derivative is left: a usage error."""
+        doc = cut_jets(synth_document(2, 1, seed=4), order)
+        doc["order"] = order  # the header states the order of the jets
         path = tmp_path / f"order{order}.json"
-        path.write_text(json.dumps(cut_jets(synth_document(2, 1, seed=4),
-                                            order)))
+        path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--instance", str(path))
         corrupt_code, corrupt_out, corrupt_err = run_cli(
             capsys, "verify", "--instance", str(path),
@@ -459,6 +484,78 @@ class TestCliVerify:
         assert (code, out) == (2, "")
         assert len(lines) == 1
         assert lines[0].startswith(f"eqlab: {holder} {field}: "), lines[0]
+
+    @pytest.mark.parametrize("field, stated, message", [
+        ("dim", 40, "header dim is 40, but the source connection has dim 2"),
+        ("kind", 2, "header kind is 2, but the mapping has kind 1"),
+        ("order", 3, "header order is 3, but the connections have order 2"),
+    ])
+    def test_header_must_state_the_pair(self, capsys, tmp_path, field,
+                                        stated, message):
+        """A dim-2, kind-1, order-2 pair under a header that says otherwise."""
+        doc = synth_document(2, 1, seed=0)
+        doc[field] = stated
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        program = tmp_path / "empty.eqs"
+        program.write_text("")
+        for command in (["verify", "--instance", str(path), "--grid", "1",
+                         "--draws", "1"],
+                        ["eval", str(program), "--instance", str(path)]):
+            code, out, err = run_cli(capsys, *command)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [f"eqlab: instance file {path}: {message}"]
+
+    def test_pair_without_header_loads(self, capsys, tmp_path):
+        doc = synth_document(2, 1, seed=0)
+        for field in ("dim", "kind", "order", "seed", "certificate"):
+            del doc[field]
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--grid", "1", "--draws", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("holder", ["source", "source gamma",
+                                        "mapping psi"])
+    def test_loader_caps_dim_before_reading_components(self, capsys, tmp_path,
+                                                       holder):
+        """A dim one above the cap is refused from the dim field alone: the
+        components it would size are not even well-formed."""
+        doc = synth_document(2, 1, seed=0)
+        node = doc
+        for key in holder.split():
+            node = node[key]
+        node["dim"] = MAX_DIM + 1
+        (node["gamma"] if holder == "source" else node)["components"] = None
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        what = "a space dim" if holder == "source" else "a tensor dim"
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: {holder}: {what} is {MAX_DIM + 1}, "
+            f"above the cap of {MAX_DIM}"]
+
+    @pytest.mark.parametrize("literal", [False, True],
+                             ids=["decimal-string", "json-integer"])
+    def test_numerator_past_the_digit_limit_names_field_and_limit(
+            self, capsys, tmp_path, literal):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        digits = "7" * (limit + 1)
+        doc = synth_document(2, 1, seed=0)
+        doc["source"]["gamma"]["components"][0]["coeffs"][0]["num"] = (
+            "@@" if literal else digits)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"@@"', digits))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: source gamma: a coefficient numerator has {limit + 1} "
+            f"digits, more than the limit of {limit}"]
 
     def test_grid_label_out_of_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
