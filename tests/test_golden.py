@@ -45,6 +45,12 @@ GOLDEN = (
     (("verify", "--dim", "3", "--kind", "2", "--order", "3", "--seed", "0",
       "--grid", "1", "--corrupt", "psi-sign"), 1,
      "670366a053897dc90be78e89a1e59a00446ea0bd098a7fac14260a2347e5dff4"),
+    (("synth", "--dim", "2", "--kind", "2", "--seed", "3"), 0,
+     "710b9fb53ca812bf7a96d6d4fa7b27ee4dd052de5b43886166733394a8043344"),
+    (("synth", "--dim", "3", "--kind", "1", "--order", "3", "--seed", "1"), 0,
+     "3b3801dfeec1bf17ea7ee1acd7dea91c4f5d2b253c6e6a78a8327cf7074173eb"),
+    (("synth", "--dim", "4", "--kind", "2", "--seed", "0"), 0,
+     "c8355e9d5265f068c2c1a348204813903542c4fdd2e0f87a5d46b740152d1d40"),
 )
 
 # A product, a repeated-index contraction, a comma derivative and
