@@ -25,7 +25,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# sigma labels of the verify grid, and the faults of the negative control
+# the parser's copies of ``invariants.SIGMA_LABELS`` (the verify grid) and
+# ``harness.FAULTS`` (the negative control), read without loading the layers
 ALL_LABELS = tuple(range(1, 9))
 
 FAULTS = ("psi-sign",)
@@ -304,11 +305,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p_values, q_values = args.grid
     passed, checks, notes = run_verify_suite(
         pairs, p_values, q_values, args.draws, args.corrupt)
+    pair = pairs[0][1]  # a stored file states its own instance
     doc = {
         "command": "verify",
         "config": {
-            "dim": args.dim, "kind": args.kind, "seeds": list(args.seeds),
-            "order": args.order, "draws": args.draws,
+            "dim": pair.source.dim, "kind": pair.mapping.kind,
+            "seeds": [seed for seed, _ in pairs],
+            "order": pair.source.gamma.order, "draws": args.draws,
             "p": list(p_values), "q": list(q_values),
             "corrupt": args.corrupt, "instance": args.instance,
         },

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 
-from .cli import ALL_LABELS, FAULTS
 from .geometry import Space, curvature_family_span, torsion_square_terms
 from .invariants import (
     PARAM_NAMES,
+    SIGMA_LABELS,
     InvariantBundle,
     R_and_K_transformation_check,
     VerificationReport,
@@ -49,6 +49,9 @@ from .tensors import (
 )
 
 
+FAULTS = ("psi-sign",)  # the negative control's faults
+
+
 def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
     """Inverse mapping data with the sign of the barred psi flipped.
 
@@ -62,14 +65,6 @@ def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
     mu_wrong = m.mu - m.psi_phi()
     return AG3Mapping(psi=psi_wrong, sigma=tensor_neg(m.sigma), phi=m.phi,
                       nu=nu_wrong, mu=mu_wrong, kind=m.kind)
-
-
-def _with_inverse(pair: MappedPair, m_bar: AG3Mapping) -> MappedPair:
-    # preload the inverse cache so the factorization check, which reads
-    # the pair, consumes the given barred data
-    clone = MappedPair(pair.source, pair.mapping, pair.target)
-    clone._inverse = m_bar
-    return clone
 
 
 def w_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
@@ -86,9 +81,10 @@ def t_tilde_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
         (tensor_sub(src.t_tilde(rho), tgt.t_tilde(rho)),))
 
 
-def factorization_check(pair: MappedPair, base: dict) -> VerificationReport:
+def factorization_check(pair: MappedPair, m_bar: AG3Mapping,
+                        base: dict) -> VerificationReport:
     try:
-        gamma_diff_factorized(pair)
+        gamma_diff_factorized(pair, m_bar)
         residuals = ()
     except FactorizationMismatch as exc:
         residuals = (exc.residual,)
@@ -196,7 +192,7 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
     checks = torsion_cd_difference_check(src, tgt, p_values)
     for report in checks:
         report.params["seed"] = label
-    checks.append(factorization_check(_with_inverse(pair, m_bar), base))
+    checks.append(factorization_check(pair, m_bar, base))
     checks.append(w_invariance_check(src, tgt, kind, base))
     for rho in p_values:
         checks.append(t_tilde_invariance_check(src, tgt, rho, base))
@@ -229,8 +225,8 @@ def run_verify_suite(pairs, p_values=None, q_values=None, draws: int = 3,
     ``pairs`` is a sequence of (label, MappedPair); labels key the
     deterministic parameter draws and appear in the reports.
     """
-    p_values = list(p_values) if p_values is not None else list(ALL_LABELS)
-    q_values = list(q_values) if q_values is not None else list(ALL_LABELS)
+    p_values = list(p_values) if p_values is not None else list(SIGMA_LABELS)
+    q_values = list(q_values) if q_values is not None else list(SIGMA_LABELS)
     if draws < 1:
         raise ValueError("draws must be at least 1")
     checks: list[VerificationReport] = []

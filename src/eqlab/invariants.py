@@ -46,6 +46,9 @@ from .tensors import (
 
 PARAM_NAMES = ("u", "u'", "v", "v'", "w")
 
+# the labels p of the eight sigma_p tensors
+SIGMA_LABELS = tuple(range(1, 9))
+
 
 class VerificationReport:
     """Outcome of one exact check, with the residual kept when nonzero."""
@@ -225,7 +228,7 @@ def _sigma_numerators(N: int) -> list[list[int]]:
     return [[whole * (N + 1) + scaled
              for whole, scaled in (_SIGMA_COEFFS[p].get(theta, (0, 0))
                                    for theta in range(1, 21))]
-            for p in range(1, 9)]
+            for p in SIGMA_LABELS]
 
 
 @cache

@@ -16,12 +16,7 @@ from fractions import Fraction
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
 from .jets import (
     JetScalar,
-    jet_add,
     jet_inverse,
-    jet_mul,
-    jet_neg,
-    jet_partial,
-    jet_sum,
     jet_truncate,
     json_int,
     load_field,
@@ -32,12 +27,14 @@ from .tensors import (
     DOWN,
     UP,
     TensorField,
+    gradient,
     tensor_add,
     tensor_contract,
     tensor_lincomb,
     tensor_neg,
     tensor_sub,
     tensor_truncate,
+    transpose,
 )
 
 
@@ -84,10 +81,8 @@ class AG3Mapping:
                 raise ValueError("mapping fields must share one dimension")
         if mu.dim != dim:
             raise ValueError("mu must share the mapping dimension")
-        for j in range(dim):
-            for k in range(j):
-                if sigma[j, k] != sigma[k, j]:
-                    raise ValueError("sigma must be exactly symmetric")
+        if transpose(sigma, (1, 0)) != sigma:
+            raise ValueError("sigma must be exactly symmetric")
         self.psi = psi
         self.sigma = sigma
         self.phi = phi
@@ -155,15 +150,21 @@ def transform_connection(s: Space, m: AG3Mapping) -> Space:
         [(1, s.gamma)] + _increment(m.psi, 1, m.sigma, m.phi, 2)))
 
 
+def _nu_phi_mu(nu: TensorField, phi: TensorField, mu: JetScalar,
+               c: int) -> list:
+    """The terms of c (nu_j phi^i + mu d^i_j), slots (i, j), for
+    ``tensor_lincomb``."""
+    delta = TensorField.delta(phi.dim, mu.order)
+    mu = TensorField.scalar(phi.dim, mu.order, mu)
+    return [(c, tensor_contract("j,i->ij", nu, phi)),
+            (c, tensor_contract(",ij->ij", mu, delta))]
+
+
 def basic_equation_residual(s: Space, m: AG3Mapping) -> TensorField:
     """phi^i_{s|j} - nu_j phi^i - mu d^i_j; zero iff m is almost geodesic
     of its kind on s."""
-    mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
-    return tensor_lincomb(
-        [(1, cov_deriv_kind(m.phi, s, m.kind)),
-         (-1, tensor_contract("j,i->ij", m.nu, m.phi)),
-         (-1, tensor_contract("ij,->ij", TensorField.delta(s.dim, mu.order),
-                              mu))])
+    return tensor_lincomb([(1, cov_deriv_kind(m.phi, s, m.kind))]
+                          + _nu_phi_mu(m.nu, m.phi, m.mu, -1))
 
 
 def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
@@ -173,22 +174,21 @@ def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
     keeps phi and negates sigma.  nu and mu absorb the deformation:
     nubar_j = nu_j + psi_j + 2 sigma_{ja} phi^a, mubar = mu + psi_a phi^a.
     Applying the construction twice returns the original data exactly.
+    Building the pair (s, m) proves the basic equation on s.
     """
-    return _inverse_onto(s, m, transform_connection(s, m))
+    return MappedPair.build(s, m).inverse()
 
 
 def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
     """:func:`reciprocity_inverse` with the image space ``target`` given.
 
-    The round trip target -> s rejects a target that is not the image of
-    s under m, since the inverse increment is exactly minus the forward one.
+    The caller has proved the basic equation on s; this proves it on the
+    target.  The round trip target -> s rejects a target that is not the
+    image of s under m, since the inverse increment is exactly minus the
+    forward one.
     """
-    residual = basic_equation_residual(s, m)
-    if not residual.is_zero():
-        raise BasicEquationError(
-            "cannot invert: basic equation residual is nonzero on the source space")
     nu_bar = tensor_lincomb([(1, m.nu), (1, m.psi), (2, m.sigma_phi())])
-    mu_bar = jet_add(m.mu, m.psi_phi())
+    mu_bar = m.mu + m.psi_phi()
     m_bar = AG3Mapping(psi=tensor_neg(m.psi), sigma=tensor_neg(m.sigma),
                        phi=m.phi, nu=nu_bar, mu=mu_bar, kind=m.kind)
     if transform_connection(target, m_bar).gamma != s.gamma:
@@ -205,8 +205,9 @@ class MappedPair:
     Construction through :meth:`build` checks that the basic-equation
     residual vanishes; :meth:`validate`, run on every loaded pair, also
     checks that the stored target is the image of the source.  Only a
-    pair that went through one of them lends its target to :meth:`inverse`;
-    a hand-built pair's target may be anything.
+    pair that went through one of them lends its target and its proof on
+    the source to :meth:`inverse`; a hand-built pair's target may be
+    anything.
     """
 
     def __init__(self, source: Space, mapping: AG3Mapping, target: Space):
@@ -244,8 +245,7 @@ class MappedPair:
             if order not in allowed:
                 raise ValueError(f"mapping {name} has order {order}, but the "
                                  f"connections have order {o}")
-        image = transform_connection(self.source, self.mapping)
-        if image.gamma != self.target.gamma:
+        if transform_connection(self.source, m).gamma != self.target.gamma:
             raise ValueError("target is not the image of the source "
                              "under the mapping")
         self._check_basic_equation()
@@ -281,20 +281,18 @@ class MappedPair:
         return pair
 
 
-def gamma_diff_factorized(pair: MappedPair) -> TensorField:
+def gamma_diff_factorized(pair: MappedPair, m_bar: AG3Mapping) -> TensorField:
     """Difference of symmetric parts in its reciprocity-factorized form.
 
-    Evaluates, with barred data taken from the image space and the inverse
-    mapping, the combination
+    Evaluates, with barred data taken from the image space and the given
+    inverse mapping ``m_bar`` (``pair.inverse()``, or a corrupted one for
+    a negative control), the combination
     (Gbar_j + sigmabar_{ja} phibar^a) d^i_k / (N+1) + (j <-> k)
     - sigmabar_{jk} phibar^i minus the same expression in unbarred data,
     and checks it equals Gammabar^i_(jk) - Gamma^i_(jk) exactly.  Returns
     the common value; raises :class:`FactorizationMismatch` otherwise.
     """
-    m = pair.mapping
-    m_bar = pair.inverse()
-    dim = pair.source.dim
-    c = Fraction(1, dim + 1)
+    c = Fraction(1, pair.source.dim + 1)
 
     def bracket(space: Space, mapping: AG3Mapping) -> list:
         combined = tensor_add(space.trace_sym(), mapping.sigma_phi())
@@ -303,7 +301,7 @@ def gamma_diff_factorized(pair: MappedPair) -> TensorField:
     lhs = tensor_sub(pair.target.sym(), pair.source.sym())
     residual = tensor_lincomb(
         [(1, lhs)] + [(-k, t) for k, t in bracket(pair.target, m_bar)]
-        + bracket(pair.source, m))
+        + bracket(pair.source, pair.mapping))
     if not residual.is_zero():
         raise FactorizationMismatch(residual)
     return lhs
@@ -319,10 +317,8 @@ def random_jet(rng: random.Random, dim: int, order: int) -> JetScalar:
 
 
 def _random_symmetric(rng: random.Random, dim: int, order: int) -> TensorField:
-    upper = {}
-    for j in range(dim):
-        for k in range(j, dim):
-            upper[(j, k)] = random_jet(rng, dim, order)
+    upper = {(j, k): random_jet(rng, dim, order)
+             for j in range(dim) for k in range(j, dim)}
     return TensorField.build(dim, (DOWN, DOWN),
                              lambda idx: upper[tuple(sorted(idx))])
 
@@ -351,14 +347,12 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
         raise ValueError("order must be at least 1")
     rng = random.Random(_derive_seed(dim, kind, seed, order))
 
-    phi = None
     for _ in range(16):
-        candidate = TensorField.build(dim, (UP,),
-                                      lambda idx: random_jet(rng, dim, order + 1))
-        if value_at_base(candidate[0]) != 0:
-            phi = candidate
+        phi = TensorField.build(dim, (UP,),
+                                lambda idx: random_jet(rng, dim, order + 1))
+        if value_at_base(phi[0]) != 0:
             break
-    if phi is None:
+    else:
         raise SynthesisError("phi^1 kept vanishing at the base point")
 
     nu_high = TensorField.build(dim, (DOWN,),
@@ -369,46 +363,19 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     bulk = TensorField.build(dim, GAMMA_VALENCE,
                              lambda idx: random_jet(rng, dim, order))
 
-    w = jet_inverse(phi[0])  # lives at order + 1
-
-    def t_component(i: int, j: int) -> JetScalar:
-        total = jet_mul(nu_high[j], phi[i])
-        if i == j:
-            total = jet_add(total, mu_high)
-        return jet_add(total, jet_neg(jet_partial(phi[i], j)))
-
-    t = [[t_component(i, j) for j in range(dim)] for i in range(dim)]
-
-    def bulk_phi_first(i: int, b: int) -> JetScalar:
-        return jet_sum(jet_mul(bulk[i, beta, b], phi[beta])
-                       for beta in range(dim))
-
-    def bulk_phi_second(i: int, a: int) -> JetScalar:
-        return jet_sum(jet_mul(bulk[i, a, beta], phi[beta])
-                       for beta in range(dim))
-
-    def gamma_component(idx):
-        i, a, b = idx
-        if kind == 1:
-            # contraction over the first lower slot must reproduce T^i_b
-            total = bulk[i, a, b]
-            if a == 0:
-                total = jet_add(total, jet_mul(w, jet_add(t[i][b],
-                                                          jet_neg(bulk_phi_first(i, b)))))
-            return total
-        # kind 2: contraction over the second lower slot reproduces T^i_a
-        total = bulk[i, a, b]
-        if b == 0:
-            total = jet_add(total, jet_mul(w, jet_add(t[i][a],
-                                                      jet_neg(bulk_phi_second(i, a)))))
-        return total
-
-    gamma = TensorField.build(dim, GAMMA_VALENCE, gamma_component)
-    source = Space(dim, gamma)
-
-    mapping = AG3Mapping(
-        psi=psi, sigma=sigma, phi=phi,
-        nu=tensor_truncate(nu_high, order),
-        mu=jet_truncate(mu_high, order),
-        kind=kind)
-    return MappedPair.build(source, mapping)
+    # w = T - bulk . phi, with T^i_j = nu_j phi^i + mu d^i_j - phi^i_{,j}
+    # and the phi contraction over the kind's lower slot: what that
+    # contraction of the bulk term misses.  w goes on slot 0 over phi^1.
+    spec = "iab,a->ib" if kind == 1 else "iab,b->ia"
+    w = tensor_lincomb(_nu_phi_mu(nu_high, phi, mu_high, 1)
+                       + [(-1, gradient(phi)),
+                          (-1, tensor_contract(spec, bulk, phi))])
+    x0 = JetScalar.coordinate(dim, order + 1, 0)
+    first = tensor_contract(  # the covector dx^1 / phi^1
+        ",a->a", TensorField.scalar(dim, order + 1, jet_inverse(phi[0])),
+        gradient(TensorField.scalar(dim, order + 1, x0)))
+    spec = "ib,a->iab" if kind == 1 else "ia,b->iab"
+    gamma = tensor_lincomb([(1, bulk), (1, tensor_contract(spec, w, first))])
+    return MappedPair.build(Space(dim, gamma), AG3Mapping(
+        psi=psi, sigma=sigma, phi=phi, nu=tensor_truncate(nu_high, order),
+        mu=jet_truncate(mu_high, order), kind=kind))

@@ -158,7 +158,7 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
         if not basic_equation_residual(pair.target, m_bar).is_zero():
             problems.append(f"{tag}: defining equation fails on the target")
         try:
-            gamma_diff_factorized(pair)
+            gamma_diff_factorized(pair, m_bar)
         except FactorizationMismatch:
             problems.append(f"{tag}: symmetric difference factorization")
         src = InvariantBundle(pair.source, pair.mapping)

@@ -40,7 +40,7 @@ def _outputs(pair) -> dict:
     out["psi_phi"] = m.psi_phi()
     out["transform_connection"] = transform_connection(s, m).gamma
     out["basic_equation_residual"] = basic_equation_residual(s, m)
-    out["gamma_diff_factorized"] = gamma_diff_factorized(pair)
+    out["gamma_diff_factorized"] = gamma_diff_factorized(pair, pair.inverse())
     return {name: value.to_json() for name, value in out.items()}
 
 

@@ -320,6 +320,30 @@ class TestCliVerify:
         assert doc["pass"] is True
         assert all(c["params"]["kind"] == 2 for c in doc["checks"])
 
+    def test_stored_instance_config_states_the_file(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        run_cli(capsys, "synth", "--dim", "2", "--kind", "2", "--seed", "5",
+                "--out", str(path))
+        code, out, _ = run_cli(capsys, "verify", "--instance", str(path),
+                               "--grid", "1", "--draws", "1")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["dim"], config["kind"], config["order"],
+                config["seeds"]) == (2, 2, 2, [5])
+
+    def test_asymmetric_sigma_is_usage_error(self, capsys, tmp_path):
+        doc = synth_document(2, 1, seed=0)
+        components = doc["mapping"]["sigma"]["components"]
+        # sigma[0, 1] := sigma[1, 0] + 1, row-major
+        components[1] = (JetScalar.from_json(components[2])
+                         + JetScalar.constant(2, 2, 1)).to_json()
+        path = tmp_path / "asymmetric.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "eqlab: mapping: sigma must be exactly symmetric"]
+
     def test_reports_are_byte_identical(self, capsys, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         for target in (first, second):

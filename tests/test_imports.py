@@ -92,6 +92,29 @@ def test_eval_loads_every_layer(work):
     assert loaded_by_command(argv, 0, work) == EVERY_LAYER
 
 
+def test_module_run_imports_cli_once(work):
+    """``python -m eqlab.cli`` runs cli as ``__main__``; no layer imports
+    it a second time as ``eqlab.cli``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("EQLAB_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "eqlab.cli", "synth",
+         "--dim", "2", "--out", "out.json"],
+        cwd=work, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()]
+    assert "eqlab.harness" in imported
+    assert "eqlab.cli" not in imported
+
+
+def test_parser_constants_match_the_layers():
+    from eqlab import cli, harness, invariants
+
+    assert cli.ALL_LABELS == invariants.SIGMA_LABELS
+    assert cli.FAULTS == harness.FAULTS
+
+
 def test_dir_lists_every_export():
     assert set(dir(eqlab)) >= set(eqlab.__all__)
     assert len(eqlab.__all__) == len(set(eqlab.__all__)) == 33

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqlab.mapping as mapping_module
 from eqlab.geometry import GAMMA_VALENCE, Space
 from eqlab.jets import JetScalar, jet_inverse, jet_mul, jet_scale, value_at_base
 from eqlab.mapping import (
@@ -256,6 +257,24 @@ class TestReciprocity:
         # a hand-built pair is inverted from its source, whatever its target
         assert MappedPair(pair.source, pair.mapping, fake_target).inverse() == expected
 
+    def test_each_side_proves_the_basic_equation_once(self, monkeypatch):
+        """Build or validate proves the source side; the inverse proves
+        only the target side."""
+        doc = synthesize_instance(3, 1, 0).to_json()
+        calls = []
+
+        def counted(s, m):
+            calls.append(s)
+            return basic_equation_residual(s, m)
+
+        monkeypatch.setattr(mapping_module, "basic_equation_residual", counted)
+        for make in (lambda: synthesize_instance(3, 1, 0),
+                     lambda: MappedPair.from_json(doc)):
+            calls.clear()
+            pair = make()
+            pair.inverse()
+            assert calls == [pair.source, pair.target]
+
     def test_nonzero_residual_rejected(self):
         space, mapping = flat_instance()
         wrong = AG3Mapping(psi=mapping.psi, sigma=mapping.sigma, phi=mapping.phi,
@@ -270,13 +289,13 @@ class TestGammaDiffFactorized:
     def test_identity_mapping_gives_zero(self):
         space, mapping = flat_instance()
         pair = MappedPair.build(space, mapping)
-        assert gamma_diff_factorized(pair).is_zero()
+        assert gamma_diff_factorized(pair, pair.inverse()).is_zero()
 
     @given(seed=seeds, kind=kinds, dim=dims)
     @settings(max_examples=25, deadline=None)
     def test_factorization_matches_symmetric_difference(self, seed: int, kind: int, dim: int):
         pair = synthesize_instance(dim, kind, seed)
-        value = gamma_diff_factorized(pair)
+        value = gamma_diff_factorized(pair, pair.inverse())
         assert value == tensor_sub(pair.target.sym(), pair.source.sym())
 
     def test_pure_psi_difference(self):
@@ -285,7 +304,7 @@ class TestGammaDiffFactorized:
         shifted = AG3Mapping(psi=psi, sigma=mapping.sigma, phi=mapping.phi,
                              nu=mapping.nu, mu=mapping.mu, kind=1)
         pair = MappedPair.build(space, shifted)
-        diff = gamma_diff_factorized(pair)
+        diff = gamma_diff_factorized(pair, pair.inverse())
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -307,5 +326,5 @@ class TestGammaDiffFactorized:
         fake_target = Space(2, tensor_add(pair.target.gamma, bump))
         corrupted = MappedPair(pair.source, pair.mapping, fake_target)
         with pytest.raises(FactorizationMismatch) as excinfo:
-            gamma_diff_factorized(corrupted)
+            gamma_diff_factorized(corrupted, corrupted.inverse())
         assert not excinfo.value.residual.is_zero()
