@@ -51,6 +51,8 @@ GOLDEN = (
      "3b3801dfeec1bf17ea7ee1acd7dea91c4f5d2b253c6e6a78a8327cf7074173eb"),
     (("synth", "--dim", "4", "--kind", "2", "--seed", "0"), 0,
      "c8355e9d5265f068c2c1a348204813903542c4fdd2e0f87a5d46b740152d1d40"),
+    (("verify", "--dim", "3"), 0,
+     "d0ab68a28969ec6dd400a6949235b78d30a13206749b81708fab586df6ab54d9"),
 )
 
 # A product, a repeated-index contraction, a comma derivative and
