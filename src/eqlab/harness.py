@@ -26,6 +26,7 @@ from .invariants import (
     InvariantBundle,
     R_and_K_transformation_check,
     VerificationReport,
+    _check_label,
     build_W_matrix,
     family_span_dimension,
     sigma_coeff_matrix,
@@ -92,57 +93,98 @@ def factorization_check(pair: MappedPair, m_bar: AG3Mapping,
         "sym_difference_factorization", dict(base), residuals)
 
 
-def _grid_report(check: str, head: dict, values: dict, p_values, q_values,
-                 residual_at) -> VerificationReport:
-    """One report over the (p, q) cells, listing the cells that fail."""
-    failed: list[list[int]] = []
-    params = {**head, "cells": len(p_values) * len(q_values),
-              "failed_cells": failed}
+def _grid_report(check: str, head: dict, values: dict,
+                 cells: list) -> VerificationReport:
+    """One report over the (p, q) cells, listing the cells that fail.
+
+    ``cells`` holds ``((p, q), residual)`` per cell in row-major order.
+    Cells with equal residuals share one object, so each distinct
+    residual is decided and measured once, however many cells report it.
+    """
+    distinct = {id(residual): residual for _, residual in cells}
+    failing = {key for key, residual in distinct.items()
+               if not residual.is_zero()}
+    params = {**head, "cells": len(cells),
+              "failed_cells": [[p, q] for (p, q), residual in cells
+                               if id(residual) in failing]}
     params.update({name: values[name] for name in PARAM_NAMES})
+    return VerificationReport.from_residuals(check, params, distinct.values())
 
-    def residuals():
-        for p in p_values:
-            for q in q_values:
-                residual = residual_at(p, q)
-                if not residual.is_zero():
-                    failed.append([p, q])
-                yield residual
 
-    return VerificationReport.from_residuals(check, params, residuals())
+def _keyed_differences(labels, src_value, tgt_value,
+                       ) -> tuple[dict[int, int], dict[int, TensorField]]:
+    """Source value minus target value per label, deduplicated.
+
+    Returns ``(keys, differences)``: each label keyed by the first label
+    whose difference is equal to its own, and the difference of each key.
+    """
+    keys: dict[int, int] = {}
+    first: dict[TensorField, int] = {}
+    for label in labels:
+        difference = tensor_sub(src_value(label), tgt_value(label))
+        keys[label] = first.setdefault(difference, label)
+    return keys, {key: difference for difference, key in first.items()}
+
+
+def sigma_differences(src: InvariantBundle, tgt: InvariantBundle,
+                      p_values, q_values) -> tuple:
+    """The keyed sigma_p and swapped sigma_q differences of the family
+    grid, ``_keyed_differences`` of each axis.  They do not depend on the
+    parameters, so one instance builds them once for all its draws."""
+    return (_keyed_differences(p_values, src.sigma, tgt.sigma),
+            _keyed_differences(q_values, src.sigma_swapped,
+                               tgt.sigma_swapped))
 
 
 def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                             which: int, p_values, q_values,
-                            values: dict, draw: int,
-                            base: dict) -> VerificationReport:
-    """F_src - F_tgt cell by cell, through the linearity of the family:
-    the parameter-free part and each sigma label's difference are built
-    once, every cell sums three of them.  Each difference is a source
-    value minus an independent target value."""
+                            values: dict, draw: int, base: dict,
+                            differences=None) -> VerificationReport:
+    """F_src - F_tgt over the (p, q) grid, through the linearity of the
+    family: cell (p, q) is common - u d_sigma[p] - u' d_swapped[q], with
+    the parameter-free part built once.  Labels with equal differences
+    share a key, and each distinct key pair is summed once; on a passing
+    instance every label's difference is the same, so the grid is one sum.
+    ``differences`` is ``sigma_differences`` over the same labels, built
+    here when not given.  Each difference is a source value minus an
+    independent target value."""
+    if differences is None:
+        differences = sigma_differences(src, tgt, p_values, q_values)
+    (keys_p, d_sigma), (keys_q, d_swapped) = differences
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
     common = tensor_lincomb(
         [(1, src.curvature_k(*params)), (1, src.correction(which)),
          (-1, tgt.curvature_k(*params)), (-1, tgt.correction(which))])
-    d_sigma = {p: tensor_sub(src.sigma(p), tgt.sigma(p)) for p in p_values}
-    d_swapped = {q: tensor_sub(src.sigma_swapped(q), tgt.sigma_swapped(q))
-                 for q in q_values}
-    return _grid_report(
-        "family_invariance", {**base, "which": which, "draw": draw}, values,
-        p_values, q_values,
-        lambda p, q: tensor_lincomb([(1, common), (-u, d_sigma[p]),
-                                     (-up, d_swapped[q])]))
+    sums: dict[tuple[int, int], TensorField] = {}
+    cells = []
+    for p in p_values:
+        for q in q_values:
+            key = keys_p[p], keys_q[q]
+            if key not in sums:
+                sums[key] = tensor_lincomb([(1, common), (-u, d_sigma[key[0]]),
+                                            (-up, d_swapped[key[1]])])
+            cells.append(((p, q), sums[key]))
+    return _grid_report("family_invariance",
+                        {**base, "which": which, "draw": draw}, values, cells)
 
 
 def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
                       values: dict, base: dict) -> VerificationReport:
     """The family assembly K + (W - R) - u sigma_p - u' sigma*_q against
-    W + u cd + u' cd* + v V + v' V' + w W_t - u sigma_p - u' sigma*_q, cell
-    by cell on one side: cd is the torsion derivative, cd* its m/n swap,
-    V, V', W_t the torsion squares.  Both assemblies share W and sigma, so
-    this checks K - R against its torsion terms.  It is not a source-to-target
-    comparison."""
+    W + u cd + u' cd* + v V + v' V' + w W_t - u sigma_p - u' sigma*_q on
+    one side: cd is the torsion derivative, cd* its m/n swap, V, V', W_t
+    the torsion squares.  Both assemblies carry the same sigma terms, so
+    every cell's residual is the one tensor K + (W - R) - (W + u cd + ...),
+    built once and reported for each cell: the check is that K - R equals
+    its torsion terms.  W is taken at no higher order than any sigma, so
+    the sigma terms never cut the cell sums lower.  It is not a
+    source-to-target comparison."""
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
+    for p in p_values:
+        _check_label("p", p)
+    for q in q_values:
+        _check_label("q", q)
     space = bundle.space
     cd = space.torsion_cd()
     cd_swapped = transpose(cd, (0, 1, 3, 2))
@@ -150,14 +192,11 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     fixed = tensor_lincomb([(1, bundle.w_star(which)), (u, cd),
                             (up, cd_swapped), (v, v_term), (vp, vp_term),
                             (w, w_term)])
-
-    def residual_at(p, q):
-        return tensor_lincomb(
-            [(1, bundle.family(which, p, q, u, up, v, vp, w)), (-1, fixed),
-             (u, bundle.sigma(p)), (up, bundle.sigma_swapped(q))])
-
+    residual = tensor_lincomb([(1, bundle.curvature_k(u, up, v, vp, w)),
+                               (1, bundle.correction(which)), (-1, fixed)])
+    cells = [((p, q), residual) for p in p_values for q in q_values]
     return _grid_report("correlation", {**base, "which": which}, values,
-                        p_values, q_values, residual_at)
+                        cells)
 
 
 def _draw_seed(dim: int, kind: int, label: int, order: int) -> int:
@@ -198,10 +237,12 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
         checks.append(t_tilde_invariance_check(src, tgt, rho, base))
     checks.append(correlation_check(src, kind, p_values, q_values,
                                     draw_values[0], base))
+    differences = sigma_differences(src, tgt, p_values, q_values)
     for draw, values in enumerate(draw_values):
         checks.append(family_invariance_check(src, tgt, kind,
                                               p_values, q_values,
-                                              values, draw, base))
+                                              values, draw, base,
+                                              differences))
     p_cell = p_values[label % len(p_values)]
     q_cell = q_values[(3 * label + 1) % len(q_values)]
     report = R_and_K_transformation_check(

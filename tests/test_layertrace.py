@@ -30,7 +30,8 @@ def test_traced_verify_matches_untraced_and_records_spans(capsys, monkeypatch,
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == untraced
     spans = json.loads(out_path.read_text())["spans"]
-    for name in ("invariants.parts", "invariants.family", "geometry.cov_deriv"):
+    for name in ("invariants.parts", "geometry.curvature_K",
+                 "geometry.cov_deriv"):
         assert spans[name]["calls"] > 0, name
     # one _Parts per side
     assert spans["invariants.parts"]["calls"] == 2
