@@ -31,6 +31,11 @@ ALL_LABELS = tuple(range(1, 9))
 
 FAULTS = ("psi-sign",)
 
+# the defaults of the options that pick a synthesized instance; they
+# default to None in the parser, so that one given beside --instance is seen
+INSTANCE_DEFAULTS = {"dim": 3, "kind": 1, "order": 2}
+INSTANCE_OPTIONS = (*INSTANCE_DEFAULTS, "seed", "seeds")
+
 
 class UsageError(ValueError):
     """Bad arguments or unusable input files; exits with code 2."""
@@ -98,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def instance_args(p: argparse.ArgumentParser, default_seeds) -> None:
-        p.add_argument("--dim", type=_dim_value, default=3,
+        p.add_argument("--dim", type=_dim_value,
                        help="space dimension, at least 2 (default 3)")
-        p.add_argument("--kind", type=int, choices=(1, 2), default=1,
+        p.add_argument("--kind", type=int, choices=(1, 2),
                        help="mapping kind (default 1)")
-        p.add_argument("--order", type=int, choices=(2, 3), default=2,
+        p.add_argument("--order", type=int, choices=(2, 3),
                        help="jet truncation order (default 2)")
         p.add_argument("--seed", type=int,
                        help="single seed; the EQLAB_SEED variable overrides")
@@ -150,6 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", help="result file (default stdout)")
 
     return parser
+
+
+def _settle_instance_options(parser: argparse.ArgumentParser,
+                             args: argparse.Namespace) -> None:
+    """A stored instance states its own dim, kind, order and seed, so an
+    instance option beside ``--instance`` is a usage error and EQLAB_SEED
+    is not read.  Otherwise the unset options take their defaults."""
+    if getattr(args, "instance", None) is not None:
+        given = [f"--{name}" for name in INSTANCE_OPTIONS
+                 if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be given with "
+                             "--instance, whose file states its instance")
+        return
+    for name, value in INSTANCE_DEFAULTS.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
+    args.seeds = _resolve_seeds(parser, args)
 
 
 def _resolve_seeds(parser: argparse.ArgumentParser,
@@ -377,8 +400,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.seeds = _resolve_seeds(parser, args)
     try:
+        _settle_instance_options(parser, args)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         # covers usage, parse, index-discipline and malformed-input errors

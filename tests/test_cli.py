@@ -331,6 +331,48 @@ class TestCliVerify:
         assert (config["dim"], config["kind"], config["order"],
                 config["seeds"]) == (2, 2, 2, [5])
 
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("option, value", [
+        ("--dim", "3"), ("--dim", "4"), ("--kind", "1"), ("--order", "2"),
+        ("--seed", "5"), ("--seeds", "7,8")])
+    def test_instance_option_beside_instance_is_usage_error(
+            self, capsys, tmp_path, command, option, value):
+        # the default values too: the file states its own instance
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(synth_document(2, 2, seed=5)))
+        program = tmp_path / "empty.eqs"
+        program.write_text("")
+        argv = {"verify": ["verify", "--grid", "1", "--draws", "1"],
+                "eval": ["eval", str(program)]}[command]
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path),
+                                 option, value)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: {option} cannot be given with --instance, whose file "
+            "states its instance"]
+
+    def test_instance_options_beside_instance_are_named(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(synth_document(2, 2, seed=5)))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--dim", "4", "--kind", "1", "--seeds", "7,8")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "eqlab: --dim, --kind, --seeds cannot be given with --instance, "
+            "whose file states its instance"]
+
+    @pytest.mark.parametrize("env_seed", ["11", "eleven"])
+    def test_env_seed_is_ignored_with_instance(self, capsys, monkeypatch,
+                                               tmp_path, env_seed):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(synth_document(2, 2, seed=5)))
+        monkeypatch.setenv("EQLAB_SEED", env_seed)
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--grid", "1", "--draws", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["seeds"] == [5]
+
     def test_asymmetric_sigma_is_usage_error(self, capsys, tmp_path):
         doc = synth_document(2, 1, seed=0)
         components = doc["mapping"]["sigma"]["components"]
