@@ -177,8 +177,8 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     the torsion squares.  Both assemblies carry the same sigma terms, so
     every cell's residual is the one tensor K + (W - R) - (W + u cd + ...),
     built once and reported for each cell: the check is that K - R equals
-    its torsion terms.  W is taken at no higher order than any sigma, so
-    the sigma terms never cut the cell sums lower.  It is not a
+    its torsion terms.  The correction W - R is at no higher order than
+    any sigma, so the sigma terms never cut a cell's sum lower.  It is not a
     source-to-target comparison."""
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
     for p in p_values:
@@ -189,11 +189,11 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     cd = space.torsion_cd()
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(space)
-    fixed = tensor_lincomb([(1, bundle.w_star(which)), (u, cd),
-                            (up, cd_swapped), (v, v_term), (vp, vp_term),
-                            (w, w_term)])
-    residual = tensor_lincomb([(1, bundle.curvature_k(u, up, v, vp, w)),
-                               (1, bundle.correction(which)), (-1, fixed)])
+    residual = tensor_lincomb(
+        [(1, bundle.curvature_k(u, up, v, vp, w)),
+         (1, bundle.correction(which)), (-1, bundle.w_star(which)),
+         (-u, cd), (-up, cd_swapped), (-v, v_term), (-vp, vp_term),
+         (-w, w_term)])
     cells = [((p, q), residual) for p in p_values for q in q_values]
     return _grid_report("correlation", {**base, "which": which}, values,
                         cells)

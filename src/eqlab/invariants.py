@@ -296,11 +296,13 @@ class InvariantBundle:
     combination of its table row, T-tilde as the torsion derivative less
     a sigma.  What is read more than once is kept (parts,
     U, sigma, swapped sigma, eta, W, the W correction, K); T-tilde is
-    rebuilt per request.  ``family`` still keeps each member it builds in
-    ``families``, though no check reads a member twice: the invariance
-    grid sums per-label differences instead.  The dict stays because
-    ``bench/layertrace.py`` counts its hits.  An invariance check compares
-    two bundles, one per side, so its routes never share a cached object.
+    rebuilt per request.  ``family`` builds the paper's family member and
+    keeps it in ``families``, but no verify check calls it: the
+    correlation grid reduces to one residual and the invariance grid sums
+    sigma differences.  ``families`` is now read only by the layer tracer
+    in ``bench/layertrace.py``, which counts its hits.  An invariance
+    check compares two bundles, one per side, so its routes never share a
+    cached object.
 
     ``order`` is the order the bundle's products are taken at, handed to
     ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
