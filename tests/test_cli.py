@@ -710,6 +710,20 @@ class TestCliEval:
         code, _, err = run_cli(capsys, "eval", program, "--dim", "2")
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("X[^i] = T[^i,^i]", "index 'i' repeated with the same variance"),
+        ("X[^a] = Phi[^a]*Psi[_a]*Phi[^a]", "index 'a' appears more than twice"),
+        ("X[^a] = T[^a,_a,^a]", "index 'a' appears more than twice"),
+        ("X[_a] = T[^a,_a,_a]", "index 'a' appears more than twice"),
+        ("X[^i] = Phi[^i] + Nu[_i]",
+         "free-index variance mismatch across summands: ['^i'] vs ['_i']"),
+    ])
+    def test_index_discipline_error_line(self, capsys, tmp_path, line,
+                                         message):
+        program = self.write(tmp_path, line + "\n")
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "2")
+        assert (code, out, err) == (2, "", f"eqlab: {message}\n")
+
     def test_missing_program_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "none.eqs"))
         assert code == 3 and err

@@ -74,6 +74,19 @@ S = Psi[_a]*BarPhi[^a] + 3
 EVAL_PRODUCTS_DIGEST = (
     "8a5d79c878df0cb2e0285daf3ced1e62f8d812c758433bf1642eb6b46e2684ad")
 
+# Left-hand sides that list their slots in another order than the
+# right-hand side, derivatives of products, delta and a line of literals.
+EVAL_REORDERED = """\
+F[_n,^i,_m,_j] = d(GammaSym[^i,_j,_m],_n) - d(GammaSym[^i,_j,_n],_m) \
++ GammaSym[^a,_j,_m]*GammaSym[^i,_a,_n] - GammaSym[^a,_j,_n]*GammaSym[^i,_a,_m]
+G[_j,^i] = 2/3*Phi[^i]*Nu[_j] + Nu[_j]*Phi[^i]
+H[_k,_j,^i] = d(Phi[^i]*Nu[_j],_k) - d(Sigma[_j,_a]*Phi[^a],_k)*Phi[^i]
+E[_j,^i] = delta[^i,_j] + 1/2*Phi[^i]*BarPsi[_j]
+C = 1/2 + 1/3
+"""
+EVAL_REORDERED_DIGEST = (
+    "b045e28b6e96445121bcb33fc930faa9367de2021e156ca76449e5cd38c7aa94")
+
 
 @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN,
                          ids=[" ".join(case[0]) for case in GOLDEN])
@@ -108,3 +121,10 @@ def test_eval_products_match_golden_digest(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("EQLAB_SEED", raising=False)
     assert _eval_digest(capsys, tmp_path, EVAL_PRODUCTS) == (
         0, EVAL_PRODUCTS_DIGEST)
+
+
+def test_eval_reordered_slots_match_golden_digest(capsys, monkeypatch,
+                                                  tmp_path):
+    monkeypatch.delenv("EQLAB_SEED", raising=False)
+    assert _eval_digest(capsys, tmp_path, EVAL_REORDERED) == (
+        0, EVAL_REORDERED_DIGEST)
