@@ -76,7 +76,7 @@ def _grid_value(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 out.extend(range(int(lo), int(hi) + 1))
             else:
                 out.append(int(piece))
-        if not out or any(not 1 <= v <= 8 for v in out):
+        if not out or any(v not in ALL_LABELS for v in out):
             raise ValueError(part)
         return tuple(out)
 

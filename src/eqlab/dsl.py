@@ -216,55 +216,46 @@ class _Parser:
             raise ExpressionSyntaxError(f"trailing input {token[1]!r}", token[2], self.line)
 
 
-def _signature(node) -> tuple[tuple[Index, ...], frozenset]:
-    """Ordered free indices and the set of all names used beneath node."""
-    if isinstance(node, Literal):
-        return (), frozenset()
-    if isinstance(node, Ref):
-        free: list[Index] = []
-        used = set()
-        for index in node.indices:
-            used.add(index.name)
+def _product_signature(parts) -> tuple[tuple[Index, ...], frozenset]:
+    """Ordered free indices and used names of a product of parts, each
+    given as its own ``(free indices, used names)``: a name is free once
+    or bound by two opposite variances, and never appears a third time."""
+    free: list[Index] = []
+    used: set[str] = set()
+    for sig, part_used in parts:
+        bound_here = part_used - {i.name for i in sig}
+        for name in part_used:
+            if name in used and name not in {i.name for i in free}:
+                raise IndexUsageError(f"index {name!r} appears more than twice")
+        for name in bound_here & {i.name for i in free}:
+            raise IndexUsageError(f"index {name!r} appears more than twice")
+        for index in sig:
             partner = next((f for f in free if f.name == index.name), None)
             if partner is None:
                 free.append(index)
+            elif partner.variance == index.variance:
+                raise IndexUsageError(
+                    f"index {index.name!r} repeated with the same variance")
             else:
-                if partner.variance == index.variance:
-                    raise IndexUsageError(
-                        f"index {index.name!r} repeated with the same variance")
                 free.remove(partner)
-        seen = [i.name for i in node.indices]
-        for name in seen:
-            if seen.count(name) > 2:
-                raise IndexUsageError(f"index {name!r} appears more than twice")
-        return tuple(free), frozenset(used)
-    if isinstance(node, (Product, Derivative)):
-        if isinstance(node, Product):
-            parts = [_signature(f) for f in node.factors]
-        else:
-            operand_sig, operand_used = _signature(node.operand)
-            parts = [(operand_sig, operand_used),
-                     ((node.index,), frozenset({node.index.name}))]
-        free: list[Index] = []
-        used: set[str] = set()
-        for sig, part_used in parts:
-            bound_here = part_used - {i.name for i in sig}
-            for name in part_used:
-                if name in used and name not in {i.name for i in free}:
-                    raise IndexUsageError(f"index {name!r} appears more than twice")
-            for name in bound_here & {i.name for i in free}:
-                raise IndexUsageError(f"index {name!r} appears more than twice")
-            for index in sig:
-                partner = next((f for f in free if f.name == index.name), None)
-                if partner is None:
-                    free.append(index)
-                elif partner.variance == index.variance:
-                    raise IndexUsageError(
-                        f"index {index.name!r} repeated with the same variance")
-                else:
-                    free.remove(partner)
-            used |= part_used
-        return tuple(free), frozenset(used)
+        used |= part_used
+    return tuple(free), frozenset(used)
+
+
+def _signature(node) -> tuple[tuple[Index, ...], frozenset]:
+    """Ordered free indices and the set of all names used beneath node.
+    A reference is the product of its single indices."""
+    if isinstance(node, Literal):
+        return (), frozenset()
+    if isinstance(node, Ref):
+        return _product_signature([((i,), frozenset({i.name}))
+                                   for i in node.indices])
+    if isinstance(node, Product):
+        return _product_signature([_signature(f) for f in node.factors])
+    if isinstance(node, Derivative):
+        return _product_signature(
+            [_signature(node.operand),
+             ((node.index,), frozenset({node.index.name}))])
     if isinstance(node, Sum):
         first_sig, used = _signature(node.terms[0][1])
         variances = {i.name: i.variance for i in first_sig}
@@ -295,17 +286,13 @@ def parse(src: str, line: int | None = None) -> ExpressionPlan:
 
 
 class _Context:
-    def __init__(self, bindings: dict, dim: int | None, order: int | None):
+    def __init__(self, bindings: dict):
         dims = {t.dim for t in bindings.values()}
         if len(dims) > 1:
             raise EvaluationError("bindings disagree on dimension")
-        if dim is None:
-            dim = dims.pop() if dims else None
-        if order is None and bindings:
-            order = min(t.order for t in bindings.values())
         self.bindings = bindings
-        self.dim = dim
-        self.order = order
+        self.dim = dims.pop() if dims else None
+        self.order = min((t.order for t in bindings.values()), default=None)
 
     def lookup(self, name: str) -> TensorField:
         if name in self.bindings:
@@ -408,14 +395,17 @@ def _evaluate(node, ctx: _Context):
     raise TypeError(f"unknown node {node!r}")
 
 
-def evaluate(plan: ExpressionPlan, bindings: dict, *,
-             dim: int | None = None, order: int | None = None) -> TensorField:
-    ctx = _Context(dict(bindings), dim, order)
+def evaluate(plan: ExpressionPlan, bindings: dict) -> TensorField:
+    """The plan's value with its slots in the order of ``plan.free``.
+
+    Dimension and jet order come from the bindings: the shared dimension,
+    and the lowest order.  A plan that reads no tensor still needs one
+    binding to fix them."""
+    ctx = _Context(dict(bindings))
     tensor, sig, scale = _evaluate(plan.root, ctx)
     if tensor is None:
         return TensorField.scalar(ctx.require_dim(), ctx.require_order(), scale)
     tensor = tensor_lincomb([(scale, tensor)])
-    # present slots in the plan's declared free order
     if tuple(sig) != plan.free:
         positions = {index.name: p for p, index in enumerate(sig)}
         tensor = transpose(tensor, tuple(positions[index.name] for index in plan.free))
@@ -426,11 +416,13 @@ _ASSIGN = re.compile(r"^\s*(?P<name>[A-Za-z][A-Za-z0-9]*)"
                      r"\s*(?:\[(?P<indices>[^\]]*)\])?\s*=(?P<rhs>.*)$")
 
 
-def parse_program(src: str,
-                  ) -> list[tuple[int, str, tuple[Index, ...], ExpressionPlan]]:
+def parse_program(src: str) -> list[tuple[int, str, ExpressionPlan]]:
     """Lines of ``Name[indices] = expr``; ``#`` comments and blanks skipped.
 
-    Each assignment comes with its one-based line number in ``src``.
+    Each assignment comes as its one-based line number in ``src``, its
+    name and its plan.  The left-hand indices must be the free indices of
+    the right-hand side, in any order; the plan lists them in the
+    left-hand order, so ``evaluate`` lays the slots out as written there.
     """
     out = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
@@ -459,6 +451,6 @@ def parse_program(src: str,
             raise IndexUsageError(
                 f"line {lineno}: left-hand indices {[str(i) for i in lhs]} do not "
                 f"match the free indices {[str(i) for i in plan.free]}")
-        out.append((lineno, match.group("name"), lhs, plan))
+        out.append((lineno, match.group("name"), ExpressionPlan(plan.root, lhs)))
     return out
 

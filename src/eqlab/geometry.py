@@ -194,18 +194,14 @@ def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,
                            (v, v_term), (vp, vp_term), (w, w_term)])
 
 
-def random_connection(dim: int, order: int, seed: int,
-                      torsion_free: bool = False) -> Space:
+def random_connection(dim: int, order: int, seed: int) -> Space:
     """Space with independently drawn small-rational connection jets."""
     rng = random.Random(seed * 9176 + dim * 37 + order)
     from .mapping import random_jet  # deferred: mapping depends on geometry
 
     gamma = TensorField.build(
         dim, GAMMA_VALENCE, lambda idx: random_jet(rng, dim, order))
-    space = Space(dim, gamma)
-    if torsion_free:
-        space = Space(dim, space.sym())
-    return space
+    return Space(dim, gamma)
 
 
 def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,

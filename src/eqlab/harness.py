@@ -112,24 +112,21 @@ def _grid_report(check: str, head: dict, values: dict,
 
 
 def _keyed_differences(labels, src_value, tgt_value,
-                       ) -> tuple[dict[int, int], dict[int, TensorField]]:
-    """Source value minus target value per label, deduplicated.
-
-    Returns ``(keys, differences)``: each label keyed by the first label
-    whose difference is equal to its own, and the difference of each key.
-    """
-    keys: dict[int, int] = {}
-    first: dict[TensorField, int] = {}
+                       ) -> dict[int, TensorField]:
+    """Source value minus target value per label.  Labels whose
+    differences are equal share one object, so ``id`` keys them alike."""
+    shared: dict[TensorField, TensorField] = {}
+    differences = {}
     for label in labels:
         difference = tensor_sub(src_value(label), tgt_value(label))
-        keys[label] = first.setdefault(difference, label)
-    return keys, {key: difference for difference, key in first.items()}
+        differences[label] = shared.setdefault(difference, difference)
+    return differences
 
 
 def sigma_differences(src: InvariantBundle, tgt: InvariantBundle,
                       p_values, q_values) -> tuple:
-    """The keyed sigma_p and swapped sigma_q differences of the family
-    grid, ``_keyed_differences`` of each axis.  They do not depend on the
+    """The sigma_p and swapped sigma_q differences of the family grid,
+    ``_keyed_differences`` of each axis.  They do not depend on the
     parameters, so one instance builds them once for all its draws."""
     return (_keyed_differences(p_values, src.sigma, tgt.sigma),
             _keyed_differences(q_values, src.sigma_swapped,
@@ -139,18 +136,15 @@ def sigma_differences(src: InvariantBundle, tgt: InvariantBundle,
 def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                             which: int, p_values, q_values,
                             values: dict, draw: int, base: dict,
-                            differences=None) -> VerificationReport:
+                            differences: tuple) -> VerificationReport:
     """F_src - F_tgt over the (p, q) grid, through the linearity of the
     family: cell (p, q) is common - u d_sigma[p] - u' d_swapped[q], with
-    the parameter-free part built once.  Labels with equal differences
-    share a key, and each distinct key pair is summed once; on a passing
-    instance every label's difference is the same, so the grid is one sum.
-    ``differences`` is ``sigma_differences`` over the same labels, built
-    here when not given.  Each difference is a source value minus an
-    independent target value."""
-    if differences is None:
-        differences = sigma_differences(src, tgt, p_values, q_values)
-    (keys_p, d_sigma), (keys_q, d_swapped) = differences
+    the parameter-free part built once.  ``differences`` is
+    ``sigma_differences`` over the same labels; each is a source value
+    minus an independent target value.  Cells whose two differences are
+    the same objects are summed once; on a passing instance every label's
+    difference is the same, so the grid is one sum."""
+    d_sigma, d_swapped = differences
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
     common = tensor_lincomb(
@@ -160,10 +154,10 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
     cells = []
     for p in p_values:
         for q in q_values:
-            key = keys_p[p], keys_q[q]
+            key = id(d_sigma[p]), id(d_swapped[q])
             if key not in sums:
-                sums[key] = tensor_lincomb([(1, common), (-u, d_sigma[key[0]]),
-                                            (-up, d_swapped[key[1]])])
+                sums[key] = tensor_lincomb([(1, common), (-u, d_sigma[p]),
+                                            (-up, d_swapped[q])])
             cells.append(((p, q), sums[key]))
     return _grid_report("family_invariance",
                         {**base, "which": which, "draw": draw}, values, cells)
@@ -305,7 +299,6 @@ def _rank_row(check: str, dim: int, expected: int, observed: int) -> dict:
 
 
 def run_ranks(dim: int = 3, trials: int = 5, seed: int = 0, order: int = 2,
-              instances: int = 10, samples: int = 26,
               ) -> tuple[bool, list[dict]]:
     """The four rank claims at one dimension, family spans per kind."""
     rows = [
@@ -314,15 +307,14 @@ def run_ranks(dim: int = 3, trials: int = 5, seed: int = 0, order: int = 2,
         _rank_row("W_matrix_generic_rank", dim, 6,
                   generic_rank(build_W_matrix(dim), trials=trials, seed=seed)),
         _rank_row("curvature_family_span", dim, 5,
-                  curvature_family_span(dim, instances=instances, seed=seed,
+                  curvature_family_span(dim, instances=10, seed=seed,
                                         order=order)),
     ]
     for kind in (1, 2):
         pairs = [synthesize_instance(dim, kind, 977 * seed + t, order)
                  for t in range(2)]
         rows.append(_rank_row(f"family_span_kind{kind}", dim, 6,
-                              family_span_dimension(pairs, samples,
-                                                    seed=seed)))
+                              family_span_dimension(pairs, 26, seed=seed)))
     return all(row["pass"] for row in rows), rows
 
 
@@ -359,16 +351,11 @@ def evaluate_program_lines(text: str, bindings: dict,
 
     env = dict(bindings)
     defined: dict[str, TensorField] = {}
-    for lineno, name, lhs, plan in parse_program(text):
+    for lineno, name, plan in parse_program(text):
         try:
             tensor = evaluate(plan, env)
         except EvaluationError as exc:
             raise EvaluationError(f"line {lineno}: {exc}") from None
-        if lhs != plan.free:
-            positions = {index.name: pos
-                         for pos, index in enumerate(plan.free)}
-            tensor = transpose(tensor, tuple(positions[index.name]
-                                             for index in lhs))
         env[name] = tensor
         defined[name] = tensor
     return defined

@@ -71,7 +71,7 @@ class VerificationReport:
         for residual in residuals:
             if failing is None and not residual.is_zero():
                 failing = residual
-            digits = max(digits, _numerator_digits((residual,)))
+            digits = max(digits, _numerator_digits(residual))
         return cls(check=check, params=params, passed=failing is None,
                    max_abs_residual_num_digits=digits, residual=failing)
 
@@ -96,18 +96,15 @@ def _json_value(value):
     return value
 
 
-def _numerator_digits(residuals) -> int:
-    """Decimal length of the largest coefficient numerator, 0 when all vanish.
+def _numerator_digits(field: TensorField) -> int:
+    """Decimal length of the largest coefficient numerator, 0 when it vanishes.
 
     A coefficient is ``n / den`` over the field's shared denominator, so
     its numerator in lowest terms is ``n // gcd(n, den)``."""
-    worst = 0
-    for field in residuals:
-        if not field.is_zero():
-            den = field.den
-            largest = max(abs(n // gcd(n, den)) for n in field.nums if n)
-            worst = max(worst, len(str(largest)))
-    return worst
+    if field.is_zero():
+        return 0
+    den = field.den
+    return len(str(max(abs(n // gcd(n, den)) for n in field.nums if n)))
 
 
 def _check_which(which: int) -> None:
@@ -418,6 +415,7 @@ class InvariantBundle:
 
     @_kept
     def sigma_swapped(self, q: int) -> TensorField:
+        _check_label("q", q)
         return transpose(self.sigma(q), (0, 1, 3, 2))
 
     @_kept
@@ -546,22 +544,26 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
     return rank_exact(RationalMatrix.from_runs(rows))
 
 
+# the torsion-square parameters v, v', w of the curvature transformation
+# check: nonzero, so their cancellation between the spaces is exercised
+RK_SQUARE_PARAMS = (Fraction(1), Fraction(2), Fraction(3))
+
+
 def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
                                  which: int, p: int, q: int, u, up,
-                                 v=Fraction(1), vp=Fraction(2),
-                                 w=Fraction(3)) -> VerificationReport:
+                                 ) -> VerificationReport:
     """Exact check of the curvature transformation under the mapping.
 
     Verifies that the target curvature equals the source curvature plus
     the difference of the two W corrections, and that the same holds for
-    the five-parameter family member once the u and u' sigma differences
-    are added.  The torsion-square parameters default to nonzero values
-    so their cancellation between the spaces is exercised.
+    the five-parameter family member, at (v, v', w) = ``RK_SQUARE_PARAMS``,
+    once the u and u' sigma differences are added.
     """
     _check_which(which)
     _check_label("p", p)
     _check_label("q", q)
-    u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
+    u, up = Fraction(u), Fraction(up)
+    v, vp, w = RK_SQUARE_PARAMS
     # target minus source, less the difference of the two W corrections
     corr_diff = [(-1, src.correction(which)), (1, tgt.correction(which))]
     residual_r = tensor_lincomb(

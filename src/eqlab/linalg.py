@@ -45,29 +45,6 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "dens", "nums")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction | int]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        entries = [as_rational(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self._fill([_over_lcm(entries[r * cols:(r + 1) * cols])
-                    for r in range(rows)])
-
-    def _fill(self, integer_rows: list[tuple[int, list[int]]]) -> None:
-        if not integer_rows:
-            raise ValueError("need at least one row")
-        cols = len(integer_rows[0][1])
-        if cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if any(len(nums) != cols for _, nums in integer_rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(integer_rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "dens", tuple(den for den, _ in integer_rows))
-        object.__setattr__(self, "nums",
-                           tuple(tuple(nums) for _, nums in integer_rows))
-
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
@@ -105,8 +82,19 @@ class RationalMatrix:
                 f = row_den // den
                 nums.extend(run if f == 1 else [f * x for x in run])
             integer_rows.append((row_den, nums))
+        if not integer_rows:
+            raise ValueError("need at least one row")
+        cols = len(integer_rows[0][1])
+        if cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        if any(len(nums) != cols for _, nums in integer_rows):
+            raise ValueError("ragged rows")
         m = object.__new__(cls)
-        m._fill(integer_rows)
+        object.__setattr__(m, "rows", len(integer_rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "dens", tuple(den for den, _ in integer_rows))
+        object.__setattr__(m, "nums",
+                           tuple(tuple(nums) for _, nums in integer_rows))
         return m
 
 

@@ -1,10 +1,10 @@
 """Dense indexed tensor fields over jet scalars.
 
-A tensor field is a rectangular array of :class:`~eqlab.jets.JetScalar`
-components addressed by a tuple of slot indices, together with a valence
-that records whether each slot is contravariant (``"up"``) or covariant
-(``"down"``).  Slots are identified by 0-based position; index names live
-one layer up, in the expression DSL.
+A tensor field has one :class:`~eqlab.jets.JetScalar` component per
+tuple of slot indices, and a valence that records whether each slot is
+contravariant (``"up"``) or covariant (``"down"``).  Slots are
+identified by 0-based position; index names live one layer up, in the
+expression DSL.
 
 A field stores all its components as one jet would store one: integer
 numerators over one shared denominator, the components' coefficient
@@ -52,7 +52,7 @@ def _check_valence(valence: Sequence[str]) -> tuple[str, ...]:
 
 
 class TensorField:
-    """Dense array of jets with a declared slot signature.
+    """Jet components over every slot-index tuple, with a declared valence.
 
     The field is stored as ``(dim, valence, order, den, nums)``: one
     positive denominator ``den`` and one tuple of integer numerators

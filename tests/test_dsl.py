@@ -20,7 +20,7 @@ from eqlab.dsl import (
     parse,
     parse_program,
 )
-from eqlab.geometry import curvature_R, random_connection
+from eqlab.geometry import Space, curvature_R, random_connection
 from eqlab.harness import evaluate_program_lines
 from eqlab.jets import OrderExhaustedError, jet_partial
 from eqlab.mapping import random_jet
@@ -157,7 +157,7 @@ class TestEvaluate:
     @given(seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_curvature_formula_matches_builtin(self, seed: int):
-        s = random_connection(3, 2, seed, torsion_free=True)
+        s = Space(3, random_connection(3, 2, seed).sym())
         built_in = curvature_R(s)
         via_dsl = evaluate(parse(CURVATURE_SRC), {"Gamma": s.gamma})
         assert via_dsl == built_in
@@ -196,8 +196,9 @@ class TestEvaluate:
         plan = parse("1/2 + 1/3")
         with pytest.raises(EvaluationError):
             evaluate(plan, {})
-        result = evaluate(plan, {}, dim=2, order=1)
-        assert result.valence == ()
+        # an unread binding fixes the dimension and the jet order
+        result = evaluate(plan, {"T": random_field(2, (UP,), 1, 13)})
+        assert (result.dim, result.order, result.valence) == (2, 1, ())
         assert result[()].coeffs[(0, 0)] == Fraction(5, 6)
 
 

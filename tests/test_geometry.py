@@ -149,7 +149,7 @@ class TestCovDerivKind:
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
     def test_torsion_free_kinds_coincide_with_assoc(self, seed: int):
-        s = random_connection(2, 2, seed, torsion_free=True)
+        s = Space(2, random_connection(2, 2, seed).sym())
         a = random_field(2, (UP, DOWN), 2, seed + 1)
         reference = cov_deriv_assoc(a, s)
         for kind in (1, 2):
@@ -207,7 +207,7 @@ class TestCurvatureR:
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
     def test_first_bianchi_for_torsion_free(self, seed: int):
-        s = random_connection(3, 2, seed, torsion_free=True)
+        s = Space(3, random_connection(3, 2, seed).sym())
         r = curvature_R(s)
         cyclic = tensor_add(r, tensor_add(transpose(r, (0, 2, 3, 1)),
                                           transpose(r, (0, 3, 1, 2))))
@@ -222,7 +222,7 @@ class TestCurvatureK:
     @given(seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_torsion_free_family_collapses(self, seed: int):
-        s = random_connection(2, 2, seed, torsion_free=True)
+        s = Space(2, random_connection(2, 2, seed).sym())
         k = curvature_K(s, 1, Fraction(-1, 2), 2, 3, Fraction(5, 7))
         assert k == curvature_R(s)
 

@@ -7,6 +7,7 @@ loader, and only ``eval`` loads the expression language.  Each case runs
 in a fresh interpreter, as a user's command does.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -145,3 +146,22 @@ def test_submodules_import_by_name():
         f"eqlab.{name}" for name in ("cli", "dsl", "geometry", "harness",
                                      "invariants", "jets", "linalg",
                                      "mapping", "tensors")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """A name imported and never read is left over from deleted code."""
+    unread = []
+    for path in sorted((SRC / "eqlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unread == []

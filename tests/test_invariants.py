@@ -11,6 +11,7 @@ from eqlab import harness
 from eqlab.harness import (
     corrupted_inverse,
     family_invariance_check,
+    sigma_differences,
     verify_instance,
 )
 from eqlab.invariants import (
@@ -779,8 +780,9 @@ class TestWFamily:
         differing = []
         for p in range(1, 9):
             for q in range(1, 9):
-                report = family_invariance_check(src, tgt, 1, [p], [q],
-                                                 values, 0, {})
+                report = family_invariance_check(
+                    src, tgt, 1, [p], [q], values, 0, {},
+                    sigma_differences(src, tgt, [p], [q]))
                 expected = tensor_sub(src.family(1, p, q, *params),
                                       tgt.family(1, p, q, *params))
                 if expected.is_zero():
@@ -792,8 +794,9 @@ class TestWFamily:
                     assert report.params["failed_cells"] == [[p, q]]
         assert bool(differing) == corrupt
         labels = list(range(1, 9))
-        report = family_invariance_check(src, tgt, 1, labels, labels,
-                                         values, 0, {})
+        report = family_invariance_check(
+            src, tgt, 1, labels, labels, values, 0, {},
+            sigma_differences(src, tgt, labels, labels))
         assert report.params["failed_cells"] == differing
 
     def test_invalid_labels(self, pair21):
@@ -805,6 +808,15 @@ class TestWFamily:
             W_family(s, m, 1, 1, 9, one, one, one, one, one)
         with pytest.raises(ValueError, match="which"):
             W_family(s, m, 4, 1, 1, one, one, one, one, one)
+
+    @pytest.mark.parametrize("q", [0, 9])
+    def test_swapped_sigma_names_its_label_q(self, pair21, q):
+        bundle = InvariantBundle(pair21.source, pair21.mapping)
+        message = f"^q must be between 1 and 8, got {q}$"
+        with pytest.raises(ValueError, match=message):
+            bundle.sigma_swapped(q)
+        with pytest.raises(ValueError, match=message):
+            sigma_differences(bundle, bundle, [1], [q])
 
 
 class TestBuildWMatrix:

@@ -19,8 +19,8 @@ F = Fraction
 
 
 def identity(n):
-    return RationalMatrix(n, n, [1 if i == j else 0
-                                 for i in range(n) for j in range(n)])
+    return RationalMatrix.from_rows([[1 if i == j else 0 for j in range(n)]
+                                     for i in range(n)])
 
 
 class TestRankExact:
@@ -28,7 +28,7 @@ class TestRankExact:
         assert rank_exact(identity(3)) == 3
 
     def test_zero(self):
-        assert rank_exact(RationalMatrix(4, 7, [0] * 28)) == 0
+        assert rank_exact(RationalMatrix.from_rows([[0] * 7] * 4)) == 0
 
     def test_proportional_rows(self):
         m = RationalMatrix.from_rows([[1, 2], [2, 4]])
@@ -62,8 +62,8 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 def matrices(draw):
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
-    entries = [draw(small_fracs) for _ in range(rows * cols)]
-    return RationalMatrix(rows, cols, entries)
+    return RationalMatrix.from_rows(
+        [[draw(small_fracs) for _ in range(cols)] for _ in range(rows)])
 
 
 nonzero_fracs = small_fracs.filter(lambda r: r != 0)

@@ -534,7 +534,8 @@ def test_flat_truncate_and_flatten_match_reference(t, order):
 @given(st.lists(st.one_of(mixed_fields(), lincomb_terms().map(tensor_lincomb)),
                 max_size=3))
 def test_numerator_digits_match_componentwise_reading(fields):
-    assert _numerator_digits(fields) == reference_numerator_digits(fields)
+    assert (max((_numerator_digits(field) for field in fields), default=0)
+            == reference_numerator_digits(fields))
 
 
 def test_index_errors_name_the_bad_index():
