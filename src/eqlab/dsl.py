@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .tensors import (
     DOWN,
     UP,
+    OutputTooLargeError,
     TensorField,
     gradient,
     tensor_contract,
@@ -216,19 +217,22 @@ class _Parser:
             raise ExpressionSyntaxError(f"trailing input {token[1]!r}", token[2], self.line)
 
 
-def _product_signature(parts) -> tuple[tuple[Index, ...], frozenset]:
+def _product_signature(parts) -> tuple[tuple[Index, ...], tuple[str, ...]]:
     """Ordered free indices and used names of a product of parts, each
     given as its own ``(free indices, used names)``: a name is free once
-    or bound by two opposite variances, and never appears a third time."""
+    or bound by two opposite variances, and never appears a third time.
+    Names are checked, and listed, in the order they are written."""
     free: list[Index] = []
-    used: set[str] = set()
+    used: dict[str, None] = {}
     for sig, part_used in parts:
-        bound_here = part_used - {i.name for i in sig}
+        free_names = {i.name for i in free}
         for name in part_used:
-            if name in used and name not in {i.name for i in free}:
+            if name in used and name not in free_names:
                 raise IndexUsageError(f"index {name!r} appears more than twice")
-        for name in bound_here & {i.name for i in free}:
-            raise IndexUsageError(f"index {name!r} appears more than twice")
+        part_free = {i.name for i in sig}
+        for name in part_used:
+            if name not in part_free and name in free_names:
+                raise IndexUsageError(f"index {name!r} appears more than twice")
         for index in sig:
             partner = next((f for f in free if f.name == index.name), None)
             if partner is None:
@@ -238,26 +242,25 @@ def _product_signature(parts) -> tuple[tuple[Index, ...], frozenset]:
                     f"index {index.name!r} repeated with the same variance")
             else:
                 free.remove(partner)
-        used |= part_used
-    return tuple(free), frozenset(used)
+        used.update(dict.fromkeys(part_used))
+    return tuple(free), tuple(used)
 
 
-def _signature(node) -> tuple[tuple[Index, ...], frozenset]:
-    """Ordered free indices and the set of all names used beneath node.
-    A reference is the product of its single indices."""
+def _signature(node) -> tuple[tuple[Index, ...], tuple[str, ...]]:
+    """Ordered free indices and the names used beneath node, in the order
+    written.  A reference is the product of its single indices."""
     if isinstance(node, Literal):
-        return (), frozenset()
+        return (), ()
     if isinstance(node, Ref):
-        return _product_signature([((i,), frozenset({i.name}))
-                                   for i in node.indices])
+        return _product_signature([((i,), (i.name,)) for i in node.indices])
     if isinstance(node, Product):
         return _product_signature([_signature(f) for f in node.factors])
     if isinstance(node, Derivative):
         return _product_signature(
-            [_signature(node.operand),
-             ((node.index,), frozenset({node.index.name}))])
+            [_signature(node.operand), ((node.index,), (node.index.name,))])
     if isinstance(node, Sum):
-        first_sig, used = _signature(node.terms[0][1])
+        first_sig, first_used = _signature(node.terms[0][1])
+        used = dict.fromkeys(first_used)
         variances = {i.name: i.variance for i in first_sig}
         for _, term in node.terms[1:]:
             sig, term_used = _signature(term)
@@ -272,8 +275,8 @@ def _signature(node) -> tuple[tuple[Index, ...], frozenset]:
                 raise IndexUsageError(
                     "free-index order mismatch across summands: "
                     f"{[str(i) for i in first_sig]} vs {[str(i) for i in sig]}")
-            used |= term_used
-        return first_sig, frozenset(used)
+            used.update(dict.fromkeys(term_used))
+        return first_sig, tuple(used)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -330,7 +333,10 @@ def _product(a: TensorField, a_sig: list[Index], b: TensorField,
     free = [i for i in a_sig + b_sig if names.count(i.name) == 1]
     left, right, out = ("".join(letter[i.name] for i in sig)
                         for sig in (a_sig, b_sig, free))
-    return tensor_contract(f"{left},{right}->{out}", a, b), free
+    try:
+        return tensor_contract(f"{left},{right}->{out}", a, b), free
+    except OutputTooLargeError as exc:
+        raise EvaluationError(str(exc)) from None
 
 
 def _evaluate(node, ctx: _Context):
@@ -446,7 +452,10 @@ def parse_program(src: str) -> list[tuple[int, str, ExpressionPlan]]:
         if len(set(names)) != len(names):
             raise ExpressionSyntaxError("repeated index on the left-hand side",
                                         0, lineno)
-        plan = parse(match.group("rhs"), line=lineno)
+        try:
+            plan = parse(match.group("rhs"), line=lineno)
+        except IndexUsageError as exc:
+            raise IndexUsageError(f"line {lineno}: {exc}") from None
         if {(i.name, i.variance) for i in lhs} != {(i.name, i.variance) for i in plan.free}:
             raise IndexUsageError(
                 f"line {lineno}: left-hand indices {[str(i) for i in lhs]} do not "

@@ -25,6 +25,7 @@ from .tensors import (
     base_numerators,
     contract,
     gradient,
+    random_field,
     sym_pair,
     tensor_contract,
     tensor_lincomb,
@@ -197,11 +198,7 @@ def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,
 def random_connection(dim: int, order: int, seed: int) -> Space:
     """Space with independently drawn small-rational connection jets."""
     rng = random.Random(seed * 9176 + dim * 37 + order)
-    from .mapping import random_jet  # deferred: mapping depends on geometry
-
-    gamma = TensorField.build(
-        dim, GAMMA_VALENCE, lambda idx: random_jet(rng, dim, order))
-    return Space(dim, gamma)
+    return Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
 
 
 def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,

@@ -130,6 +130,12 @@ def graded_basis(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
 # terms a jet actually has, so a declared order must stay in reach.
 MAX_PRODUCT_PAIRS = 10**6
 
+# Bound on the numerators of one tensor contraction's result, dim ** rank
+# times the basis size: the result is held whole.  The largest result of
+# any verify, ranks or synth run at MAX_DIM is a rank-4 field at order 2,
+# 7 ** 4 * 36 = 86436 numerators.
+MAX_CONTRACT_OUTPUT = 10**6
+
 
 @cache
 def _basis_index(dim: int, order: int) -> dict[tuple[int, ...], int]:
@@ -187,11 +193,7 @@ class JetScalar:
         values: dict[int, Fraction] = {}
         for alpha, value in (coeffs or {}).items():
             alpha = tuple(alpha)
-            # exact ints: 1.0 and True would pass as the index 1
-            if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
-                raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
-            if sum(alpha) > order:
-                raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
+            _check_alpha(alpha, dim, order)
             value = as_rational(value)
             if value != 0:
                 values[index[alpha]] = value
@@ -287,29 +289,11 @@ class JetScalar:
         return f"JetScalar({body}; dim={self.dim}, order={self.order})"
 
     def to_json(self) -> dict:
-        coeffs = self.coeffs
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "coeffs": [
-                {"alpha": list(alpha),
-                 "num": str(coeffs[alpha].numerator),
-                 "den": str(coeffs[alpha].denominator)}
-                for alpha in sorted(coeffs)
-            ],
-        }
+        return block_json(self.dim, self.order, self.den, self.nums)
 
     @classmethod
     def from_json(cls, obj: dict) -> "JetScalar":
-        coeffs = {}
-        for entry in obj["coeffs"]:
-            den = json_int(entry["den"], "a coefficient denominator", text=True)
-            if den == 0:
-                raise ValueError("jet coefficient has denominator 0")
-            coeffs[tuple(entry["alpha"])] = Fraction(
-                json_int(entry["num"], "a coefficient numerator", text=True), den)
-        return cls(json_int(obj["dim"], "a jet dim"),
-                   json_int(obj["order"], "a jet order"), coeffs)
+        return _jet(*load_block(obj))
 
 
 # Slot setters: the trusted constructor writes past the immutability guard.
@@ -335,6 +319,62 @@ def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
     _set_den(jet, den)
     _set_nums(jet, tuple(nums))
     return jet
+
+
+def block_json(dim: int, order: int, den: int, nums) -> dict:
+    """The document of the jet ``nums / den``: its nonzero coefficients in
+    lexicographic order of their multi-indices, each reduced to lowest
+    terms as decimal strings."""
+    basis = graded_basis(dim, order)
+    coeffs = []
+    for i in _lex_slots(dim, order):
+        n = nums[i]
+        if n:
+            g = gcd(n, den)
+            coeffs.append({"alpha": list(basis[i]), "num": str(n // g),
+                           "den": str(den // g)})
+    return {"dim": dim, "order": order, "coeffs": coeffs}
+
+
+def _check_alpha(alpha: tuple, dim: int, order: int) -> None:
+    # exact ints: 1.0 and True would pass as the index 1
+    if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
+        raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
+    if sum(alpha) > order:
+        raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
+
+
+def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
+    """A jet document as ``(dim, order, den, nums)``: the numerators of
+    its coefficients on the graded basis over the lcm of their
+    denominators, not yet reduced.
+
+    Every entry's integers are read before the dim and the order, and a
+    multi-index given twice keeps its last value, as a dict of the
+    entries would.  The dim, order and multi-indices are checked as the
+    constructor checks them.
+    """
+    entries: dict[tuple, tuple[int, int]] = {}
+    for entry in obj["coeffs"]:
+        den = json_int(entry["den"], "a coefficient denominator", text=True)
+        if den == 0:
+            raise ValueError("jet coefficient has denominator 0")
+        num = json_int(entry["num"], "a coefficient numerator", text=True)
+        entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
+    dim = json_int(obj["dim"], "a jet dim")
+    order = json_int(obj["order"], "a jet order")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    index = _basis_index(dim, order)
+    for alpha in entries:
+        _check_alpha(alpha, dim, order)
+    den = lcm(*[d for n, d in entries.values() if n])
+    nums = [0] * len(index)
+    for alpha, (n, d) in entries.items():
+        nums[index[alpha]] = n * (den // d)
+    return dim, order, den, nums
 
 
 def _require_same_dim(a: JetScalar, b: JetScalar) -> None:
@@ -429,7 +469,16 @@ def value_at_base(a: JetScalar) -> Fraction:
     return Fraction(a.nums[0], a.den)
 
 
+@cache
+def _lex_slots(dim: int, order: int) -> tuple[int, ...]:
+    """The graded basis index of each monomial, in ascending lexicographic
+    order of the exponent tuples: the order of documents and draws."""
+    basis = graded_basis(dim, order)
+    return tuple(sorted(range(len(basis)), key=basis.__getitem__))
+
+
 def multi_indices(dim: int, order: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of length dim with total degree at most order,
     in ascending lexicographic order."""
-    return iter(sorted(graded_basis(dim, order)))
+    basis = graded_basis(dim, order)
+    return (basis[i] for i in _lex_slots(dim, order))

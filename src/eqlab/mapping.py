@@ -20,14 +20,13 @@ from .jets import (
     jet_truncate,
     json_int,
     load_field,
-    multi_indices,
-    value_at_base,
 )
 from .tensors import (
     DOWN,
     UP,
     TensorField,
     gradient,
+    random_field,
     tensor_add,
     tensor_contract,
     tensor_lincomb,
@@ -307,20 +306,9 @@ def gamma_diff_factorized(pair: MappedPair, m_bar: AG3Mapping) -> TensorField:
     return lhs
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
 def random_jet(rng: random.Random, dim: int, order: int) -> JetScalar:
-    coeffs = {alpha: random_rational(rng) for alpha in multi_indices(dim, order)}
-    return JetScalar(dim, order, coeffs)
-
-
-def _random_symmetric(rng: random.Random, dim: int, order: int) -> TensorField:
-    upper = {(j, k): random_jet(rng, dim, order)
-             for j in range(dim) for k in range(j, dim)}
-    return TensorField.build(dim, (DOWN, DOWN),
-                             lambda idx: upper[tuple(sorted(idx))])
+    """One component of :func:`~eqlab.tensors.random_field`."""
+    return random_field(rng, dim, (), order)[()]
 
 
 def _derive_seed(dim: int, kind: int, seed: int, order: int) -> int:
@@ -348,20 +336,17 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     rng = random.Random(_derive_seed(dim, kind, seed, order))
 
     for _ in range(16):
-        phi = TensorField.build(dim, (UP,),
-                                lambda idx: random_jet(rng, dim, order + 1))
-        if value_at_base(phi[0]) != 0:
+        phi = random_field(rng, dim, (UP,), order + 1)
+        if phi.nums[0] != 0:  # phi^1 at the base point
             break
     else:
         raise SynthesisError("phi^1 kept vanishing at the base point")
 
-    nu_high = TensorField.build(dim, (DOWN,),
-                                lambda idx: random_jet(rng, dim, order + 1))
-    mu_high = random_jet(rng, dim, order + 1)
-    psi = TensorField.build(dim, (DOWN,), lambda idx: random_jet(rng, dim, order))
-    sigma = _random_symmetric(rng, dim, order)
-    bulk = TensorField.build(dim, GAMMA_VALENCE,
-                             lambda idx: random_jet(rng, dim, order))
+    nu_high = random_field(rng, dim, (DOWN,), order + 1)
+    mu_high = random_field(rng, dim, (), order + 1)[()]
+    psi = random_field(rng, dim, (DOWN,), order)
+    sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
+    bulk = random_field(rng, dim, GAMMA_VALENCE, order)
 
     # w = T - bulk . phi, with T^i_j = nu_j phi^i + mu d^i_j - phi^i_{,j}
     # and the phi contraction over the kind's lower slot: what that

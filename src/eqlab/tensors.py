@@ -19,20 +19,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
+from random import Random
 from typing import Callable, Iterator, Sequence
 
 from .jets import (
+    MAX_CONTRACT_OUTPUT,
     DimensionMismatchError,
     JetScalar,
     OrderExhaustedError,
     _jet,
+    _lex_slots,
     _mul_table,
     _partial_table,
     as_rational,
     basis_size,
+    block_json,
     json_dim,
+    load_block,
 )
 
 UP = "up"
@@ -41,6 +46,10 @@ DOWN = "down"
 
 class ValenceMismatchError(ValueError):
     """Slot signatures do not line up for the requested operation."""
+
+
+class OutputTooLargeError(ValueError):
+    """A contraction's result would exceed ``MAX_CONTRACT_OUTPUT``."""
 
 
 def _check_valence(valence: Sequence[str]) -> tuple[str, ...]:
@@ -73,26 +82,8 @@ class TensorField:
     def __init__(self, dim: int, valence: Sequence[str],
                  components: Sequence[JetScalar]):
         valence = _check_valence(valence)
-        components = tuple(components)
-        if dim < 1:
-            raise ValueError(f"tensor dim must be at least 1, got {dim}")
-        if len(components) != dim ** len(valence):
-            raise ValueError(
-                f"expected {dim ** len(valence)} components, got {len(components)}")
-        order = components[0].order
-        for c in components:
-            if c.dim != dim:
-                raise DimensionMismatchError("component dim differs from tensor dim")
-            if c.order != order:
-                raise ValueError("components must share one truncation order")
-        # each jet is canonical, so over the lcm of their denominators the
-        # numerators again have no common factor with it
-        den = lcm(*[c.den for c in components])
-        nums = []
-        for c in components:
-            f = den // c.den
-            nums.extend(c.nums if f == 1 else [f * x for x in c.nums])
-        _set_fields(self, dim, valence, order, den, tuple(nums))
+        _set_fields(self, *_assemble(dim, valence, [
+            (c.dim, c.order, c.den, c.nums) for c in components]))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorField is immutable")
@@ -168,16 +159,21 @@ class TensorField:
                          lambda idx: one if idx[0] == idx[1] else zero)
 
     def to_json(self) -> dict:
+        dim, order, den, nums = self.dim, self.order, self.den, self.nums
+        size = basis_size(dim, order)
         return {
-            "dim": self.dim,
+            "dim": dim,
             "valence": list(self.valence),
-            "components": [c.to_json() for c in self.components],
+            "components": [block_json(dim, order, den, nums[i:i + size])
+                           for i in range(0, len(nums), size)],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorField":
-        return cls(json_dim(obj["dim"], "a tensor dim"), tuple(obj["valence"]),
-                   [JetScalar.from_json(c) for c in obj["components"]])
+        dim = json_dim(obj["dim"], "a tensor dim")
+        valence = tuple(obj["valence"])
+        blocks = [load_block(c) for c in obj["components"]]
+        return _field(*_assemble(dim, _check_valence(valence), blocks))
 
 
 # Slot setters: the trusted constructor writes past the immutability guard.
@@ -189,6 +185,30 @@ _new_field = object.__new__
 def _set_fields(t: TensorField, *values) -> None:
     for setter, value in zip(_SETTERS, values):
         setter(t, value)
+
+
+def _assemble(dim: int, valence: tuple[str, ...], blocks: list) -> tuple:
+    """``(dim, valence, order, den, nums)`` of the field whose components,
+    row-major, are the ``(dim, order, den, nums)`` jet blocks, laid end to
+    end over the lcm of their denominators.  ``nums`` is canonical when
+    every block is."""
+    if dim < 1:
+        raise ValueError(f"tensor dim must be at least 1, got {dim}")
+    if len(blocks) != dim ** len(valence):
+        raise ValueError(
+            f"expected {dim ** len(valence)} components, got {len(blocks)}")
+    order = blocks[0][1]
+    for block_dim, block_order, _, _ in blocks:
+        if block_dim != dim:
+            raise DimensionMismatchError("component dim differs from tensor dim")
+        if block_order != order:
+            raise ValueError("components must share one truncation order")
+    den = lcm(*[block[2] for block in blocks])
+    nums: list[int] = []
+    for _, _, block_den, block in blocks:
+        f = den // block_den
+        nums += block if f == 1 else [f * x for x in block]
+    return dim, valence, order, den, tuple(nums)
 
 
 def _field(dim: int, valence: tuple[str, ...], order: int, den: int,
@@ -230,6 +250,39 @@ def _cut(a: TensorField, order: int):
         return nums
     return [x for start in range(0, len(nums), size)
             for x in nums[start:start + keep]]
+
+
+def random_field(rng: Random, dim: int, valence: Sequence[str], order: int,
+                 symmetric: bool = False) -> TensorField:
+    """A field of small random rationals n/d, n in -9..9 and d in 1..9.
+
+    Each component, row-major, draws ``(rng.randint(-9, 9),
+    rng.randint(1, 9))`` for each monomial in ``multi_indices`` order.  A
+    ``symmetric`` field has two slots and draws only its components
+    (j, k) with j <= k, in that order; (k, j) repeats (j, k).
+    """
+    valence = _check_valence(valence)
+    size = basis_size(dim, order)
+    count = dim ** len(valence)
+    if symmetric:
+        if len(valence) != 2:
+            raise ValueError("a symmetric field has two slots")
+        upper = list(combinations_with_replacement(range(dim), 2))
+        count = len(upper)
+    randint = rng.randint
+    pairs = [(randint(-9, 9), randint(1, 9)) for _ in range(count * size)]
+    den = lcm(*[d for _, d in pairs])
+    nums = [0] * len(pairs)
+    slots = _lex_slots(dim, order)
+    for start in range(0, len(pairs), size):
+        for slot, (n, d) in zip(slots, pairs[start:start + size]):
+            nums[start + slot] = n * (den // d)
+    if symmetric:
+        block = {jk: nums[b * size:(b + 1) * size]
+                 for b, jk in enumerate(upper)}
+        nums = [x for j, k in product(range(dim), repeat=2)
+                for x in block[min(j, k), max(j, k)]]
+    return _field(dim, valence, order, den, nums)
 
 
 def _require_same_shape(a: TensorField, b: TensorField) -> None:
@@ -287,10 +340,14 @@ def tensor_scale(c: Fraction | int, a: TensorField) -> TensorField:
 
 @cache
 def _contract_plan(spec: str, dim: int, valence_a: tuple[str, ...],
-                   valence_b: tuple[str, ...],
+                   valence_b: tuple[str, ...], size: int,
                    ) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
     """The output valence of ``spec`` and, for each output block, row-major,
-    the block offsets ``(ka, kb, ka, kb, ...)`` of the products it sums."""
+    the block offsets ``(ka, kb, ka, kb, ...)`` of the products it sums.
+
+    ``size`` is the basis size of one output block; an output of more
+    than ``MAX_CONTRACT_OUTPUT`` numerators is refused before any offset
+    is computed."""
     try:
         inputs, out = spec.split("->")
         left, right = inputs.split(",")
@@ -312,16 +369,33 @@ def _contract_plan(spec: str, dim: int, valence_a: tuple[str, ...],
     if sorted(out) != sorted(free):
         raise ValueError(f"contraction spec {spec!r} must list each free "
                          "index once on the right, and no summed one")
+    if dim ** len(out) * size > MAX_CONTRACT_OUTPUT:
+        raise OutputTooLargeError(
+            f"a product with {len(out)} free indices at dim {dim} would "
+            f"hold {dim ** len(out) * size} coefficients, more than the "
+            f"limit of {MAX_CONTRACT_OUTPUT}")
     summed = [letter for letter, vs in slots.items() if len(vs) == 2]
-    offsets_a, offsets_b = _offsets(dim, len(left)), _offsets(dim, len(right))
+
+    def offsets(letters: list[str], side: str) -> list[int]:
+        """The block offset on one side of every value of ``letters``,
+        row-major: a letter adds its value times the strides of every
+        slot it names on that side."""
+        weight = dict.fromkeys(letters, 0)
+        for p, letter in enumerate(side):
+            if letter in weight:
+                weight[letter] += dim ** (len(side) - 1 - p)
+        values = [0]
+        for letter in letters:
+            w = weight[letter]
+            values = [v + w * i for v in values for i in range(dim)]
+        return values
+
+    sum_a, sum_b = offsets(summed, left), offsets(summed, right)
+    pairs = [0] * (2 * len(sum_a))
     plan = []
-    for out_idx in product(range(dim), repeat=len(out)):
-        value = dict(zip(out, out_idx))
-        pairs: list[int] = []
-        for sum_idx in product(range(dim), repeat=len(summed)):
-            value.update(zip(summed, sum_idx))
-            pairs += (offsets_a[tuple(value[x] for x in left)],
-                      offsets_b[tuple(value[x] for x in right)])
+    for ka, kb in zip(offsets(out, left), offsets(out, right)):
+        pairs[0::2] = [ka + k for k in sum_a]
+        pairs[1::2] = [kb + k for k in sum_b]
         plan.append(tuple(pairs))
     return tuple(slots[letter][0] for letter in out), tuple(plan)
 
@@ -341,9 +415,9 @@ def tensor_contract(spec: str, a: TensorField, b: TensorField) -> TensorField:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"tensor dims differ: {a.dim} vs {b.dim}")
     dim, order = a.dim, min(a.order, b.order)
-    valence, plan = _contract_plan(spec, dim, a.valence, b.valence)
     table = _mul_table(dim, order)
     size = len(table)
+    valence, plan = _contract_plan(spec, dim, a.valence, b.valence, size)
     step_a, step_b = basis_size(dim, a.order), basis_size(dim, b.order)
     an, bn = a.nums, b.nums
     out: list[int] = []

@@ -1,9 +1,13 @@
 """Verification suite plumbing and the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from eqlab.harness import (
     synthesized_pairs,
 )
 from eqlab.invariants import W_star
-from eqlab.jets import MAX_DIM, JetScalar, jet_truncate
+from eqlab.jets import MAX_CONTRACT_OUTPUT, MAX_DIM, JetScalar, jet_truncate
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -29,6 +33,8 @@ from eqlab.mapping import (
 )
 from eqlab.dsl import MAX_NESTING, EvaluationError
 from eqlab.tensors import DOWN, UP, TensorField, tensor_sub
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CURVATURE_SRC = (
     "R[^i,_j,_m,_n] = d(GammaSym[^i,_j,_m],_n) - d(GammaSym[^i,_j,_n],_m)"
@@ -711,18 +717,59 @@ class TestCliEval:
         assert code == 2 and "line 1" in err
 
     @pytest.mark.parametrize("line, message", [
-        ("X[^i] = T[^i,^i]", "index 'i' repeated with the same variance"),
-        ("X[^a] = Phi[^a]*Psi[_a]*Phi[^a]", "index 'a' appears more than twice"),
-        ("X[^a] = T[^a,_a,^a]", "index 'a' appears more than twice"),
-        ("X[_a] = T[^a,_a,_a]", "index 'a' appears more than twice"),
-        ("X[^i] = Phi[^i] + Nu[_i]",
-         "free-index variance mismatch across summands: ['^i'] vs ['_i']"),
+        ("X[^i] = T[^i,^i]",
+         "line 1: index 'i' repeated with the same variance"),
+        ("X[^a] = Phi[^a]*Psi[_a]*Phi[^a]",
+         "line 1: index 'a' appears more than twice"),
+        ("X[^a] = T[^a,_a,^a]", "line 1: index 'a' appears more than twice"),
+        ("X[_a] = T[^a,_a,_a]", "line 1: index 'a' appears more than twice"),
+        ("X[^i] = Phi[^i] + Nu[_i]", "line 1: free-index variance mismatch "
+         "across summands: ['^i'] vs ['_i']"),
     ])
     def test_index_discipline_error_line(self, capsys, tmp_path, line,
                                          message):
         program = self.write(tmp_path, line + "\n")
         code, out, err = run_cli(capsys, "eval", program, "--dim", "2")
         assert (code, out, err) == (2, "", f"eqlab: {message}\n")
+
+    def test_index_error_names_its_line_in_a_longer_program(self, capsys,
+                                                          tmp_path):
+        program = self.write(tmp_path, "# comment\nS[_j,_k] = Sigma[_j,_k]\n"
+                             "\nX[^a] = T[^a,_a,^a]\n")
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "2")
+        assert (code, out, err) == (
+            2, "", "eqlab: line 4: index 'a' appears more than twice\n")
+
+    def test_index_error_does_not_depend_on_string_hashing(self, tmp_path):
+        """Two names both break the rule; the first written is named."""
+        program = self.write(tmp_path, "X = T[^a,_a,^b,_b]*T[^a,_a,^b,_b]\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("EQLAB_SEED", None)
+        errors = set()
+        for hash_seed in ("1", "2", "3", "4", "5", "6"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "eqlab.cli", "eval", program,
+                 "--dim", "2"], env=dict(env, PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2 and proc.stdout == ""
+            errors.add(proc.stderr)
+        assert errors == {
+            "eqlab: line 1: index 'a' appears more than twice\n"}
+
+    def test_product_over_the_output_cap_names_its_line(self, capsys,
+                                                        tmp_path):
+        """A twelve-index product at dim 3 is refused before it is built."""
+        program = self.write(tmp_path, (
+            "A[^i,_j,_k,^l,_m,_n] = Gamma[^i,_j,_k]*Gamma[^l,_m,_n]\n"
+            "B[^i,_j,_k,^l,_m,_n,^o,_p,_q,^r,_s,_t] = "
+            "A[^i,_j,_k,^l,_m,_n]*A[^o,_p,_q,^r,_s,_t]\n"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", (
+            "eqlab: line 2: a product with 12 free indices at dim 3 would "
+            f"hold {3 ** 12 * 10} coefficients, more than the limit of "
+            f"{MAX_CONTRACT_OUTPUT}\n"))
 
     def test_missing_program_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "none.eqs"))

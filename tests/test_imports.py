@@ -65,6 +65,11 @@ def test_setup_probe_loads_the_instance_layers(work):
     assert loaded_by(code, work) == LOADER
 
 
+def test_random_connection_loads_no_mapping(work):
+    code = "from eqlab import random_connection\nrandom_connection(3, 2, 0)"
+    assert loaded_by(code, work) == {"jets", "tensors", "geometry"}
+
+
 def test_non_object_file_is_rejected_by_cli_alone(work):
     argv = ["verify", "--instance", "list.json"]
     assert loaded_by_command(argv, 2, work) == {"cli"}
