@@ -171,6 +171,8 @@ class TensorField:
     @classmethod
     def from_json(cls, obj: dict) -> "TensorField":
         dim = json_dim(obj["dim"], "a tensor dim")
+        # read before the components and checked after them, which fixes
+        # which message a document with several faults gets
         valence = tuple(obj["valence"])
         blocks = [load_block(c) for c in obj["components"]]
         return _field(*_assemble(dim, _check_valence(valence), blocks))

@@ -717,20 +717,18 @@ class TestCliEval:
         assert code == 2 and "line 1" in err
 
     @pytest.mark.parametrize("line, message", [
-        ("X[^i] = T[^i,^i]",
-         "line 1: index 'i' repeated with the same variance"),
-        ("X[^a] = Phi[^a]*Psi[_a]*Phi[^a]",
-         "line 1: index 'a' appears more than twice"),
-        ("X[^a] = T[^a,_a,^a]", "line 1: index 'a' appears more than twice"),
-        ("X[_a] = T[^a,_a,_a]", "line 1: index 'a' appears more than twice"),
-        ("X[^i] = Phi[^i] + Nu[_i]", "line 1: free-index variance mismatch "
-         "across summands: ['^i'] vs ['_i']"),
+        ("X[^i] = T[^i,^i]", "index 'i' repeated with the same variance"),
+        ("X[^a] = Phi[^a]*Psi[_a]*Phi[^a]", "index 'a' appears more than twice"),
+        ("X[^a] = T[^a,_a,^a]", "index 'a' appears more than twice"),
+        ("X[_a] = T[^a,_a,_a]", "index 'a' appears more than twice"),
+        ("X[^i] = Phi[^i] + Nu[_i]",
+         "free-index variance mismatch across summands: ['^i'] vs ['_i']"),
     ])
     def test_index_discipline_error_line(self, capsys, tmp_path, line,
                                          message):
         program = self.write(tmp_path, line + "\n")
         code, out, err = run_cli(capsys, "eval", program, "--dim", "2")
-        assert (code, out, err) == (2, "", f"eqlab: {message}\n")
+        assert (code, out, err) == (2, "", f"eqlab: line 1: {message}\n")
 
     def test_index_error_names_its_line_in_a_longer_program(self, capsys,
                                                           tmp_path):
