@@ -7,17 +7,23 @@ coefficient where it did.  Loads and writes are compared with a reference
 that reads every coefficient as a ``Fraction``.
 """
 
+import copy
 import hashlib
 import json
+import math
+import random
+import re
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlab.geometry import random_connection
-from eqlab.jets import JetScalar, graded_basis
+from eqlab.jets import JetScalar, graded_basis, load_block, multi_indices
 from eqlab.mapping import synthesize_instance
-from eqlab.tensors import TensorField
+from eqlab.tensors import TensorField, random_field
 
 SEEDS = (0, 1, 7)
 
@@ -155,3 +161,180 @@ def test_field_load_and_write_match_fraction_reference(doc):
         _reference(c["coeffs"]) for c in doc["components"]]
     assert field.to_json() == {"dim": doc["dim"], "valence": doc["valence"],
                                "components": expected}
+
+
+def _reference_draw(rng, dim, valence, order, symmetric=False):
+    """The documented draw, one ``rng.randint`` pair per monomial: each
+    component row-major (only (j, k) with j <= k when ``symmetric``), its
+    monomials in ``multi_indices`` order, (k, j) repeating (j, k)."""
+    alphas = list(multi_indices(dim, order))
+    shape = list(product(range(dim), repeat=len(valence)))
+    drawn = {}
+    for idx in shape:
+        if symmetric and idx[0] > idx[1]:
+            continue
+        drawn[idx] = JetScalar(dim, order, {
+            alpha: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for alpha in alphas})
+    return TensorField(dim, valence, [drawn[tuple(sorted(idx))] if symmetric
+                                      else drawn[idx] for idx in shape])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dim, order", [(d, o) for d in (2, 3, 4)
+                                        for o in range(4)])
+def test_draw_matches_the_randint_reference(dim, order, symmetric):
+    valences = ([("down", "down")] if symmetric
+                else [(), ("up",), ("up", "down", "down")])
+    for seed, valence in enumerate(valences):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        field = random_field(rng, dim, valence, order, symmetric=symmetric)
+        expected = _reference_draw(ref_rng, dim, valence, order, symmetric)
+        assert (field.den, field.nums) == (expected.den, expected.nums)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+# The jet decoder as it read every entry one by one, kept as the reference
+# for the messages and the precedence of a faulty block's first fault.
+
+_REF_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _ref_int(value, what, text=False):
+    if type(value) is int:
+        return value
+    if type(value) is str and _REF_DECIMAL.fullmatch(value):
+        try:
+            number = int(value)
+        except ValueError:
+            raise ValueError(
+                f"{what} has {len(value.lstrip('-'))} digits, more than the "
+                f"limit of {sys.get_int_max_str_digits()}") from None
+        if text:
+            return number
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _ref_check_alpha(alpha, dim, order):
+    if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
+        raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
+    if sum(alpha) > order:
+        raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
+
+
+def reference_load_block(obj):
+    entries = {}
+    for entry in obj["coeffs"]:
+        den = _ref_int(entry["den"], "a coefficient denominator", text=True)
+        if den == 0:
+            raise ValueError("jet coefficient has denominator 0")
+        num = _ref_int(entry["num"], "a coefficient numerator", text=True)
+        entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
+    dim = _ref_int(obj["dim"], "a jet dim")
+    order = _ref_int(obj["order"], "a jet order")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    index = {alpha: i for i, alpha in enumerate(graded_basis(dim, order))}
+    for alpha in entries:
+        _ref_check_alpha(alpha, dim, order)
+    den = math.lcm(*[d for n, d in entries.values() if n])
+    nums = [0] * len(index)
+    for alpha, (n, d) in entries.items():
+        nums[index[alpha]] = n * (den // d)
+    return dim, order, den, nums
+
+
+def _outcome(load, doc):
+    try:
+        return load(copy.deepcopy(doc))
+    except Exception as exc:  # the reference and load_block must agree
+        return type(exc), str(exc)
+
+
+def _integer(draw, value: int):
+    """``value`` as a JSON int or as a decimal string."""
+    return value if draw(st.booleans()) else str(value)
+
+
+@st.composite
+def valid_blocks(draw):
+    """A jet document of dim 1..7 whose entries mix JSON ints and decimal
+    strings, with negative and unreduced denominators, zero and long
+    numerators and multi-indices given more than once."""
+    dim, order = draw(st.integers(1, 7)), draw(st.integers(0, 3))
+    basis = graded_basis(dim, order)
+    entries = draw(st.lists(st.builds(
+        lambda alpha, num, den: {"alpha": list(alpha), "num": num, "den": den},
+        st.sampled_from(basis),
+        st.one_of(st.integers(-60, 60), st.sampled_from((0, -(10**30)))),
+        st.integers(-36, 36).filter(bool)), max_size=2 * len(basis)))
+    for entry in entries:
+        entry["num"] = _integer(draw, entry["num"])
+        entry["den"] = _integer(draw, entry["den"])
+    return {"dim": dim, "order": order, "coeffs": entries}
+
+
+def _fault_values():
+    values = ["1,2", " 5", "1_0", "+5", "٥", "", True, False, 1.5,
+              2.0, None]
+    if sys.get_int_max_str_digits():
+        values.append("7" * (sys.get_int_max_str_digits() + 1))
+    return values
+
+
+FAULTS = ("value", "den0", "missing", "entry", "alpha-type", "alpha-length",
+          "alpha-negative", "alpha-order", "alpha-bool", "header")
+
+
+@st.composite
+def faulty_blocks(draw):
+    """A valid block with one or more entries, or its dim or order,
+    broken."""
+    doc = draw(valid_blocks().filter(lambda d: d["coeffs"]))
+    entries, dim, order = doc["coeffs"], doc["dim"], doc["order"]
+    for _ in range(draw(st.integers(1, 3))):
+        kept = [e for e in entries if isinstance(e, dict)]
+        if not kept:
+            break
+        entry = draw(st.sampled_from(kept))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "value":
+            entry[draw(st.sampled_from(("num", "den")))] = draw(
+                st.sampled_from(_fault_values()))
+        elif fault == "den0":
+            entry["den"] = _integer(draw, 0)
+        elif fault == "missing":
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        elif fault == "entry":
+            entries[entries.index(entry)] = draw(
+                st.sampled_from(([1, 2], "alpha", None, 5)))
+        elif fault == "alpha-type":
+            entry["alpha"] = draw(st.sampled_from(
+                (5, None, "ab", {"a": 1}, [[0]] * dim, [1.0] * dim)))
+        elif fault == "alpha-length":
+            entry["alpha"] = draw(st.sampled_from(([], [0] * (dim + 1))))
+        elif fault == "alpha-negative":
+            entry["alpha"] = [-1] + [0] * (dim - 1)
+        elif fault == "alpha-order":
+            entry["alpha"] = [order + 1] + [0] * (dim - 1)
+        elif fault == "alpha-bool":
+            entry["alpha"] = [draw(st.booleans())] + [0] * (dim - 1)
+        else:
+            key = draw(st.sampled_from(("dim", "order")))
+            doc[key] = draw(st.sampled_from((-1, 0, True, "2", None)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=valid_blocks())
+def test_decoder_matches_the_entrywise_reference(doc):
+    assert load_block(copy.deepcopy(doc)) == reference_load_block(doc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(doc=faulty_blocks())
+def test_faulty_block_raises_the_entrywise_fault(doc):
+    expected = _outcome(reference_load_block, doc)
+    assert _outcome(load_block, doc) == expected

@@ -362,3 +362,37 @@ def test_equal_jets_hash_alike_across_routes(operands):
     assert product == jet_mul(b, a)
     assert hash(product) == hash(jet_mul(b, a))
     assert hash(JetScalar.from_json(product.to_json())) == hash(product)
+
+
+def reference_inverse(a):
+    """The geometric series in ``Fraction`` steps: with a = a0 (1 + u),
+    1/a = (1/a0) sum_i (-u)^i, cut at the order."""
+    a0 = value_at_base(a)
+    u = jet_add(a, JetScalar.constant(a.dim, a.order, -a0))
+    result = term = JetScalar.constant(a.dim, a.order, 1 / a0)
+    for _ in range(a.order):
+        term = jet_scale(-1 / a0, jet_mul(term, u))
+        if term.is_zero():
+            break
+        result = jet_add(result, term)
+    return result
+
+
+@st.composite
+def invertible_jets(draw):
+    """A jet of order 0..4 with a constant term of either sign."""
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    alphas = list(multi_indices(dim, order))[1:]
+    coeffs = draw(st.dictionaries(st.sampled_from(alphas) if alphas
+                                  else st.nothing(), wide_rationals,
+                                  max_size=len(alphas)))
+    coeffs[(0,) * dim] = draw(wide_rationals.filter(bool))
+    return JetScalar(dim, order, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(invertible_jets())
+def test_inverse_matches_the_fraction_series(a):
+    inverse = jet_inverse(a)
+    assert_canonical(inverse)
+    assert inverse == reference_inverse(a)
