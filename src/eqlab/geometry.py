@@ -13,7 +13,7 @@ curvature-like tensors built from torsion corrections.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .jets import json_dim, load_field
 from .tensors import (
@@ -32,6 +32,9 @@ from .tensors import (
     tensor_truncate,
     transpose,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GAMMA_VALENCE = (UP, DOWN, DOWN)
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DimensionMismatchError(ValueError):
@@ -41,11 +43,20 @@ class NotInvertibleError(ValueError):
 
 
 def as_rational(value: int | Fraction) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _exact(value: int | Fraction) -> int | Fraction:
+    """``value`` as an exact rational: an int as it is, anything else
+    through :func:`as_rational`.  Callers read only ``numerator`` and
+    ``denominator``, so integer arithmetic never imports ``fractions``."""
+    return value if type(value) is int else as_rational(value)
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -190,11 +201,11 @@ class JetScalar:
         if order < 0:
             raise ValueError("order must be nonnegative")
         index = _basis_index(dim, order)
-        values: dict[int, Fraction] = {}
+        values: dict[int, int | Fraction] = {}
         for alpha, value in (coeffs or {}).items():
             alpha = tuple(alpha)
             _check_alpha(alpha, dim, order)
-            value = as_rational(value)
+            value = _exact(value)
             if value != 0:
                 values[index[alpha]] = value
         den = lcm(*(v.denominator for v in values.values()))
@@ -211,6 +222,8 @@ class JetScalar:
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        from fractions import Fraction
+
         den = self.den
         return {alpha: Fraction(n, den)
                 for alpha, n in zip(graded_basis(self.dim, self.order), self.nums)
@@ -222,7 +235,7 @@ class JetScalar:
 
     @classmethod
     def constant(cls, dim: int, order: int, value: Fraction | int) -> "JetScalar":
-        return cls(dim, order, {(0,) * dim: as_rational(value)})
+        return cls(dim, order, {(0,) * dim: _exact(value)})
 
     @classmethod
     def coordinate(cls, dim: int, order: int, k: int) -> "JetScalar":
@@ -232,7 +245,7 @@ class JetScalar:
         if order < 1:
             raise ValueError("a coordinate jet needs order >= 1")
         alpha = tuple(1 if i == k else 0 for i in range(dim))
-        return cls(dim, order, {alpha: Fraction(1)})
+        return cls(dim, order, {alpha: 1})
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -247,6 +260,8 @@ class JetScalar:
         return hash((self.dim, self.order, self.den, self.nums))
 
     def __add__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             other = JetScalar.constant(self.dim, self.order, other)
         if not isinstance(other, JetScalar):
@@ -256,6 +271,8 @@ class JetScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             other = JetScalar.constant(self.dim, self.order, other)
         if not isinstance(other, JetScalar):
@@ -266,6 +283,8 @@ class JetScalar:
         return jet_neg(self)
 
     def __mul__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return jet_scale(other, self)
         if not isinstance(other, JetScalar):
@@ -344,6 +363,29 @@ def _check_alpha(alpha: tuple, dim: int, order: int) -> None:
         raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
 
 
+# A comma-separated list of decimal integers: the joined strings of one
+# block's numerators or denominators.
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _bulk_ints(values: list) -> list | None:
+    """``values`` as ints when each is a JSON int or a decimal string
+    within the digit limit, else None."""
+    text = [v for v in values if type(v) is not int]
+    if not text:
+        return values
+    try:
+        joined = ",".join(text)
+    except TypeError:  # a bool, a float, None, a list or a dict
+        return None
+    if not _DECIMALS.fullmatch(joined):
+        return None
+    try:
+        return list(map(int, values))
+    except ValueError:  # past the digit limit, or a string such as "1,2"
+        return None
+
+
 def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
     """A jet document as ``(dim, order, den, nums)``: the numerators of
     its coefficients on the graded basis over the lcm of their
@@ -351,9 +393,51 @@ def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
 
     Every entry's integers are read before the dim and the order, and a
     multi-index given twice keeps its last value, as a dict of the
-    entries would.  The dim, order and multi-indices are checked as the
-    constructor checks them.
+    entries would.  The dim is capped at ``MAX_DIM``; the dim, order and
+    multi-indices are checked as the constructor checks them.
+
+    The lists of denominators, numerators and multi-indices are read and
+    checked whole.  A block that fails any of those checks is read again
+    entry by entry (:func:`_walk_block`), which raises its first fault.
     """
+    try:
+        entries = obj["coeffs"]
+        dens = _bulk_ints([entry["den"] for entry in entries])
+        nums = _bulk_ints([entry["num"] for entry in entries])
+        alphas = [tuple(entry["alpha"]) for entry in entries]
+    except (KeyError, TypeError):
+        return _walk_block(obj)
+    # exact ints, as _check_alpha asks: True and 1.0 would find the
+    # index 1, and a list would not hash
+    if (dens is None or nums is None or 0 in dens
+            or not set(map(type, chain.from_iterable(alphas))) <= {int}):
+        return _walk_block(obj)
+    dim, order = _dim_order(obj)
+    index = _basis_index(dim, order)
+    slots = list(map(index.get, alphas))
+    if None in slots:
+        return _walk_block(obj)
+    values = dict(zip(slots, zip(nums, dens)))
+    den = lcm(*[d for n, d in values.values() if n])
+    out = [0] * len(index)
+    for i, (n, d) in values.items():
+        out[i] = n * (den // d)  # a negative d carries the sign
+    return dim, order, den, out
+
+
+def _dim_order(obj: dict) -> tuple[int, int]:
+    dim = json_dim(obj["dim"], "a jet dim")
+    order = json_int(obj["order"], "a jet order")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return dim, order
+
+
+def _walk_block(obj: dict) -> tuple[int, int, int, list[int]]:
+    """:func:`load_block` one entry at a time, each checked in turn: the
+    reading that fixes which fault of a faulty block is reported."""
     entries: dict[tuple, tuple[int, int]] = {}
     for entry in obj["coeffs"]:
         den = json_int(entry["den"], "a coefficient denominator", text=True)
@@ -361,12 +445,7 @@ def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
             raise ValueError("jet coefficient has denominator 0")
         num = json_int(entry["num"], "a coefficient numerator", text=True)
         entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
-    dim = json_int(obj["dim"], "a jet dim")
-    order = json_int(obj["order"], "a jet order")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    dim, order = _dim_order(obj)
     index = _basis_index(dim, order)
     for alpha in entries:
         _check_alpha(alpha, dim, order)
@@ -406,7 +485,7 @@ def jet_neg(a: JetScalar) -> JetScalar:
 
 
 def jet_scale(c: Fraction | int, a: JetScalar) -> JetScalar:
-    c = as_rational(c)
+    c = _exact(c)
     p = c.numerator
     return _jet(a.dim, a.order, a.den * c.denominator, [p * x for x in a.nums])
 
@@ -445,27 +524,30 @@ def jet_truncate(a: JetScalar, order: int) -> JetScalar:
 
 
 def jet_inverse(a: JetScalar) -> JetScalar:
-    """Multiplicative inverse up to the truncation order.
+    """Multiplicative inverse up to the truncation order, in integers.
 
-    Uses the geometric series around the base value: with a = a0(1 + u),
-    1/a = (1/a0) * sum_i (-u)^i, and u has no constant term so the series
-    terminates at the truncation order.
+    The geometric series around the base value: with a = (n0 + v) / den,
+    where v has no constant term, 1/a = den * S / n0^(order + 1) with
+    S = sum_k (-v)^k n0^(order - k), k = 0..order; (-v)^k vanishes above
+    the order.  Horner's rule sums S: from S = 1, S <- S (-v) + n0^k for
+    k = 1..order.
     """
-    a0 = value_at_base(a)
-    if a0 == 0:
+    dim, order, n0 = a.dim, a.order, a.nums[0]
+    if n0 == 0:
         raise NotInvertibleError("jet has zero value at the base point")
-    u = _jet(a.dim, a.order, a.den, (0,) + a.nums[1:])
-    result = JetScalar.constant(a.dim, a.order, 1 / a0)
-    term = result
-    for _ in range(a.order):
-        term = jet_scale(-1 / a0, jet_mul(term, u))
-        if term.is_zero():
-            break
-        result = jet_add(result, term)
-    return result
+    minus_v = _jet(dim, order, 1, [0] + [-x for x in a.nums[1:]])
+    s = _jet(dim, order, 1, [1] + [0] * (len(a.nums) - 1))
+    for k in range(1, order + 1):
+        s = jet_mul(s, minus_v)
+        s = _jet(dim, order, 1, (s.nums[0] + n0 ** k,) + s.nums[1:])
+    power = n0 ** (order + 1)
+    den = a.den if power > 0 else -a.den
+    return _jet(dim, order, abs(power), [den * x for x in s.nums])
 
 
 def value_at_base(a: JetScalar) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(a.nums[0], a.den)
 
 

@@ -11,7 +11,7 @@ required to vanish identically, not merely approximately.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
 from .jets import (
@@ -35,6 +35,9 @@ from .tensors import (
     tensor_truncate,
     transpose,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BasicEquationError(ValueError):
@@ -291,6 +294,8 @@ def gamma_diff_factorized(pair: MappedPair, m_bar: AG3Mapping) -> TensorField:
     and checks it equals Gammabar^i_(jk) - Gamma^i_(jk) exactly.  Returns
     the common value; raises :class:`FactorizationMismatch` otherwise.
     """
+    from fractions import Fraction
+
     c = Fraction(1, pair.source.dim + 1)
 
     def bracket(space: Space, mapping: AG3Mapping) -> list:

@@ -17,28 +17,30 @@ from an outer product to a contraction, is one einsum over it,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .jets import (
     MAX_CONTRACT_OUTPUT,
     DimensionMismatchError,
     JetScalar,
     OrderExhaustedError,
+    _exact,
     _jet,
     _lex_slots,
     _mul_table,
     _partial_table,
-    as_rational,
     basis_size,
     block_json,
     json_dim,
     load_block,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 UP = "up"
 DOWN = "down"
@@ -262,6 +264,12 @@ def random_field(rng: Random, dim: int, valence: Sequence[str], order: int,
     rng.randint(1, 9))`` for each monomial in ``multi_indices`` order.  A
     ``symmetric`` field has two slots and draws only its components
     (j, k) with j <= k, in that order; (k, j) repeats (j, k).
+
+    Each draw is made from ``rng.getrandbits`` as CPython's ``randint``
+    makes it (``Random._randbelow_with_getrandbits``, Python 3.10 and
+    later): n is -9 plus the first ``getrandbits(5)`` below 19, and d is
+    1 plus the first ``getrandbits(4)`` below 9.  The values and the
+    generator's state afterwards are those of the ``randint`` calls.
     """
     valence = _check_valence(valence)
     size = basis_size(dim, order)
@@ -271,14 +279,24 @@ def random_field(rng: Random, dim: int, valence: Sequence[str], order: int,
             raise ValueError("a symmetric field has two slots")
         upper = list(combinations_with_replacement(range(dim), 2))
         count = len(upper)
-    randint = rng.randint
-    pairs = [(randint(-9, 9), randint(1, 9)) for _ in range(count * size)]
-    den = lcm(*[d for _, d in pairs])
-    nums = [0] * len(pairs)
+    getrandbits = rng.getrandbits
+    ns, ds = [], []
+    for _ in range(count * size):
+        n = getrandbits(5)
+        while n >= 19:
+            n = getrandbits(5)
+        d = getrandbits(4)
+        while d >= 9:
+            d = getrandbits(4)
+        ns.append(n - 9)
+        ds.append(d + 1)
+    den = lcm(*ds)
+    drawn = [n * (den // d) for n, d in zip(ns, ds)]
+    # the draw position of each graded basis slot
     slots = _lex_slots(dim, order)
-    for start in range(0, len(pairs), size):
-        for slot, (n, d) in zip(slots, pairs[start:start + size]):
-            nums[start + slot] = n * (den // d)
+    place = sorted(range(size), key=slots.__getitem__)
+    nums = [drawn[start + p] for start in range(0, len(drawn), size)
+            for p in place]
     if symmetric:
         block = {jk: nums[b * size:(b + 1) * size]
                  for b, jk in enumerate(upper)}
@@ -304,7 +322,7 @@ def tensor_lincomb(terms: Sequence[tuple[Fraction | int, TensorField]],
     and reduces once, the dense linear combination of truncated Taylor
     series (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
     """
-    terms = [(as_rational(c), t) for c, t in terms]
+    terms = [(_exact(c), t) for c, t in terms]
     if not terms:
         raise ValueError("a linear combination needs at least one term")
     first = terms[0][1]
@@ -502,12 +520,16 @@ def antisym_pair_nodiv(a: TensorField, s1: int, s2: int) -> TensorField:
 
 
 def sym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
+    from fractions import Fraction
+
     _check_pair(a, s1, s2)
     half = Fraction(1, 2)
     return tensor_lincomb([(half, a), (half, _swapped(a, s1, s2))])
 
 
 def antisym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
+    from fractions import Fraction
+
     _check_pair(a, s1, s2)
     half = Fraction(1, 2)
     return tensor_lincomb([(half, a), (-half, _swapped(a, s1, s2))])
@@ -564,5 +586,7 @@ def base_numerators(a: TensorField) -> tuple[int, tuple[int, ...]]:
 
 def flatten_at_base(a: TensorField) -> list[Fraction]:
     """The value at the base point of every component, row-major."""
+    from fractions import Fraction
+
     den, nums = base_numerators(a)
     return [Fraction(n, den) for n in nums]

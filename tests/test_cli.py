@@ -610,6 +610,22 @@ class TestCliVerify:
             f"eqlab: {holder}: {what} is {MAX_DIM + 1}, "
             f"above the cap of {MAX_DIM}"]
 
+    def test_loader_caps_a_jet_dim(self, capsys, tmp_path):
+        """A jet's own dim is capped before its basis is built: a mu of
+        dim 2000000 is refused at once, not after sizing its basis."""
+        doc = synth_document(2, 1, seed=0)
+        doc["mapping"]["mu"] = {"dim": 2000000, "order": 0, "coeffs": []}
+        path = tmp_path / "big-mu.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: mapping mu: a jet dim is 2000000, above the cap of "
+            f"{MAX_DIM}"]
+        assert elapsed < 0.5
+
     @pytest.mark.parametrize("literal", [False, True],
                              ids=["decimal-string", "json-integer"])
     def test_numerator_past_the_digit_limit_names_field_and_limit(

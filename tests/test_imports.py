@@ -3,8 +3,10 @@
 ``import eqlab`` loads no submodule: the package exports its names
 lazily.  The command line builds its parser from ``cli`` alone and each
 command imports what it runs, so a rejected input file loads only the
-loader, and only ``eval`` loads the expression language.  Each case runs
-in a fresh interpreter, as a user's command does.
+loader, and only ``eval`` loads the expression language.  Drawing and
+loading instances works in integers, so that path never imports
+``fractions`` (nor the ``decimal`` it brings).  Each case runs in a fresh
+interpreter, as a user's command does.
 """
 
 import ast
@@ -24,23 +26,33 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LOADER = {"jets", "tensors", "geometry", "mapping"}
 EVERY_LAYER = LOADER | {"cli", "dsl", "harness", "invariants", "linalg"}
+RATIONALS = {"fractions", "decimal"}
+PROBE = SRC.parent / "bench" / "build_inputs.py"
 
 
-def loaded_by(code: str, cwd: Path) -> set[str]:
-    """The eqlab submodules a fresh interpreter holds after running code."""
+def modules_after(code: str, cwd: Path) -> set[str]:
+    """Every module a fresh interpreter holds after running code."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("EQLAB_SEED", None)
-    report = ("\nimport sys\nprint(' '.join(name[6:] for name in sys.modules"
-              " if name.startswith('eqlab.')))")
+    report = "\nimport sys\nprint(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code + report], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def loaded_by(code: str, cwd: Path) -> set[str]:
+    """The eqlab submodules a fresh interpreter holds after running code."""
+    return {name[6:] for name in modules_after(code, cwd)
+            if name.startswith("eqlab.")}
+
+
+def command(argv: list[str], exit_code: int) -> str:
+    return f"from eqlab.cli import main\nassert main({argv!r}) == {exit_code}"
+
+
 def loaded_by_command(argv: list[str], exit_code: int, cwd: Path) -> set[str]:
-    return loaded_by("from eqlab.cli import main\n"
-                     f"assert main({argv!r}) == {exit_code}", cwd)
+    return loaded_by(command(argv, exit_code), cwd)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +62,12 @@ def work(tmp_path_factory):
     doc = synth_document(2, 1, seed=0)
     (path / "pair.json").write_text(json.dumps(doc))
     (path / "list.json").write_text(json.dumps([doc]))
+    target = json.loads(json.dumps(doc))
     doc["source"]["gamma"]["components"][0]["coeffs"][0]["den"] = "0"
     (path / "den0.json").write_text(json.dumps(doc))
+    entry = target["target"]["gamma"]["components"][0]["coeffs"][0]
+    entry["num"] = str(int(entry["num"]) + int(entry["den"]))
+    (path / "target.json").write_text(json.dumps(target))
     (path / "program.eqs").write_text("V[^i,_j] = Torsion[^i,_j,_a]*Phi[^a]\n")
     return path
 
@@ -78,6 +94,21 @@ def test_non_object_file_is_rejected_by_cli_alone(work):
 def test_file_the_loader_rejects_loads_only_the_loader(work):
     argv = ["verify", "--instance", "den0.json"]
     assert loaded_by_command(argv, 2, work) == {"cli"} | LOADER
+
+
+SETUP = {"synthesize": [[3, 2, 0, 3], [2, 1, 1, 2]],
+         "random_connection": [[3, 2, 0]], "stored": ["pair.json"]}
+
+
+@pytest.mark.parametrize("code", [
+    f"import runpy, sys\nsys.argv = [{str(PROBE)!r}, {json.dumps(SETUP)!r}]\n"
+    f"runpy.run_path({str(PROBE)!r}, run_name='__main__')",
+    "from eqlab import random_connection\nrandom_connection(3, 2, 0)",
+    command(["verify", "--instance", "den0.json"], 2),
+    command(["verify", "--instance", "target.json"], 2),
+], ids=["setup-probe", "random-connection", "den0", "target-not-image"])
+def test_instance_path_imports_no_fractions(work, code):
+    assert modules_after(code, work) & RATIONALS == set()
 
 
 @pytest.mark.parametrize("argv, exit_code", [
