@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, choices=(2, 3),
                        help="jet truncation order (default 2)")
         p.add_argument("--seed", type=int,
-                       help="single seed; the EQLAB_SEED variable overrides")
+                       help="single seed")
         p.add_argument("--seeds", type=_seed_list,
                        help="comma-separated seed list")
         p.set_defaults(default_seeds=default_seeds)
@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _settle_instance_options(parser: argparse.ArgumentParser,
                              args: argparse.Namespace) -> None:
     """A stored instance states its own dim, kind, order and seed, so an
-    instance option beside ``--instance`` is a usage error and EQLAB_SEED
-    is not read.  Otherwise the unset options take their defaults."""
+    instance option beside ``--instance`` is a usage error.  Otherwise the
+    unset options take their defaults."""
     if getattr(args, "instance", None) is not None:
         given = [f"--{name}" for name in INSTANCE_OPTIONS
                  if getattr(args, name) is not None]
@@ -177,13 +177,7 @@ def _settle_instance_options(parser: argparse.ArgumentParser,
 
 def _resolve_seeds(parser: argparse.ArgumentParser,
                    args: argparse.Namespace) -> tuple[int, ...]:
-    """The seeds to run; the EQLAB_SEED variable overrides the options."""
-    text = os.environ.get("EQLAB_SEED")
-    if text is not None:
-        try:
-            return (int(text),)
-        except ValueError:
-            parser.error(f"EQLAB_SEED must be an integer, got {text!r}")
+    """The seeds to run."""
     if args.seed is not None and args.seeds is not None:
         parser.error("--seed and --seeds are mutually exclusive")
     if args.seed is not None:

@@ -13,9 +13,10 @@ curvature-like tensors built from torsion corrections.
 from __future__ import annotations
 
 import random
+from functools import wraps
 from typing import TYPE_CHECKING
 
-from .jets import json_dim, load_field
+from .jets import MAX_ORDER, FieldError, json_dim, load_field
 from .tensors import (
     DOWN,
     UP,
@@ -39,16 +40,37 @@ if TYPE_CHECKING:
 GAMMA_VALENCE = (UP, DOWN, DOWN)
 
 
-class Space:
+class Keeper:
+    """The owner of :func:`kept` methods, whose results its ``_cache``
+    holds; the owner must not change once built."""
+
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+
+def kept(build):
+    """A method whose result is kept by its owner, keyed by the method's
+    name and arguments.  A call that raises keeps nothing."""
+    name = build.__name__
+
+    @wraps(build)
+    def method(self, *args):
+        return self._cached((name, *args), lambda: build(self, *args))
+    return method
+
+
+class Space(Keeper):
     """Dimension plus connection field.
 
-    Derived objects that every verification path reuses (symmetric part,
-    torsion, trace, curvature, covariant derivative of torsion, torsion
-    squares) are computed once and cached; the instance itself never
-    changes.  The connection's own parts keep its order o.  Whatever
-    holds a derivative (curvature, torsion derivative) is at o - 1, and so
-    are the torsion squares: every tensor they are summed with has lost
-    one order, so their top coefficients would only be dropped.
+    The derived objects (symmetric part, torsion, trace, curvature,
+    covariant derivative of torsion, torsion squares) are kept, since
+    every command that reads one reads it more than once.  The
+    connection's own parts keep its order o.  Whatever holds a derivative
+    (curvature, torsion derivative) is at o - 1, and so are the torsion
+    squares: every tensor they are summed with has lost one order, so
+    their top coefficients would only be dropped.
     """
 
     def __init__(self, dim: int, gamma: TensorField):
@@ -58,32 +80,41 @@ class Space:
             raise ValueError("gamma must have valence (up, down, down) at the space dim")
         self.dim = dim
         self.gamma = gamma
-        self._cache: dict[str, object] = {}
+        self._cache = {}
 
-    def _cached(self, key: str, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
+    @kept
     def sym(self) -> TensorField:
         """Symmetric part of the connection, Gamma^i_(jk)."""
-        return self._cached("sym", lambda: sym_pair(self.gamma, 1, 2))
+        return sym_pair(self.gamma, 1, 2)
 
+    @kept
     def torsion(self) -> TensorField:
         """Antisymmetric part of the connection."""
-        return self._cached("torsion", lambda: antisym_pair(self.gamma, 1, 2))
+        return antisym_pair(self.gamma, 1, 2)
 
+    @kept
     def trace_sym(self) -> TensorField:
         """The (0,1) contraction Gamma^a_{ja} of the symmetric part."""
-        return self._cached("trace_sym", lambda: contract(self.sym(), 0, 2))
+        return contract(self.sym(), 0, 2)
 
+    @kept
     def curvature(self) -> TensorField:
-        return self._cached("curvature", lambda: curvature_R(self))
+        return curvature_R(self)
 
+    @kept
     def torsion_cd(self) -> TensorField:
         """Associated covariant derivative of the torsion, slots (i, j, m; n)."""
-        return self._cached("torsion_cd",
-                            lambda: cov_deriv_assoc(self.torsion(), self))
+        return cov_deriv_assoc(self.torsion(), self)
+
+    @kept
+    def torsion_squares(self) -> tuple[TensorField, TensorField, TensorField]:
+        """See :func:`torsion_square_terms`."""
+        t = self.torsion()
+        t = tensor_truncate(t, max(t.order - 1, 0))
+        v_term = tensor_contract("ajm,ian->ijmn", t, t)
+        # T^a_{jn} T^i_{am} is the first square with m and n exchanged
+        return (v_term, transpose(v_term, (0, 1, 3, 2)),
+                tensor_contract("amn,iaj->ijmn", t, t))
 
     def to_json(self) -> dict:
         # the document format keeps a metric slot; no space carries one
@@ -93,8 +124,12 @@ class Space:
     def from_json(cls, obj: dict) -> "Space":
         if obj.get("metric") is not None:
             raise ValueError("spaces with a metric are not supported")
-        return cls(json_dim(obj["dim"], "a space dim"),
-                   load_field("gamma", TensorField.from_json, obj["gamma"]))
+        dim = json_dim(obj["dim"], "a space dim")
+        gamma = load_field("gamma", TensorField.from_json, obj["gamma"])
+        if gamma.order > MAX_ORDER:
+            raise FieldError(("gamma",), f"the connection order is "
+                             f"{gamma.order}, above the cap of {MAX_ORDER}")
+        return cls(dim, gamma)
 
 
 def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:
@@ -170,16 +205,7 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
     and the torsion derivative they are summed with: the products are
     taken from the torsion cut to that order.
     """
-    return s._cached("torsion_squares", lambda: _torsion_squares(s))
-
-
-def _torsion_squares(s: Space) -> tuple[TensorField, TensorField, TensorField]:
-    t = s.torsion()
-    t = tensor_truncate(t, max(t.order - 1, 0))
-    v_term = tensor_contract("ajm,ian->ijmn", t, t)
-    # T^a_{jn} T^i_{am} is the first square with m and n exchanged
-    return (v_term, transpose(v_term, (0, 1, 3, 2)),
-            tensor_contract("amn,iaj->ijmn", t, t))
+    return s.torsion_squares()
 
 
 def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,

@@ -3,8 +3,8 @@
 The suite takes finished ``MappedPair`` instances and runs every exact
 check the package offers: the two-route torsion-derivative difference,
 the factorized connection difference, invariance of the W tensor, the
-T-tilde tensors and the parameterized families, the correlation identity
-tying a family member back to its W tensor, and the curvature
+T-tilde tensors and the parameterized family members, the correlation
+identity tying a family member back to its W tensor, and the curvature
 transformation equations.  Checks compare a source-side evaluation with
 an independent target-side evaluation and pass only on exact rational
 equality.

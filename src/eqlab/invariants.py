@@ -4,7 +4,7 @@ Everything here is derived data of one ``(Space, AG3Mapping)`` side,
 built by that side's ``InvariantBundle``: the eta tensors, the W tensors
 of both kinds, the twenty torsion products U_1..U_20, the eight sigma
 combinations built from them, the invariant difference tensors T-tilde,
-and the five-parameter W families indexed by a pair (p, q) of sigma
+and the five-parameter W family members indexed by a pair (p, q) of sigma
 choices.  The module also carries the exact rank analyses over those
 objects and the checks that compare a source bundle with an independent
 target bundle built on the inverse mapping data.
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache
 from math import gcd
 
-from .geometry import Space, cov_deriv_assoc, curvature_K
+from .geometry import Keeper, Space, cov_deriv_assoc, curvature_K, kept
 from .linalg import (
     ParamMatrix,
     RationalMatrix,
@@ -274,32 +274,17 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
         for p in p_values]
 
 
-def _kept(build):
-    """A bundle method whose result is kept, keyed by its name and arguments."""
-    @wraps(build)
-    def method(self, *args):
-        key = (build.__name__, *args)
-        if key not in self._memo:
-            self._memo[key] = build(self, *args)
-        return self._memo[key]
-    return method
-
-
-class InvariantBundle:
+class InvariantBundle(Keeper):
     """The invariant objects of one (space, mapping) side, each built once.
 
     The only builder of U, sigma, eta, W and T-tilde, all read off one
     lazily built ``_Parts``: U, eta and W directly, sigma as the U
     combination of its table row, T-tilde as the torsion derivative less
-    a sigma.  What is read more than once is kept (parts,
-    U, sigma, swapped sigma, eta, W, the W correction, K); T-tilde is
-    rebuilt per request.  ``family`` builds the paper's family member and
-    keeps it in ``families``, but no verify check calls it: the
-    correlation grid reduces to one residual and the invariance grid sums
-    sigma differences.  ``families`` is now read only by the layer tracer
-    in ``bench/layertrace.py``, which counts its hits.  An invariance
-    check compares two bundles, one per side, so its routes never share a
-    cached object.
+    a sigma.  What a command reads more than once is kept (parts, U,
+    sigma, swapped sigma, W, the W correction, K); eta, whose one reader
+    is W, T-tilde and the family member, which no command reads, are
+    rebuilt per request.  An invariance check compares two bundles, one
+    per side, so its routes never share a kept object.
 
     ``order`` is the order the bundle's products are taken at, handed to
     ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
@@ -315,14 +300,12 @@ class InvariantBundle:
         self.space = space
         self.mapping = mapping
         self.order = order
-        self.families: dict[tuple, TensorField] = {}
-        self._memo: dict = {}
+        self._cache = {}
 
-    @_kept
+    @kept
     def parts(self) -> _Parts:
         return _Parts(self.space, self.mapping, self.order)
 
-    @_kept
     def eta(self, which: int) -> TensorField:
         """The (0,2) eta tensor of the requested kind.
 
@@ -350,7 +333,7 @@ class InvariantBundle:
             (c * eps, tensor_contract("ja,ak->jk", sigma, parts.torsion_phi)),
         ])
 
-    @_kept
+    @kept
     def w_star(self, which: int) -> TensorField:
         """The (1,3) W tensor of the requested kind, an invariant of the mapping.
 
@@ -389,12 +372,12 @@ class InvariantBundle:
             (eps, tensor_contract("jn,im->ijmn", sigma, parts.torsion_phi)),
         ])
 
-    @_kept
+    @kept
     def correction(self, which: int) -> TensorField:
         """W minus the curvature: what W adds to R, and to every K."""
         return tensor_sub(self.w_star(which), self.space.curvature())
 
-    @_kept
+    @kept
     def u_tensor(self, theta: int) -> TensorField:
         """One of the twenty torsion products, slots (i, j, m, n)."""
         if not 1 <= theta <= 20:
@@ -404,7 +387,7 @@ class InvariantBundle:
         return tensor_contract(spec, getattr(parts, left),
                                getattr(parts, right))
 
-    @_kept
+    @kept
     def sigma(self, p: int) -> TensorField:
         """The p-th sigma combination, slots (i, j, m, n): row p of the
         coefficient table over the kept U tensors."""
@@ -413,12 +396,12 @@ class InvariantBundle:
         return tensor_lincomb([(c, self.u_tensor(theta))
                                for theta, c in enumerate(coeffs, start=1) if c])
 
-    @_kept
+    @kept
     def sigma_swapped(self, q: int) -> TensorField:
         _check_label("q", q)
         return transpose(self.sigma(q), (0, 1, 3, 2))
 
-    @_kept
+    @kept
     def curvature_k(self, u, up, v, vp, w) -> TensorField:
         return curvature_K(self.space, u, up, v, vp, w)
 
@@ -432,13 +415,10 @@ class InvariantBundle:
         _check_label("p", p)
         _check_label("q", q)
         u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
-        key = (which, p, q, u, up, v, vp, w)
-        if key not in self.families:
-            self.families[key] = tensor_lincomb(
-                [(1, self.curvature_k(u, up, v, vp, w)),
-                 (1, self.correction(which)),
-                 (-u, self.sigma(p)), (-up, self.sigma_swapped(q))])
-        return self.families[key]
+        return tensor_lincomb([(1, self.curvature_k(u, up, v, vp, w)),
+                               (1, self.correction(which)),
+                               (-u, self.sigma(p)),
+                               (-up, self.sigma_swapped(q))])
 
 
 def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
@@ -513,7 +493,7 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
     Draws one shared generic parameter value per batch, samples (which,
     p, q) cells, and stacks the base-point flattenings of family minus
     the parameter-free common part across all supplied pairs.  The rank
-    of that stack is the number of independent families the samples hit.
+    of that stack is the number of independent deviations the samples hit.
     The common part is W, which cancels exactly: each deviation is
     K - R - u sigma_p - u' sigma*_q, the same for both values of which.
     """

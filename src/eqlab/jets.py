@@ -85,6 +85,10 @@ def json_int(value, what: str, text: bool = False) -> int:
 # instance; each further dim multiplies that (README table).
 MAX_DIM = 7
 
+# Cap on the order of a loaded connection, the highest ``--order``; at
+# dim 7 and order 4 a verify takes 89 s and 1 GB (README).
+MAX_ORDER = 3
+
 
 def json_dim(value, what: str) -> int:
     """A document's dim, read before the components it sizes."""

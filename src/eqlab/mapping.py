@@ -217,7 +217,6 @@ class MappedPair:
         self.mapping = mapping
         self.target = target
         self._target_is_image = False
-        self._inverse: AG3Mapping | None = None
 
     @classmethod
     def build(cls, source: Space, mapping: AG3Mapping) -> "MappedPair":
@@ -259,13 +258,10 @@ class MappedPair:
             raise BasicEquationError("basic equation residual is nonzero")
 
     def inverse(self) -> AG3Mapping:
-        if self._inverse is None:
-            if self._target_is_image:
-                self._inverse = _inverse_onto(self.source, self.mapping,
-                                              self.target)
-            else:
-                self._inverse = reciprocity_inverse(self.source, self.mapping)
-        return self._inverse
+        """The inverse mapping data, built afresh on each call."""
+        if self._target_is_image:
+            return _inverse_onto(self.source, self.mapping, self.target)
+        return reciprocity_inverse(self.source, self.mapping)
 
     def to_json(self) -> dict:
         return {

@@ -556,16 +556,13 @@ def gradient(a: TensorField) -> TensorField:
     """Every comma derivative of ``a`` in one field, the direction k as a
     new trailing covariant slot: ``gradient(a)[idx + (k,)]`` is
     ``partial_deriv_field(a, k)[idx]``."""
-    parts = [partial_deriv_field(a, k) for k in range(a.dim)]
-    den = lcm(*[p.den for p in parts])
-    lists = [p.nums if p.den == den else [x * (den // p.den) for x in p.nums]
-             for p in parts]
-    size = basis_size(a.dim, a.order - 1)
-    out: list[int] = []
-    for start in range(0, len(lists[0]), size):
-        for nums in lists:
-            out += nums[start:start + size]
-    return _field(a.dim, a.valence + (DOWN,), a.order - 1, den, out)
+    if a.order < 1:
+        raise OrderExhaustedError("cannot differentiate an order-0 jet")
+    tables = [_partial_table(a.dim, a.order, k) for k in range(a.dim)]
+    size, nums = basis_size(a.dim, a.order), a.nums
+    out = [nums[start + i] * f for start in range(0, len(nums), size)
+           for table in tables for i, f in table]
+    return _field(a.dim, a.valence + (DOWN,), a.order - 1, a.den, out)
 
 
 def tensor_truncate(a: TensorField, order: int) -> TensorField:

@@ -23,7 +23,8 @@ from eqlab.harness import (
     synthesized_pairs,
 )
 from eqlab.invariants import W_star
-from eqlab.jets import MAX_CONTRACT_OUTPUT, MAX_DIM, JetScalar, jet_truncate
+from eqlab.jets import (MAX_CONTRACT_OUTPUT, MAX_DIM, MAX_ORDER, JetScalar,
+                        jet_truncate)
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -399,26 +400,12 @@ class TestCliVerify:
                     "--grid", "2:2", "--draws", "1", "--out", str(target))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_env_seed_overrides(self, capsys, monkeypatch):
+    def test_env_seed_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("EQLAB_SEED", "11")
         code, out, _ = run_cli(capsys, "verify", "--dim", "2", "--seed", "0",
                                "--grid", "3:3", "--draws", "1")
         assert code == 0
-        assert json.loads(out)["config"]["seeds"] == [11]
-
-    def test_env_seed_overrides_ranks_seed(self, capsys, monkeypatch):
-        argv = ("ranks", "--dim", "2", "--trials", "1")
-        _, direct, _ = run_cli(capsys, *argv, "--seed", "11")
-        monkeypatch.setenv("EQLAB_SEED", "11")
-        _, overridden, _ = run_cli(capsys, *argv, "--seed", "0")
-        assert json.loads(overridden)["config"]["seed"] == 11
-        assert overridden == direct
-
-    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQLAB_SEED", "eleven")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--dim", "2"])
-        assert excinfo.value.code == 2
+        assert json.loads(out)["config"]["seeds"] == [0]
 
     def test_missing_instance_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify",
@@ -626,6 +613,20 @@ class TestCliVerify:
             f"{MAX_DIM}"]
         assert elapsed < 0.5
 
+    def test_loader_caps_a_connection_order(self, capsys, tmp_path):
+        """A pair synthesized one order above the cap is refused on load,
+        before any check runs."""
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(synth_document(2, 1, 0, MAX_ORDER + 1)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: source gamma: the connection order is {MAX_ORDER + 1}, "
+            f"above the cap of {MAX_ORDER}"]
+        assert elapsed < 0.5
+
     @pytest.mark.parametrize("literal", [False, True],
                              ids=["decimal-string", "json-integer"])
     def test_numerator_past_the_digit_limit_names_field_and_limit(
@@ -758,7 +759,6 @@ class TestCliEval:
         """Two names both break the rule; the first written is named."""
         program = self.write(tmp_path, "X = T[^a,_a,^b,_b]*T[^a,_a,^b,_b]\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("EQLAB_SEED", None)
         errors = set()
         for hash_seed in ("1", "2", "3", "4", "5", "6"):
             proc = subprocess.run(

@@ -90,9 +90,7 @@ EVAL_REORDERED_DIGEST = (
 
 @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN,
                          ids=[" ".join(case[0]) for case in GOLDEN])
-def test_stdout_matches_golden_digest(capsys, monkeypatch, argv, exit_code,
-                                      digest):
-    monkeypatch.delenv("EQLAB_SEED", raising=False)
+def test_stdout_matches_golden_digest(capsys, argv, exit_code, digest):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == exit_code
@@ -112,19 +110,15 @@ def _eval_digest(capsys, tmp_path, text: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
-def test_eval_report_matches_golden_digest(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("EQLAB_SEED", raising=False)
+def test_eval_report_matches_golden_digest(capsys, tmp_path):
     assert _eval_digest(capsys, tmp_path, EVAL_PROGRAM) == (0, EVAL_DIGEST)
 
 
-def test_eval_products_match_golden_digest(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("EQLAB_SEED", raising=False)
+def test_eval_products_match_golden_digest(capsys, tmp_path):
     assert _eval_digest(capsys, tmp_path, EVAL_PRODUCTS) == (
         0, EVAL_PRODUCTS_DIGEST)
 
 
-def test_eval_reordered_slots_match_golden_digest(capsys, monkeypatch,
-                                                  tmp_path):
-    monkeypatch.delenv("EQLAB_SEED", raising=False)
+def test_eval_reordered_slots_match_golden_digest(capsys, tmp_path):
     assert _eval_digest(capsys, tmp_path, EVAL_REORDERED) == (
         0, EVAL_REORDERED_DIGEST)

@@ -33,7 +33,6 @@ PROBE = SRC.parent / "bench" / "build_inputs.py"
 def modules_after(code: str, cwd: Path) -> set[str]:
     """Every module a fresh interpreter holds after running code."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("EQLAB_SEED", None)
     report = "\nimport sys\nprint(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code + report], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
@@ -133,7 +132,6 @@ def test_module_run_imports_cli_once(work):
     """``python -m eqlab.cli`` runs cli as ``__main__``; no layer imports
     it a second time as ``eqlab.cli``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("EQLAB_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "eqlab.cli", "synth",
          "--dim", "2", "--out", "out.json"],

@@ -936,12 +936,16 @@ class TestInvariantBundle:
         assert bundle.u_tensor(20) is bundle.u_tensor(20)
         assert bundle.sigma(1) == sigma_p(pair21.source, pair21.mapping, 1)
 
-    def test_family_members_cached(self, pair21):
-        bundle = InvariantBundle(pair21.source, pair21.mapping)
-        params = (Fraction(1), Fraction(2), Fraction(3), Fraction(4),
-                  Fraction(5))
-        first = bundle.family(1, 1, 2, *params)
-        assert bundle.family(1, 1, 2, *params) is first
+    def test_kept_methods_keep_one_object_and_no_failure(self, pair21):
+        space = Space(pair21.source.dim, pair21.source.gamma)
+        for name in ("sym", "torsion", "trace_sym", "curvature",
+                     "torsion_cd", "torsion_squares"):
+            method = getattr(space, name)
+            assert method() is method(), name
+        bundle = InvariantBundle(space, pair21.mapping)
+        with pytest.raises(ValueError):
+            bundle.sigma(9)
+        assert bundle._cache == {}
 
 
 def bundle_values(bundle: InvariantBundle) -> dict[str, TensorField]:
@@ -1034,8 +1038,7 @@ def test_routes_share_no_cached_field(monkeypatch, dim, order):
     reports, _ = verify_instance(pair, 0, labels, labels, 2)
     assert all(report.passed for report in reports)
     src, tgt = bundles
-    kept = [_reachable_fields([bundle._memo, bundle.families,
-                               bundle.space._cache])
+    kept = [_reachable_fields([bundle._cache, bundle.space._cache])
             for bundle in (src, tgt)]
     assert kept[0] and kept[1]
     assert not kept[0].keys() & kept[1].keys()
