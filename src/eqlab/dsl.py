@@ -127,18 +127,17 @@ class _Parser:
     def _peek(self):
         return self.tokens[self.at] if self.at < len(self.tokens) else None
 
-    def _next(self):
+    def _expect(self, *kinds: str):
+        """The next token, which must be of one of ``kinds``; at the end of
+        the input the error names what was wanted there."""
         token = self._peek()
+        wanted = " or ".join(map(repr, kinds))
         if token is None:
-            raise ExpressionSyntaxError("unexpected end of input", len(self.src), self.line)
-        self.at += 1
-        return token
-
-    def _expect(self, kind: str):
-        token = self._next()
-        if token[0] != kind:
-            raise ExpressionSyntaxError(f"expected {kind!r}, got {token[1]!r}",
+            raise ExpressionSyntaxError(f"expected {wanted}", len(self.src), self.line)
+        if token[0] not in kinds:
+            raise ExpressionSyntaxError(f"expected {wanted}, got {token[1]!r}",
                                         token[2], self.line)
+        self.at += 1
         return token
 
     def _nested_expr(self, position: int):
@@ -204,10 +203,7 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos, self.line)
 
     def parse_index(self) -> Index:
-        token = self._next()
-        if token[0] not in ("^", "_"):
-            raise ExpressionSyntaxError(f"expected '^' or '_', got {token[1]!r}",
-                                        token[2], self.line)
+        token = self._expect("^", "_")
         name = self._expect("name")
         return Index(UP if token[0] == "^" else DOWN, name[1])
 

@@ -63,7 +63,7 @@ def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
     m = pair.mapping
     psi_wrong = m.psi  # the correct inverse carries -psi
     nu_wrong = tensor_lincomb([(1, m.nu), (-1, m.psi), (2, m.sigma_phi())])
-    mu_wrong = m.mu - m.psi_phi()
+    mu_wrong = tensor_sub(m.mu, m.psi_phi())
     return AG3Mapping(psi=psi_wrong, sigma=tensor_neg(m.sigma), phi=m.phi,
                       nu=nu_wrong, mu=mu_wrong, kind=m.kind)
 
@@ -322,8 +322,8 @@ def instance_bindings(obj) -> dict[str, TensorField]:
     """Named tensors a program may reference, from a pair or a bare space.
 
     A pair binds the source fields, the mapping data and the Bar-prefixed
-    target-side counterparts; a space binds only its own fields.  mu has
-    no index slot, so it is not bindable and stays internal.
+    target-side counterparts; a space binds only its own fields.  mu is
+    not bound: it is a rank-0 field, and a reference carries indices.
     """
     if isinstance(obj, Space):
         return {"Gamma": obj.gamma, "GammaSym": obj.sym(),
@@ -344,9 +344,9 @@ def instance_bindings(obj) -> dict[str, TensorField]:
 
 def evaluate_program_lines(text: str, bindings: dict,
                            ) -> dict[str, TensorField]:
-    """Assignments evaluated top to bottom, evaluation errors labeled
-    with their line number; parse errors already carry theirs.  Only
-    this function loads the expression language."""
+    """Assignments evaluated top to bottom.  A ``ValueError`` raised by a
+    line's evaluation comes back as an ``EvaluationError`` naming the
+    line; parse errors carry theirs.  Only this loads the language."""
     from .dsl import EvaluationError, evaluate, parse_program
 
     env = dict(bindings)
@@ -354,7 +354,7 @@ def evaluate_program_lines(text: str, bindings: dict,
     for lineno, name, plan in parse_program(text):
         try:
             tensor = evaluate(plan, env)
-        except EvaluationError as exc:
+        except ValueError as exc:
             raise EvaluationError(f"line {lineno}: {exc}") from None
         env[name] = tensor
         defined[name] = tensor

@@ -280,11 +280,11 @@ class InvariantBundle(Keeper):
     The only builder of U, sigma, eta, W and T-tilde, all read off one
     lazily built ``_Parts``: U, eta and W directly, sigma as the U
     combination of its table row, T-tilde as the torsion derivative less
-    a sigma.  What a command reads more than once is kept (parts, U,
-    sigma, swapped sigma, W, the W correction, K); eta, whose one reader
-    is W, T-tilde and the family member, which no command reads, are
-    rebuilt per request.  An invariance check compares two bundles, one
-    per side, so its routes never share a kept object.
+    a sigma.  What a command reads more than once is kept (parts, the
+    derivative of sigma, U, sigma, swapped sigma, W, the W correction, K);
+    eta, whose one reader is W, T-tilde and the family member, which no
+    command reads, are rebuilt per request.  An invariance check compares
+    two bundles, one per side, so its routes never share a kept object.
 
     ``order`` is the order the bundle's products are taken at, handed to
     ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
@@ -306,6 +306,12 @@ class InvariantBundle(Keeper):
     def parts(self) -> _Parts:
         return _Parts(self.space, self.mapping, self.order)
 
+    @kept
+    def sigma_cd(self) -> TensorField:
+        """sigma_{jk;m}, read by eta and W; it reads the uncut sigma, since
+        ``parts.sigma`` may be cut."""
+        return cov_deriv_assoc(self.mapping.sigma, self.space)
+
     def eta(self, which: int) -> TensorField:
         """The (0,2) eta tensor of the requested kind.
 
@@ -320,14 +326,11 @@ class InvariantBundle(Keeper):
         phi, sigma = parts.phi, parts.sigma
         # phi^a (G_a + (sigma phi)_a), a scalar field
         phi_combined = tensor_contract("a,a->", phi, combined)
-        mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
-        # the derivative reads the uncut sigma; parts.sigma may be cut
-        sigma_cd = cov_deriv_assoc(m.sigma, s)
         return tensor_lincomb([
             (c, tensor_contract(",jk->jk", phi_combined, sigma)),
             (-c * c, tensor_contract("j,k->jk", combined, combined)),
-            (-c, tensor_contract("jak,a->jk", sigma_cd, phi)),
-            (-c, tensor_contract(",jk->jk", mu, sigma)),
+            (-c, tensor_contract("jak,a->jk", self.sigma_cd(), phi)),
+            (-c, tensor_contract(",jk->jk", m.mu, sigma)),
             # sigma_{ja} (nu_k phi^a - eps T^a_{bk} phi^b)
             (-c, tensor_contract("j,k->jk", parts.sigma_phi, m.nu)),
             (c * eps, tensor_contract("ja,ak->jk", sigma, parts.torsion_phi)),
@@ -347,19 +350,17 @@ class InvariantBundle(Keeper):
         c = Fraction(1, s.dim + 1)
         eps = 1 if which == 1 else -1
         trace_cd = cov_deriv_assoc(s.trace_sym(), s)
-        sigma_cd = cov_deriv_assoc(m.sigma, s)
         sigma, delta = parts.sigma, parts.delta
-        mu = TensorField.scalar(s.dim, m.mu.order, m.mu)
         # d^i_j (eta_{[mn]} - c G_{[m;n]})
         on_ij = tensor_lincomb([(1, antisym_pair_nodiv(eta, 0, 1)),
                                 (-c, antisym_pair_nodiv(trace_cd, 0, 1))])
         # d^i_n (c (G_{j;m} - (N+1) eta_{jm}) + mu sigma_{jm}), less the
         # same on d^i_m with m and n exchanged
         on_in = tensor_lincomb([(c, trace_cd), (-1, eta),
-                                (1, tensor_contract(",jm->jm", mu, sigma))])
+                                (1, tensor_contract(",jm->jm", m.mu, sigma))])
         # (sigma_{jm} phi^i)_{;n} - (m <-> n), with phi_{;n} expanded
         gradient = antisym_pair_nodiv(tensor_lincomb(
-            [(1, sigma_cd),
+            [(1, self.sigma_cd()),
              (1, tensor_contract("jm,n->jmn", sigma,
                                  tensor_add(m.nu, parts.sigma_phi)))]), 1, 2)
         return tensor_lincomb([

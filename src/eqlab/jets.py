@@ -216,10 +216,7 @@ class JetScalar:
         nums = [0] * len(index)
         for i, v in values.items():
             nums[i] = v.numerator * (den // v.denominator)
-        _set_dim(self, dim)
-        _set_order(self, order)
-        _set_den(self, den)
-        _set_nums(self, tuple(nums))
+        _set_slots(self, dim, order, den, tuple(nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("JetScalar is immutable")
@@ -319,12 +316,11 @@ class JetScalar:
         return _jet(*load_block(obj))
 
 
-# Slot setters: the trusted constructor writes past the immutability guard.
-_set_dim = JetScalar.dim.__set__
-_set_order = JetScalar.order.__set__
-_set_den = JetScalar.den.__set__
-_set_nums = JetScalar.nums.__set__
-_new_jet = object.__new__
+def _set_slots(obj, *values) -> None:
+    """Writes ``values`` to ``obj``'s slots in ``__slots__`` order, past the
+    immutability guard: the way in of the trusted constructors."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
 
 
 def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
@@ -336,11 +332,8 @@ def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
     if g != 1:
         den //= g
         nums = [n // g for n in nums]
-    jet = _new_jet(JetScalar)
-    _set_dim(jet, dim)
-    _set_order(jet, order)
-    _set_den(jet, den)
-    _set_nums(jet, tuple(nums))
+    jet = object.__new__(JetScalar)
+    _set_slots(jet, dim, order, den, tuple(nums))
     return jet
 
 

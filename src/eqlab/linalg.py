@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .jets import as_rational
+from .jets import _set_slots, as_rational
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -90,11 +90,9 @@ class RationalMatrix:
         if any(len(nums) != cols for _, nums in integer_rows):
             raise ValueError("ragged rows")
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(integer_rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "dens", tuple(den for den, _ in integer_rows))
-        object.__setattr__(m, "nums",
-                           tuple(tuple(nums) for _, nums in integer_rows))
+        _set_slots(m, len(integer_rows), cols,
+                   tuple(den for den, _ in integer_rows),
+                   tuple(tuple(nums) for _, nums in integer_rows))
         return m
 
 
@@ -169,12 +167,10 @@ class ParamMatrix:
                 raise ValueError("ragged rows")
             if any(len(e) != len(params) + 1 for e in entries):
                 raise ValueError("entry length is not one plus the parameter count")
-        object.__setattr__(self, "rows", len(integer_rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "dens", tuple(den for den, _ in integer_rows))
-        object.__setattr__(self, "coeffs", tuple(
-            tuple(tuple(e) for e in entries) for _, entries in integer_rows))
+        _set_slots(self, len(integer_rows), cols, tuple(params),
+                   tuple(den for den, _ in integer_rows),
+                   tuple(tuple(tuple(e) for e in entries)
+                         for _, entries in integer_rows))
 
     @classmethod
     def from_integer_rows(cls, params: tuple[str, ...],

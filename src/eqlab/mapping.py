@@ -16,15 +16,18 @@ from typing import TYPE_CHECKING
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
 from .jets import (
     JetScalar,
+    basis_size,
+    block_json,
     jet_inverse,
-    jet_truncate,
     json_int,
+    load_block,
     load_field,
 )
 from .tensors import (
     DOWN,
     UP,
     TensorField,
+    _field,
     gradient,
     random_field,
     tensor_add,
@@ -63,12 +66,13 @@ class SynthesisError(RuntimeError):
 class AG3Mapping:
     """Data of a third-type almost geodesic mapping of one of the two kinds.
 
-    phi is stored one order above the other fields because the basic
-    equation consumes one derivative of it.
+    Every field is a ``TensorField``, mu a rank-0 one, whose document is
+    its one jet block.  phi is stored one order above the other fields
+    because the basic equation consumes one derivative of it.
     """
 
     def __init__(self, psi: TensorField, sigma: TensorField, phi: TensorField,
-                 nu: TensorField, mu: JetScalar, kind: int):
+                 nu: TensorField, mu: TensorField, kind: int):
         dim = phi.dim
         if kind not in (1, 2):
             raise ValueError(f"kind must be 1 or 2, got {kind}")
@@ -78,6 +82,8 @@ class AG3Mapping:
             raise ValueError("phi must have valence (up,)")
         if sigma.valence != (DOWN, DOWN):
             raise ValueError("sigma must have valence (down, down)")
+        if mu.valence != ():
+            raise ValueError("mu must be a rank-0 field")
         for field in (psi, sigma, nu):
             if field.dim != dim:
                 raise ValueError("mapping fields must share one dimension")
@@ -99,7 +105,7 @@ class AG3Mapping:
             "sigma": self.sigma.to_json(),
             "phi": self.phi.to_json(),
             "nu": self.nu.to_json(),
-            "mu": self.mu.to_json(),
+            "mu": block_json(self.dim, self.mu.order, self.mu.den, self.mu.nums),
             "kind": self.kind,
         }
 
@@ -108,7 +114,7 @@ class AG3Mapping:
         fields = {name: load_field(name, TensorField.from_json, obj[name])
                   for name in ("psi", "sigma", "phi", "nu")}
         return cls(**fields,
-                   mu=load_field("mu", JetScalar.from_json, obj["mu"]),
+                   mu=load_field("mu", _load_scalar, obj["mu"]),
                    kind=json_int(obj["kind"], "the mapping kind"))
 
     def __eq__(self, other: object) -> bool:
@@ -124,9 +130,15 @@ class AG3Mapping:
         """The (0,1) contraction sigma_{ja} phi^a."""
         return tensor_contract("ja,a->j", self.sigma, self.phi)
 
-    def psi_phi(self) -> JetScalar:
-        """The scalar psi_a phi^a."""
-        return tensor_contract("a,a->", self.psi, self.phi)[()]
+    def psi_phi(self) -> TensorField:
+        """The rank-0 field psi_a phi^a."""
+        return tensor_contract("a,a->", self.psi, self.phi)
+
+
+def _load_scalar(obj: dict) -> TensorField:
+    """The rank-0 field of one jet document."""
+    dim, order, den, nums = load_block(obj)
+    return _field(dim, (), order, den, nums)
 
 
 def _increment(x: TensorField, c: Fraction, sigma: TensorField,
@@ -152,12 +164,11 @@ def transform_connection(s: Space, m: AG3Mapping) -> Space:
         [(1, s.gamma)] + _increment(m.psi, 1, m.sigma, m.phi, 2)))
 
 
-def _nu_phi_mu(nu: TensorField, phi: TensorField, mu: JetScalar,
+def _nu_phi_mu(nu: TensorField, phi: TensorField, mu: TensorField,
                c: int) -> list:
     """The terms of c (nu_j phi^i + mu d^i_j), slots (i, j), for
     ``tensor_lincomb``."""
     delta = TensorField.delta(phi.dim, mu.order)
-    mu = TensorField.scalar(phi.dim, mu.order, mu)
     return [(c, tensor_contract("j,i->ij", nu, phi)),
             (c, tensor_contract(",ij->ij", mu, delta))]
 
@@ -190,7 +201,7 @@ def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
     forward one.
     """
     nu_bar = tensor_lincomb([(1, m.nu), (1, m.psi), (2, m.sigma_phi())])
-    mu_bar = m.mu + m.psi_phi()
+    mu_bar = tensor_add(m.mu, m.psi_phi())
     m_bar = AG3Mapping(psi=tensor_neg(m.psi), sigma=tensor_neg(m.sigma),
                        phi=m.phi, nu=nu_bar, mu=mu_bar, kind=m.kind)
     if transform_connection(target, m_bar).gamma != s.gamma:
@@ -344,7 +355,7 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
         raise SynthesisError("phi^1 kept vanishing at the base point")
 
     nu_high = random_field(rng, dim, (DOWN,), order + 1)
-    mu_high = random_field(rng, dim, (), order + 1)[()]
+    mu_high = random_field(rng, dim, (), order + 1)
     psi = random_field(rng, dim, (DOWN,), order)
     sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     bulk = random_field(rng, dim, GAMMA_VALENCE, order)
@@ -356,12 +367,13 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     w = tensor_lincomb(_nu_phi_mu(nu_high, phi, mu_high, 1)
                        + [(-1, gradient(phi)),
                           (-1, tensor_contract(spec, bulk, phi))])
-    x0 = JetScalar.coordinate(dim, order + 1, 0)
-    first = tensor_contract(  # the covector dx^1 / phi^1
-        ",a->a", TensorField.scalar(dim, order + 1, jet_inverse(phi[0])),
-        gradient(TensorField.scalar(dim, order + 1, x0)))
+    # the covector dx^1 / phi^1: 1/phi^1 on slot 0, zero elsewhere
+    inverse = jet_inverse(phi[0])
+    size = basis_size(dim, order)
+    first = _field(dim, (DOWN,), order, inverse.den,
+                   [*inverse.nums[:size], *[0] * ((dim - 1) * size)])
     spec = "ib,a->iab" if kind == 1 else "ia,b->iab"
     gamma = tensor_lincomb([(1, bulk), (1, tensor_contract(spec, w, first))])
     return MappedPair.build(Space(dim, gamma), AG3Mapping(
         psi=psi, sigma=sigma, phi=phi, nu=tensor_truncate(nu_high, order),
-        mu=jet_truncate(mu_high, order), kind=kind))
+        mu=tensor_truncate(mu_high, order), kind=kind))

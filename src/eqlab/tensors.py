@@ -33,6 +33,7 @@ from .jets import (
     _lex_slots,
     _mul_table,
     _partial_table,
+    _set_slots,
     basis_size,
     block_json,
     json_dim,
@@ -84,7 +85,7 @@ class TensorField:
     def __init__(self, dim: int, valence: Sequence[str],
                  components: Sequence[JetScalar]):
         valence = _check_valence(valence)
-        _set_fields(self, *_assemble(dim, valence, [
+        _set_slots(self, *_assemble(dim, valence, [
             (c.dim, c.order, c.den, c.nums) for c in components]))
 
     def __setattr__(self, name, value):
@@ -143,22 +144,18 @@ class TensorField:
 
     @classmethod
     def zero(cls, dim: int, valence: Sequence[str], order: int) -> "TensorField":
-        z = JetScalar.zero(dim, order)
-        return cls(dim, valence, [z] * (dim ** len(_check_valence(valence))))
+        return _constant(dim, _check_valence(valence), order, 0, ())
 
     @classmethod
-    def scalar(cls, dim: int, order: int, value: JetScalar | Fraction | int) -> "TensorField":
-        if not isinstance(value, JetScalar):
-            value = JetScalar.constant(dim, order, value)
-        return cls(dim, (), [value])
+    def scalar(cls, dim: int, order: int, value: Fraction | int) -> "TensorField":
+        """The rank-0 field of the constant ``value``."""
+        return _constant(dim, (), order, value, (0,))
 
     @classmethod
     def delta(cls, dim: int, order: int) -> "TensorField":
-        """Kronecker delta with valence (up, down)."""
-        one = JetScalar.constant(dim, order, 1)
-        zero = JetScalar.zero(dim, order)
-        return cls.build(dim, (UP, DOWN),
-                         lambda idx: one if idx[0] == idx[1] else zero)
+        """Kronecker delta with valence (up, down): 1 on the diagonal
+        blocks, dim + 1 blocks apart."""
+        return _constant(dim, (UP, DOWN), order, 1, range(0, dim * dim, dim + 1))
 
     def to_json(self) -> dict:
         dim, order, den, nums = self.dim, self.order, self.den, self.nums
@@ -178,17 +175,6 @@ class TensorField:
         valence = tuple(obj["valence"])
         blocks = [load_block(c) for c in obj["components"]]
         return _field(*_assemble(dim, _check_valence(valence), blocks))
-
-
-# Slot setters: the trusted constructor writes past the immutability guard.
-_SETTERS = tuple(getattr(TensorField, name).__set__
-                 for name in TensorField.__slots__)
-_new_field = object.__new__
-
-
-def _set_fields(t: TensorField, *values) -> None:
-    for setter, value in zip(_SETTERS, values):
-        setter(t, value)
 
 
 def _assemble(dim: int, valence: tuple[str, ...], blocks: list) -> tuple:
@@ -226,9 +212,24 @@ def _field(dim: int, valence: tuple[str, ...], order: int, den: int,
     if g != 1:
         den //= g
         nums = [n // g for n in nums]
-    t = _new_field(TensorField)
-    _set_fields(t, dim, valence, order, den, tuple(nums))
+    t = object.__new__(TensorField)
+    _set_slots(t, dim, valence, order, den, tuple(nums))
     return t
+
+
+def _constant(dim: int, valence: tuple[str, ...], order: int,
+              value: Fraction | int, blocks) -> TensorField:
+    """The field whose components at the row-major offsets ``blocks`` are
+    the constant ``value`` and whose others are zero."""
+    if dim < 1:
+        raise ValueError(f"tensor dim must be at least 1, got {dim}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    value, size = _exact(value), basis_size(dim, order)
+    nums = [0] * (dim ** len(valence) * size)
+    for k in blocks:
+        nums[k * size] = value.numerator
+    return _field(dim, valence, order, value.denominator, nums)
 
 
 @cache

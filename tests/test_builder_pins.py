@@ -37,7 +37,8 @@ def _outputs(pair) -> dict:
         out[f"torsion_square {name}"] = square
     out["trace_sym"] = s.trace_sym()
     out["sigma_phi"] = m.sigma_phi()
-    out["psi_phi"] = m.psi_phi()
+    # the rank-0 field's one component, a jet, as pinned
+    out["psi_phi"] = m.psi_phi()[()]
     out["transform_connection"] = transform_connection(s, m).gamma
     out["basic_equation_residual"] = basic_equation_residual(s, m)
     out["gamma_diff_factorized"] = gamma_diff_factorized(pair, pair.inverse())

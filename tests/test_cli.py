@@ -81,7 +81,7 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 40) -> MappedPai
                               lambda idx: upper[tuple(sorted(idx))])
     nu = TensorField.build(dim, (DOWN,), lambda idx: zero)
     mapping = AG3Mapping(psi=psi, sigma=sigma, phi=phi, nu=nu,
-                         mu=zero, kind=1)
+                         mu=TensorField(dim, (), [zero]), kind=1)
     return MappedPair.build(Space(dim, gamma), mapping)
 
 
@@ -785,6 +785,20 @@ class TestCliEval:
             f"hold {3 ** 12 * 10} coefficients, more than the limit of "
             f"{MAX_CONTRACT_OUTPUT}\n"))
 
+    def test_order_exhaustion_names_its_line(self, capsys, tmp_path):
+        """Every error raised while evaluating a line names the line, not
+        only the language's own ``EvaluationError``."""
+        instance = tmp_path / "pair.json"
+        run_cli(capsys, "synth", "--dim", "2", "--seed", "0",
+                "--out", str(instance))
+        program = self.write(tmp_path, (
+            "A[_i,_j] = d(Psi[_i],_j)\n"
+            "B[_i,_j,_k,_l] = d(d(d(Psi[_i],_j),_k),_l)\n"))
+        code, out, err = run_cli(capsys, "eval", program,
+                                 "--instance", str(instance))
+        assert (code, out, err) == (
+            2, "", "eqlab: line 2: cannot differentiate an order-0 jet\n")
+
     def test_missing_program_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "none.eqs"))
         assert code == 3 and err
@@ -812,3 +826,34 @@ class TestCliEval:
                                "--out", str(out_path))
         assert code == 0 and out == ""
         assert "results" in json.loads(out_path.read_text())
+
+
+def test_commands_construct_no_jet_scalar(capsys, tmp_path, monkeypatch):
+    """Commands build every field, constants and deltas included, on flat
+    storage: none calls the public ``JetScalar`` constructor, whose
+    arithmetic the tests keep as an independent reference."""
+    instance = tmp_path / "pair.json"
+    run_cli(capsys, "synth", "--dim", "2", "--seed", "0",
+            "--out", str(instance))
+    program = tmp_path / "program.eqs"
+    program.write_text("S = Psi[_a]*Phi[^a] + 1/2\n"
+                       "T[_j] = Torsion[^a,_j,_a]\n"
+                       "C[^i,_j] = delta[^i,_j]\n", encoding="utf-8")
+    calls = []
+    init = JetScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetScalar, "__init__", counted)
+    for argv in (
+            ["verify", "--instance", str(instance), "--grid", "1",
+             "--draws", "1"],
+            ["eval", str(program), "--instance", str(instance)],
+            ["verify", "--dim", "2", "--seed", "0", "--grid", "1",
+             "--draws", "1"],
+            ["synth", "--dim", "2", "--seed", "0"],
+            ["ranks", "--dim", "3", "--trials", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err, calls) == (0, "", []), argv

@@ -65,6 +65,11 @@ class TestParse:
             parse("Gamma[^i,_j,_k] + @")
         assert excinfo.value.position == 18
 
+    def test_bare_name_wants_its_bracket(self):
+        with pytest.raises(ExpressionSyntaxError) as excinfo:
+            parse_program("B = Psi")
+        assert str(excinfo.value) == "line 1, position 4: expected '['"
+
     def test_unclosed_bracket(self):
         with pytest.raises(ExpressionSyntaxError):
             parse("T[^i")

@@ -314,7 +314,7 @@ def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
                               lambda idx: random_jet(rng, dim, order + 1)),
         nu=TensorField.build(dim, (DOWN,),
                              lambda idx: random_jet(rng, dim, order)),
-        mu=random_jet(rng, dim, order),
+        mu=TensorField(dim, (), [random_jet(rng, dim, order)]),
         kind=kind)
 
 
@@ -329,7 +329,7 @@ def identity_pair(dim: int = 2, order: int = 2,
             dim, (UP,),
             lambda idx: JetScalar.constant(dim, order + 1, scale)),
         nu=TensorField.zero(dim, (DOWN,), order),
-        mu=JetScalar.zero(dim, order),
+        mu=TensorField.zero(dim, (), order),
         kind=1)
     return MappedPair.build(space, mapping)
 
@@ -355,7 +355,7 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 0,
                                 lambda idx: upper[tuple(sorted(idx))]),
         phi=phi,
         nu=TensorField.zero(dim, (DOWN,), order),
-        mu=JetScalar.constant(dim, order, scale),
+        mu=TensorField.scalar(dim, order, scale),
         kind=kind)
     return MappedPair.build(space, mapping)
 

@@ -50,6 +50,14 @@ def test_traced_ranks_matches_untraced(capsys, tmp_path):
     assert spans["linalg.rank_exact"]["calls"] > 0
 
 
+def test_traced_synth_matches_untraced(capsys, tmp_path):
+    code, spans = run_traced(tmp_path, ["synth", "--dim", "2", "--seed", "0"],
+                             capsys)
+    assert code == 0
+    assert spans["mapping.synthesize"]["calls"] == 1
+    assert spans["jets.inverse"]["calls"] == 1
+
+
 def test_traced_eval_matches_untraced(capsys, tmp_path):
     program = tmp_path / "program.txt"
     program.write_text("S[_j,_k] = Sigma[_j,_k]\n")

@@ -54,7 +54,7 @@ def flat_instance(dim: int = 2, order: int = 3, scale: Fraction = Fraction(3, 2)
         sigma=TensorField.zero(dim, (DOWN, DOWN), order),
         phi=phi,
         nu=TensorField.zero(dim, (DOWN,), order),
-        mu=JetScalar.constant(dim, order, scale),
+        mu=TensorField.scalar(dim, order, scale),
         kind=kind)
     return space, mapping
 
@@ -73,7 +73,7 @@ class TestTransform:
             sigma=TensorField.zero(dim, (DOWN, DOWN), order),
             phi=TensorField.zero(dim, (UP,), order + 1),
             nu=TensorField.zero(dim, (DOWN,), order),
-            mu=JetScalar.zero(dim, order),
+            mu=TensorField.zero(dim, (), order),
             kind=1)
         bar = transform_connection(space, mapping).gamma
         values = {idx: value_at_base(bar[idx]) for idx in bar.indices()}
@@ -122,7 +122,7 @@ class TestBasicEquation:
                                   lambda idx: random_jet(rng, dim, order + 1)),
             nu=TensorField.build(dim, (DOWN,),
                                  lambda idx: random_jet(rng, dim, order)),
-            mu=random_jet(rng, dim, order),
+            mu=TensorField(dim, (), [random_jet(rng, dim, order)]),
             kind=1)
         assert not basic_equation_residual(space, mapping).is_zero()
 
@@ -170,7 +170,7 @@ class TestSynthesize:
             sigma=TensorField.zero(dim, (DOWN, DOWN), order),
             phi=phi,
             nu=TensorField.zero(dim, (DOWN,), order),
-            mu=JetScalar.constant(dim, order, mu),
+            mu=TensorField.scalar(dim, order, mu),
             kind=1)
         assert basic_equation_residual(space, mapping).is_zero()
         torsion = space.torsion()
@@ -240,7 +240,7 @@ class TestReciprocity:
         for j in range(3):
             expected = m.nu[j] + m.psi[j] + jet_scale(2, sigma_phi[j])
             assert inverse.nu[j] == expected
-        assert inverse.mu == m.mu + m.psi_phi()
+        assert inverse.mu[()] == m.mu[()] + m.psi_phi()[()]
 
     def test_inverse_reuses_only_a_checked_target(self):
         pair = synthesize_instance(2, 1, 3)
@@ -279,7 +279,7 @@ class TestReciprocity:
         space, mapping = flat_instance()
         wrong = AG3Mapping(psi=mapping.psi, sigma=mapping.sigma, phi=mapping.phi,
                            nu=mapping.nu,
-                           mu=JetScalar.constant(space.dim, mapping.mu.order, 17),
+                           mu=TensorField.scalar(space.dim, mapping.mu.order, 17),
                            kind=mapping.kind)
         with pytest.raises(BasicEquationError):
             reciprocity_inverse(space, wrong)
