@@ -72,8 +72,11 @@ def _grid_value(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for piece in part.split(","):
             piece = piece.strip()
             if ".." in piece:
-                lo, hi = piece.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(bound) for bound in piece.split("..", 1))
+                # bounds first: a range is expanded only within 1..8
+                if lo <= hi and not (lo in ALL_LABELS and hi in ALL_LABELS):
+                    raise ValueError(part)
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(piece))
         if not out or any(v not in ALL_LABELS for v in out):

@@ -230,22 +230,23 @@ def random_connection(dim: int, order: int, seed: int) -> Space:
     return Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
 
 
-def curvature_family_span(dim: int, instances: int = 10, seed: int = 0,
-                          order: int = 2) -> int:
+SPAN_INSTANCES = 10  # random connections per curvature-family span
+
+
+def curvature_family_span(dim: int, seed: int = 0, order: int = 2) -> int:
     """Span dimension of the five non-R coefficient tensors of the K family.
 
-    Each of the five tensors is flattened at the base point on `instances`
-    random connections and the concatenated vectors are ranked exactly.
-    Torsion-free draws would be degenerate and are not used.  The draw is
-    taken at `order`, which keeps the random stream, and then cut to order
-    1: one derivative reaches the base values, and nothing above it does.
+    Each of the five tensors is flattened at the base point on
+    ``SPAN_INSTANCES`` random connections and the concatenated vectors
+    are ranked exactly.  Torsion-free draws would be degenerate and are
+    not used.  The draw is taken at `order`, which keeps the random
+    stream, and then cut to order 1: one derivative reaches the base
+    values, and nothing above it does.
     """
     from .linalg import RationalMatrix, rank_exact  # loaded by ranks alone
 
-    if instances < 1:
-        raise ValueError("instances must be at least 1")
     rows: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(5)]
-    for trial in range(instances):
+    for trial in range(SPAN_INSTANCES):
         drawn = random_connection(dim, order, seed * 1009 + trial)
         s = Space(dim, tensor_truncate(drawn.gamma, 1))
         cd = s.torsion_cd()

@@ -307,14 +307,13 @@ def run_ranks(dim: int = 3, trials: int = 5, seed: int = 0, order: int = 2,
         _rank_row("W_matrix_generic_rank", dim, 6,
                   generic_rank(build_W_matrix(dim), trials=trials, seed=seed)),
         _rank_row("curvature_family_span", dim, 5,
-                  curvature_family_span(dim, instances=10, seed=seed,
-                                        order=order)),
+                  curvature_family_span(dim, seed=seed, order=order)),
     ]
     for kind in (1, 2):
         pairs = [synthesize_instance(dim, kind, 977 * seed + t, order)
                  for t in range(2)]
         rows.append(_rank_row(f"family_span_kind{kind}", dim, 6,
-                              family_span_dimension(pairs, 26, seed=seed)))
+                              family_span_dimension(pairs, seed=seed)))
     return all(row["pass"] for row in rows), rows
 
 

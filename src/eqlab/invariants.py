@@ -393,9 +393,10 @@ class InvariantBundle(Keeper):
         """The p-th sigma combination, slots (i, j, m, n): row p of the
         coefficient table over the kept U tensors."""
         _check_label("p", p)
-        coeffs = sigma_coeff_matrix(self.space.dim).row(p - 1)
-        return tensor_lincomb([(c, self.u_tensor(theta))
-                               for theta, c in enumerate(coeffs, start=1) if c])
+        table = sigma_coeff_matrix(self.space.dim)
+        den, row = table.dens[p - 1], table.nums[p - 1]
+        return tensor_lincomb([(Fraction(n, den), self.u_tensor(theta))
+                               for theta, n in enumerate(row, start=1) if n])
 
     @kept
     def sigma_swapped(self, q: int) -> TensorField:
@@ -487,19 +488,20 @@ def build_W_matrix(N: int) -> ParamMatrix:
     return ParamMatrix.from_integer_rows(PARAM_NAMES, rows)
 
 
-def family_span_dimension(pairs: list[MappedPair], samples: int,
-                          seed: int = 0) -> int:
+SPAN_SAMPLES = 26  # sampled cells per family span, the family matrix's width
+
+
+def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
     """Observed dimension of the sampled family deviations.
 
-    Draws one shared generic parameter value per batch, samples (which,
-    p, q) cells, and stacks the base-point flattenings of family minus
-    the parameter-free common part across all supplied pairs.  The rank
-    of that stack is the number of independent deviations the samples hit.
-    The common part is W, which cancels exactly: each deviation is
-    K - R - u sigma_p - u' sigma*_q, the same for both values of which.
+    Draws one shared generic parameter value per batch, samples
+    ``SPAN_SAMPLES`` (which, p, q) cells, and stacks the base-point
+    flattenings of family minus the parameter-free common part across
+    all supplied pairs.  The rank of that stack is the number of
+    independent deviations the samples hit.  The common part is W, which
+    cancels exactly: each deviation is K - R - u sigma_p - u' sigma*_q,
+    the same for both values of which.
     """
-    if samples < 26:
-        raise ValueError("at least 26 samples are required")
     if not pairs:
         raise ValueError("at least one pair is required")
     rng = random.Random(seed)
@@ -511,7 +513,7 @@ def family_span_dimension(pairs: list[MappedPair], samples: int,
         Space(pair.source.dim, tensor_truncate(pair.source.gamma, 1)),
         pair.mapping, 0) for pair in pairs]
     rows = []
-    for _ in range(samples):
+    for _ in range(SPAN_SAMPLES):
         # the kind does not change the deviation, but drawing it keeps
         # the RNG stream, so the sampled (p, q) cells stay the same
         rng.choice((1, 2))

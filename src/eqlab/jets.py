@@ -42,7 +42,13 @@ class NotInvertibleError(ValueError):
     """Inversion of a jet whose value at the base point is zero."""
 
 
-def as_rational(value: int | Fraction) -> Fraction:
+def _exact(value: int | Fraction) -> int | Fraction:
+    """``value`` as an exact rational: an int or a ``Fraction`` as it is,
+    a bool as a ``Fraction``; any other type raises ``TypeError``.
+    Callers read only ``numerator`` and ``denominator``, so integer
+    arithmetic never imports ``fractions``."""
+    if type(value) is int:
+        return value
     from fractions import Fraction
 
     if isinstance(value, Fraction):
@@ -50,13 +56,6 @@ def as_rational(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-def _exact(value: int | Fraction) -> int | Fraction:
-    """``value`` as an exact rational: an int as it is, anything else
-    through :func:`as_rational`.  Callers read only ``numerator`` and
-    ``denominator``, so integer arithmetic never imports ``fractions``."""
-    return value if type(value) is int else as_rational(value)
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

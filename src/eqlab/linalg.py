@@ -8,9 +8,9 @@ integers, the only elimination routine in the package.  A matrix is
 stored as one integer row over one positive denominator per row, so the
 elimination reads the integer rows as they are: scaling a row by a
 positive integer does not change the rank, and the elimination then
-performs exact integer division only.  Callers that hold integers, such
-as a tensor's numerators over its denominator, build the rows without a
-``Fraction`` per entry.
+performs exact integer division only.  Both matrix types are built from
+integers, such as a tensor's numerators over its denominator, and no
+entry is ever held as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .jets import _set_slots, as_rational
-
-
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """``values`` as integer numerators over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+from .jets import _exact, _set_slots
 
 
 def _check_positive(den: int) -> None:
@@ -39,33 +33,13 @@ class RationalMatrix:
 
     Row r is stored as integer numerators ``nums[r]`` over one positive
     denominator ``dens[r]``, so entry (r, c) is ``nums[r][c] / dens[r]``.
-    ``entries``, ``m[r, c]`` and ``row`` are ``Fraction`` views.
-    Instances are immutable.
+    Instances are immutable, and ``from_runs`` is the one constructor.
     """
 
     __slots__ = ("rows", "cols", "dens", "nums")
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, den) for den, row in zip(self.dens, self.nums)
-                     for n in row)
-
-    def __getitem__(self, pos: tuple[int, int]) -> Fraction:
-        r, c = pos
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"position {pos!r} out of range")
-        return Fraction(self.nums[r][c], self.dens[r])
-
-    def row(self, r: int) -> list[Fraction]:
-        return [self[r, c] for c in range(self.cols)]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        return cls.from_runs(
-            [[_over_lcm([as_rational(e) for e in row])] for row in rows])
 
     @classmethod
     def from_runs(cls, rows: Sequence[Sequence[tuple[int, Sequence[int]]]]
@@ -136,41 +110,11 @@ class ParamMatrix:
     Row r is stored over one positive denominator ``dens[r]``.
     ``coeffs[r]`` holds one integer tuple per entry: the constant, then
     one coefficient per parameter, in the order of ``params``, each over
-    ``dens[r]``.  ``m[r, c]`` is the entry's tuple as ``Fraction``s.
+    ``dens[r]``.  Instances are immutable, and ``from_integer_rows`` is
+    the one constructor.
     """
 
     __slots__ = ("rows", "cols", "params", "dens", "coeffs")
-
-    def __init__(self, rows: int, cols: int, params: tuple[str, ...],
-                 entries: Sequence[Sequence[Fraction | int]]):
-        entries = [[as_rational(c) for c in e] for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        integer_rows = []
-        for r in range(rows):
-            block = entries[r * cols:(r + 1) * cols]
-            den = lcm(*(c.denominator for e in block for c in e))
-            integer_rows.append((den, [[c.numerator * (den // c.denominator)
-                                        for c in e] for e in block]))
-        self._fill(params, integer_rows)
-
-    def _fill(self, params: tuple[str, ...],
-              integer_rows: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> None:
-        if not integer_rows:
-            raise ValueError("need at least one row")
-        cols = len(integer_rows[0][1])
-        if cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        for den, entries in integer_rows:
-            _check_positive(den)
-            if len(entries) != cols:
-                raise ValueError("ragged rows")
-            if any(len(e) != len(params) + 1 for e in entries):
-                raise ValueError("entry length is not one plus the parameter count")
-        _set_slots(self, len(integer_rows), cols, tuple(params),
-                   tuple(den for den, _ in integer_rows),
-                   tuple(tuple(tuple(e) for e in entries)
-                         for _, entries in integer_rows))
 
     @classmethod
     def from_integer_rows(cls, params: tuple[str, ...],
@@ -178,17 +122,25 @@ class ParamMatrix:
                           ) -> "ParamMatrix":
         """Matrix from ``(den, entries)`` rows, each entry an integer tuple
         (constant, one coefficient per parameter) over the row's ``den``."""
+        if not rows:
+            raise ValueError("need at least one row")
+        cols = len(rows[0][1])
+        if cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        for den, entries in rows:
+            _check_positive(den)
+            if len(entries) != cols:
+                raise ValueError("ragged rows")
+            if any(len(e) != len(params) + 1 for e in entries):
+                raise ValueError("entry length is not one plus the parameter count")
         m = object.__new__(cls)
-        m._fill(params, rows)
+        _set_slots(m, len(rows), cols, tuple(params),
+                   tuple(den for den, _ in rows),
+                   tuple(tuple(tuple(e) for e in entries) for _, entries in rows))
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamMatrix is immutable")
-
-    def __getitem__(self, pos: tuple[int, int]) -> tuple[Fraction, ...]:
-        r, c = pos
-        den = self.dens[r]
-        return tuple(Fraction(x, den) for x in self.coeffs[r][c])
 
     def substitute(self, values: dict[str, Fraction]) -> RationalMatrix:
         missing = [p for p in self.params if p not in values]
@@ -196,7 +148,7 @@ class ParamMatrix:
             raise ValueError(f"no values for parameters {missing}")
         # one common denominator for the values: the k-th value is
         # point[k + 1] / scale, and point[0] = scale carries the constant
-        xs = [as_rational(values[p]) for p in self.params]
+        xs = [_exact(values[p]) for p in self.params]
         scale = lcm(*(x.denominator for x in xs))
         point = (scale, *(x.numerator * (scale // x.denominator) for x in xs))
         return RationalMatrix.from_runs(

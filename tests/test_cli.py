@@ -651,6 +651,20 @@ class TestCliVerify:
             main(["verify", "--grid", "9"])
         assert excinfo.value.code == 2
 
+    def test_huge_grid_range_is_refused_before_it_is_expanded(self):
+        grid = f"1..{10 ** 15}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqlab.cli", "verify", "--dim", "2",
+             "--grid", grid],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "eqlab verify: error: argument --grid: grid must look like "
+            "'1,3..5' or '1,2:3..8' with labels in 1..8, "
+            f"got '{grid}'")
+
 
 class TestCliRanks:
     def test_csv_table_at_dim_two_reports_honest_spans(self, capsys):

@@ -256,17 +256,13 @@ class TestCurvatureK:
 
 class TestFamilySpan:
     def test_span_is_five_at_dim_three(self):
-        assert curvature_family_span(3, instances=6, seed=0) == 5
+        assert curvature_family_span(3, seed=0) == 5
 
     def test_span_is_five_at_dim_four(self):
-        assert curvature_family_span(4, instances=4, seed=0) == 5
+        assert curvature_family_span(4, seed=0) == 5
 
     def test_span_collapses_to_four_at_dim_two(self):
         # antisymmetrising three lower indices over two dimensions kills
         # one combination of the torsion squares, so the five family
         # directions satisfy one linear relation in every 2d space
-        assert curvature_family_span(2, instances=10, seed=0) == 4
-
-    def test_instances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            curvature_family_span(3, instances=0)
+        assert curvature_family_span(2, seed=0) == 4

@@ -18,9 +18,35 @@ from eqlab.linalg import (
 F = Fraction
 
 
+def matrix(rows):
+    """A RationalMatrix of int or Fraction rows, one run per entry."""
+    return RationalMatrix.from_runs(
+        [[(F(x).denominator, [F(x).numerator]) for x in row] for row in rows])
+
+
+def values(m):
+    """The exact entries of a RationalMatrix, row by row."""
+    return [[F(n, den) for n in nums] for den, nums in zip(m.dens, m.nums)]
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination in Fractions, an independent oracle."""
+    a = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
 def identity(n):
-    return RationalMatrix.from_rows([[1 if i == j else 0 for j in range(n)]
-                                     for i in range(n)])
+    return matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 class TestRankExact:
@@ -28,14 +54,14 @@ class TestRankExact:
         assert rank_exact(identity(3)) == 3
 
     def test_zero(self):
-        assert rank_exact(RationalMatrix.from_rows([[0] * 7] * 4)) == 0
+        assert rank_exact(matrix([[0] * 7] * 4)) == 0
 
     def test_proportional_rows(self):
-        m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+        m = matrix([[1, 2], [2, 4]])
         assert rank_exact(m) == 1
 
     def test_fractional_entries(self):
-        m = RationalMatrix.from_rows([
+        m = matrix([
             [F(1, 2), F(1, 3), 0],
             [F(1, 4), F(1, 6), 0],
             [0, 0, F(5, 7)],
@@ -43,11 +69,11 @@ class TestRankExact:
         assert rank_exact(m) == 2
 
     def test_rectangular_full_rank(self):
-        m = RationalMatrix.from_rows([[1, 0, 2, 5], [0, 3, 1, 1]])
+        m = matrix([[1, 0, 2, 5], [0, 3, 1, 1]])
         assert rank_exact(m) == 2
 
     def test_needs_column_pivoting(self):
-        m = RationalMatrix.from_rows([
+        m = matrix([
             [0, 0, 1],
             [0, 0, 2],
             [0, 0, 3],
@@ -62,7 +88,7 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 def matrices(draw):
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
-    return RationalMatrix.from_rows(
+    return matrix(
         [[draw(small_fracs) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -74,8 +100,9 @@ def shuffled_scaled_matrices(draw):
     m = draw(matrices())
     perm = draw(st.permutations(range(m.rows)))
     scales = [draw(nonzero_fracs) for _ in range(m.rows)]
-    rows = [[scales[i] * e for e in m.row(perm[i])] for i in range(m.rows)]
-    return m, RationalMatrix.from_rows(rows)
+    entries = values(m)
+    rows = [[scales[i] * e for e in entries[perm[i]]] for i in range(m.rows)]
+    return m, matrix(rows)
 
 
 @settings(max_examples=60)
@@ -89,8 +116,7 @@ def test_rank_invariant_under_row_permutation_and_scaling(pair):
 def column_permuted_matrices(draw):
     m = draw(matrices())
     perm = draw(st.permutations(range(m.cols)))
-    permuted = RationalMatrix.from_rows(
-        [[m[r, c] for c in perm] for r in range(m.rows)])
+    permuted = matrix([[row[c] for c in perm] for row in values(m)])
     return m, permuted
 
 
@@ -105,23 +131,28 @@ def test_rank_invariant_under_column_permutation(pair):
 U, V, ZERO = (0, 1, 0), (0, 0, 1), (0, 0, 0)
 
 
+def param_matrix(params, rows):
+    """A ParamMatrix of integer entry rows, each over denominator 1."""
+    return ParamMatrix.from_integer_rows(params, [(1, row) for row in rows])
+
+
 class TestGenericRank:
     def test_diagonal_parameter(self):
-        m = ParamMatrix(2, 2, ("u", "v"), [U, ZERO, ZERO, U])
+        m = param_matrix(("u", "v"), [[U, ZERO], [ZERO, U]])
         assert generic_rank(m, trials=3, seed=1) == 2
 
     def test_identical_rows(self):
-        m = ParamMatrix(2, 2, ("u", "v"), [U, U, U, U])
+        m = param_matrix(("u", "v"), [[U, U], [U, U]])
         assert generic_rank(m, trials=3, seed=1) == 1
 
     def test_trials_must_be_positive(self):
-        m = ParamMatrix(1, 1, ("u", "v"), [U])
+        m = param_matrix(("u", "v"), [[U]])
         with pytest.raises(ValueError):
             generic_rank(m, trials=0)
 
     def test_monotone_in_trials_and_bounds_single_substitution(self):
         u, one = (0, 1), (1, 0)
-        m = ParamMatrix(2, 2, ("u",), [u, one, one, u])
+        m = param_matrix(("u",), [[u, one], [one, u]])
         r1 = generic_rank(m, trials=1, seed=3)
         r10 = generic_rank(m, trials=10, seed=3)
         assert r1 <= r10 == 2
@@ -129,25 +160,34 @@ class TestGenericRank:
         assert r10 >= single
 
     def test_substitution_determinism(self):
-        m = ParamMatrix(2, 2, ("u", "v"), [U, V, V, U])
+        m = param_matrix(("u", "v"), [[U, V], [V, U]])
         assert generic_rank(m, trials=4, seed=9) == generic_rank(m, trials=4, seed=9)
 
 
 class TestParamMatrix:
     def test_affine_substitution(self):
-        m = ParamMatrix(1, 2, ("u", "v"), [(F(1, 2), 3, -1), (0, 0, 2)])
-        values = {"u": F(3, 2), "v": F(1, 3)}
-        assert m.substitute(values).row(0) == [F(1, 2) + F(9, 2) - F(1, 3),
-                                               F(2, 3)]
+        # entries (1/2 + 3u - v, 2v), over the row denominator 2
+        m = ParamMatrix.from_integer_rows(("u", "v"),
+                                          [(2, [(1, 6, -2), (0, 0, 4)])])
+        point = {"u": F(3, 2), "v": F(1, 3)}
+        assert values(m.substitute(point)) == [[F(1, 2) + F(9, 2) - F(1, 3),
+                                                F(2, 3)]]
+
+    def test_substitute_coerces_each_value(self):
+        # ints and bools count as rationals, any other type is refused
+        m = param_matrix(("u", "v"), [[(1, 2, 3)]])
+        assert values(m.substitute({"u": 2, "v": True})) == [[F(8)]]
+        with pytest.raises(TypeError, match="float"):
+            m.substitute({"u": 0.5, "v": 1})
 
     def test_missing_parameter_value(self):
-        m = ParamMatrix(1, 1, ("u",), [(0, 1)])
+        m = param_matrix(("u",), [[(0, 1)]])
         with pytest.raises(ValueError, match="no values"):
             m.substitute({})
 
     def test_entry_length_checked(self):
         with pytest.raises(ValueError, match="entry length"):
-            ParamMatrix(1, 1, ("u", "v"), [(0, 1)])
+            param_matrix(("u", "v"), [[(0, 1, 2, 3)]])
 
 
 # The integer path: rows given as runs of (den, numerators), with mixed
@@ -177,10 +217,9 @@ def integer_runs(draw):
 def test_runs_match_fraction_rows(case):
     rows, fraction_rows = case
     m = RationalMatrix.from_runs(rows)
-    reference = RationalMatrix.from_rows(fraction_rows)
-    assert (m.rows, m.cols) == (reference.rows, reference.cols)
-    assert m.entries == reference.entries
-    assert rank_exact(m) == rank_exact(reference)
+    assert (m.rows, m.cols) == (len(fraction_rows), len(fraction_rows[0]))
+    assert values(m) == fraction_rows
+    assert rank_exact(m) == fraction_rank(fraction_rows)
     assert all(den > 0 for den in m.dens)
 
 
@@ -217,26 +256,20 @@ def affine_substitutions(draw):
         entries = ([(0,) * (len(params) + 1)] * cols if zero_row
                    else draw(st.lists(entry, min_size=cols, max_size=cols)))
         integer_rows.append((den, entries))
-    values = {p: draw(small_fracs) for p in params}
-    expected = [F(e[0], den) + sum(F(k, den) * values[p]
+    point = {p: draw(small_fracs | st.integers(-5, 5)) for p in params}
+    expected = [F(e[0], den) + sum(F(k, den) * point[p]
                                    for k, p in zip(e[1:], params))
                 for den, entries in integer_rows for e in entries]
-    return params, integer_rows, values, expected
+    return params, integer_rows, point, expected
 
 
 @settings(max_examples=80)
 @given(affine_substitutions())
 def test_substitute_matches_fraction_evaluation(case):
-    params, integer_rows, values, expected = case
+    params, integer_rows, point, expected = case
     m = ParamMatrix.from_integer_rows(params, integer_rows)
-    assert m.substitute(values).entries == tuple(expected)
-    # the Fraction constructor stores the same matrix
-    fraction_entries = [tuple(F(k, den) for k in e)
-                        for den, entries in integer_rows for e in entries]
-    same = ParamMatrix(m.rows, m.cols, params, fraction_entries)
-    assert same.substitute(values).entries == tuple(expected)
-    assert all(same[r, c] == m[r, c]
-               for r in range(m.rows) for c in range(m.cols))
+    assert [e for row in values(m.substitute(point)) for e in row] == expected
+    assert (m.rows, m.cols) == (len(integer_rows), len(integer_rows[0][1]))
 
 
 class TestIntegerRowsValidation:
