@@ -9,6 +9,7 @@ kill set there:
   the unedited tree's;
 - the same with ``--corrupt psi-sign``, the negative control, likewise;
 - the sigma-table proof, ``tests/test_invariants.py::TestSigmaCoeffMatrix``;
+- the builder pins, ``tests/test_builder_pins.py``;
 - the edited module's own tests, ``tests/test_<module>.py``.
 
 A mutant is killed by the first step that differs or fails, and survives
@@ -16,20 +17,18 @@ when none does.  A survivor needs a test that kills it, or a reason why
 the edit cannot change any result (DeMillo, Lipton & Sayward, "Hints on
 test data selection", IEEE Computer 11(4), 1978).
 
-Usage, from the repository root, with the standard library alone::
+Run it from the repository root, with the standard library alone::
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py --list     # names and what each edits
-    python3 tools/mutants.py NAME ...   # the named mutants
+    python3 tools/mutants.py
 
-Exit 0 when every mutant run is killed, 1 when one survives, 2 when the
-unedited tree fails its own kill set or a mutant's text is not found
-exactly once.
+It runs every mutant and prints one line each: the first step that
+killed it, or ``SURVIVED``, and what the edit does.  Exit 0 when every
+mutant is killed, 1 when one survives, 2 when the unedited tree fails its
+own kill set or a mutant's text is not found exactly once.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -83,6 +82,7 @@ MUTANTS = (
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
+PINS = "tests/test_builder_pins.py"
 
 
 def copy_tree(into: Path) -> None:
@@ -109,6 +109,7 @@ def kill_steps(module: str) -> list[tuple[str, list[str]]]:
             ("corrupt control", ["-m", "eqlab.cli", *VERIFY,
                                  "--corrupt", "psi-sign"]),
             ("sigma-table proof", [*pytest, SIGMA_PROOF]),
+            (PINS, [*pytest, PINS]),
             (own, [*pytest, own])]
 
 
@@ -124,22 +125,8 @@ def first_kill(tree: Path, module: str, clean: dict) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default all)")
-    parser.add_argument("--list", action="store_true",
-                        help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name:22} {m.module:15} {m.what}")
-        return 0
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}")
-    chosen = [known[n] for n in args.names] or list(MUTANTS)
-    for m in chosen:
+def main() -> int:
+    for m in MUTANTS:
         count = (ROOT / "src" / "eqlab" / m.module).read_text().count(m.old)
         if count != 1:
             print(f"{m.name}: its text occurs {count} times in {m.module}")
@@ -149,7 +136,7 @@ def main(argv=None) -> int:
         clean_tree = Path(work) / "clean"
         copy_tree(clean_tree)
         # the commands' clean results are the reference; the tests must pass
-        steps = {label: step for m in chosen for label, step in kill_steps(m.module)}
+        steps = {label: step for m in MUTANTS for label, step in kill_steps(m.module)}
         clean = {label: run(clean_tree, steps[label])
                  for label in ("verify", "corrupt control")}
         for label, step in steps.items():
@@ -157,14 +144,15 @@ def main(argv=None) -> int:
                 print(f"the unedited tree fails its kill set at: {label}")
                 return 2
         survivors = []
-        for m in chosen:
+        for m in MUTANTS:
             tree = Path(work) / m.name
             copy_tree(tree)
             path = tree / "src" / "eqlab" / m.module
             path.write_text(path.read_text().replace(m.old, m.new))
             killer = first_kill(tree, m.module, clean)
             print(f"{m.name:22} " + (f"killed by {killer}" if killer
-                                     else "SURVIVED"), flush=True)
+                                     else "SURVIVED") + f"  ({m.what})",
+                  flush=True)
             if killer is None:
                 survivors.append(m.name)
             shutil.rmtree(tree)
