@@ -4,7 +4,8 @@ evaluate expression programs.
 Reports are serialized with sorted keys and fixed separators, so one
 configuration always produces byte-identical output.  Exit codes: 0 all
 checks passed, 1 a verification check failed, 2 usage or parse error,
-3 input or output error.
+3 input or output error, 4 an internal error (a bug, reported with its
+traceback).
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
+
+# verify builds one family-invariance grid per draw
+MAX_DRAWS = 1000
 
 # the parser's copies of ``invariants.SIGMA_LABELS`` (the verify grid) and
 # ``harness.FAULTS`` (the negative control), read without loading the layers
@@ -313,6 +318,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.draws > MAX_DRAWS:
+        raise UsageError(f"--draws {args.draws} is above the cap of "
+                         f"{MAX_DRAWS}")
     if args.instance is not None:
         pairs = [_load_pair(args.instance)]
     else:
@@ -371,6 +379,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         source = _load_bindings_source(args.instance)
     else:
         _require_dim(args.dim)
+        if len(args.seeds) > 1:
+            raise UsageError(f"eval takes one seed, got {len(args.seeds)}")
         from .mapping import synthesize_instance
 
         source = synthesize_instance(args.dim, args.kind, args.seeds[0],
@@ -396,8 +406,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _settle_instance_options(parser, args)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
@@ -407,6 +417,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"eqlab: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        import shlex
+        import traceback
+
+        command = shlex.join(sys.argv[1:] if argv is None else argv)
+        print(f"eqlab: internal error: {type(exc).__name__}: {exc}",
+              f"rerun: eqlab {command}", sep="\n", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

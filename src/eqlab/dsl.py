@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .tensors import (
     DOWN,
     UP,
-    OutputTooLargeError,
     TensorField,
     gradient,
     tensor_contract,
@@ -101,14 +100,12 @@ def _tokenize(src: str, line: int | None = None) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(src):
         match = _TOKEN.match(src, pos)
-        if match is None or match.end() == match.start():
+        if match is None:
             stripped = src[pos:].lstrip()
             if not stripped:
                 break
             at = len(src) - len(stripped)
             raise ExpressionSyntaxError(f"unexpected character {stripped[0]!r}", at, line)
-        if match.lastgroup is None:
-            break
         kind = match.lastgroup
         text = match.group(kind)
         tokens.append((kind if kind != "punct" else text, text, match.start(kind)))
@@ -329,10 +326,7 @@ def _product(a: TensorField, a_sig: list[Index], b: TensorField,
     free = [i for i in a_sig + b_sig if names.count(i.name) == 1]
     left, right, out = ("".join(letter[i.name] for i in sig)
                         for sig in (a_sig, b_sig, free))
-    try:
-        return tensor_contract(f"{left},{right}->{out}", a, b), free
-    except OutputTooLargeError as exc:
-        raise EvaluationError(str(exc)) from None
+    return tensor_contract(f"{left},{right}->{out}", a, b), free
 
 
 def _evaluate(node, ctx: _Context):

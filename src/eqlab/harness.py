@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 
-from .geometry import Space, curvature_family_span, torsion_square_terms
+from .geometry import (Space, curvature_K, curvature_family_span,
+                       torsion_square_terms)
 from .invariants import (
     PARAM_NAMES,
     SIGMA_LABELS,
@@ -148,8 +149,8 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
     common = tensor_lincomb(
-        [(1, src.curvature_k(*params)), (1, src.correction(which)),
-         (-1, tgt.curvature_k(*params)), (-1, tgt.correction(which))])
+        [(1, curvature_K(src.space, *params)), (1, src.correction(which)),
+         (-1, curvature_K(tgt.space, *params)), (-1, tgt.correction(which))])
     sums: dict[tuple[int, int], TensorField] = {}
     cells = []
     for p in p_values:
@@ -184,7 +185,7 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(space)
     residual = tensor_lincomb(
-        [(1, bundle.curvature_k(u, up, v, vp, w)),
+        [(1, curvature_K(space, u, up, v, vp, w)),
          (1, bundle.correction(which)), (-1, bundle.w_star(which)),
          (-u, cd), (-up, cd_swapped), (-v, v_term), (-vp, vp_term),
          (-w, w_term)])

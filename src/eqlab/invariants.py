@@ -280,11 +280,12 @@ class InvariantBundle(Keeper):
     The only builder of U, sigma, eta, W and T-tilde, all read off one
     lazily built ``_Parts``: U, eta and W directly, sigma as the U
     combination of its table row, T-tilde as the torsion derivative less
-    a sigma.  What a command reads more than once is kept (parts, the
-    derivative of sigma, U, sigma, swapped sigma, W, the W correction, K);
-    eta, whose one reader is W, T-tilde and the family member, which no
-    command reads, are rebuilt per request.  An invariance check compares
-    two bundles, one per side, so its routes never share a kept object.
+    a sigma.  What a command reads more than once is kept, keyed by labels
+    (parts, the derivative of sigma, U, sigma, swapped sigma, W, the W
+    correction); eta, whose one reader is W, T-tilde and the family member,
+    which no command reads, are rebuilt per request.  K is not kept: its
+    key would be a parameter draw.  An invariance check compares two
+    bundles, one per side, so its routes never share a kept object.
 
     ``order`` is the order the bundle's products are taken at, handed to
     ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
@@ -403,10 +404,6 @@ class InvariantBundle(Keeper):
         _check_label("q", q)
         return transpose(self.sigma(q), (0, 1, 3, 2))
 
-    @kept
-    def curvature_k(self, u, up, v, vp, w) -> TensorField:
-        return curvature_K(self.space, u, up, v, vp, w)
-
     def t_tilde(self, rho: int) -> TensorField:
         """Torsion derivative minus the rho-th sigma; not kept."""
         _check_label("rho", rho)
@@ -417,7 +414,7 @@ class InvariantBundle(Keeper):
         _check_label("p", p)
         _check_label("q", q)
         u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
-        return tensor_lincomb([(1, self.curvature_k(u, up, v, vp, w)),
+        return tensor_lincomb([(1, curvature_K(self.space, u, up, v, vp, w)),
                                (1, self.correction(which)),
                                (-u, self.sigma(p)),
                                (-up, self.sigma_swapped(q))])
@@ -512,6 +509,8 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
     bundles = [InvariantBundle(
         Space(pair.source.dim, tensor_truncate(pair.source.gamma, 1)),
         pair.mapping, 0) for pair in pairs]
+    k_minus_r = [tensor_sub(curvature_K(b.space, u, up, v, vp, w),
+                            b.space.curvature()) for b in bundles]
     rows = []
     for _ in range(SPAN_SAMPLES):
         # the kind does not change the deviation, but drawing it keeps
@@ -520,10 +519,9 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
         rows.append([base_numerators(tensor_lincomb(
-            [(1, bundle.curvature_k(u, up, v, vp, w)),
-             (-1, bundle.space.curvature()),
-             (-u, bundle.sigma(p)), (-up, bundle.sigma_swapped(q))]))
-            for bundle in bundles])
+            [(1, fixed), (-u, bundle.sigma(p)),
+             (-up, bundle.sigma_swapped(q))]))
+            for bundle, fixed in zip(bundles, k_minus_r)])
     return rank_exact(RationalMatrix.from_runs(rows))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from eqlab.cli import main
+from eqlab.cli import MAX_DRAWS, main
 from eqlab.geometry import GAMMA_VALENCE, Space
 from eqlab.harness import (
     corrupted_inverse,
@@ -288,6 +288,24 @@ def test_dim_above_the_cap_is_refused_before_any_work(capsys, monkeypatch,
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         f"eqlab: --dim {MAX_DIM + 1} is above the cap of {MAX_DIM}"]
+
+
+def test_internal_error_exits_four_with_its_rerun_command(capsys,
+                                                          monkeypatch):
+    """An exception that no input explains is a bug: exit 4, not the
+    failed-check code 1, with the command that reruns it."""
+    import eqlab.harness
+
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(eqlab.harness, "run_verify_suite", broken)
+    code, out, err = run_cli(capsys, "verify", "--dim", "2", "--seed", "0")
+    assert (code, out) == (4, "")
+    lines = err.splitlines()
+    assert lines[:2] == ["eqlab: internal error: KeyError: 'lost'",
+                         "rerun: eqlab verify --dim 2 --seed 0"]
+    assert lines[2] == "Traceback (most recent call last):"
 
 
 class TestCliVerify:
@@ -651,6 +669,38 @@ class TestCliVerify:
             main(["verify", "--grid", "9"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("source", [["--dim", "2"],
+                                        ["--instance", "missing.json"]])
+    def test_draws_above_the_cap_are_refused_before_any_work(
+            self, capsys, monkeypatch, source):
+        import eqlab.harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capped draw count reached the work")
+
+        monkeypatch.setattr(eqlab.harness, "synthesized_pairs", refuse)
+        monkeypatch.setattr(eqlab.harness, "run_verify_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", *source,
+                                 "--draws", "1000000000")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: --draws 1000000000 is above the cap of {MAX_DRAWS}"]
+
+    def test_draws_at_the_cap_are_accepted(self, capsys, monkeypatch):
+        import eqlab.harness
+
+        seen = []
+
+        def record(pairs, p_values, q_values, draws, corrupt):
+            seen.append(draws)
+            return True, [], []
+
+        monkeypatch.setattr(eqlab.harness, "run_verify_suite", record)
+        code, out, _ = run_cli(capsys, "verify", "--dim", "2", "--seed", "0",
+                               "--draws", "1000")
+        assert code == 0 and seen == [1000] == [MAX_DRAWS]
+        assert json.loads(out)["config"]["draws"] == 1000
+
     def test_huge_grid_range_is_refused_before_it_is_expanded(self):
         grid = f"1..{10 ** 15}"
         proc = subprocess.run(
@@ -730,6 +780,20 @@ class TestCliEval:
         assert code == 0
         result = TensorField.from_json(json.loads(out)["results"]["T"])
         assert result == pair.source.torsion()
+
+    def test_several_seeds_are_refused(self, capsys, tmp_path):
+        """eval evaluates one instance; it used to run the first seed
+        and drop the others without a word."""
+        program = self.write(tmp_path, "P[_i] = Psi[_i]\n")
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "2",
+                                 "--seeds", "1,2")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["eqlab: eval takes one seed, got 2"]
+        _, one, _ = run_cli(capsys, "eval", program, "--dim", "2",
+                            "--seeds", "2")
+        _, single, _ = run_cli(capsys, "eval", program, "--dim", "2",
+                               "--seed", "2")
+        assert one == single and json.loads(one)["results"]["P"]
 
     def test_empty_program_gives_empty_results(self, capsys, tmp_path):
         program = self.write(tmp_path, "# nothing here\n")

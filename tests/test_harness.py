@@ -7,12 +7,13 @@ on its own, on a passing instance, under the ``psi-sign`` fault, and on
 bundles whose sigma differences differ from label to label.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from eqlab import harness
-from eqlab.geometry import torsion_square_terms
+from eqlab.geometry import Keeper, curvature_K, torsion_square_terms
 from eqlab.harness import (
     _keyed_differences,
     correlation_check,
@@ -94,8 +95,8 @@ def _reference_family(src, tgt, which, p_values, q_values, values):
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
     common = tensor_lincomb(
-        [(1, src.curvature_k(*params)), (1, src.correction(which)),
-         (-1, tgt.curvature_k(*params)), (-1, tgt.correction(which))])
+        [(1, curvature_K(src.space, *params)), (1, src.correction(which)),
+         (-1, curvature_K(tgt.space, *params)), (-1, tgt.correction(which))])
     return _reference(
         "family_invariance", {"which": which, "draw": 0}, values, p_values,
         q_values,
@@ -195,3 +196,25 @@ def test_verify_builds_no_family_member(monkeypatch, pair):
     assert all(report.passed for report in reports)
     # the label differences are built once for the three draws
     assert len(built) == 1
+
+
+def test_kept_results_do_not_grow_with_draws(monkeypatch):
+    """A kept result is keyed by labels, never by a parameter draw, so a
+    run with more draws keeps no more results."""
+    misses = []
+    cached = Keeper._cached
+
+    def counted(self, key, compute):
+        if key not in self._cache:
+            misses.append(key[0])
+        return cached(self, key, compute)
+
+    monkeypatch.setattr(Keeper, "_cached", counted)
+    kept = {}
+    for draws in (1, 4):
+        misses.clear()
+        # a fresh pair, so its spaces keep nothing from the other run
+        verify_instance(synthesize_instance(2, 1, seed=1), 0, [1, 2], [3],
+                        draws)
+        kept[draws] = Counter(misses)
+    assert kept[4] == kept[1]

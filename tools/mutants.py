@@ -10,7 +10,9 @@ kill set there:
 - the same with ``--corrupt psi-sign``, the negative control, likewise;
 - the sigma-table proof, ``tests/test_invariants.py::TestSigmaCoeffMatrix``;
 - the builder pins, ``tests/test_builder_pins.py``;
-- the edited module's own tests, ``tests/test_<module>.py``.
+- the edited module's own tests, ``tests/test_<module>.py``, and for
+  ``jets.py`` also ``tests/test_flat_storage.py``, which holds the pins of
+  the instance loader.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -78,7 +80,44 @@ MUTANTS = (
         return cache[key]""",
            "Keeper._cached: every bundle of one order reads one cache, so a "
            "target bundle returns what its source bundle kept"),
+    Mutant("eta-eps-sign", "invariants.py",
+           "(c * eps, tensor_contract(\"ja,ak->jk\"",
+           "(-c * eps, tensor_contract(\"ja,ak->jk\"",
+           "InvariantBundle.eta: the sign of eps flipped"),
+    Mutant("w-star-eps-sign", "invariants.py",
+           "(-eps, tensor_contract(\"jm,in->ijmn\"",
+           "(eps, tensor_contract(\"jm,in->ijmn\"",
+           "InvariantBundle.w_star: the sign of one eps term flipped"),
+    Mutant("u-term-spec", "invariants.py",
+           "(\"ajm,ian->ijmn\", \"torsion\", \"sym\")",
+           "(\"amj,ian->ijmn\", \"torsion\", \"sym\")",
+           "_U_TERMS: U_1 reads the torsion's lower slots swapped"),
+    Mutant("parts-order-cut", "invariants.py",
+           "return a if order is None else tensor_truncate(a, order)",
+           "return a",
+           "_Parts: the inputs not cut to the parts' order"),
+    Mutant("curvature-k-coefficient", "geometry.py",
+           "(up, cd_swapped)",
+           "(u, cd_swapped)",
+           "curvature_K: u instead of u' on the swapped torsion derivative"),
+    Mutant("keyed-differences-unshared", "harness.py",
+           "differences[label] = shared.setdefault(difference, difference)",
+           "differences[label] = difference",
+           "_keyed_differences: equal differences kept as separate objects"),
+    Mutant("loader-zero-den", "jets.py",
+           "nums is None or 0 in dens\n",
+           "nums is None\n",
+           "load_block: a zero denominator passes the bulk checks"),
+    Mutant("loader-alpha-type", "jets.py",
+           "\n            or not set(map(type, chain.from_iterable(alphas))) "
+           "<= {int}):",
+           "):",
+           "load_block: a multi-index entry of another type than int passes "
+           "the bulk checks"),
 )
+
+# tests of a module's code that live outside its own test file
+MORE_TESTS = {"jets.py": ("tests/test_flat_storage.py",)}
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
@@ -110,7 +149,8 @@ def kill_steps(module: str) -> list[tuple[str, list[str]]]:
                                  "--corrupt", "psi-sign"]),
             ("sigma-table proof", [*pytest, SIGMA_PROOF]),
             (PINS, [*pytest, PINS]),
-            (own, [*pytest, own])]
+            *((test, [*pytest, test])
+              for test in (own, *MORE_TESTS.get(module, ())))]
 
 
 def first_kill(tree: Path, module: str, clean: dict) -> str | None:
@@ -150,7 +190,7 @@ def main() -> int:
             path = tree / "src" / "eqlab" / m.module
             path.write_text(path.read_text().replace(m.old, m.new))
             killer = first_kill(tree, m.module, clean)
-            print(f"{m.name:22} " + (f"killed by {killer}" if killer
+            print(f"{m.name:26} " + (f"killed by {killer}" if killer
                                      else "SURVIVED") + f"  ({m.what})",
                   flush=True)
             if killer is None:
