@@ -30,6 +30,10 @@ EXIT_INTERNAL = 4
 # verify builds one family-invariance grid per draw
 MAX_DRAWS = 1000
 
+# ranks substitutes and ranks the 64 x 26 family matrix once per trial,
+# about 7 ms at any dim
+MAX_TRIALS = 1000
+
 # the parser's copies of ``invariants.SIGMA_LABELS`` (the verify grid) and
 # ``harness.FAULTS`` (the negative control), read without loading the layers
 ALL_LABELS = tuple(range(1, 9))
@@ -78,8 +82,8 @@ def _grid_value(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             piece = piece.strip()
             if ".." in piece:
                 lo, hi = (int(bound) for bound in piece.split("..", 1))
-                # bounds first: a range is expanded only within 1..8
-                if lo <= hi and not (lo in ALL_LABELS and hi in ALL_LABELS):
+                # bounds first: a range runs low to high within 1..8
+                if not (lo <= hi and lo in ALL_LABELS and hi in ALL_LABELS):
                     raise ValueError(part)
                 out.extend(range(lo, hi + 1))
             else:
@@ -352,6 +356,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ranks(args: argparse.Namespace) -> int:
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials {args.trials} is above the cap of "
+                         f"{MAX_TRIALS}")
     _require_dim(args.dim)
     from .harness import run_ranks
 

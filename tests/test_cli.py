@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from eqlab.cli import MAX_DRAWS, main
+from eqlab import jets
+from eqlab.cli import MAX_DRAWS, MAX_TRIALS, main
 from eqlab.geometry import GAMMA_VALENCE, Space
 from eqlab.harness import (
     corrupted_inverse,
@@ -288,6 +289,22 @@ def test_dim_above_the_cap_is_refused_before_any_work(capsys, monkeypatch,
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         f"eqlab: --dim {MAX_DIM + 1} is above the cap of {MAX_DIM}"]
+
+
+@pytest.mark.parametrize("command, work", [("synth", "synth_document"),
+                                           ("ranks", "run_ranks")])
+def test_dim_at_the_cap_is_accepted(capsys, monkeypatch, command, work):
+    import eqlab.harness
+
+    seen = []
+
+    def record(dim, *args, **kwargs):
+        seen.append(dim)
+        return {} if command == "synth" else (True, [])
+
+    monkeypatch.setattr(eqlab.harness, work, record)
+    code, _, err = run_cli(capsys, command, "--dim", str(MAX_DIM))
+    assert (code, err, seen) == (0, "", [MAX_DIM])
 
 
 def test_internal_error_exits_four_with_its_rerun_command(capsys,
@@ -701,6 +718,16 @@ class TestCliVerify:
         assert code == 0 and seen == [1000] == [MAX_DRAWS]
         assert json.loads(out)["config"]["draws"] == 1000
 
+    @pytest.mark.parametrize("grid", ["3..2", "1,9..8"])
+    def test_reversed_grid_range_is_refused(self, capsys, grid):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--dim", "2", "--grid", grid])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "eqlab verify: error: argument --grid: grid must look like "
+            "'1,3..5' or '1,2:3..8' with labels in 1..8, "
+            f"got '{grid}'")
+
     def test_huge_grid_range_is_refused_before_it_is_expanded(self):
         grid = f"1..{10 ** 15}"
         proc = subprocess.run(
@@ -735,6 +762,35 @@ class TestCliRanks:
             "sigma_coeff_rank", "W_matrix_generic_rank",
             "curvature_family_span", "family_span_kind1",
             "family_span_kind2"]
+
+    def test_trials_above_the_cap_are_refused_before_any_work(
+            self, capsys, monkeypatch):
+        import eqlab.harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capped trial count reached the work")
+
+        monkeypatch.setattr(eqlab.harness, "run_ranks", refuse)
+        code, out, err = run_cli(capsys, "ranks", "--dim", "2",
+                                 "--trials", "1001")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: --trials 1001 is above the cap of {MAX_TRIALS}"]
+
+    def test_trials_at_the_cap_are_accepted(self, capsys, monkeypatch):
+        import eqlab.harness
+
+        seen = []
+
+        def record(dim, trials, seed, order):
+            seen.append(trials)
+            return True, []
+
+        monkeypatch.setattr(eqlab.harness, "run_ranks", record)
+        code, out, _ = run_cli(capsys, "ranks", "--dim", "2",
+                               "--trials", "1000")
+        assert code == 0 and seen == [1000] == [MAX_TRIALS]
+        assert json.loads(out)["config"]["trials"] == 1000
 
     def test_trial_count_does_not_change_rows(self, capsys):
         _, one, _ = run_cli(capsys, "ranks", "--dim", "2", "--trials", "1")
@@ -908,8 +964,9 @@ class TestCliEval:
 
 def test_commands_construct_no_jet_scalar(capsys, tmp_path, monkeypatch):
     """Commands build every field, constants and deltas included, on flat
-    storage: none calls the public ``JetScalar`` constructor, whose
-    arithmetic the tests keep as an independent reference."""
+    storage: none calls the public ``JetScalar`` constructor, ``jet_mul``
+    or ``jet_inverse``, whose arithmetic the tests keep as an independent
+    reference.  Synthesis inverts phi^1 on its numerators."""
     instance = tmp_path / "pair.json"
     run_cli(capsys, "synth", "--dim", "2", "--seed", "0",
             "--out", str(instance))
@@ -925,6 +982,18 @@ def test_commands_construct_no_jet_scalar(capsys, tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(JetScalar, "__init__", counted)
+    for name in ("jet_mul", "jet_inverse"):
+        original = getattr(jets, name)
+
+        def wrapped(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        # every binding of the name, as ``from .jets import`` makes them
+        for module in [m for key, m in sys.modules.items()
+                       if key.startswith("eqlab.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
     for argv in (
             ["verify", "--instance", str(instance), "--grid", "1",
              "--draws", "1"],

@@ -177,10 +177,13 @@ def values(valid, invalid):
 
 
 LABEL = st.integers(1, 8).map(str)
-IN_RANGE = st.builds("{}..{}".format, LABEL, LABEL) | LABEL
+# a range runs low to high
+BOUNDS = st.lists(st.integers(1, 8), min_size=2, max_size=2).map(sorted)
+IN_RANGE = BOUNDS.map("{0[0]}..{0[1]}".format) | LABEL
+REVERSED = BOUNDS.filter(lambda b: b[0] < b[1]).map("{0[1]}..{0[0]}".format)
 HUGE = st.sampled_from((10 ** 7, 10 ** 15, -10 ** 15, 10 ** 40, 0, 9)).map(str)
 OUT_OF_RANGE = (st.builds("{}..{}".format, LABEL | HUGE, HUGE)
-                | st.builds("{}..{}".format, HUGE, LABEL) | HUGE)
+                | st.builds("{}..{}".format, HUGE, LABEL) | HUGE | REVERSED)
 
 
 def grids(labels):

@@ -17,7 +17,8 @@ from eqlab.geometry import (
     random_connection,
     torsion_square_terms,
 )
-from eqlab.jets import JetScalar, jet_add, jet_mul, jet_neg, jet_partial, value_at_base
+from eqlab.jets import (MAX_ORDER, FieldError, JetScalar, jet_add, jet_mul,
+                        jet_neg, jet_partial, value_at_base)
 from eqlab.mapping import random_jet
 from eqlab.tensors import (
     DOWN,
@@ -88,6 +89,13 @@ class TestSpaceJson:
         doc["metric"] = random_field(2, (DOWN, DOWN), 2, 5).to_json()
         with pytest.raises(ValueError):
             Space.from_json(doc)
+
+    def test_connection_order_is_capped_above_the_cap(self):
+        at_cap = random_connection(2, MAX_ORDER, 3)
+        assert Space.from_json(at_cap.to_json()).gamma == at_cap.gamma
+        with pytest.raises(FieldError, match=f"the connection order is "
+                           f"{MAX_ORDER + 1}, above the cap of {MAX_ORDER}"):
+            Space.from_json(random_connection(2, MAX_ORDER + 1, 3).to_json())
 
 
 class TestCovDerivAssoc:

@@ -114,6 +114,38 @@ MUTANTS = (
            "):",
            "load_block: a multi-index entry of another type than int passes "
            "the bulk checks"),
+    Mutant("inverse-sign", "jets.py",
+           "s[0] += n0 ** k",
+           "s[0] -= n0 ** k",
+           "inverse_nums: n0^k subtracted in the Horner step"),
+    Mutant("contract-stride", "tensors.py",
+           "weight[letter] += dim ** (len(side) - 1 - p)",
+           "weight[letter] += dim ** (len(side) - 1 - p) - 1",
+           "_contract_plan: every slot's stride weight one too small"),
+    Mutant("signature-third-use", "dsl.py",
+           "if name in used and name not in free_names:",
+           "if False:",
+           "_product_signature: a name bound before may appear a third time"),
+    Mutant("draws-cap-inclusive", "cli.py",
+           "if args.draws > MAX_DRAWS:",
+           "if args.draws >= MAX_DRAWS:",
+           "cmd_verify: --draws at the cap refused"),
+    Mutant("trials-cap-inclusive", "cli.py",
+           "if args.trials > MAX_TRIALS:",
+           "if args.trials >= MAX_TRIALS:",
+           "cmd_ranks: --trials at the cap refused"),
+    Mutant("dim-cap-inclusive", "cli.py",
+           "if dim > MAX_DIM:",
+           "if dim >= MAX_DIM:",
+           "_require_dim: --dim at the cap refused"),
+    Mutant("json-dim-cap-inclusive", "jets.py",
+           "if dim > MAX_DIM:",
+           "if dim >= MAX_DIM:",
+           "json_dim: a document dim at the cap refused"),
+    Mutant("order-cap-inclusive", "geometry.py",
+           "if gamma.order > MAX_ORDER:",
+           "if gamma.order >= MAX_ORDER:",
+           "Space.from_json: a connection at the order cap refused"),
 )
 
 # tests of a module's code that live outside its own test file
