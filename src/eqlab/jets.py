@@ -271,7 +271,13 @@ class JetScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        from fractions import Fraction
+
+        if isinstance(other, (int, Fraction)):
+            other = JetScalar.constant(self.dim, self.order, other)
+        if not isinstance(other, JetScalar):
+            return NotImplemented
+        return jet_add(self, jet_neg(other))
 
     def __neg__(self):
         return jet_neg(self)
@@ -480,23 +486,18 @@ def jet_scale(c: Fraction | int, a: JetScalar) -> JetScalar:
     return _jet(a.dim, a.order, a.den * c.denominator, [p * x for x in a.nums])
 
 
-def _cauchy(dim: int, order: int, an, bn) -> list[int]:
-    """Numerators of the Cauchy product of two blocks, cut at ``order``."""
-    table = _mul_table(dim, order)
-    nums = [0] * len(table)
-    # zip stops at the end of the table, so a longer an is truncated
-    for x, row in zip(an, table):
-        if x:
-            for j, k in row:
-                nums[k] += x * bn[j]
-    return nums
-
-
 def jet_mul(a: JetScalar, b: JetScalar) -> JetScalar:
     """Cauchy product truncated to the smaller order."""
     _require_same_dim(a, b)
     order = min(a.order, b.order)
-    nums = _cauchy(a.dim, order, a.nums, b.nums)
+    table = _mul_table(a.dim, order)
+    bn = b.nums
+    nums = [0] * len(table)
+    # zip stops at the end of the table, so a longer a is truncated
+    for x, row in zip(a.nums, table):
+        if x:
+            for j, k in row:
+                nums[k] += x * bn[j]
     return _jet(a.dim, order, a.den * b.den, nums)
 
 
@@ -518,8 +519,8 @@ def jet_truncate(a: JetScalar, order: int) -> JetScalar:
     return _jet(a.dim, order, a.den, a.nums[:basis_size(a.dim, order)])
 
 
-def inverse_nums(dim: int, order: int, den: int, nums) -> tuple[int, list[int]]:
-    """Unreduced ``(den, nums)`` of 1 / a, a = nums / den cut at ``order``.
+def jet_inverse(a: JetScalar) -> JetScalar:
+    """Multiplicative inverse up to the truncation order, in integers.
 
     The geometric series around the base value: with a = (n0 + v) / den,
     where v has no constant term, 1/a = den * S / n0^(order + 1) with
@@ -527,21 +528,17 @@ def inverse_nums(dim: int, order: int, den: int, nums) -> tuple[int, list[int]]:
     the order.  Horner's rule sums S: from S = 1, S <- S (-v) + n0^k for
     k = 1..order.
     """
-    n0 = nums[0]
+    dim, order, n0 = a.dim, a.order, a.nums[0]
     if n0 == 0:
         raise NotInvertibleError("jet has zero value at the base point")
-    minus_v = [0] + [-x for x in nums[1:basis_size(dim, order)]]
-    s = [1] + [0] * (len(minus_v) - 1)
+    minus_v = _jet(dim, order, 1, [0] + [-x for x in a.nums[1:]])
+    s = _jet(dim, order, 1, [1] + [0] * (len(a.nums) - 1))
     for k in range(1, order + 1):
-        s = _cauchy(dim, order, s, minus_v)
-        s[0] += n0 ** k
+        s = jet_mul(s, minus_v)
+        s = _jet(dim, order, 1, (s.nums[0] + n0 ** k,) + s.nums[1:])
     power = n0 ** (order + 1)
-    return abs(power), [(den if power > 0 else -den) * x for x in s]
-
-
-def jet_inverse(a: JetScalar) -> JetScalar:
-    """Multiplicative inverse up to the truncation order."""
-    return _jet(a.dim, a.order, *inverse_nums(a.dim, a.order, a.den, a.nums))
+    den = a.den if power > 0 else -a.den
+    return _jet(dim, order, abs(power), [den * x for x in s.nums])
 
 
 def value_at_base(a: JetScalar) -> Fraction:

@@ -14,7 +14,15 @@ import random
 from typing import TYPE_CHECKING
 
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
-from .jets import block_json, inverse_nums, json_int, load_block, load_field
+from .jets import (
+    JetScalar,
+    basis_size,
+    block_json,
+    jet_inverse,
+    json_int,
+    load_block,
+    load_field,
+)
 from .tensors import (
     DOWN,
     UP,
@@ -33,8 +41,6 @@ from .tensors import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .jets import JetScalar
 
 
 class BasicEquationError(ValueError):
@@ -361,11 +367,11 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
     w = tensor_lincomb(_nu_phi_mu(nu_high, phi, mu_high, 1)
                        + [(-1, gradient(phi)),
                           (-1, tensor_contract(spec, bulk, phi))])
-    # the covector dx^1 / phi^1: 1/phi^1 on slot 0, zero elsewhere; phi^1's
-    # block leads phi's numerators, and inverse_nums cuts it at the order
-    den, nums = inverse_nums(dim, order, phi.den, phi.nums)
-    first = _field(dim, (DOWN,), order, den,
-                   nums + [0] * ((dim - 1) * len(nums)))
+    # the covector dx^1 / phi^1: 1/phi^1 on slot 0, zero elsewhere
+    inverse = jet_inverse(phi[0])
+    size = basis_size(dim, order)
+    first = _field(dim, (DOWN,), order, inverse.den,
+                   [*inverse.nums[:size], *[0] * ((dim - 1) * size)])
     spec = "ib,a->iab" if kind == 1 else "ia,b->iab"
     gamma = tensor_lincomb([(1, bulk), (1, tensor_contract(spec, w, first))])
     return MappedPair.build(Space(dim, gamma), AG3Mapping(

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from eqlab import jets
 from eqlab.cli import MAX_DRAWS, MAX_TRIALS, main
 from eqlab.geometry import GAMMA_VALENCE, Space
 from eqlab.harness import (
@@ -964,9 +963,8 @@ class TestCliEval:
 
 def test_commands_construct_no_jet_scalar(capsys, tmp_path, monkeypatch):
     """Commands build every field, constants and deltas included, on flat
-    storage: none calls the public ``JetScalar`` constructor, ``jet_mul``
-    or ``jet_inverse``, whose arithmetic the tests keep as an independent
-    reference.  Synthesis inverts phi^1 on its numerators."""
+    storage: none calls the public ``JetScalar`` constructor, whose
+    arithmetic the tests keep as an independent reference."""
     instance = tmp_path / "pair.json"
     run_cli(capsys, "synth", "--dim", "2", "--seed", "0",
             "--out", str(instance))
@@ -982,18 +980,6 @@ def test_commands_construct_no_jet_scalar(capsys, tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(JetScalar, "__init__", counted)
-    for name in ("jet_mul", "jet_inverse"):
-        original = getattr(jets, name)
-
-        def wrapped(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
-
-        # every binding of the name, as ``from .jets import`` makes them
-        for module in [m for key, m in sys.modules.items()
-                       if key.startswith("eqlab.")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapped)
     for argv in (
             ["verify", "--instance", str(instance), "--grid", "1",
              "--draws", "1"],

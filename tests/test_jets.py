@@ -15,7 +15,6 @@ from eqlab.jets import (
     OrderExhaustedError,
     basis_size,
     graded_basis,
-    inverse_nums,
     jet_add,
     jet_inverse,
     jet_mul,
@@ -397,31 +396,6 @@ def test_inverse_matches_the_fraction_series(a):
     inverse = jet_inverse(a)
     assert_canonical(inverse)
     assert inverse == reference_inverse(a)
-
-
-@st.composite
-def invertible_blocks(draw):
-    """``(dim, order, den, nums)``: an unreduced block with a nonzero
-    first numerator, of ``order`` or up to two orders longer."""
-    dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    size = basis_size(dim, order + draw(st.integers(0, 2)))
-    nums = draw(st.lists(st.integers(-60, 60), min_size=size, max_size=size))
-    nums[0] = draw(st.integers(-60, 60).filter(bool))
-    return dim, order, draw(st.integers(1, 60)), nums
-
-
-@settings(max_examples=200, deadline=None)
-@given(invertible_blocks())
-def test_inverse_nums_matches_the_fraction_series(block):
-    """The plain-list inverse that synthesis runs on phi's numerators: a
-    longer block is cut at the order before it is inverted."""
-    dim, order, den, nums = block
-    inv_den, inv_nums = inverse_nums(dim, order, den, nums)
-    basis = graded_basis(dim, order)
-    assert inv_den > 0 and len(inv_nums) == len(basis)
-    a = JetScalar(dim, order, {alpha: F(n, den) for alpha, n in zip(basis, nums)})
-    assert {alpha: F(n, inv_den) for alpha, n in zip(basis, inv_nums)
-            if n} == reference_inverse(a).coeffs
 
 
 VALID_BLOCKS = [

@@ -55,9 +55,7 @@ def test_traced_synth_matches_untraced(capsys, tmp_path):
                              capsys)
     assert code == 0
     assert spans["mapping.synthesize"]["calls"] == 1
-    # the span still attaches by name; synthesis inverts phi^1 on its
-    # numerators, not through jet_inverse
-    assert spans["jets.inverse"]["calls"] == 0
+    assert spans["jets.inverse"]["calls"] == 1
 
 
 def test_traced_eval_matches_untraced(capsys, tmp_path):

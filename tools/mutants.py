@@ -115,9 +115,9 @@ MUTANTS = (
            "load_block: a multi-index entry of another type than int passes "
            "the bulk checks"),
     Mutant("inverse-sign", "jets.py",
-           "s[0] += n0 ** k",
-           "s[0] -= n0 ** k",
-           "inverse_nums: n0^k subtracted in the Horner step"),
+           "(s.nums[0] + n0 ** k,)",
+           "(s.nums[0] - n0 ** k,)",
+           "jet_inverse: n0^k subtracted in the Horner step"),
     Mutant("contract-stride", "tensors.py",
            "weight[letter] += dim ** (len(side) - 1 - p)",
            "weight[letter] += dim ** (len(side) - 1 - p) - 1",
