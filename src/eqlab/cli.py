@@ -11,7 +11,6 @@ traceback).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -47,7 +46,7 @@ INSTANCE_OPTIONS = (*INSTANCE_DEFAULTS, "seed", "seeds")
 
 
 class UsageError(ValueError):
-    """Bad arguments or unusable input files; exits with code 2."""
+    """Bad arguments; exits with code 2."""
 
 
 def _dim_value(text: str) -> int:
@@ -204,6 +203,8 @@ def _json_text(doc) -> str:
 
 
 def _csv_text(rows) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("check", "dim", "expected", "observed", "pass"))
@@ -221,79 +222,18 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _long_as_text(literal: str):
-    """A JSON integer literal, kept as text when it has more digits than
-    ``int`` converts, so the loader names the field that holds it."""
-    try:
-        return int(literal)
-    except ValueError:
-        return literal
-
-
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer literal past the digit limit
-        return json.loads(text, parse_int=_long_as_text)
-
-
-def _load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        doc = _parse_json(text)
-    except RecursionError:
-        raise UsageError(f"instance file {path} is nested too deeply") \
-            from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"instance file {path} does not hold a JSON object")
-    return doc
-
-
-def _pair_from(doc: dict, path: str) -> "MappedPair":
-    """The pair a document holds.  The header ``dim``, ``kind`` and
-    ``order`` that ``synth`` writes are optional, but one that is present
-    must state the pair it heads."""
-    from .jets import json_int
-    from .mapping import MappedPair
-
-    try:
-        pair = MappedPair.from_json(doc)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise UsageError(f"instance file {path} is malformed: {exc}") from None
-    for field, holder, value in (
-            ("dim", "the source connection has dim", pair.source.dim),
-            ("kind", "the mapping has kind", pair.mapping.kind),
-            ("order", "the connections have order", pair.source.gamma.order)):
-        if field in doc:
-            stated = json_int(doc[field], f"the header {field}")
-            if stated != value:
-                raise UsageError(f"instance file {path}: header {field} is "
-                                 f"{stated}, but {holder} {value}")
-    return pair
-
-
+# the command line's two ways into ``documents``, which reads instance
+# files; ``bench/layertrace.py`` times them under these names
 def _load_pair(path: str) -> tuple[int, "MappedPair"]:
-    doc = _load_document(path)
-    from .jets import json_int
+    from .documents import read_pair
 
-    return json_int(doc.get("seed", 0), "the seed"), _pair_from(doc, path)
+    return read_pair(path)
 
 
 def _load_bindings_source(path: str):
-    doc = _load_document(path)
-    if "mapping" in doc:
-        return _pair_from(doc, path)
-    from .geometry import Space
+    from .documents import read_bindings_source
 
-    try:
-        if "gamma" in doc:
-            return Space.from_json(doc)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise UsageError(f"instance file {path} is malformed: {exc}") from None
-    raise UsageError(f"instance file {path} holds neither a pair nor a space")
+    return read_bindings_source(path)
 
 
 def _require_dim(dim: int) -> None:

@@ -16,7 +16,6 @@ import random
 from functools import wraps
 from typing import TYPE_CHECKING
 
-from .jets import MAX_ORDER, FieldError, json_dim, load_field
 from .tensors import (
     DOWN,
     UP,
@@ -117,19 +116,15 @@ class Space(Keeper):
                 tensor_contract("amn,iaj->ijmn", t, t))
 
     def to_json(self) -> dict:
-        # the document format keeps a metric slot; no space carries one
-        return {"dim": self.dim, "gamma": self.gamma.to_json(), "metric": None}
+        from .documents import space_json
+
+        return space_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Space":
-        if obj.get("metric") is not None:
-            raise ValueError("spaces with a metric are not supported")
-        dim = json_dim(obj["dim"], "a space dim")
-        gamma = load_field("gamma", TensorField.from_json, obj["gamma"])
-        if gamma.order > MAX_ORDER:
-            raise FieldError(("gamma",), f"the connection order is "
-                             f"{gamma.order}, above the cap of {MAX_ORDER}")
-        return cls(dim, gamma)
+        from .documents import load_space
+
+        return load_space(obj)
 
 
 def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:

@@ -283,15 +283,14 @@ def synthesized_pairs(dim: int, kind: int, seeds, order: int = 2,
 
 def synth_document(dim: int, kind: int, seed: int, order: int = 2) -> dict:
     """Instance serialization with its basic-equation certificate."""
+    from .documents import instance_document
+
     pair = synthesize_instance(dim, kind, seed, order)
     certificate = VerificationReport.from_residuals(
         "basic_equation_residual",
         {"dim": dim, "kind": kind, "seed": seed, "order": order},
         (basic_equation_residual(pair.source, pair.mapping),))
-    doc = {"dim": dim, "kind": kind, "seed": seed, "order": order}
-    doc.update(pair.to_json())
-    doc["certificate"] = certificate.to_json()
-    return doc
+    return instance_document(pair, seed, certificate.to_json())
 
 
 def _rank_row(check: str, dim: int, expected: int, observed: int) -> dict:

@@ -19,10 +19,8 @@ manner of Bareiss: one gcd per result instead of one per coefficient.
 
 from __future__ import annotations
 
-import re
-import sys
 from functools import cache, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -58,27 +56,6 @@ def _exact(value: int | Fraction) -> int | Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def json_int(value, what: str, text: bool = False) -> int:
-    """A document's integer, never coerced: a JSON int that is not a bool,
-    or a decimal string where ``text`` allows one.  A decimal string with
-    more digits than ``int`` converts is rejected by name and limit."""
-    if type(value) is int:
-        return value
-    if type(value) is str and _DECIMAL.fullmatch(value):
-        try:
-            number = int(value)
-        except ValueError:  # past the interpreter's digit limit
-            raise ValueError(
-                f"{what} has {len(value.lstrip('-'))} digits, more than the "
-                f"limit of {sys.get_int_max_str_digits()}") from None
-        if text:
-            return number
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 # Cap on the dim of a loaded document and of ``--dim``.  At dim 7 the
 # heaviest command, ``verify --order 3``, takes 42 s and 670 MB per
 # instance; each further dim multiplies that (README table).
@@ -87,34 +64,6 @@ MAX_DIM = 7
 # Cap on the order of a loaded connection, the highest ``--order``; at
 # dim 7 and order 4 a verify takes 89 s and 1 GB (README).
 MAX_ORDER = 3
-
-
-def json_dim(value, what: str) -> int:
-    """A document's dim, read before the components it sizes."""
-    dim = json_int(value, what)
-    if dim > MAX_DIM:
-        raise ValueError(f"{what} is {dim}, above the cap of {MAX_DIM}")
-    return dim
-
-
-class FieldError(ValueError):
-    """A document field that does not load, named by its path from the top
-    of the document, for example ``mapping psi``."""
-
-    def __init__(self, path: tuple[str, ...], reason: str):
-        super().__init__(f"{' '.join(path)}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
-def load_field(name: str, load, obj):
-    """``load(obj)``, with a ``ValueError`` restated to name the field."""
-    try:
-        return load(obj)
-    except FieldError as exc:
-        raise FieldError((name, *exc.path), exc.reason) from None
-    except ValueError as exc:
-        raise FieldError((name,), str(exc)) from None
 
 
 def basis_size(dim: int, order: int) -> int:
@@ -308,10 +257,14 @@ class JetScalar:
         return f"JetScalar({body}; dim={self.dim}, order={self.order})"
 
     def to_json(self) -> dict:
+        from .documents import block_json
+
         return block_json(self.dim, self.order, self.den, self.nums)
 
     @classmethod
     def from_json(cls, obj: dict) -> "JetScalar":
+        from .documents import load_block
+
         return _jet(*load_block(obj))
 
 
@@ -336,120 +289,12 @@ def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
     return jet
 
 
-def block_json(dim: int, order: int, den: int, nums) -> dict:
-    """The document of the jet ``nums / den``: its nonzero coefficients in
-    lexicographic order of their multi-indices, each reduced to lowest
-    terms as decimal strings."""
-    basis = graded_basis(dim, order)
-    coeffs = []
-    for i in _lex_slots(dim, order):
-        n = nums[i]
-        if n:
-            g = gcd(n, den)
-            coeffs.append({"alpha": list(basis[i]), "num": str(n // g),
-                           "den": str(den // g)})
-    return {"dim": dim, "order": order, "coeffs": coeffs}
-
-
 def _check_alpha(alpha: tuple, dim: int, order: int) -> None:
     # exact ints: 1.0 and True would pass as the index 1
     if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
         raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
     if sum(alpha) > order:
         raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
-
-
-# A comma-separated list of decimal integers: the joined strings of one
-# block's numerators or denominators.
-_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
-
-
-def _bulk_ints(values: list) -> list | None:
-    """``values`` as ints when each is a JSON int or a decimal string
-    within the digit limit, else None."""
-    text = [v for v in values if type(v) is not int]
-    if not text:
-        return values
-    try:
-        joined = ",".join(text)
-    except TypeError:  # a bool, a float, None, a list or a dict
-        return None
-    if not _DECIMALS.fullmatch(joined):
-        return None
-    try:
-        return list(map(int, values))
-    except ValueError:  # past the digit limit, or a string such as "1,2"
-        return None
-
-
-def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
-    """A jet document as ``(dim, order, den, nums)``: the numerators of
-    its coefficients on the graded basis over the lcm of their
-    denominators, not yet reduced.
-
-    Every entry's integers are read before the dim and the order, and a
-    multi-index given twice keeps its last value, as a dict of the
-    entries would.  The dim is capped at ``MAX_DIM``; the dim, order and
-    multi-indices are checked as the constructor checks them.
-
-    The lists of denominators, numerators and multi-indices are read and
-    checked whole.  A block that fails any of those checks is read again
-    entry by entry (:func:`_walk_block`), which raises its first fault.
-    """
-    try:
-        entries = obj["coeffs"]
-        dens = _bulk_ints([entry["den"] for entry in entries])
-        nums = _bulk_ints([entry["num"] for entry in entries])
-        alphas = [tuple(entry["alpha"]) for entry in entries]
-    except (KeyError, TypeError):
-        return _walk_block(obj)
-    # exact ints, as _check_alpha asks: True and 1.0 would find the
-    # index 1, and a list would not hash
-    if (dens is None or nums is None or 0 in dens
-            or not set(map(type, chain.from_iterable(alphas))) <= {int}):
-        return _walk_block(obj)
-    dim, order = _dim_order(obj)
-    index = _basis_index(dim, order)
-    slots = list(map(index.get, alphas))
-    if None in slots:
-        return _walk_block(obj)
-    values = dict(zip(slots, zip(nums, dens)))
-    den = lcm(*[d for n, d in values.values() if n])
-    out = [0] * len(index)
-    for i, (n, d) in values.items():
-        out[i] = n * (den // d)  # a negative d carries the sign
-    return dim, order, den, out
-
-
-def _dim_order(obj: dict) -> tuple[int, int]:
-    dim = json_dim(obj["dim"], "a jet dim")
-    order = json_int(obj["order"], "a jet order")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return dim, order
-
-
-def _walk_block(obj: dict) -> tuple[int, int, int, list[int]]:
-    """:func:`load_block` one entry at a time, each checked in turn: the
-    reading that fixes which fault of a faulty block is reported."""
-    entries: dict[tuple, tuple[int, int]] = {}
-    for entry in obj["coeffs"]:
-        den = json_int(entry["den"], "a coefficient denominator", text=True)
-        if den == 0:
-            raise ValueError("jet coefficient has denominator 0")
-        num = json_int(entry["num"], "a coefficient numerator", text=True)
-        entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
-    dim, order = _dim_order(obj)
-    index = _basis_index(dim, order)
-    for alpha in entries:
-        _check_alpha(alpha, dim, order)
-    den = lcm(*[d for n, d in entries.values() if n])
-    nums = [0] * len(index)
-    for alpha, (n, d) in entries.items():
-        nums[index[alpha]] = n * (den // d)
-    return dim, order, den, nums
 
 
 def _require_same_dim(a: JetScalar, b: JetScalar) -> None:

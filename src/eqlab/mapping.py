@@ -14,15 +14,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
-from .jets import (
-    JetScalar,
-    basis_size,
-    block_json,
-    jet_inverse,
-    json_int,
-    load_block,
-    load_field,
-)
+from .jets import JetScalar, basis_size, jet_inverse
 from .tensors import (
     DOWN,
     UP,
@@ -100,22 +92,15 @@ class AG3Mapping:
         self.dim = dim
 
     def to_json(self) -> dict:
-        return {
-            "psi": self.psi.to_json(),
-            "sigma": self.sigma.to_json(),
-            "phi": self.phi.to_json(),
-            "nu": self.nu.to_json(),
-            "mu": block_json(self.dim, self.mu.order, self.mu.den, self.mu.nums),
-            "kind": self.kind,
-        }
+        from .documents import mapping_json
+
+        return mapping_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "AG3Mapping":
-        fields = {name: load_field(name, TensorField.from_json, obj[name])
-                  for name in ("psi", "sigma", "phi", "nu")}
-        return cls(**fields,
-                   mu=load_field("mu", _load_scalar, obj["mu"]),
-                   kind=json_int(obj["kind"], "the mapping kind"))
+        from .documents import load_mapping
+
+        return load_mapping(obj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AG3Mapping):
@@ -133,12 +118,6 @@ class AG3Mapping:
     def psi_phi(self) -> TensorField:
         """The rank-0 field psi_a phi^a."""
         return tensor_contract("a,a->", self.psi, self.phi)
-
-
-def _load_scalar(obj: dict) -> TensorField:
-    """The rank-0 field of one jet document."""
-    dim, order, den, nums = load_block(obj)
-    return _field(dim, (), order, den, nums)
 
 
 def _increment(x: TensorField, c: Fraction, sigma: TensorField,
@@ -275,17 +254,15 @@ class MappedPair:
         return reciprocity_inverse(self.source, self.mapping)
 
     def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "mapping": self.mapping.to_json(),
-            "target": self.target.to_json(),
-        }
+        from .documents import pair_json
+
+        return pair_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "MappedPair":
-        pair = cls(load_field("source", Space.from_json, obj["source"]),
-                   load_field("mapping", AG3Mapping.from_json, obj["mapping"]),
-                   load_field("target", Space.from_json, obj["target"]))
+        from .documents import decode_pair
+
+        pair = decode_pair(obj)
         pair.validate()
         return pair
 

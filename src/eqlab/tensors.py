@@ -35,9 +35,6 @@ from .jets import (
     _partial_table,
     _set_slots,
     basis_size,
-    block_json,
-    json_dim,
-    load_block,
 )
 
 if TYPE_CHECKING:
@@ -158,23 +155,15 @@ class TensorField:
         return _constant(dim, (UP, DOWN), order, 1, range(0, dim * dim, dim + 1))
 
     def to_json(self) -> dict:
-        dim, order, den, nums = self.dim, self.order, self.den, self.nums
-        size = basis_size(dim, order)
-        return {
-            "dim": dim,
-            "valence": list(self.valence),
-            "components": [block_json(dim, order, den, nums[i:i + size])
-                           for i in range(0, len(nums), size)],
-        }
+        from .documents import tensor_json
+
+        return tensor_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorField":
-        dim = json_dim(obj["dim"], "a tensor dim")
-        # read before the components and checked after them, which fixes
-        # which message a document with several faults gets
-        valence = tuple(obj["valence"])
-        blocks = [load_block(c) for c in obj["components"]]
-        return _field(*_assemble(dim, _check_valence(valence), blocks))
+        from .documents import load_tensor
+
+        return load_tensor(obj)
 
 
 def _assemble(dim: int, valence: tuple[str, ...], blocks: list) -> tuple:

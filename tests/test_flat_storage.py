@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlab.geometry import random_connection
-from eqlab.jets import JetScalar, graded_basis, load_block, multi_indices
+from eqlab.documents import load_block
+from eqlab.jets import JetScalar, graded_basis, multi_indices
 from eqlab.mapping import synthesize_instance
 from eqlab.tensors import TensorField, random_field
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqlab.documents import FieldError
 from eqlab.geometry import (
     GAMMA_VALENCE,
     Space,
@@ -17,8 +18,8 @@ from eqlab.geometry import (
     random_connection,
     torsion_square_terms,
 )
-from eqlab.jets import (MAX_ORDER, FieldError, JetScalar, jet_add, jet_mul,
-                        jet_neg, jet_partial, value_at_base)
+from eqlab.jets import (MAX_ORDER, JetScalar, jet_add, jet_mul, jet_neg,
+                        jet_partial, value_at_base)
 from eqlab.mapping import random_jet
 from eqlab.tensors import (
     DOWN,

@@ -2,11 +2,14 @@
 
 ``import eqlab`` loads no submodule: the package exports its names
 lazily.  The command line builds its parser from ``cli`` alone and each
-command imports what it runs, so a rejected input file loads only the
-loader, and only ``eval`` loads the expression language.  Drawing and
-loading instances works in integers, so that path never imports
-``fractions`` (nor the ``decimal`` it brings).  Each case runs in a fresh
-interpreter, as a user's command does.
+command imports what it runs: a rejected input file loads only the
+reader (``documents`` and the layers it decodes into), only the commands
+that read or write a document load ``documents``, only
+``ranks --format csv`` loads ``csv``, and only ``eval`` loads the
+expression language.  Drawing and loading instances works in integers,
+so that path never imports ``fractions`` (nor the ``decimal`` it
+brings).  Each case runs in a fresh interpreter, as a user's command
+does.
 """
 
 import ast
@@ -26,6 +29,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LOADER = {"jets", "tensors", "geometry", "mapping"}
 EVERY_LAYER = LOADER | {"cli", "dsl", "harness", "invariants", "linalg"}
+# the module of the instance format, loaded only to read or write one
+DOCUMENTS = {"documents"}
+READER = {"cli"} | DOCUMENTS | LOADER
 RATIONALS = {"fractions", "decimal"}
 PROBE = SRC.parent / "bench" / "build_inputs.py"
 
@@ -85,14 +91,19 @@ def test_random_connection_loads_no_mapping(work):
     assert loaded_by(code, work) == {"jets", "tensors", "geometry"}
 
 
-def test_non_object_file_is_rejected_by_cli_alone(work):
+def test_non_object_file_is_rejected_by_the_reader(work):
     argv = ["verify", "--instance", "list.json"]
-    assert loaded_by_command(argv, 2, work) == {"cli"}
+    assert loaded_by_command(argv, 2, work) == READER
 
 
 def test_file_the_loader_rejects_loads_only_the_loader(work):
     argv = ["verify", "--instance", "den0.json"]
-    assert loaded_by_command(argv, 2, work) == {"cli"} | LOADER
+    assert loaded_by_command(argv, 2, work) == READER
+
+
+def test_pair_its_check_rejects_loads_only_the_loader(work):
+    argv = ["verify", "--instance", "target.json"]
+    assert loaded_by_command(argv, 2, work) == READER
 
 
 SETUP = {"synthesize": [[3, 2, 0, 3], [2, 1, 1, 2]],
@@ -110,22 +121,40 @@ def test_instance_path_imports_no_fractions(work, code):
     assert modules_after(code, work) & RATIONALS == set()
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    (["synth", "--dim", "2", "--out", "out.json"], 0),
-    (["ranks", "--dim", "2", "--trials", "1", "--out", "out.json"], 1),
+@pytest.mark.parametrize("argv, exit_code, documents", [
+    (["synth", "--dim", "2", "--out", "out.json"], 0, DOCUMENTS),
+    (["ranks", "--dim", "2", "--trials", "1", "--out", "out.json"], 1,
+     set()),
     (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
-      "--out", "out.json"], 0),
+      "--out", "out.json"], 0, set()),
     (["verify", "--instance", "pair.json", "--grid", "1", "--draws", "1",
-      "--out", "out.json"], 0),
+      "--out", "out.json"], 0, DOCUMENTS),
 ], ids=["synth", "ranks", "verify", "verify-instance"])
-def test_commands_load_every_layer_but_the_language(work, argv, exit_code):
-    assert loaded_by_command(argv, exit_code, work) == EVERY_LAYER - {"dsl"}
+def test_commands_load_every_layer_but_the_language(work, argv, exit_code,
+                                                    documents):
+    """``documents`` too, where the command reads or writes a document."""
+    expected = EVERY_LAYER - {"dsl"} | documents
+    assert loaded_by_command(argv, exit_code, work) == expected
 
 
 def test_eval_loads_every_layer(work):
     argv = ["eval", "program.eqs", "--instance", "pair.json",
             "--out", "out.json"]
-    assert loaded_by_command(argv, 0, work) == EVERY_LAYER
+    assert loaded_by_command(argv, 0, work) == EVERY_LAYER | DOCUMENTS
+
+
+@pytest.mark.parametrize("argv, exit_code, imports_csv", [
+    (["synth", "--dim", "2", "--out", "out.json"], 0, False),
+    (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
+      "--out", "out.json"], 0, False),
+    (["eval", "program.eqs", "--instance", "pair.json",
+      "--out", "out.json"], 0, False),
+    (["ranks", "--dim", "2", "--trials", "1", "--format", "csv",
+      "--out", "out.csv"], 1, True),
+], ids=["synth", "verify", "eval", "ranks-csv"])
+def test_only_csv_output_imports_csv(work, argv, exit_code, imports_csv):
+    modules = modules_after(command(argv, exit_code), work)
+    assert ("csv" in modules) == imports_csv
 
 
 def test_module_run_imports_cli_once(work):
@@ -171,15 +200,15 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_submodules_import_by_name():
-    from eqlab import cli, dsl, geometry, harness, invariants, jets, linalg
-    from eqlab import mapping, tensors
+    from eqlab import cli, documents, dsl, geometry, harness, invariants
+    from eqlab import jets, linalg, mapping, tensors
 
-    modules = (cli, dsl, geometry, harness, invariants, jets, linalg,
-               mapping, tensors)
+    modules = (cli, documents, dsl, geometry, harness, invariants, jets,
+               linalg, mapping, tensors)
     assert [m.__name__ for m in modules] == [
-        f"eqlab.{name}" for name in ("cli", "dsl", "geometry", "harness",
-                                     "invariants", "jets", "linalg",
-                                     "mapping", "tensors")]
+        f"eqlab.{name}" for name in ("cli", "documents", "dsl", "geometry",
+                                     "harness", "invariants", "jets",
+                                     "linalg", "mapping", "tensors")]
 
 
 def test_no_module_imports_a_name_it_never_reads():

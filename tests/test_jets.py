@@ -416,14 +416,14 @@ VALID_BLOCKS = [
 
 def test_valid_blocks_never_enter_the_walk(monkeypatch):
     """Only a faulty block is read again entry by entry."""
-    from eqlab import jets
+    from eqlab import documents
     from eqlab.harness import synth_document
     from eqlab.mapping import MappedPair
 
     def walk(obj):
         raise AssertionError(f"a valid block was walked: {obj!r}")
 
-    monkeypatch.setattr(jets, "_walk_block", walk)
+    monkeypatch.setattr(documents, "_walk_block", walk)
     for doc, coeffs in VALID_BLOCKS:
         assert JetScalar.from_json(doc).coeffs == coeffs
     doc = synth_document(3, 2, seed=0, order=3)

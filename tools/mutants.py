@@ -11,8 +11,8 @@ kill set there:
 - the sigma-table proof, ``tests/test_invariants.py::TestSigmaCoeffMatrix``;
 - the builder pins, ``tests/test_builder_pins.py``;
 - the edited module's own tests, ``tests/test_<module>.py``, and for
-  ``jets.py`` also ``tests/test_flat_storage.py``, which holds the pins of
-  the instance loader.
+  ``documents.py`` also ``tests/test_flat_storage.py``, which holds the
+  pins of the instance loader.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -104,11 +104,11 @@ MUTANTS = (
            "differences[label] = shared.setdefault(difference, difference)",
            "differences[label] = difference",
            "_keyed_differences: equal differences kept as separate objects"),
-    Mutant("loader-zero-den", "jets.py",
+    Mutant("loader-zero-den", "documents.py",
            "nums is None or 0 in dens\n",
            "nums is None\n",
            "load_block: a zero denominator passes the bulk checks"),
-    Mutant("loader-alpha-type", "jets.py",
+    Mutant("loader-alpha-type", "documents.py",
            "\n            or not set(map(type, chain.from_iterable(alphas))) "
            "<= {int}):",
            "):",
@@ -138,18 +138,23 @@ MUTANTS = (
            "if dim > MAX_DIM:",
            "if dim >= MAX_DIM:",
            "_require_dim: --dim at the cap refused"),
-    Mutant("json-dim-cap-inclusive", "jets.py",
+    Mutant("json-dim-cap-inclusive", "documents.py",
            "if dim > MAX_DIM:",
            "if dim >= MAX_DIM:",
            "json_dim: a document dim at the cap refused"),
-    Mutant("order-cap-inclusive", "geometry.py",
+    Mutant("order-cap-inclusive", "documents.py",
            "if gamma.order > MAX_ORDER:",
            "if gamma.order >= MAX_ORDER:",
-           "Space.from_json: a connection at the order cap refused"),
+           "load_space: a connection at the order cap refused"),
+    Mutant("validate-inside-except", "documents.py",
+           "pair = _decoded(decode_pair, doc, path)\n    pair.validate()\n",
+           "pair = _decoded(MappedPair.from_json, doc, path)\n",
+           "_pair_from: a KeyError or TypeError raised by validate() is "
+           "reported as a malformed file"),
 )
 
 # tests of a module's code that live outside its own test file
-MORE_TESTS = {"jets.py": ("tests/test_flat_storage.py",)}
+MORE_TESTS = {"documents.py": ("tests/test_flat_storage.py",)}
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
