@@ -3,10 +3,12 @@
 ``synth`` writes a header (``dim``, ``kind``, ``seed``, ``order``), the
 pair's ``source``, ``mapping`` and ``target``, and a certificate;
 ``verify --instance`` reads such a pair and ``eval --instance`` a pair or
-a bare space.  A stored file is untrusted: integers are read exactly,
-dims and connection orders are capped, a field that does not load is
-named by its path, and a missing key or a wrongly typed value is the
-file's fault only while it is decoded, not while the pair is checked.
+a bare space.  A stored file is untrusted, and each value in it is read
+one way: the file is parsed once, every integer is read exactly by
+:func:`json_int`, and every jet block entry by entry, each entry checked
+in turn.  Dims and connection orders are capped, a field that does not
+load is named by its path, and a missing key or a wrongly typed value is
+the file's fault only while it is decoded, not while the pair is checked.
 The classes' ``to_json`` and ``from_json`` import this module when first
 called, so a command that reads and writes no document never loads it.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import chain
 from math import gcd, lcm
 
 from .geometry import Space
@@ -35,20 +36,11 @@ def _long_as_text(literal: str):
         return literal
 
 
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer literal past the digit limit
-        return json.loads(text, parse_int=_long_as_text)
-
-
 def _load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        doc = _parse_json(text)
+        doc = json.loads(text, parse_int=_long_as_text)
     except RecursionError:
         raise ValueError(f"instance file {path} is nested too deeply") \
             from None
@@ -170,9 +162,13 @@ def load_tensor(obj: dict) -> TensorField:
     dim = json_dim(obj["dim"], "a tensor dim")
     # read before the components and checked after them, which fixes
     # which message a document with several faults gets
-    valence = tuple(obj["valence"])
+    raw = obj["valence"]
+    valence = tuple(raw)
     blocks = [load_block(c) for c in obj["components"]]
-    return _field(*_assemble(dim, _check_valence(valence), blocks))
+    field = _assemble(dim, _check_valence(valence), blocks)
+    if not isinstance(raw, list):  # a dict passes above as its keys
+        raise ValueError(f"a tensor valence must be a list, got {raw!r}")
+    return _field(*field)
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -234,81 +230,17 @@ def block_json(dim: int, order: int, den: int, nums) -> dict:
     return {"dim": dim, "order": order, "coeffs": coeffs}
 
 
-# A comma-separated list of decimal integers: the joined strings of one
-# block's numerators or denominators.
-_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
-
-
-def _bulk_ints(values: list) -> list | None:
-    """``values`` as ints when each is a JSON int or a decimal string
-    within the digit limit, else None."""
-    text = [v for v in values if type(v) is not int]
-    if not text:
-        return values
-    try:
-        joined = ",".join(text)
-    except TypeError:  # a bool, a float, None, a list or a dict
-        return None
-    if not _DECIMALS.fullmatch(joined):
-        return None
-    try:
-        return list(map(int, values))
-    except ValueError:  # past the digit limit, or a string such as "1,2"
-        return None
-
-
 def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
     """A jet document as ``(dim, order, den, nums)``: the numerators of
     its coefficients on the graded basis over the lcm of their
     denominators, not yet reduced.
 
-    Every entry's integers are read before the dim and the order, and a
-    multi-index given twice keeps its last value, as a dict of the
-    entries would.  The dim is capped at ``MAX_DIM``; the dim, order and
-    multi-indices are checked as the constructor checks them.
-
-    The lists of denominators, numerators and multi-indices are read and
-    checked whole.  A block that fails any of those checks is read again
-    entry by entry (:func:`_walk_block`), which raises its first fault.
+    The entries are read one at a time, each checked in turn, and all of
+    them before the dim and the order, which fixes the fault a faulty
+    block reports.  A multi-index given twice keeps its last value.  The
+    dim is capped at ``MAX_DIM``; the dim, order and multi-indices are
+    checked as the constructor checks them.
     """
-    try:
-        entries = obj["coeffs"]
-        dens = _bulk_ints([entry["den"] for entry in entries])
-        nums = _bulk_ints([entry["num"] for entry in entries])
-        alphas = [tuple(entry["alpha"]) for entry in entries]
-    except (KeyError, TypeError):
-        return _walk_block(obj)
-    # exact ints, as _check_alpha asks: True and 1.0 would find the
-    # index 1, and a list would not hash
-    if (dens is None or nums is None or 0 in dens
-            or not set(map(type, chain.from_iterable(alphas))) <= {int}):
-        return _walk_block(obj)
-    dim, order = _dim_order(obj)
-    index = _basis_index(dim, order)
-    slots = list(map(index.get, alphas))
-    if None in slots:
-        return _walk_block(obj)
-    values = dict(zip(slots, zip(nums, dens)))
-    den = lcm(*[d for n, d in values.values() if n])
-    out = [0] * len(index)
-    for i, (n, d) in values.items():
-        out[i] = n * (den // d)  # a negative d carries the sign
-    return dim, order, den, out
-
-
-def _dim_order(obj: dict) -> tuple[int, int]:
-    dim = json_dim(obj["dim"], "a jet dim")
-    order = json_int(obj["order"], "a jet order")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return dim, order
-
-
-def _walk_block(obj: dict) -> tuple[int, int, int, list[int]]:
-    """:func:`load_block` one entry at a time, each checked in turn: the
-    reading that fixes which fault of a faulty block is reported."""
     entries: dict[tuple, tuple[int, int]] = {}
     for entry in obj["coeffs"]:
         den = json_int(entry["den"], "a coefficient denominator", text=True)
@@ -316,7 +248,12 @@ def _walk_block(obj: dict) -> tuple[int, int, int, list[int]]:
             raise ValueError("jet coefficient has denominator 0")
         num = json_int(entry["num"], "a coefficient numerator", text=True)
         entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
-    dim, order = _dim_order(obj)
+    dim = json_dim(obj["dim"], "a jet dim")
+    order = json_int(obj["order"], "a jet order")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     index = _basis_index(dim, order)
     for alpha in entries:
         _check_alpha(alpha, dim, order)

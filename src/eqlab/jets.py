@@ -57,12 +57,12 @@ def _exact(value: int | Fraction) -> int | Fraction:
 
 
 # Cap on the dim of a loaded document and of ``--dim``.  At dim 7 the
-# heaviest command, ``verify --order 3``, takes 42 s and 670 MB per
+# heaviest command, ``verify --order 3``, takes 21 s and 300 MB per
 # instance; each further dim multiplies that (README table).
 MAX_DIM = 7
 
 # Cap on the order of a loaded connection, the highest ``--order``; at
-# dim 7 and order 4 a verify takes 89 s and 1 GB (README).
+# dim 7 and order 4 a verify took 89 s and 1 GB before the cap (README).
 MAX_ORDER = 3
 
 

@@ -560,7 +560,10 @@ class TestCliVerify:
         ("mapping", "psi", "order", 3),
         ("source", "gamma", "dim", -1),
         ("mapping", "sigma", "dim", 0),
-    ], ids=["psi-jet-order-3", "gamma-dim-minus-1", "sigma-dim-0"])
+        # a dict's keys would read as a valid valence
+        ("mapping", "psi", "valence", {"down": 0}),
+    ], ids=["psi-jet-order-3", "gamma-dim-minus-1", "sigma-dim-0",
+            "psi-valence-dict"])
     def test_loader_error_names_the_field(self, capsys, tmp_path, holder,
                                           field, key, value):
         doc = synth_document(2, 1, seed=4)
@@ -568,7 +571,7 @@ class TestCliVerify:
         if key == "order":
             tensor["components"][0]["order"] = value
         else:
-            tensor["dim"] = value
+            tensor[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--instance", str(path),

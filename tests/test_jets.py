@@ -396,39 +396,3 @@ def test_inverse_matches_the_fraction_series(a):
     inverse = jet_inverse(a)
     assert_canonical(inverse)
     assert inverse == reference_inverse(a)
-
-
-VALID_BLOCKS = [
-    # JSON-int coefficients and a negative denominator
-    ({"dim": 2, "order": 1, "coeffs": [
-        {"alpha": [1, 0], "num": 3, "den": -4},
-        {"alpha": [0, 0], "num": 0, "den": 7}]},
-     {(1, 0): F(-3, 4)}),
-    # a repeated multi-index keeps its last value; ints beside strings
-    ({"dim": 2, "order": 2, "coeffs": [
-        {"alpha": [0, 2], "num": "1", "den": "2"},
-        {"alpha": [1, 1], "num": 10**30, "den": "-6"},
-        {"alpha": [0, 2], "num": "-5", "den": 3}]},
-     {(0, 2): F(-5, 3), (1, 1): F(-(10**30), 6)}),
-    ({"dim": 3, "order": 2, "coeffs": []}, {}),
-]
-
-
-def test_valid_blocks_never_enter_the_walk(monkeypatch):
-    """Only a faulty block is read again entry by entry."""
-    from eqlab import documents
-    from eqlab.harness import synth_document
-    from eqlab.mapping import MappedPair
-
-    def walk(obj):
-        raise AssertionError(f"a valid block was walked: {obj!r}")
-
-    monkeypatch.setattr(documents, "_walk_block", walk)
-    for doc, coeffs in VALID_BLOCKS:
-        assert JetScalar.from_json(doc).coeffs == coeffs
-    doc = synth_document(3, 2, seed=0, order=3)
-    assert MappedPair.from_json(doc).to_json() == {
-        key: doc[key] for key in ("source", "mapping", "target")}
-    with pytest.raises(AssertionError, match="was walked"):
-        JetScalar.from_json({"dim": 1, "order": 0, "coeffs": [
-            {"alpha": [0], "num": "1", "den": "0"}]})

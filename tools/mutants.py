@@ -12,7 +12,8 @@ kill set there:
 - the builder pins, ``tests/test_builder_pins.py``;
 - the edited module's own tests, ``tests/test_<module>.py``, and for
   ``documents.py`` also ``tests/test_flat_storage.py``, which holds the
-  pins of the instance loader.
+  pins of the instance loader, and the CLI test that reads a numerator
+  past the digit limit.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -105,15 +106,19 @@ MUTANTS = (
            "differences[label] = difference",
            "_keyed_differences: equal differences kept as separate objects"),
     Mutant("loader-zero-den", "documents.py",
-           "nums is None or 0 in dens\n",
-           "nums is None\n",
-           "load_block: a zero denominator passes the bulk checks"),
+           "if den == 0:",
+           "if False:",
+           "load_block: a zero denominator not refused"),
     Mutant("loader-alpha-type", "documents.py",
-           "\n            or not set(map(type, chain.from_iterable(alphas))) "
-           "<= {int}):",
-           "):",
-           "load_block: a multi-index entry of another type than int passes "
-           "the bulk checks"),
+           "    for alpha in entries:\n        _check_alpha(alpha, dim, order)\n",
+           "",
+           "load_block: multi-indices not checked, so [true, 0] reads as "
+           "[1, 0]"),
+    Mutant("loader-long-literal", "documents.py",
+           "json.loads(text, parse_int=_long_as_text)",
+           "json.loads(text)",
+           "_load_document: an integer literal past the digit limit fails "
+           "the parse, unnamed"),
     Mutant("inverse-sign", "jets.py",
            "(s.nums[0] + n0 ** k,)",
            "(s.nums[0] - n0 ** k,)",
@@ -154,7 +159,10 @@ MUTANTS = (
 )
 
 # tests of a module's code that live outside its own test file
-MORE_TESTS = {"documents.py": ("tests/test_flat_storage.py",)}
+MORE_TESTS = {"documents.py": (
+    "tests/test_flat_storage.py",
+    "tests/test_cli.py::TestCliVerify::"
+    "test_numerator_past_the_digit_limit_names_field_and_limit")}
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
