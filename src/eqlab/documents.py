@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from math import gcd, lcm
+from math import gcd
 
 from .geometry import Space
-from .jets import (MAX_DIM, MAX_ORDER, _basis_index, _check_alpha, _lex_slots,
-                   basis_size, graded_basis)
+from .jets import (MAX_DIM, MAX_ORDER, _lex_slots, _placed, basis_size,
+                   graded_basis)
 from .mapping import AG3Mapping, MappedPair
 from .tensors import TensorField, _assemble, _check_valence, _field
 
@@ -160,15 +160,11 @@ def tensor_json(t: TensorField) -> dict:
 
 def load_tensor(obj: dict) -> TensorField:
     dim = json_dim(obj["dim"], "a tensor dim")
-    # read before the components and checked after them, which fixes
-    # which message a document with several faults gets
-    raw = obj["valence"]
-    valence = tuple(raw)
+    valence = obj["valence"]
+    if not isinstance(valence, list):
+        raise ValueError(f"a tensor valence must be a list, got {valence!r}")
     blocks = [load_block(c) for c in obj["components"]]
-    field = _assemble(dim, _check_valence(valence), blocks)
-    if not isinstance(raw, list):  # a dict passes above as its keys
-        raise ValueError(f"a tensor valence must be a list, got {raw!r}")
-    return _field(*field)
+    return _field(*_assemble(dim, _check_valence(valence), blocks))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -239,7 +235,8 @@ def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
     them before the dim and the order, which fixes the fault a faulty
     block reports.  A multi-index given twice keeps its last value.  The
     dim is capped at ``MAX_DIM``; the dim, order and multi-indices are
-    checked as the constructor checks them.
+    checked, and the entries placed, by the constructor's own
+    :func:`~eqlab.jets._placed`.
     """
     entries: dict[tuple, tuple[int, int]] = {}
     for entry in obj["coeffs"]:
@@ -250,15 +247,4 @@ def load_block(obj: dict) -> tuple[int, int, int, list[int]]:
         entries[tuple(entry["alpha"])] = (num, den) if den > 0 else (-num, -den)
     dim = json_dim(obj["dim"], "a jet dim")
     order = json_int(obj["order"], "a jet order")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    index = _basis_index(dim, order)
-    for alpha in entries:
-        _check_alpha(alpha, dim, order)
-    den = lcm(*[d for n, d in entries.values() if n])
-    nums = [0] * len(index)
-    for alpha, (n, d) in entries.items():
-        nums[index[alpha]] = n * (den // d)
-    return dim, order, den, nums
+    return dim, order, *_placed(dim, order, entries)

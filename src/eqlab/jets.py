@@ -61,8 +61,9 @@ def _exact(value: int | Fraction) -> int | Fraction:
 # instance; each further dim multiplies that (README table).
 MAX_DIM = 7
 
-# Cap on the order of a loaded connection, the highest ``--order``; at
-# dim 7 and order 4 a verify took 89 s and 1 GB before the cap (README).
+# Cap on the order of a loaded connection, the highest ``--order``; with
+# the cap lifted, a verify of a dim-7 order-4 pair takes 79 s and 965 MB
+# (README).
 MAX_ORDER = 3
 
 
@@ -148,22 +149,12 @@ class JetScalar:
 
     def __init__(self, dim: int, order: int,
                  coeffs: Mapping[tuple[int, ...], Fraction | int] | None = None):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        index = _basis_index(dim, order)
-        values: dict[int, int | Fraction] = {}
+        entries = {}
         for alpha, value in (coeffs or {}).items():
-            alpha = tuple(alpha)
-            _check_alpha(alpha, dim, order)
             value = _exact(value)
-            if value != 0:
-                values[index[alpha]] = value
-        den = lcm(*(v.denominator for v in values.values()))
-        nums = [0] * len(index)
-        for i, v in values.items():
-            nums[i] = v.numerator * (den // v.denominator)
+            entries[tuple(alpha)] = (value.numerator, value.denominator)
+        # each value is in lowest terms, so the placement is canonical
+        den, nums = _placed(dim, order, entries)
         _set_slots(self, dim, order, den, tuple(nums))
 
     def __setattr__(self, name, value):
@@ -275,26 +266,46 @@ def _set_slots(obj, *values) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
-    """Trusted constructor: ``nums`` fits the basis and ``den > 0``.
-
-    Divides out ``gcd(den, *nums)``, which leaves the canonical form.
-    """
+def _reduced(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` with ``gcd(den, *nums)`` divided out: the canonical
+    form of ``nums / den`` for ``den > 0``."""
     g = gcd(den, *nums)
     if g != 1:
-        den //= g
-        nums = [n // g for n in nums]
+        return den // g, tuple(n // g for n in nums)
+    return den, tuple(nums)
+
+
+def _jet(dim: int, order: int, den: int, nums) -> JetScalar:
+    """Trusted constructor: ``nums`` fits the basis and ``den > 0``; the
+    jet stores their canonical form."""
     jet = object.__new__(JetScalar)
-    _set_slots(jet, dim, order, den, tuple(nums))
+    _set_slots(jet, dim, order, *_reduced(den, nums))
     return jet
 
 
-def _check_alpha(alpha: tuple, dim: int, order: int) -> None:
-    # exact ints: 1.0 and True would pass as the index 1
-    if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
-        raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
-    if sum(alpha) > order:
-        raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
+def _placed(dim: int, order: int,
+            entries: Mapping[tuple, tuple[int, int]]) -> tuple[int, list[int]]:
+    """``(den, nums)`` of the jet with the coefficient ``n / d``, ``d > 0``,
+    on each multi-index of ``entries``: the numerators on the graded
+    basis over the lcm of the nonzero coefficients' denominators, not yet
+    reduced.  The dim and the order are checked first, then every
+    multi-index."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    index = _basis_index(dim, order)
+    for alpha in entries:
+        # exact ints: 1.0 and True would pass as the index 1
+        if len(alpha) != dim or any(type(e) is not int or e < 0 for e in alpha):
+            raise ValueError(f"bad multi-index {alpha!r} for dim {dim}")
+        if sum(alpha) > order:
+            raise ValueError(f"multi-index {alpha!r} exceeds order {order}")
+    den = lcm(*[d for n, d in entries.values() if n])
+    nums = [0] * len(index)
+    for alpha, (n, d) in entries.items():
+        nums[index[alpha]] = n * (den // d)
+    return den, nums
 
 
 def _require_same_dim(a: JetScalar, b: JetScalar) -> None:

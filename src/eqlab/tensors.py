@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import lcm
 from random import Random
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -33,6 +33,7 @@ from .jets import (
     _lex_slots,
     _mul_table,
     _partial_table,
+    _reduced,
     _set_slots,
     basis_size,
 )
@@ -193,16 +194,10 @@ def _assemble(dim: int, valence: tuple[str, ...], blocks: list) -> tuple:
 def _field(dim: int, valence: tuple[str, ...], order: int, den: int,
            nums) -> TensorField:
     """Trusted constructor: ``nums`` holds ``dim ** rank`` blocks of the
-    order's basis size and ``den > 0``.
-
-    Divides out ``gcd(den, *nums)``, which leaves the canonical form.
-    """
-    g = gcd(den, *nums)
-    if g != 1:
-        den //= g
-        nums = [n // g for n in nums]
+    order's basis size and ``den > 0``; the field stores their canonical
+    form."""
     t = object.__new__(TensorField)
-    _set_slots(t, dim, valence, order, den, tuple(nums))
+    _set_slots(t, dim, valence, order, *_reduced(den, nums))
     return t
 
 

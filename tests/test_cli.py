@@ -581,6 +581,23 @@ class TestCliVerify:
         assert len(lines) == 1
         assert lines[0].startswith(f"eqlab: {holder} {field}: "), lines[0]
 
+    @pytest.mark.parametrize("valence", ["down", "", 1, None],
+                             ids=["string", "empty-string", "int", "null"])
+    def test_valence_that_is_not_a_list_is_refused_whole(
+            self, capsys, tmp_path, valence):
+        """A string is not read one character at a time, nor a scalar
+        taken as a malformed file."""
+        doc = synth_document(2, 1, seed=4)
+        doc["mapping"]["psi"]["valence"] = valence
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--grid", "1", "--draws", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "eqlab: mapping psi: a tensor valence must be a list, "
+            f"got {valence!r}"]
+
     @pytest.mark.parametrize("field, stated, message", [
         ("dim", 40, "header dim is 40, but the source connection has dim 2"),
         ("kind", 2, "header kind is 2, but the mapping has kind 1"),

@@ -4,7 +4,9 @@ The correlation grid reports one residual for every cell, and the
 family-invariance grid sums each distinct pair of label differences once.
 Both are held here against a cell-by-cell reference that sums every cell
 on its own, on a passing instance, under the ``psi-sign`` fault, and on
-bundles whose sigma differences differ from label to label.
+bundles whose sigma differences differ from label to label.  A fault
+matrix pins which checks each wrong field of the inverse mapping fails,
+and ``synth`` is held to one basic-equation residual per pair.
 """
 
 from collections import Counter
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqlab import harness
+from eqlab import harness, mapping
 from eqlab.geometry import Keeper, curvature_K, torsion_square_terms
 from eqlab.harness import (
     _keyed_differences,
@@ -23,7 +25,7 @@ from eqlab.harness import (
     verify_instance,
 )
 from eqlab.invariants import PARAM_NAMES, InvariantBundle, VerificationReport
-from eqlab.mapping import synthesize_instance
+from eqlab.mapping import AG3Mapping, MappedPair, synthesize_instance
 from eqlab.tensors import TensorField, tensor_lincomb, tensor_sub, transpose
 
 LABELS = list(range(1, 9))
@@ -218,3 +220,58 @@ def test_kept_results_do_not_grow_with_draws(monkeypatch):
                         draws)
         kept[draws] = Counter(misses)
     assert kept[4] == kept[1]
+
+
+VALUE_CHECKS = {"W_invariance", "family_invariance", "R_K_transformation"}
+# correlation reads the source bundle alone, so no inverse field reaches it
+ALL_BUT_CORRELATION = VALUE_CHECKS | {"torsion_cd_difference",
+                                      "sym_difference_factorization",
+                                      "T_tilde_invariance"}
+
+
+@pytest.mark.parametrize("field, failing", [
+    # psi-bar enters no check: W*, eta and T-tilde never read it
+    ("psi", set()),
+    ("nu", VALUE_CHECKS),
+    ("mu", VALUE_CHECKS),
+    ("sigma", ALL_BUT_CORRELATION),
+    ("phi", ALL_BUT_CORRELATION),
+])
+def test_each_wrong_inverse_field_fails_its_checks(monkeypatch, pair, field,
+                                                   failing):
+    """The inverse mapping with one field doubled, over the full grid and
+    one draw: the set of check kinds that fail is pinned per field."""
+    inverse = MappedPair.inverse
+
+    def faulty(self):
+        m = inverse(self)
+        fields = {name: getattr(m, name)
+                  for name in ("psi", "sigma", "phi", "nu", "mu")}
+        fields[field] = tensor_lincomb([(2, fields[field])])
+        return AG3Mapping(**fields, kind=m.kind)
+
+    monkeypatch.setattr(MappedPair, "inverse", faulty)
+    reports, _ = verify_instance(pair, 0, LABELS, LABELS, 1)
+    assert {r.check for r in reports if not r.passed} == failing
+
+
+def test_synth_computes_one_residual_per_pair(monkeypatch):
+    """The certificate states the residual that building the pair proved
+    zero; it is not computed a second time."""
+    residual = mapping.basic_equation_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    for module in (mapping, harness):
+        if getattr(module, "basic_equation_residual", None) is residual:
+            monkeypatch.setattr(module, "basic_equation_residual", counted)
+    doc = harness.synth_document(2, 1, seed=0)
+    assert len(calls) == 1
+    assert doc["certificate"] == {
+        "check": "basic_equation_residual",
+        "params": {"dim": 2, "kind": 1, "seed": 0, "order": 2},
+        "pass": True, "max_abs_residual_num_digits": 0, "residual": None,
+        "rank": None}

@@ -11,9 +11,10 @@ kill set there:
 - the sigma-table proof, ``tests/test_invariants.py::TestSigmaCoeffMatrix``;
 - the builder pins, ``tests/test_builder_pins.py``;
 - the edited module's own tests, ``tests/test_<module>.py``, and for
-  ``documents.py`` also ``tests/test_flat_storage.py``, which holds the
-  pins of the instance loader, and the CLI test that reads a numerator
-  past the digit limit.
+  ``documents.py`` and ``jets.py`` also ``tests/test_flat_storage.py``,
+  which holds the pins of the instance loader and of the coefficient
+  placement both share, and for ``documents.py`` the CLI test that reads
+  a numerator past the digit limit.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -25,13 +26,16 @@ Run it from the repository root, with the standard library alone::
     python3 tools/mutants.py
 
 It runs every mutant and prints one line each: the first step that
-killed it, or ``SURVIVED``, and what the edit does.  Exit 0 when every
-mutant is killed, 1 when one survives, 2 when the unedited tree fails its
-own kill set or a mutant's text is not found exactly once.
+killed it, or ``SURVIVED``, and what the edit does.  A mutant killed by
+``verify`` or its control also lists the check kinds whose pass or fail
+it flipped.  Exit 0 when every mutant is killed, 1 when one survives, 2
+when the unedited tree fails its own kill set or a mutant's text is not
+found exactly once.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -109,11 +113,16 @@ MUTANTS = (
            "if den == 0:",
            "if False:",
            "load_block: a zero denominator not refused"),
-    Mutant("loader-alpha-type", "documents.py",
-           "    for alpha in entries:\n        _check_alpha(alpha, dim, order)\n",
-           "",
-           "load_block: multi-indices not checked, so [true, 0] reads as "
-           "[1, 0]"),
+    Mutant("loader-alpha-type", "jets.py",
+           "any(type(e) is not int or e < 0 for e in alpha)",
+           "any(e < 0 for e in alpha)",
+           "_placed: multi-index entries not held to exact ints, so "
+           "[true, 0] reads as [1, 0]"),
+    Mutant("reduction-skipped", "jets.py",
+           "    if g != 1:\n        return den // g",
+           "    if False:\n        return den // g",
+           "_reduced: gcd(den, *nums) not divided out, so equal jets and "
+           "fields need not have equal forms"),
     Mutant("loader-long-literal", "documents.py",
            "json.loads(text, parse_int=_long_as_text)",
            "json.loads(text)",
@@ -162,7 +171,8 @@ MUTANTS = (
 MORE_TESTS = {"documents.py": (
     "tests/test_flat_storage.py",
     "tests/test_cli.py::TestCliVerify::"
-    "test_numerator_past_the_digit_limit_names_field_and_limit")}
+    "test_numerator_past_the_digit_limit_names_field_and_limit"),
+    "jets.py": ("tests/test_flat_storage.py",)}
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
@@ -199,15 +209,30 @@ def kill_steps(module: str) -> list[tuple[str, list[str]]]:
 
 
 def first_kill(tree: Path, module: str, clean: dict) -> str | None:
-    """The label of the first step the tree at ``tree`` fails, else None."""
+    """The first step the tree at ``tree`` fails, else None.  A command
+    step is named with the check kinds it flipped."""
     for label, args in kill_steps(module):
         result = run(tree, args)
         if label in clean:
             if result != clean[label]:
-                return label
+                return f"{label} [{flipped(clean[label], result)}]"
         elif result[0] != 0:
             return label
     return None
+
+
+def flipped(clean: tuple[int, str], result: tuple[int, str]) -> str:
+    """The check kinds whose pass or fail differs between two runs of one
+    verify command, in report order."""
+    try:
+        reports = [json.loads(out)["checks"] for _, out in (clean, result)]
+    except (ValueError, KeyError):
+        return f"no report, exit {result[0]}"
+    if len(reports[0]) != len(reports[1]):
+        return f"{len(reports[1])} checks, not {len(reports[0])}"
+    kinds = dict.fromkeys(a["check"] for a, b in zip(*reports)
+                          if a["pass"] != b["pass"])
+    return "flipped " + (", ".join(kinds) if kinds else "no check")
 
 
 def main() -> int:
