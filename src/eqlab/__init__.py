@@ -25,7 +25,6 @@ _EXPORTS = {
     "UP": "tensors",
     "U_theta": "invariants",
     "VerificationReport": "invariants",
-    "W_family": "invariants",
     "W_star": "invariants",
     "basic_equation_residual": "mapping",
     "build_W_matrix": "invariants",

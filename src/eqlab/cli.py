@@ -332,12 +332,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
         source = synthesize_instance(args.dim, args.kind, args.seeds[0],
                                      args.order)
+    from .documents import tensor_json
     from .harness import evaluate_program_lines, instance_bindings
 
     defined = evaluate_program_lines(text, instance_bindings(source))
     doc = {
         "command": "eval",
-        "results": {name: tensor.to_json() for name, tensor in defined.items()},
+        "results": {name: tensor_json(t) for name, t in defined.items()},
     }
     _emit(_json_text(doc), args.out)
     return EXIT_PASS

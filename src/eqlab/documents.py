@@ -9,8 +9,8 @@ one way: the file is parsed once, every integer is read exactly by
 in turn.  Dims and connection orders are capped, a field that does not
 load is named by its path, and a missing key or a wrongly typed value is
 the file's fault only while it is decoded, not while the pair is checked.
-The classes' ``to_json`` and ``from_json`` import this module when first
-called, so a command that reads and writes no document never loads it.
+Callers import this module when they read or write a document, so a
+command that reads and writes none never loads it.
 """
 
 from __future__ import annotations

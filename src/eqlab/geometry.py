@@ -115,17 +115,6 @@ class Space(Keeper):
         return (v_term, transpose(v_term, (0, 1, 3, 2)),
                 tensor_contract("amn,iaj->ijmn", t, t))
 
-    def to_json(self) -> dict:
-        from .documents import space_json
-
-        return space_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Space":
-        from .documents import load_space
-
-        return load_space(obj)
-
 
 def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:
     """Shared skeleton: comma derivative plus one correction per slot.

@@ -76,12 +76,17 @@ class VerificationReport:
                    max_abs_residual_num_digits=digits, residual=failing)
 
     def to_json(self) -> dict:
+        residual = self.residual
+        if residual is not None:
+            from .documents import tensor_json
+
+            residual = tensor_json(residual)
         return {
             "check": self.check,
             "params": {k: _json_value(v) for k, v in self.params.items()},
             "pass": self.passed,
             "max_abs_residual_num_digits": self.max_abs_residual_num_digits,
-            "residual": None if self.residual is None else self.residual.to_json(),
+            "residual": residual,
             "rank": None,
         }
 
@@ -410,6 +415,8 @@ class InvariantBundle(Keeper):
         return tensor_sub(self.space.torsion_cd(), self.sigma(rho))
 
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
+        """The family member of the cell (p, q): K + (W - R) - u sigma_p
+        - u' sigma*_q, where sigma*_q has its last two slots exchanged."""
         _check_which(which)
         _check_label("p", p)
         _check_label("q", q)
@@ -443,17 +450,6 @@ def sigma_p(s: Space, m: AG3Mapping, p: int) -> TensorField:
 def T_tilde(s: Space, m: AG3Mapping, rho: int) -> TensorField:
     """Invariant difference tensor: torsion derivative minus its U expansion."""
     return InvariantBundle(s, m).t_tilde(rho)
-
-
-def W_family(s: Space, m: AG3Mapping, which: int, p: int, q: int,
-             u, up, v, vp, w) -> TensorField:
-    """Member of the five-parameter invariant family for the cell (p, q).
-
-    Equals the curvature family member plus the W correction of the
-    requested kind, minus u times the p-th sigma and minus u' times the
-    q-th sigma with its last two slots exchanged.
-    """
-    return InvariantBundle(s, m).family(which, p, q, u, up, v, vp, w)
 
 
 def build_W_matrix(N: int) -> ParamMatrix:

@@ -247,17 +247,6 @@ class JetScalar:
             body = " + ".join(parts)
         return f"JetScalar({body}; dim={self.dim}, order={self.order})"
 
-    def to_json(self) -> dict:
-        from .documents import block_json
-
-        return block_json(self.dim, self.order, self.den, self.nums)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JetScalar":
-        from .documents import load_block
-
-        return _jet(*load_block(obj))
-
 
 def _set_slots(obj, *values) -> None:
     """Writes ``values`` to ``obj``'s slots in ``__slots__`` order, past the

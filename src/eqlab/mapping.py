@@ -52,7 +52,7 @@ class FactorizationMismatch(AssertionError):
 
 
 class SynthesisError(RuntimeError):
-    """Random draws kept violating a genericity requirement."""
+    """Synthesis failed, by unlucky draws or by a bug: never a bad input."""
 
 
 class AG3Mapping:
@@ -90,17 +90,6 @@ class AG3Mapping:
         self.mu = mu
         self.kind = kind
         self.dim = dim
-
-    def to_json(self) -> dict:
-        from .documents import mapping_json
-
-        return mapping_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AG3Mapping":
-        from .documents import load_mapping
-
-        return load_mapping(obj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AG3Mapping):
@@ -253,11 +242,6 @@ class MappedPair:
             return _inverse_onto(self.source, self.mapping, self.target)
         return reciprocity_inverse(self.source, self.mapping)
 
-    def to_json(self) -> dict:
-        from .documents import pair_json
-
-        return pair_json(self)
-
     @classmethod
     def from_json(cls, obj: dict) -> "MappedPair":
         from .documents import decode_pair
@@ -351,6 +335,10 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
                    [*inverse.nums[:size], *[0] * ((dim - 1) * size)])
     spec = "ib,a->iab" if kind == 1 else "ia,b->iab"
     gamma = tensor_lincomb([(1, bulk), (1, tensor_contract(spec, w, first))])
-    return MappedPair.build(Space(dim, gamma), AG3Mapping(
-        psi=psi, sigma=sigma, phi=phi, nu=tensor_truncate(nu_high, order),
-        mu=tensor_truncate(mu_high, order), kind=kind))
+    try:
+        return MappedPair.build(Space(dim, gamma), AG3Mapping(
+            psi=psi, sigma=sigma, phi=phi, kind=kind,
+            nu=tensor_truncate(nu_high, order),
+            mu=tensor_truncate(mu_high, order)))
+    except BasicEquationError as exc:
+        raise SynthesisError(f"synthesized pair: {exc}") from exc

@@ -155,17 +155,6 @@ class TensorField:
         blocks, dim + 1 blocks apart."""
         return _constant(dim, (UP, DOWN), order, 1, range(0, dim * dim, dim + 1))
 
-    def to_json(self) -> dict:
-        from .documents import tensor_json
-
-        return tensor_json(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TensorField":
-        from .documents import load_tensor
-
-        return load_tensor(obj)
-
 
 def _assemble(dim: int, valence: tuple[str, ...], blocks: list) -> tuple:
     """``(dim, valence, order, den, nums)`` of the field whose components,

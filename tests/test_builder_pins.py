@@ -1,8 +1,9 @@
 """Pinned outputs of the product-sum builders.
 
-Each builder's ``to_json`` on two synthesized instances, one of order 2
-and kind 1, one of order 3 and kind 2, is hashed and compared with the
-digest its term-by-term definition produced.  A builder rewritten over
+Each builder's output on two synthesized instances, one of order 2 and
+kind 1, one of order 3 and kind 2, is written as the instance format
+writes a field or a jet, hashed and compared with the digest its
+term-by-term definition produced.  A builder rewritten over
 another evaluator must give the same values at the same truncation order.
 """
 
@@ -11,6 +12,7 @@ import json
 
 import pytest
 
+from eqlab.documents import block_json, tensor_json
 from eqlab.geometry import cov_deriv_kind, torsion_square_terms
 from eqlab.invariants import InvariantBundle
 from eqlab.mapping import (
@@ -37,12 +39,14 @@ def _outputs(pair) -> dict:
         out[f"torsion_square {name}"] = square
     out["trace_sym"] = s.trace_sym()
     out["sigma_phi"] = m.sigma_phi()
-    # the rank-0 field's one component, a jet, as pinned
-    out["psi_phi"] = m.psi_phi()[()]
     out["transform_connection"] = transform_connection(s, m).gamma
     out["basic_equation_residual"] = basic_equation_residual(s, m)
     out["gamma_diff_factorized"] = gamma_diff_factorized(pair, pair.inverse())
-    return {name: value.to_json() for name, value in out.items()}
+    docs = {name: tensor_json(value) for name, value in out.items()}
+    # the rank-0 field's one component, a jet, as pinned
+    jet = m.psi_phi()[()]
+    docs["psi_phi"] = block_json(jet.dim, jet.order, jet.den, jet.nums)
+    return docs
 
 
 def _digests() -> dict:

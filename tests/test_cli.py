@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from eqlab.cli import MAX_DRAWS, MAX_TRIALS, main
+from eqlab.documents import block_json, load_block, load_tensor, space_json
 from eqlab.geometry import GAMMA_VALENCE, Space
 from eqlab.harness import (
     corrupted_inverse,
@@ -24,7 +25,7 @@ from eqlab.harness import (
 )
 from eqlab.invariants import W_star
 from eqlab.jets import (MAX_CONTRACT_OUTPUT, MAX_DIM, MAX_ORDER, JetScalar,
-                        jet_truncate)
+                        _jet, jet_truncate)
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -47,7 +48,8 @@ def cut_jets(obj, order: int):
     """A copy of a JSON document with every jet truncated to ``order``."""
     if isinstance(obj, dict):
         if set(obj) == {"dim", "order", "coeffs"}:
-            return jet_truncate(JetScalar.from_json(obj), order).to_json()
+            jet = jet_truncate(_jet(*load_block(obj)), order)
+            return block_json(jet.dim, jet.order, jet.den, jet.nums)
         return {key: cut_jets(value, order) for key, value in obj.items()}
     if isinstance(obj, list):
         return [cut_jets(value, order) for value in obj]
@@ -418,8 +420,8 @@ class TestCliVerify:
         doc = synth_document(2, 1, seed=0)
         components = doc["mapping"]["sigma"]["components"]
         # sigma[0, 1] := sigma[1, 0] + 1, row-major
-        components[1] = (JetScalar.from_json(components[2])
-                         + JetScalar.constant(2, 2, 1)).to_json()
+        jet = _jet(*load_block(components[2])) + JetScalar.constant(2, 2, 1)
+        components[1] = block_json(jet.dim, jet.order, jet.den, jet.nums)
         path = tmp_path / "asymmetric.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", "--instance", str(path))
@@ -460,8 +462,9 @@ class TestCliVerify:
         den0["source"]["gamma"]["components"][0]["coeffs"][0]["den"] = "0"
         # Gamma^1_11 is diagonal in its lower slots: the torsion stays equal
         shifted = json.loads(json.dumps(doc))
-        jet = JetScalar.from_json(shifted["target"]["gamma"]["components"][0])
-        shifted["target"]["gamma"]["components"][0] = (jet + 1).to_json()
+        components = shifted["target"]["gamma"]["components"]
+        jet = _jet(*load_block(components[0])) + 1
+        components[0] = block_json(jet.dim, jet.order, jet.den, jet.nums)
         # a declared order whose dense basis is out of reach
         huge = json.loads(json.dumps(doc))
         for comp in huge["source"]["gamma"]["components"]:
@@ -831,7 +834,7 @@ class TestCliEval:
         code, out, _ = run_cli(capsys, "eval", program,
                                "--instance", str(instance))
         assert code == 0
-        result = TensorField.from_json(json.loads(out)["results"]["R"])
+        result = load_tensor(json.loads(out)["results"]["R"])
         pair = MappedPair.from_json(json.loads(instance.read_text()))
         assert result == pair.source.curvature()
 
@@ -842,18 +845,18 @@ class TestCliEval:
                                "--seed", "1")
         assert code == 0
         pair = synthesize_instance(2, 1, seed=1)
-        result = TensorField.from_json(json.loads(out)["results"]["D"])
+        result = load_tensor(json.loads(out)["results"]["D"])
         assert result == tensor_sub(pair.target.gamma, pair.source.gamma)
 
     def test_space_instance_binds_connection_only(self, capsys, tmp_path):
         pair = synthesize_instance(2, 1, seed=2)
         instance = tmp_path / "space.json"
-        instance.write_text(json.dumps(pair.source.to_json()))
+        instance.write_text(json.dumps(space_json(pair.source)))
         program = self.write(tmp_path, "T[^i,_j,_k] = Torsion[^i,_j,_k]\n")
         code, out, _ = run_cli(capsys, "eval", program,
                                "--instance", str(instance))
         assert code == 0
-        result = TensorField.from_json(json.loads(out)["results"]["T"])
+        result = load_tensor(json.loads(out)["results"]["T"])
         assert result == pair.source.torsion()
 
     def test_several_seeds_are_refused(self, capsys, tmp_path):

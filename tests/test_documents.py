@@ -1,16 +1,18 @@
 """Instance documents: what ``synth`` writes at the order cap reads
-back, and a bug in the checks that follow a decoded pair is a bug, not
-a malformed file."""
+back, and a bug in the checks that follow a decoded pair, or in the
+synthesis of one, is a bug, not a malformed file."""
 
 import json
 
 import pytest
 
+from eqlab import mapping
 from eqlab.cli import main
-from eqlab.documents import read_bindings_source, read_pair
+from eqlab.documents import pair_json, read_bindings_source, read_pair
 from eqlab.harness import synth_document
 from eqlab.jets import MAX_ORDER
 from eqlab.mapping import MappedPair, synthesize_instance
+from eqlab.tensors import TensorField
 
 
 def stored(tmp_path, doc):
@@ -25,8 +27,8 @@ def test_a_pair_at_the_order_cap_reads_back(tmp_path):
     path = stored(tmp_path, synth_document(2, 2, 4, MAX_ORDER))
     seed, loaded = read_pair(path)
     assert seed == 4
-    assert loaded.to_json() == pair.to_json()
-    assert read_bindings_source(path).to_json() == pair.to_json()
+    assert pair_json(loaded) == pair_json(pair)
+    assert pair_json(read_bindings_source(path)) == pair_json(pair)
 
 
 @pytest.mark.parametrize("command", ["verify", "eval"])
@@ -58,3 +60,24 @@ def test_a_missing_key_is_still_a_malformed_file(capsys, tmp_path):
     assert main(["verify", "--instance", path]) == 2
     assert capsys.readouterr().err == (
         f"eqlab: instance file {path} is malformed: 'psi'\n")
+
+
+def test_a_nonzero_residual_is_a_bug_in_synthesis_only(capsys, monkeypatch,
+                                                      tmp_path):
+    """A synthesized pair solves its basic equation by construction, so a
+    nonzero residual there exits 4; a stored pair's is the file's fault."""
+    path = stored(tmp_path, synth_document(2, 1, 0))
+    monkeypatch.setattr(mapping, "basic_equation_residual",
+                        lambda s, m: TensorField.delta(s.dim, 0))
+    for argv in (["verify", "--dim", "2", "--seed", "0", "--grid", "1",
+                  "--draws", "1"], ["synth", "--dim", "2"]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[:2] == [
+            "eqlab: internal error: SynthesisError: synthesized pair: "
+            "basic equation residual is nonzero",
+            "rerun: eqlab " + " ".join(argv)]
+    assert main(["verify", "--instance", path]) == 2
+    assert capsys.readouterr().err == (
+        "eqlab: basic equation residual is nonzero\n")

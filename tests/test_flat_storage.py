@@ -1,7 +1,7 @@
 """The three boundaries of flat storage: random draws, JSON loads and
 JSON writes.
 
-Draws are pinned by the sha256 of their ``to_json``, so a rewrite of the
+Draws are pinned by the sha256 of their documents, so a rewrite of the
 draw must consume the random stream in the same order and place every
 coefficient where it did.  Loads and writes are compared with a reference
 that reads every coefficient as a ``Fraction``.
@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlab.geometry import random_connection
-from eqlab.documents import load_block
-from eqlab.jets import JetScalar, graded_basis, multi_indices
+from eqlab.documents import (block_json, load_block, load_tensor, pair_json,
+                             tensor_json)
+from eqlab.jets import JetScalar, _jet, graded_basis, multi_indices
 from eqlab.mapping import synthesize_instance
 from eqlab.tensors import TensorField, random_field
 
@@ -82,14 +83,14 @@ INSTANCE_DIGESTS = {
 
 @pytest.mark.parametrize("dim, order", sorted(CONNECTION_DIGESTS))
 def test_random_connection_matches_pinned_digest(dim, order):
-    docs = [random_connection(dim, order, seed).gamma.to_json()
+    docs = [tensor_json(random_connection(dim, order, seed).gamma)
             for seed in SEEDS]
     assert _digest(docs) == CONNECTION_DIGESTS[dim, order]
 
 
 @pytest.mark.parametrize("dim, order", sorted(INSTANCE_DIGESTS))
 def test_synthesized_instance_matches_pinned_digest(dim, order):
-    docs = [synthesize_instance(dim, kind, seed, order).to_json()
+    docs = [pair_json(synthesize_instance(dim, kind, seed, order))
             for kind in (1, 2) for seed in SEEDS]
     assert _digest(docs) == INSTANCE_DIGESTS[dim, order]
 
@@ -135,10 +136,10 @@ def jet_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=jet_cases())
 def test_jet_load_and_write_match_fraction_reference(doc):
-    jet = JetScalar.from_json(doc)
+    jet = _jet(*load_block(doc))
     assert jet.coeffs == _reference(doc["coeffs"])
-    assert jet.to_json() == _reference_json(doc["dim"], doc["order"],
-                                            doc["coeffs"])
+    expected = _reference_json(doc["dim"], doc["order"], doc["coeffs"])
+    assert block_json(jet.dim, jet.order, jet.den, jet.nums) == expected
 
 
 @st.composite
@@ -155,13 +156,13 @@ def field_cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(doc=field_cases())
 def test_field_load_and_write_match_fraction_reference(doc):
-    field = TensorField.from_json(doc)
+    field = load_tensor(doc)
     expected = [_reference_json(c["dim"], c["order"], c["coeffs"])
                 for c in doc["components"]]
     assert [c.coeffs for c in field.components] == [
         _reference(c["coeffs"]) for c in doc["components"]]
-    assert field.to_json() == {"dim": doc["dim"], "valence": doc["valence"],
-                               "components": expected}
+    assert tensor_json(field) == {"dim": doc["dim"], "valence": doc["valence"],
+                                  "components": expected}
 
 
 def _reference_draw(rng, dim, valence, order, symmetric=False):

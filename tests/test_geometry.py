@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlab.documents import FieldError
+from eqlab.documents import FieldError, load_space, space_json, tensor_json
 from eqlab.geometry import (
     GAMMA_VALENCE,
     Space,
@@ -85,18 +85,18 @@ class TestSplit:
 
 class TestSpaceJson:
     def test_metric_slot_is_written_empty_and_rejected_when_filled(self):
-        doc = random_connection(2, 2, 3).to_json()
+        doc = space_json(random_connection(2, 2, 3))
         assert doc["metric"] is None
-        doc["metric"] = random_field(2, (DOWN, DOWN), 2, 5).to_json()
+        doc["metric"] = tensor_json(random_field(2, (DOWN, DOWN), 2, 5))
         with pytest.raises(ValueError):
-            Space.from_json(doc)
+            load_space(doc)
 
     def test_connection_order_is_capped_above_the_cap(self):
         at_cap = random_connection(2, MAX_ORDER, 3)
-        assert Space.from_json(at_cap.to_json()).gamma == at_cap.gamma
+        assert load_space(space_json(at_cap)).gamma == at_cap.gamma
         with pytest.raises(FieldError, match=f"the connection order is "
                            f"{MAX_ORDER + 1}, above the cap of {MAX_ORDER}"):
-            Space.from_json(random_connection(2, MAX_ORDER + 1, 3).to_json())
+            load_space(space_json(random_connection(2, MAX_ORDER + 1, 3)))
 
 
 class TestCovDerivAssoc:

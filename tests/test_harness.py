@@ -5,8 +5,10 @@ family-invariance grid sums each distinct pair of label differences once.
 Both are held here against a cell-by-cell reference that sums every cell
 on its own, on a passing instance, under the ``psi-sign`` fault, and on
 bundles whose sigma differences differ from label to label.  A fault
-matrix pins which checks each wrong field of the inverse mapping fails,
-and ``synth`` is held to one basic-equation residual per pair.
+matrix pins which checks each wrong field of the inverse mapping and a
+wrong target connection fail, and that a wrong source torsion is refused
+before any check; ``synth`` is held to one basic-equation residual per
+pair.
 """
 
 from collections import Counter
@@ -15,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from eqlab import harness, mapping
-from eqlab.geometry import Keeper, curvature_K, torsion_square_terms
+from eqlab.geometry import (GAMMA_VALENCE, Keeper, Space, curvature_K,
+                            torsion_square_terms)
 from eqlab.harness import (
     _keyed_differences,
     correlation_check,
@@ -25,8 +28,11 @@ from eqlab.harness import (
     verify_instance,
 )
 from eqlab.invariants import PARAM_NAMES, InvariantBundle, VerificationReport
-from eqlab.mapping import AG3Mapping, MappedPair, synthesize_instance
-from eqlab.tensors import TensorField, tensor_lincomb, tensor_sub, transpose
+from eqlab.jets import JetScalar
+from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
+                           synthesize_instance)
+from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb, tensor_sub,
+                           transpose)
 
 LABELS = list(range(1, 9))
 GRIDS = [(LABELS, LABELS), ([2, 5, 8], [1, 4]), ([3, 3, 6], [7, 2, 7])]
@@ -253,6 +259,42 @@ def test_each_wrong_inverse_field_fails_its_checks(monkeypatch, pair, field,
     monkeypatch.setattr(MappedPair, "inverse", faulty)
     reports, _ = verify_instance(pair, 0, LABELS, LABELS, 1)
     assert {r.check for r in reports if not r.passed} == failing
+
+
+def _shifted(space: Space, shifts: dict) -> Space:
+    """The space with ``shifts[i, j, k]`` added to the constant term of
+    Gamma^i_jk."""
+    dim, order = space.dim, space.gamma.order
+    bump = TensorField.build(dim, GAMMA_VALENCE, lambda idx:
+                             JetScalar.constant(dim, order, shifts.get(idx, 0)))
+    return Space(dim, tensor_add(space.gamma, bump))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shifts, failing", [
+    ({}, set()),
+    # Gamma^1_11, diagonal in its lower slots: bench's bad-target.json fault
+    ({(0, 0, 0): 1}, ALL_BUT_CORRELATION),
+], ids=["image", "gamma111-plus-1"])
+def test_a_wrong_target_connection_fails_its_checks(dim, shifts, failing):
+    """A hand-built pair, whose target is checked against nothing, over
+    the full grid and one draw: the failing check kinds are pinned."""
+    good = synthesize_instance(dim, 1, seed=0)
+    pair = MappedPair(good.source, good.mapping, _shifted(good.target, shifts))
+    reports, _ = verify_instance(pair, 0, LABELS, LABELS, 1)
+    assert {r.check for r in reports if not r.passed} == failing
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_wrong_source_torsion_is_refused_before_any_check(dim):
+    """Gamma^1_12 + 1 and Gamma^1_21 - 1 change the source torsion alone;
+    the mapping then misses its basic equation on that source, and the
+    pair's inverse refuses it, so this fault never reaches a check."""
+    good = synthesize_instance(dim, 1, seed=0)
+    source = _shifted(good.source, {(0, 0, 1): 1, (0, 1, 0): -1})
+    pair = MappedPair(source, good.mapping, good.target)
+    with pytest.raises(BasicEquationError, match="residual is nonzero"):
+        verify_instance(pair, 0, LABELS, LABELS, 1)
 
 
 def test_synth_computes_one_residual_per_pair(monkeypatch):

@@ -127,12 +127,15 @@ def test_instance_path_imports_no_fractions(work, code):
      set()),
     (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
       "--out", "out.json"], 0, set()),
+    (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
+      "--corrupt", "psi-sign", "--out", "out.json"], 1, DOCUMENTS),
     (["verify", "--instance", "pair.json", "--grid", "1", "--draws", "1",
       "--out", "out.json"], 0, DOCUMENTS),
-], ids=["synth", "ranks", "verify", "verify-instance"])
+], ids=["synth", "ranks", "verify", "verify-failing", "verify-instance"])
 def test_commands_load_every_layer_but_the_language(work, argv, exit_code,
                                                     documents):
-    """``documents`` too, where the command reads or writes a document."""
+    """``documents`` too, where the command reads or writes a document:
+    a failing check writes its residual as the instance format does."""
     expected = EVERY_LAYER - {"dsl"} | documents
     assert loaded_by_command(argv, exit_code, work) == expected
 
@@ -181,7 +184,7 @@ def test_parser_constants_match_the_layers():
 
 def test_dir_lists_every_export():
     assert set(dir(eqlab)) >= set(eqlab.__all__)
-    assert len(eqlab.__all__) == len(set(eqlab.__all__)) == 33
+    assert len(eqlab.__all__) == len(set(eqlab.__all__)) == 32
 
 
 def test_star_import_binds_the_submodules_objects():

@@ -23,7 +23,6 @@ from eqlab.invariants import (
     T_tilde,
     U_theta,
     VerificationReport,
-    W_family,
     W_star,
     build_W_matrix,
     eta_star,
@@ -737,9 +736,9 @@ class TestTTilde:
 class TestWFamily:
     def test_zero_parameters_equal_w_star(self, pair21):
         s, m = pair21.source, pair21.mapping
-        zero = Fraction(0)
+        bundle, zero = InvariantBundle(s, m), Fraction(0)
         for which in (1, 2):
-            family = W_family(s, m, which, 3, 6, zero, zero, zero, zero, zero)
+            family = bundle.family(which, 3, 6, zero, zero, zero, zero, zero)
             assert family == W_star(s, m, which)
 
     @pytest.mark.parametrize("which,p,q", [(1, 2, 7), (2, 5, 1)])
@@ -747,7 +746,7 @@ class TestWFamily:
         s, m = pair21.source, pair21.mapping
         u, up, v, vp, w = (Fraction(3), Fraction(-1, 2), Fraction(2),
                            Fraction(1, 3), Fraction(-4))
-        family = W_family(s, m, which, p, q, u, up, v, vp, w)
+        family = InvariantBundle(s, m).family(which, p, q, u, up, v, vp, w)
         cd = s.torsion_cd()
         term_v, term_vp, term_w = torsion_square_terms(s)
         rhs = W_star(s, m, which)
@@ -813,11 +812,11 @@ class TestWFamily:
         s, m = pair21.source, pair21.mapping
         one = Fraction(1)
         with pytest.raises(ValueError, match="p"):
-            W_family(s, m, 1, 0, 1, one, one, one, one, one)
+            InvariantBundle(s, m).family(1, 0, 1, one, one, one, one, one)
         with pytest.raises(ValueError, match="q"):
-            W_family(s, m, 1, 1, 9, one, one, one, one, one)
+            InvariantBundle(s, m).family(1, 1, 9, one, one, one, one, one)
         with pytest.raises(ValueError, match="which"):
-            W_family(s, m, 4, 1, 1, one, one, one, one, one)
+            InvariantBundle(s, m).family(4, 1, 1, one, one, one, one, one)
 
     @pytest.mark.parametrize("q", [0, 9])
     def test_swapped_sigma_names_its_label_q(self, pair21, q):

@@ -13,8 +13,9 @@ kill set there:
 - the edited module's own tests, ``tests/test_<module>.py``, and for
   ``documents.py`` and ``jets.py`` also ``tests/test_flat_storage.py``,
   which holds the pins of the instance loader and of the coefficient
-  placement both share, and for ``documents.py`` the CLI test that reads
-  a numerator past the digit limit.
+  placement both share, for ``documents.py`` the CLI test that reads
+  a numerator past the digit limit, and for ``mapping.py`` the test that
+  a synthesis bug exits 4 where a stored pair's fault exits 2.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -165,6 +166,11 @@ MUTANTS = (
            "pair = _decoded(MappedPair.from_json, doc, path)\n",
            "_pair_from: a KeyError or TypeError raised by validate() is "
            "reported as a malformed file"),
+    Mutant("synthesis-bug-as-input", "mapping.py",
+           "except BasicEquationError as exc:\n        raise SynthesisError(",
+           "except SynthesisError as exc:\n        raise SynthesisError(",
+           "synthesize_instance: a nonzero residual on a synthesized pair "
+           "is not re-raised, so a bug exits 2 as bad input does"),
 )
 
 # tests of a module's code that live outside its own test file
@@ -172,7 +178,9 @@ MORE_TESTS = {"documents.py": (
     "tests/test_flat_storage.py",
     "tests/test_cli.py::TestCliVerify::"
     "test_numerator_past_the_digit_limit_names_field_and_limit"),
-    "jets.py": ("tests/test_flat_storage.py",)}
+    "jets.py": ("tests/test_flat_storage.py",),
+    "mapping.py": ("tests/test_documents.py::"
+                   "test_a_nonzero_residual_is_a_bug_in_synthesis_only",)}
 
 VERIFY = ("verify", "--dim", "2", "--seed", "0")
 SIGMA_PROOF = "tests/test_invariants.py::TestSigmaCoeffMatrix"
