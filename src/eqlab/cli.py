@@ -246,17 +246,18 @@ def _require_dim(dim: int) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _require_dim(args.dim)
+    to_directory = args.out is not None and os.path.isdir(args.out)
+    if len(args.seeds) > 1 and not to_directory:
+        raise UsageError("several seeds need --out pointing at a directory")
     from .harness import synth_document
 
     docs = [(seed, synth_document(args.dim, args.kind, seed, args.order))
             for seed in args.seeds]
-    if args.out is not None and os.path.isdir(args.out):
+    if to_directory:
         for seed, doc in docs:
             name = f"pair-d{args.dim}-k{args.kind}-s{seed}.json"
             _emit(_json_text(doc), os.path.join(args.out, name))
         return EXIT_PASS
-    if len(docs) > 1:
-        raise UsageError("several seeds need --out pointing at a directory")
     _emit(_json_text(docs[0][1]), args.out)
     return EXIT_PASS
 
@@ -320,8 +321,12 @@ def cmd_ranks(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.program, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(args.program, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"program file {args.program} cannot be decoded: "
+                         f"{exc}") from None
     if args.instance is not None:
         source = _load_bindings_source(args.instance)
     else:

@@ -37,10 +37,13 @@ def _long_as_text(literal: str):
 
 
 def _load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
         doc = json.loads(text, parse_int=_long_as_text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"instance file {path} cannot be decoded: {exc}") \
+            from None
     except RecursionError:
         raise ValueError(f"instance file {path} is nested too deeply") \
             from None

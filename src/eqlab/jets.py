@@ -19,10 +19,10 @@ manner of Bareiss: one gcd per result instead of one per coefficient.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -170,10 +170,6 @@ class JetScalar:
                 if n}
 
     @classmethod
-    def zero(cls, dim: int, order: int) -> "JetScalar":
-        return cls(dim, order)
-
-    @classmethod
     def constant(cls, dim: int, order: int, value: Fraction | int) -> "JetScalar":
         return cls(dim, order, {(0,) * dim: _exact(value)})
 
@@ -316,11 +312,6 @@ def jet_add(a: JetScalar, b: JetScalar) -> JetScalar:
                 [x * fa + y * fb for x, y in zip(a.nums, b.nums)])
 
 
-def jet_sum(terms: Iterable[JetScalar]) -> JetScalar:
-    """Left-to-right sum of a nonempty sequence: one ``jet_add`` per extra term."""
-    return reduce(jet_add, terms)
-
-
 def jet_neg(a: JetScalar) -> JetScalar:
     return _jet(a.dim, a.order, a.den, [-x for x in a.nums])
 
@@ -398,10 +389,3 @@ def _lex_slots(dim: int, order: int) -> tuple[int, ...]:
     order of the exponent tuples: the order of documents and draws."""
     basis = graded_basis(dim, order)
     return tuple(sorted(range(len(basis)), key=basis.__getitem__))
-
-
-def multi_indices(dim: int, order: int) -> Iterator[tuple[int, ...]]:
-    """All exponent tuples of length dim with total degree at most order,
-    in ascending lexicographic order."""
-    basis = graded_basis(dim, order)
-    return (basis[i] for i in _lex_slots(dim, order))

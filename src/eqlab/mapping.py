@@ -14,7 +14,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
-from .jets import JetScalar, basis_size, jet_inverse
+from .jets import basis_size, jet_inverse
 from .tensors import (
     DOWN,
     UP,
@@ -277,11 +277,6 @@ def gamma_diff_factorized(pair: MappedPair, m_bar: AG3Mapping) -> TensorField:
     if not residual.is_zero():
         raise FactorizationMismatch(residual)
     return lhs
-
-
-def random_jet(rng: random.Random, dim: int, order: int) -> JetScalar:
-    """One component of :func:`~eqlab.tensors.random_field`."""
-    return random_field(rng, dim, (), order)[()]
 
 
 def _derive_seed(dim: int, kind: int, seed: int, order: int) -> int:

@@ -21,7 +21,7 @@ from functools import cache
 from itertools import combinations_with_replacement, product
 from math import lcm
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .jets import (
     MAX_CONTRACT_OUTPUT,
@@ -110,9 +110,6 @@ class TensorField:
         size = basis_size(dim, order)
         start = offset * size
         return _jet(dim, order, self.den, self.nums[start:start + size])
-
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        return product(range(self.dim), repeat=self.rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorField):
@@ -235,7 +232,7 @@ def random_field(rng: Random, dim: int, valence: Sequence[str], order: int,
     """A field of small random rationals n/d, n in -9..9 and d in 1..9.
 
     Each component, row-major, draws ``(rng.randint(-9, 9),
-    rng.randint(1, 9))`` for each monomial in ``multi_indices`` order.  A
+    rng.randint(1, 9))`` for each monomial, by ascending exponent tuple.  A
     ``symmetric`` field has two slots and draws only its components
     (j, k) with j <= k, in that order; (k, j) repeats (j, k).
 

@@ -30,11 +30,10 @@ from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
     basic_equation_residual,
-    random_jet,
     synthesize_instance,
 )
 from eqlab.dsl import MAX_NESTING, EvaluationError
-from eqlab.tensors import DOWN, UP, TensorField, tensor_sub
+from eqlab.tensors import DOWN, UP, TensorField, random_field, tensor_sub
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,17 +69,13 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 40) -> MappedPai
     """Flat source, constant phi, nu = mu = 0: the basic equation holds
     with zero torsion, so every torsion-difference check degenerates."""
     rng = random.Random(seed)
-    zero = JetScalar.zero(dim, order)
+    zero = JetScalar(dim, order)
     gamma = TensorField.build(dim, GAMMA_VALENCE, lambda idx: zero)
     phi = TensorField.build(dim, (UP,),
                             lambda idx: JetScalar.constant(dim, order + 1,
                                                            idx[0] + 2))
-    psi = TensorField.build(dim, (DOWN,),
-                            lambda idx: random_jet(rng, dim, order))
-    upper = {(j, k): random_jet(rng, dim, order)
-             for j in range(dim) for k in range(j, dim)}
-    sigma = TensorField.build(dim, (DOWN, DOWN),
-                              lambda idx: upper[tuple(sorted(idx))])
+    psi = random_field(rng, dim, (DOWN,), order)
+    sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     nu = TensorField.build(dim, (DOWN,), lambda idx: zero)
     mapping = AG3Mapping(psi=psi, sigma=sigma, phi=phi, nu=nu,
                          mu=TensorField(dim, (), [zero]), kind=1)
@@ -252,6 +247,24 @@ class TestCliSynth:
     def test_seed_list_without_directory_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "synth", "--seeds", "1,2")
         assert code == 2 and "directory" in err
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_seed_list_without_directory_is_refused_before_any_work(
+            self, capsys, monkeypatch, tmp_path, to_file):
+        import eqlab.harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused seed list reached the work")
+
+        monkeypatch.setattr(eqlab.harness, "synth_document", refuse)
+        path = tmp_path / "pair.json"
+        out_args = ["--out", str(path)] if to_file else []
+        code, out, err = run_cli(capsys, "synth", "--dim", "2",
+                                 "--seeds", "0,1", *out_args)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "eqlab: several seeds need --out pointing at a directory"]
+        assert not path.exists()
 
     def test_dim_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -877,6 +890,15 @@ class TestCliEval:
         program = self.write(tmp_path, "# nothing here\n")
         code, out, _ = run_cli(capsys, "eval", program, "--dim", "2")
         assert code == 0 and json.loads(out)["results"] == {}
+
+    def test_program_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "program.eqs"
+        path.write_bytes(b"\xff")
+        code, out, err = run_cli(capsys, "eval", str(path), "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"eqlab: program file {path} cannot be decoded: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte"]
 
     def test_unbound_name_exits_two_with_line(self, capsys, tmp_path):
         program = self.write(tmp_path, "\nX[^i] = Nowhere[^i]\n")

@@ -1,6 +1,7 @@
 """Instance documents: what ``synth`` writes at the order cap reads
-back, and a bug in the checks that follow a decoded pair, or in the
-synthesis of one, is a bug, not a malformed file."""
+back, a file that cannot be decoded is named, and a bug in the checks
+that follow a decoded pair, or in the synthesis of one, is a bug, not a
+malformed file."""
 
 import json
 
@@ -81,3 +82,18 @@ def test_a_nonzero_residual_is_a_bug_in_synthesis_only(capsys, monkeypatch,
     assert main(["verify", "--instance", path]) == 2
     assert capsys.readouterr().err == (
         "eqlab: basic equation residual is nonzero\n")
+
+
+@pytest.mark.parametrize("content, fault", [
+    (b"[1", "Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte")], ids=["truncated", "not-utf8"])
+def test_a_file_that_cannot_be_decoded_is_named(capsys, tmp_path, content,
+                                                fault):
+    path = tmp_path / "pair.json"
+    path.write_bytes(content)
+    assert main(["verify", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"eqlab: instance file {path} cannot be decoded: {fault}\n")

@@ -23,20 +23,14 @@ from eqlab.dsl import (
 from eqlab.geometry import Space, curvature_R, random_connection
 from eqlab.harness import evaluate_program_lines
 from eqlab.jets import OrderExhaustedError, jet_partial
-from eqlab.mapping import random_jet
-from eqlab.tensors import DOWN, UP, TensorField, tensor_scale, transpose
+from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_scale,
+                           transpose)
 
 CURVATURE_SRC = ("d(Gamma[^i,_j,_m],_n) - d(Gamma[^i,_j,_n],_m)"
                  " + Gamma[^a,_j,_m]*Gamma[^i,_a,_n]"
                  " - Gamma[^a,_j,_n]*Gamma[^i,_a,_m]")
 
 seeds = st.integers(min_value=0, max_value=10**6)
-
-
-def random_field(dim: int, valence, order: int, seed: int) -> TensorField:
-    rng = random.Random(seed)
-    return TensorField.build(dim, valence,
-                             lambda idx: random_jet(rng, dim, order))
 
 
 class TestParse:
@@ -105,32 +99,32 @@ class TestParse:
 
 class TestEvaluate:
     def test_delta_is_autobound(self):
-        anchor = random_field(3, (UP,), 2, 1)
+        anchor = random_field(random.Random(1), 3, (UP,), 2)
         result = evaluate(parse("delta[^i,_j]"), {"T": anchor})
         assert result == TensorField.delta(3, 2)
 
     def test_zero_literal_annihilates(self):
-        t = random_field(2, (UP, DOWN), 2, 2)
+        t = random_field(random.Random(2), 2, (UP, DOWN), 2)
         result = evaluate(parse("0 * T[^i,_j]"), {"T": t})
         assert result.is_zero()
         # a zero summand does not truncate the sum to its lower order
-        low = random_field(2, (UP, DOWN), 1, 3)
+        low = random_field(random.Random(3), 2, (UP, DOWN), 1)
         result = evaluate(parse("0 * S[^i,_j] + T[^i,_j]"), {"S": low, "T": t})
         assert result == t
 
     def test_scalar_scaling(self):
-        t = random_field(2, (UP,), 2, 3)
+        t = random_field(random.Random(3), 2, (UP,), 2)
         result = evaluate(parse("2/3 * T[^i]"), {"T": t})
         assert result == tensor_scale(Fraction(2, 3), t)
 
     def test_full_contraction_gives_scalar(self):
-        t = random_field(2, (UP, DOWN), 2, 4)
+        t = random_field(random.Random(4), 2, (UP, DOWN), 2)
         result = evaluate(parse("T[^a,_a]"), {"T": t})
         assert result.valence == ()
         assert result[()] == t[0, 0] + t[1, 1]
 
     def test_trace_keeps_free_slots_in_written_order(self):
-        t = random_field(2, (DOWN, UP, UP, DOWN), 2, 8)
+        t = random_field(random.Random(8), 2, (DOWN, UP, UP, DOWN), 2)
         result = evaluate(parse("T[_j,^a,^i,_a]"), {"T": t})
         assert result.valence == (DOWN, UP)
         for j in range(2):
@@ -138,19 +132,19 @@ class TestEvaluate:
                 assert result[j, i] == t[j, 0, i, 0] + t[j, 1, i, 1]
 
     def test_divergence_sums_the_derivative_slot(self):
-        t = random_field(2, (UP,), 2, 9)
+        t = random_field(random.Random(9), 2, (UP,), 2)
         result = evaluate(parse("d(T[^k],_k)"), {"T": t})
         assert result[()] == jet_partial(t[0], 0) + jet_partial(t[1], 1)
 
     def test_derivative_is_comma(self):
-        t = random_field(2, (UP,), 2, 5)
+        t = random_field(random.Random(5), 2, (UP,), 2)
         result = evaluate(parse("d(T[^i],_j)"), {"T": t})
         for i in range(2):
             for j in range(2):
                 assert result[i, j] == jet_partial(t[i], j)
 
     def test_summand_alignment_by_name(self):
-        t = random_field(2, (UP, DOWN), 3, 6)
+        t = random_field(random.Random(6), 2, (UP, DOWN), 3)
         plan = parse("d(T[^i,_m],_n) + d(T[^i,_n],_m)")
         result = evaluate(plan, {"T": t})
         for i in range(2):
@@ -170,8 +164,8 @@ class TestEvaluate:
     @given(seed=seeds)
     @settings(max_examples=10, deadline=None)
     def test_dummy_renaming_invariance(self, seed: int):
-        t = random_field(3, (UP, DOWN, DOWN), 2, seed)
-        u = random_field(3, (UP, DOWN, DOWN), 2, seed + 1)
+        t = random_field(random.Random(seed), 3, (UP, DOWN, DOWN), 2)
+        u = random_field(random.Random(seed + 1), 3, (UP, DOWN, DOWN), 2)
         bindings = {"T": t, "U": u}
         original = evaluate(parse("T[^a,_j,_m]*U[^i,_a,_n]"), bindings)
         renamed = evaluate(parse("T[^zz,_j,_m]*U[^i,_zz,_n]"), bindings)
@@ -182,34 +176,35 @@ class TestEvaluate:
             evaluate(parse("Missing[^i]"), {})
 
     def test_valence_mismatch(self):
-        t = random_field(2, (UP, DOWN), 2, 7)
+        t = random_field(random.Random(7), 2, (UP, DOWN), 2)
         with pytest.raises(EvaluationError):
             evaluate(parse("T[_i,^j]"), {"T": t})
 
     def test_derivative_order_exhaustion(self):
-        t = random_field(2, (UP,), 0, 8)
+        t = random_field(random.Random(8), 2, (UP,), 0)
         with pytest.raises(OrderExhaustedError):
             evaluate(parse("d(T[^i],_j)"), {"T": t})
 
     def test_bindings_must_share_dimension(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("T[^i] + S[^i]"),
-                     {"T": random_field(2, (UP,), 2, 9),
-                      "S": random_field(3, (UP,), 2, 10)})
+                     {"T": random_field(random.Random(9), 2, (UP,), 2),
+                      "S": random_field(random.Random(10), 3, (UP,), 2)})
 
     def test_pure_literal_needs_dim_hint(self):
         plan = parse("1/2 + 1/3")
         with pytest.raises(EvaluationError):
             evaluate(plan, {})
         # an unread binding fixes the dimension and the jet order
-        result = evaluate(plan, {"T": random_field(2, (UP,), 1, 13)})
+        t = random_field(random.Random(13), 2, (UP,), 1)
+        result = evaluate(plan, {"T": t})
         assert (result.dim, result.order, result.valence) == (2, 1, ())
         assert result[()].coeffs[(0, 0)] == Fraction(5, 6)
 
 
 class TestPrograms:
     def test_two_line_program_with_reference(self):
-        t = random_field(2, (UP, DOWN), 2, 11)
+        t = random_field(random.Random(11), 2, (UP, DOWN), 2)
         src = """
         # comment line
         Twice[^i,_j] = 2 * T[^i,_j]
@@ -221,7 +216,7 @@ class TestPrograms:
         assert out["Traced"][()] == out["Twice"][0, 0] + out["Twice"][1, 1]
 
     def test_left_hand_side_reorders_slots(self):
-        t = random_field(2, (UP, DOWN), 2, 12)
+        t = random_field(random.Random(12), 2, (UP, DOWN), 2)
         out = evaluate_program_lines("Flipped[_j,^i] = T[^i,_j]", {"T": t})
         assert out["Flipped"] == transpose(t, (1, 0))
 

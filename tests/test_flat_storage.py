@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from eqlab.geometry import random_connection
 from eqlab.documents import (block_json, load_block, load_tensor, pair_json,
                              tensor_json)
-from eqlab.jets import JetScalar, _jet, graded_basis, multi_indices
+from eqlab.jets import JetScalar, _jet, graded_basis
 from eqlab.mapping import synthesize_instance
 from eqlab.tensors import TensorField, random_field
 
@@ -168,8 +168,8 @@ def test_field_load_and_write_match_fraction_reference(doc):
 def _reference_draw(rng, dim, valence, order, symmetric=False):
     """The documented draw, one ``rng.randint`` pair per monomial: each
     component row-major (only (j, k) with j <= k when ``symmetric``), its
-    monomials in ``multi_indices`` order, (k, j) repeating (j, k)."""
-    alphas = list(multi_indices(dim, order))
+    monomials in ascending lexicographic order, (k, j) repeating (j, k)."""
+    alphas = sorted(graded_basis(dim, order))
     shape = list(product(range(dim), repeat=len(valence)))
     drawn = {}
     for idx in shape:
@@ -194,6 +194,14 @@ def test_draw_matches_the_randint_reference(dim, order, symmetric):
         expected = _reference_draw(ref_rng, dim, valence, order, symmetric)
         assert (field.den, field.nums) == (expected.den, expected.nums)
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("valence", [("down",), ("up", "down", "down")])
+def test_a_symmetric_draw_needs_two_slots(valence):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="a symmetric field has two slots"):
+        random_field(rng, 2, valence, 1, symmetric=True)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 # The jet decoder as it read every entry one by one, kept as the reference

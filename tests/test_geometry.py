@@ -20,11 +20,11 @@ from eqlab.geometry import (
 )
 from eqlab.jets import (MAX_ORDER, JetScalar, jet_add, jet_mul, jet_neg,
                         jet_partial, value_at_base)
-from eqlab.mapping import random_jet
 from eqlab.tensors import (
     DOWN,
     UP,
     TensorField,
+    random_field,
     tensor_add,
     tensor_scale,
     tensor_sub,
@@ -39,14 +39,8 @@ seeds = st.integers(min_value=0, max_value=10**6)
 def space_from_entries(dim: int, order: int, entries: dict) -> Space:
     gamma = TensorField.build(
         dim, GAMMA_VALENCE,
-        lambda idx: entries.get(idx, JetScalar.zero(dim, order)))
+        lambda idx: entries.get(idx, JetScalar(dim, order)))
     return Space(dim, gamma)
-
-
-def random_field(dim: int, valence, order: int, seed: int) -> TensorField:
-    rng = random.Random(seed)
-    return TensorField.build(dim, valence,
-                             lambda idx: random_jet(rng, dim, order))
 
 
 class TestSplit:
@@ -87,7 +81,8 @@ class TestSpaceJson:
     def test_metric_slot_is_written_empty_and_rejected_when_filled(self):
         doc = space_json(random_connection(2, 2, 3))
         assert doc["metric"] is None
-        doc["metric"] = tensor_json(random_field(2, (DOWN, DOWN), 2, 5))
+        metric = random_field(random.Random(5), 2, (DOWN, DOWN), 2)
+        doc["metric"] = tensor_json(metric)
         with pytest.raises(ValueError):
             load_space(doc)
 
@@ -107,7 +102,7 @@ class TestCovDerivAssoc:
 
     def test_scalar_reduces_to_comma(self):
         s = random_connection(2, 2, 7)
-        f = random_field(2, (), 2, 11)
+        f = random_field(random.Random(11), 2, (), 2)
         derived = cov_deriv_assoc(f, s)
         for k in range(2):
             assert derived[(k,)] == jet_partial(f[()], k)
@@ -118,7 +113,7 @@ class TestCovDerivAssoc:
         x1 = JetScalar.coordinate(dim, 2, 0)
         s = space_from_entries(dim, 2, {(0, 0, 1): x1, (0, 1, 0): jet_neg(x1)})
         assert s.sym().is_zero()
-        a = random_field(dim, (UP, DOWN), 2, 13)
+        a = random_field(random.Random(13), dim, (UP, DOWN), 2)
         derived = cov_deriv_assoc(a, s)
         for i in range(dim):
             for j in range(dim):
@@ -129,7 +124,7 @@ class TestCovDerivAssoc:
         dim = 2
         s = random_connection(dim, 2, 17)
         sym = s.sym()
-        a = random_field(dim, (UP, DOWN), 2, 19)
+        a = random_field(random.Random(19), dim, (UP, DOWN), 2)
         derived = cov_deriv_assoc(a, s)
         for i in range(dim):
             for j in range(dim):
@@ -147,7 +142,7 @@ class TestCovDerivKind:
     def test_zero_connection_gives_comma(self):
         dim = 2
         s = space_from_entries(dim, 2, {})
-        a = random_field(dim, (UP, DOWN), 2, 23)
+        a = random_field(random.Random(23), dim, (UP, DOWN), 2)
         for kind in (1, 2):
             derived = cov_deriv_kind(a, s, kind)
             for i in range(dim):
@@ -159,7 +154,7 @@ class TestCovDerivKind:
     @settings(max_examples=20, deadline=None)
     def test_torsion_free_kinds_coincide_with_assoc(self, seed: int):
         s = Space(2, random_connection(2, 2, seed).sym())
-        a = random_field(2, (UP, DOWN), 2, seed + 1)
+        a = random_field(random.Random(seed + 1), 2, (UP, DOWN), 2)
         reference = cov_deriv_assoc(a, s)
         for kind in (1, 2):
             assert cov_deriv_kind(a, s, kind) == reference
@@ -169,7 +164,7 @@ class TestCovDerivKind:
     def test_kind_difference_is_twice_torsion_on_vector(self, seed: int):
         dim = 3
         s = random_connection(dim, 2, seed)
-        phi = random_field(dim, (UP,), 2, seed + 2)
+        phi = random_field(random.Random(seed + 2), dim, (UP,), 2)
         torsion = s.torsion()
         diff = tensor_sub(cov_deriv_kind(phi, s, 1), cov_deriv_kind(phi, s, 2))
 
@@ -180,14 +175,14 @@ class TestCovDerivKind:
                 term = jet_mul(torsion[i, alpha, j], phi[alpha])
                 total = term if total is None else jet_add(total, term)
             # truncate the product to the derivative's order
-            return jet_add(jet_add(total, total), JetScalar.zero(dim, 1))
+            return jet_add(jet_add(total, total), JetScalar(dim, 1))
 
         expected = TensorField.build(dim, (UP, DOWN), expected_component)
         assert diff == expected
 
     def test_invalid_kind_rejected(self):
         s = random_connection(2, 2, 1)
-        phi = random_field(2, (UP,), 2, 3)
+        phi = random_field(random.Random(3), 2, (UP,), 2)
         for kind in (3, 4, 5):
             with pytest.raises(ValueError):
                 cov_deriv_kind(phi, s, kind)

@@ -37,15 +37,15 @@ from eqlab.jets import (
     jet_mul,
     jet_neg,
     jet_scale,
-    jet_sum,
 )
 from eqlab.linalg import RationalMatrix, generic_rank, rank_exact
-from eqlab.mapping import AG3Mapping, MappedPair, random_jet, synthesize_instance
+from eqlab.mapping import AG3Mapping, MappedPair, synthesize_instance
 from eqlab.tensors import (
     DOWN,
     UP,
     TensorField,
     base_numerators,
+    random_field,
     tensor_add,
     tensor_scale,
     tensor_sub,
@@ -97,22 +97,22 @@ def _sigma_component(parts: _Parts, p: int, c: Fraction,
 
     def first_mid():
         # Gamma^a_{v jm} Gamma^i_{_an}
-        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+        return sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
 
     def mid_contr():
         # Gamma^i_{v am} Gamma^a_{_jn}
-        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+        return sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
 
     def last_contr():
         # Gamma^i_{v ja} Gamma^a_{_mn}
-        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+        return sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
 
     def phi_tail():
         # Gamma^a_{v jm} phi^i sigma_{an}
         return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
 
     def delta_n(field_value):
-        return field_value if i == n else JetScalar.zero(dim, field_value.order)
+        return field_value if i == n else JetScalar(dim, field_value.order)
 
     if p == 1:
         total = first_mid()
@@ -204,15 +204,15 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     sigma, phi = parts.sigma, parts.phi
     i, j, m, n = idx
     if theta == 1:
-        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+        return sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
     if theta == 2:
-        return jet_sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
+        return sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
     if theta == 3:
-        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+        return sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
     if theta == 4:
-        return jet_sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
+        return sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
     if theta == 5:
-        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+        return sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
     if theta == 6:
         return jet_mul(t[i, j, m], parts.trace[n])
     if theta == 7:
@@ -233,16 +233,16 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
         return jet_mul(t[i, m, n], parts.sigma_phi[j])
     if theta == 15:
         value = parts.torsion_trace[j, m]
-        return value if i == n else JetScalar.zero(dim, value.order)
+        return value if i == n else JetScalar(dim, value.order)
     if theta == 16:
         value = parts.torsion_trace[j, n]
-        return value if i == m else JetScalar.zero(dim, value.order)
+        return value if i == m else JetScalar(dim, value.order)
     if theta == 17:
         value = parts.torsion_sigma_phi[j, m]
-        return value if i == n else JetScalar.zero(dim, value.order)
+        return value if i == n else JetScalar(dim, value.order)
     if theta == 18:
         value = parts.torsion_sigma_phi[j, n]
-        return value if i == m else JetScalar.zero(dim, value.order)
+        return value if i == m else JetScalar(dim, value.order)
     if theta == 19:
         return jet_mul(parts.torsion_sigma[j, m, n], phi[i])
     if theta == 20:
@@ -265,9 +265,7 @@ def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
 
 def random_space(dim: int, order: int, seed: int) -> Space:
     rng = random.Random(seed)
-    gamma = TensorField.build(dim, GAMMA_VALENCE,
-                              lambda idx: random_jet(rng, dim, order))
-    return Space(dim, gamma)
+    return Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
 
 
 def torsion_free_space(dim: int, order: int, seed: int) -> Space:
@@ -276,7 +274,7 @@ def torsion_free_space(dim: int, order: int, seed: int) -> Space:
     for j in range(dim):
         for k in range(j, dim):
             for i in range(dim):
-                lower[(i, j, k)] = random_jet(rng, dim, order)
+                lower[(i, j, k)] = random_field(rng, dim, (), order)[()]
     gamma = TensorField.build(
         dim, GAMMA_VALENCE,
         lambda idx: lower[(idx[0],) + tuple(sorted(idx[1:]))])
@@ -290,12 +288,12 @@ def pure_torsion_space(dim: int, order: int, seed: int) -> Space:
     for j in range(dim):
         for k in range(j + 1, dim):
             for i in range(dim):
-                upper[(i, j, k)] = random_jet(rng, dim, order)
+                upper[(i, j, k)] = random_field(rng, dim, (), order)[()]
 
     def component(idx):
         i, j, k = idx
         if j == k:
-            return JetScalar.zero(dim, order)
+            return JetScalar(dim, order)
         if j < k:
             return upper[(i, j, k)]
         return jet_scale(-1, upper[(i, k, j)])
@@ -310,21 +308,13 @@ def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
     if zero_sigma:
         sigma = TensorField.zero(dim, (DOWN, DOWN), order)
     else:
-        upper = {}
-        for j in range(dim):
-            for k in range(j, dim):
-                upper[(j, k)] = random_jet(rng, dim, order)
-        sigma = TensorField.build(dim, (DOWN, DOWN),
-                                  lambda idx: upper[tuple(sorted(idx))])
+        sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     return AG3Mapping(
-        psi=TensorField.build(dim, (DOWN,),
-                              lambda idx: random_jet(rng, dim, order)),
+        psi=random_field(rng, dim, (DOWN,), order),
         sigma=sigma,
-        phi=TensorField.build(dim, (UP,),
-                              lambda idx: random_jet(rng, dim, order + 1)),
-        nu=TensorField.build(dim, (DOWN,),
-                             lambda idx: random_jet(rng, dim, order)),
-        mu=TensorField(dim, (), [random_jet(rng, dim, order)]),
+        phi=random_field(rng, dim, (UP,), order + 1),
+        nu=random_field(rng, dim, (DOWN,), order),
+        mu=random_field(rng, dim, (), order),
         kind=kind)
 
 
@@ -354,15 +344,10 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 0,
     phi = TensorField.build(
         dim, (UP,),
         lambda idx: jet_scale(scale, JetScalar.coordinate(dim, order + 1, idx[0])))
-    upper = {}
-    for j in range(dim):
-        for k in range(j, dim):
-            upper[(j, k)] = random_jet(rng, dim, order)
+    sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     mapping = AG3Mapping(
-        psi=TensorField.build(dim, (DOWN,),
-                              lambda idx: random_jet(rng, dim, order)),
-        sigma=TensorField.build(dim, (DOWN, DOWN),
-                                lambda idx: upper[tuple(sorted(idx))]),
+        psi=random_field(rng, dim, (DOWN,), order),
+        sigma=sigma,
         phi=phi,
         nu=TensorField.zero(dim, (DOWN,), order),
         mu=TensorField.scalar(dim, order, scale),
@@ -403,7 +388,7 @@ class TestEtaStar:
         eta = eta_star(space, mapping, which)
         c = Fraction(1, dim + 1)
         trace = space.trace_sym()
-        cut = JetScalar.zero(dim, eta.order)
+        cut = JetScalar(dim, eta.order)
         expected = TensorField.build(
             dim, (DOWN, DOWN),
             lambda idx: jet_add(cut, jet_scale(-c * c, jet_mul(trace[idx[0]],
@@ -488,7 +473,7 @@ class TestUTheta:
             for j in range(dim):
                 for m in range(dim):
                     for n in range(dim):
-                        total = JetScalar.zero(dim, t.order)
+                        total = JetScalar(dim, t.order)
                         for a in range(dim):
                             total = jet_add(total, jet_mul(t[a, j, m],
                                                            sym[i, a, n]))
@@ -994,8 +979,8 @@ class TestCutOrder:
         def square(pairing):
             return TensorField.build(
                 dim, W_VALENCE,
-                lambda idx: jet_sum(jet_mul(*pairing(idx, a))
-                                    for a in range(dim)))
+                lambda idx: sum(jet_mul(*pairing(idx, a))
+                                for a in range(dim)))
 
         expected = (
             square(lambda idx, a: (t[a, idx[1], idx[2]], t[idx[0], a, idx[3]])),

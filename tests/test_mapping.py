@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,12 @@ from eqlab.mapping import (
     _inverse_onto,
     basic_equation_residual,
     gamma_diff_factorized,
-    random_jet,
     reciprocity_inverse,
     synthesize_instance,
     transform_connection,
 )
-from eqlab.tensors import DOWN, UP, TensorField, tensor_add, tensor_sub
+from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_add,
+                           tensor_sub)
 
 seeds = st.integers(min_value=0, max_value=10**6)
 kinds = st.sampled_from([1, 2])
@@ -77,7 +78,8 @@ class TestTransform:
             mu=TensorField.zero(dim, (), order),
             kind=1)
         bar = transform_connection(space, mapping).gamma
-        values = {idx: value_at_base(bar[idx]) for idx in bar.indices()}
+        values = {idx: value_at_base(bar[idx])
+                  for idx in product(range(bar.dim), repeat=bar.rank)}
         assert values[(0, 0, 0)] == 2
         assert values[(1, 0, 1)] == 1
         assert values[(1, 1, 0)] == 1
@@ -113,17 +115,13 @@ class TestBasicEquation:
     def test_unrelated_data_has_nonzero_residual(self):
         rng = random.Random(99)
         dim, order = 2, 2
-        gamma = TensorField.build(dim, GAMMA_VALENCE,
-                                  lambda idx: random_jet(rng, dim, order))
-        space = Space(dim, gamma)
+        space = Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
         mapping = AG3Mapping(
             psi=TensorField.zero(dim, (DOWN,), order),
             sigma=TensorField.zero(dim, (DOWN, DOWN), order),
-            phi=TensorField.build(dim, (UP,),
-                                  lambda idx: random_jet(rng, dim, order + 1)),
-            nu=TensorField.build(dim, (DOWN,),
-                                 lambda idx: random_jet(rng, dim, order)),
-            mu=TensorField(dim, (), [random_jet(rng, dim, order)]),
+            phi=random_field(rng, dim, (UP,), order + 1),
+            nu=random_field(rng, dim, (DOWN,), order),
+            mu=random_field(rng, dim, (), order),
             kind=1)
         assert not basic_equation_residual(space, mapping).is_zero()
 
@@ -163,7 +161,7 @@ class TestSynthesize:
             i, k, j = idx
             if k == 0 and i == j:
                 return jet_scale(mu, w)
-            return JetScalar.zero(dim, order)
+            return JetScalar(dim, order)
 
         space = Space(dim, TensorField.build(dim, GAMMA_VALENCE, gamma_entry))
         mapping = AG3Mapping(
@@ -179,13 +177,13 @@ class TestSynthesize:
         for i in range(dim):
             for k in range(dim):
                 for j in range(dim):
-                    expected = JetScalar.zero(dim, order)
+                    expected = JetScalar(dim, order)
                     if i == j and k == 0:
                         expected = half_mu_w
                     if i == k and j == 0:
                         expected = jet_scale(-1, half_mu_w)
                     if i == j == k == 0:
-                        expected = JetScalar.zero(dim, order)
+                        expected = JetScalar(dim, order)
                     assert torsion[i, k, j] == expected
 
     def test_invalid_arguments_rejected(self):
@@ -309,7 +307,7 @@ class TestGammaDiffFactorized:
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    expected = JetScalar.zero(2, diff.order)
+                    expected = JetScalar(2, diff.order)
                     if i == k:
                         expected = expected + psi[j]
                     if i == j:

@@ -15,13 +15,12 @@ from eqlab.jets import (
     JetScalar,
     _jet,
     basis_size,
+    graded_basis,
     jet_add,
     jet_mul,
     jet_partial,
     jet_scale,
-    jet_sum,
     jet_truncate,
-    multi_indices,
     value_at_base,
 )
 from eqlab.invariants import _numerator_digits
@@ -186,7 +185,7 @@ class TestDerivative:
     def test_coordinate_times_delta(self):
         x1 = JetScalar.coordinate(2, 1, 0)
         t = TensorField.build(2, (UP, DOWN),
-                              lambda idx: x1 if idx[0] == idx[1] else JetScalar.zero(2, 1))
+                              lambda idx: x1 if idx[0] == idx[1] else JetScalar(2, 1))
         d = partial_deriv_field(t, 0)
         assert d == TensorField.delta(2, 0)
 
@@ -247,7 +246,7 @@ def test_lincomb_matches_add_scale_chain(terms):
     assert result.order == min(t.order for _, t in live)
     # and componentwise against the jet layer alone
     for pos, comp in enumerate(result.components):
-        assert comp == jet_sum(jet_scale(c, t.components[pos]) for c, t in live)
+        assert comp == sum(jet_scale(c, t.components[pos]) for c, t in live)
 
 
 @pytest.mark.parametrize("coeff", [F(0), F(-2, 3)])
@@ -350,8 +349,8 @@ def reference_contract(a: TensorField, slot_up: int, slot_down: int) -> TensorFi
     def component(out_idx: tuple[int, ...]) -> JetScalar:
         kept = dict(zip(keep, out_idx))
         # every slot not kept is one of the two contracted ones
-        return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
-                       for alpha in range(dim))
+        return sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
+                   for alpha in range(dim))
 
     return TensorField.build(dim, out_valence, component)
 
@@ -402,8 +401,8 @@ wide_rationals = st.fractions(min_value=-99, max_value=99, max_denominator=60)
 def mixed_jets(draw, dim, order):
     """A jet that is often zero, else with denominators that differ."""
     if draw(st.integers(0, 3)) == 0:
-        return JetScalar.zero(dim, order)
-    alphas = list(multi_indices(dim, order))
+        return JetScalar(dim, order)
+    alphas = sorted(graded_basis(dim, order))
     return JetScalar(dim, order, draw(st.dictionaries(
         st.sampled_from(alphas), wide_rationals, max_size=5)))
 
@@ -432,7 +431,7 @@ def test_field_built_from_jets_is_canonical_and_reads_back(spec):
     assert_canonical(t)
     assert t.order == comps[0].order
     assert t.components == tuple(comps)
-    for k, idx in enumerate(t.indices()):
+    for k, idx in enumerate(product(range(dim), repeat=len(valence))):
         assert t[idx] == comps[k]
     assert t.is_zero() == all(c.is_zero() for c in comps)
     assert load_tensor(tensor_json(t)) == t

@@ -129,6 +129,11 @@ MUTANTS = (
            "json.loads(text)",
            "_load_document: an integer literal past the digit limit fails "
            "the parse, unnamed"),
+    Mutant("decode-error-unnamed", "documents.py",
+           "except (json.JSONDecodeError, UnicodeDecodeError) as exc:",
+           "except UnicodeDecodeError as exc:",
+           "_load_document: a file that is not JSON is reported without "
+           "its path"),
     Mutant("inverse-sign", "jets.py",
            "(s.nums[0] + n0 ** k,)",
            "(s.nums[0] - n0 ** k,)",
@@ -166,6 +171,11 @@ MUTANTS = (
            "pair = _decoded(MappedPair.from_json, doc, path)\n",
            "_pair_from: a KeyError or TypeError raised by validate() is "
            "reported as a malformed file"),
+    Mutant("seed-list-refused-late", "cli.py",
+           "if len(args.seeds) > 1 and not to_directory:",
+           "if False:",
+           "cmd_synth: several seeds without a directory are not refused, "
+           "so only the first is written"),
     Mutant("synthesis-bug-as-input", "mapping.py",
            "except BasicEquationError as exc:\n        raise SynthesisError(",
            "except SynthesisError as exc:\n        raise SynthesisError(",
