@@ -21,6 +21,7 @@ slot order of the surrounding sum.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -167,13 +168,13 @@ class _Parser:
         kind, text, pos = token
         if kind == "int":
             self.at += 1
-            value = Fraction(int(text))
+            value = Fraction(self._integer(token))
             if (nxt := self._peek()) is not None and nxt[0] == "/":
                 self.at += 1
                 den = self._expect("int")
-                if int(den[1]) == 0:
+                if self._integer(den) == 0:
                     raise ExpressionSyntaxError("zero denominator", den[2], self.line)
-                value = Fraction(int(text), int(den[1]))
+                value = Fraction(self._integer(token), self._integer(den))
             return Literal(value)
         if kind == "(":
             self.at += 1
@@ -189,25 +190,44 @@ class _Parser:
                 index = self.parse_index()
                 self._expect(")")
                 return Derivative(operand, index)
-            self.at += 1
-            self._expect("[")
-            indices = [self.parse_index()]
-            while (nxt := self._peek()) is not None and nxt[0] == ",":
-                self.at += 1
-                indices.append(self.parse_index())
-            self._expect("]")
-            return Ref(text, tuple(indices))
+            return self.parse_ref()
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos, self.line)
+
+    def _integer(self, token) -> int:
+        """An integer literal's value; one past the interpreter's digit
+        limit is refused at its column."""
+        try:
+            return int(token[1])
+        except ValueError:
+            raise ExpressionSyntaxError(
+                f"an integer literal has {len(token[1])} digits, more than the "
+                f"limit of {sys.get_int_max_str_digits()}", token[2], self.line) from None
+
+    def parse_ref(self) -> Ref:
+        """``Name``, ``Name[]`` or ``Name[^i,_j]``; the first two are rank 0."""
+        name = self._expect("name")[1]
+        indices = []
+        if (nxt := self._peek()) is not None and nxt[0] == "[":
+            self.at += 1
+            if (nxt := self._peek()) is None or nxt[0] != "]":
+                indices.append(self.parse_index())
+                while (nxt := self._peek()) is not None and nxt[0] == ",":
+                    self.at += 1
+                    indices.append(self.parse_index())
+            self._expect("]")
+        return Ref(name, tuple(indices))
 
     def parse_index(self) -> Index:
         token = self._expect("^", "_")
         name = self._expect("name")
         return Index(UP if token[0] == "^" else DOWN, name[1])
 
-    def assert_done(self):
-        token = self._peek()
-        if token is not None:
+    def parse_plan(self) -> ExpressionPlan:
+        """The rest of the input as one expression, with its free indices."""
+        root = self.parse_expr()
+        if (token := self._peek()) is not None:
             raise ExpressionSyntaxError(f"trailing input {token[1]!r}", token[2], self.line)
+        return ExpressionPlan(root, _signature(root)[0])
 
 
 def _product_signature(parts) -> tuple[tuple[Index, ...], tuple[str, ...]]:
@@ -273,12 +293,8 @@ def _signature(node) -> tuple[tuple[Index, ...], tuple[str, ...]]:
     raise TypeError(f"unknown node {node!r}")
 
 
-def parse(src: str, line: int | None = None) -> ExpressionPlan:
-    parser = _Parser(src, line)
-    root = parser.parse_expr()
-    parser.assert_done()
-    free, _ = _signature(root)
-    return ExpressionPlan(root, free)
+def parse(src: str) -> ExpressionPlan:
+    return _Parser(src).parse_plan()
 
 
 class _Context:
@@ -408,48 +424,35 @@ def evaluate(plan: ExpressionPlan, bindings: dict) -> TensorField:
     return tensor
 
 
-_ASSIGN = re.compile(r"^\s*(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                     r"\s*(?:\[(?P<indices>[^\]]*)\])?\s*=(?P<rhs>.*)$")
-
-
 def parse_program(src: str) -> list[tuple[int, str, ExpressionPlan]]:
     """Lines of ``Name[indices] = expr``; ``#`` comments and blanks skipped.
 
     Each assignment comes as its one-based line number in ``src``, its
-    name and its plan.  The left-hand indices must be the free indices of
-    the right-hand side, in any order; the plan lists them in the
-    left-hand order, so ``evaluate`` lays the slots out as written there.
+    name and its plan; error positions are columns in the line.  The
+    target is a reference (``S``, ``S[]`` or ``S[^i,_j]``) whose indices
+    are the free indices of the right-hand side, in any order; the plan
+    lists them in the target's order, so ``evaluate`` lays the slots out
+    as written there.
     """
     out = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+        text = raw.split("#", 1)[0]
+        if not text.strip():
             continue
-        match = _ASSIGN.match(text)
-        if match is None:
-            raise ExpressionSyntaxError("expected 'Name[indices] = expression'",
-                                        0, lineno)
-        indices_src = match.group("indices")
-        lhs: tuple[Index, ...] = ()
-        if indices_src:
-            parser = _Parser(indices_src, lineno)
-            indices = [parser.parse_index()]
-            while parser._peek() is not None:
-                parser._expect(",")
-                indices.append(parser.parse_index())
-            lhs = tuple(indices)
+        parser = _Parser(text, lineno)
+        name, lhs = parser.parse_ref()
         names = [i.name for i in lhs]
         if len(set(names)) != len(names):
             raise ExpressionSyntaxError("repeated index on the left-hand side",
-                                        0, lineno)
+                                        parser.tokens[0][2], lineno)
+        parser._expect("=")
         try:
-            plan = parse(match.group("rhs"), line=lineno)
+            plan = parser.parse_plan()
         except IndexUsageError as exc:
             raise IndexUsageError(f"line {lineno}: {exc}") from None
         if {(i.name, i.variance) for i in lhs} != {(i.name, i.variance) for i in plan.free}:
             raise IndexUsageError(
                 f"line {lineno}: left-hand indices {[str(i) for i in lhs]} do not "
                 f"match the free indices {[str(i) for i in plan.free]}")
-        out.append((lineno, match.group("name"), ExpressionPlan(plan.root, lhs)))
+        out.append((lineno, name, ExpressionPlan(plan.root, lhs)))
     return out
-

@@ -321,8 +321,9 @@ def instance_bindings(obj) -> dict[str, TensorField]:
     """Named tensors a program may reference, from a pair or a bare space.
 
     A pair binds the source fields, the mapping data and the Bar-prefixed
-    target-side counterparts; a space binds only its own fields.  mu is
-    not bound: it is a rank-0 field, and a reference carries indices.
+    target-side counterparts; a space binds only its own fields.  The
+    rank-0 ``Mu`` and ``BarMu`` have the pair's order o, so the lowest
+    order among the bindings, which a program's constants take, stays o.
     """
     if isinstance(obj, Space):
         return {"Gamma": obj.gamma, "GammaSym": obj.sym(),
@@ -332,12 +333,12 @@ def instance_bindings(obj) -> dict[str, TensorField]:
         "Gamma": obj.source.gamma,
         "GammaSym": obj.source.sym(),
         "Torsion": obj.source.torsion(),
-        "Phi": m.phi, "Psi": m.psi, "Sigma": m.sigma, "Nu": m.nu,
+        "Phi": m.phi, "Psi": m.psi, "Sigma": m.sigma, "Nu": m.nu, "Mu": m.mu,
         "BarGamma": obj.target.gamma,
         "BarGammaSym": obj.target.sym(),
         "BarTorsion": obj.target.torsion(),
         "BarPhi": m_bar.phi, "BarPsi": m_bar.psi,
-        "BarSigma": m_bar.sigma, "BarNu": m_bar.nu,
+        "BarSigma": m_bar.sigma, "BarNu": m_bar.nu, "BarMu": m_bar.mu,
     }
 
 

@@ -192,9 +192,15 @@ class TestInstanceBindings:
     def test_pair_binds_source_mapping_and_barred_fields(self, pair21):
         names = set(instance_bindings(pair21))
         assert names == {"Gamma", "GammaSym", "Torsion",
-                         "Phi", "Psi", "Sigma", "Nu",
+                         "Phi", "Psi", "Sigma", "Nu", "Mu",
                          "BarGamma", "BarGammaSym", "BarTorsion",
-                         "BarPhi", "BarPsi", "BarSigma", "BarNu"}
+                         "BarPhi", "BarPsi", "BarSigma", "BarNu", "BarMu"}
+
+    def test_mu_is_read_as_a_rank_zero_reference(self, pair21):
+        defined = evaluate_program_lines("M = Mu\nN = BarMu\n",
+                                         instance_bindings(pair21))
+        assert defined["M"] == pair21.mapping.mu
+        assert defined["N"] == pair21.inverse().mu
 
     def test_barred_connection_is_the_target_one(self, pair21):
         bindings = instance_bindings(pair21)
@@ -918,6 +924,7 @@ class TestCliEval:
         ("X[_a] = T[^a,_a,_a]", "index 'a' appears more than twice"),
         ("X[^i] = Phi[^i] + Nu[_i]",
          "free-index variance mismatch across summands: ['^i'] vs ['_i']"),
+        ("B = Psi", "'Psi' is bound to valence ('down',), referenced as ()"),
     ])
     def test_index_discipline_error_line(self, capsys, tmp_path, line,
                                          message):

@@ -23,8 +23,8 @@ from eqlab.dsl import (
 from eqlab.geometry import Space, curvature_R, random_connection
 from eqlab.harness import evaluate_program_lines
 from eqlab.jets import OrderExhaustedError, jet_partial
-from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_scale,
-                           transpose)
+from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_contract,
+                           tensor_scale, transpose)
 
 CURVATURE_SRC = ("d(Gamma[^i,_j,_m],_n) - d(Gamma[^i,_j,_n],_m)"
                  " + Gamma[^a,_j,_m]*Gamma[^i,_a,_n]"
@@ -60,9 +60,13 @@ class TestParse:
         assert excinfo.value.position == 18
 
     def test_bare_name_wants_its_bracket(self):
-        with pytest.raises(ExpressionSyntaxError) as excinfo:
-            parse_program("B = Psi")
-        assert str(excinfo.value) == "line 1, position 4: expected '['"
+        """A bare name is a rank-0 reference: it parses, and a field of
+        higher rank refuses it when the line is evaluated."""
+        psi = random_field(random.Random(14), 2, (DOWN,), 2)
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate_program_lines("B = Psi", {"Psi": psi})
+        assert str(excinfo.value) == (
+            "line 1: 'Psi' is bound to valence ('down',), referenced as ()")
 
     def test_unclosed_bracket(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -232,6 +236,47 @@ class TestPrograms:
     def test_repeated_lhs_index_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_program("Bad[^i,_i] = T[^i] * S[_i]")
+
+    @pytest.mark.parametrize("src, message", [
+        ("X[i] = T[^i]", "line 1, position 2: expected '^' or '_', got 'i'"),
+        ("  X[^i] = Phi[^i] + @",
+         "line 1, position 20: unexpected character '@'"),
+        ("not an assignment", "line 1, position 4: expected '=', got 'an'"),
+        ("X[^i] = T[^i", "line 1, position 12: expected ']'"),
+        ("A = 1\nX[^i] = Gamma[^i,_j,_k] +",
+         "line 2, position 25: unexpected end of input"),
+        ("  X[^i,^i] = T[^i]",
+         "line 1, position 2: repeated index on the left-hand side"),
+    ], ids=["index-without-variance", "bad-character", "no-equals",
+            "unclosed-bracket", "end-of-input", "repeated-target-index"])
+    def test_error_positions_are_line_columns(self, src, message):
+        """One parser reads the whole line, so a position is the column
+        in the line on either side of ``=``, leading spaces counted."""
+        with pytest.raises(ExpressionSyntaxError) as excinfo:
+            parse_program(src)
+        assert str(excinfo.value) == message
+
+    def test_rank_zero_references(self):
+        """A scalar a program defines is read back as ``S`` or ``S[]``."""
+        rng = random.Random(15)
+        bindings = {"Psi": random_field(rng, 2, (DOWN,), 2),
+                    "Phi": random_field(rng, 2, (UP,), 2)}
+        out = evaluate_program_lines(
+            "S = Psi[_a]*Phi[^a]\nT[_i] = S*Psi[_i]\nU[_i] = S[]*Psi[_i]\n",
+            bindings)
+        expected = tensor_contract(",i->i", out["S"], bindings["Psi"])
+        assert out["T"] == expected and out["U"] == expected
+
+    @pytest.mark.parametrize("prefix", ["", "1/"])
+    def test_literal_past_the_digit_limit_names_its_column(self, prefix):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        with pytest.raises(ExpressionSyntaxError) as excinfo:
+            parse_program("A = 1\nX = " + prefix + "9" * (limit + 1))
+        assert str(excinfo.value) == (
+            f"line 2, position {4 + len(prefix)}: an integer literal has "
+            f"{limit + 1} digits, more than the limit of {limit}")
 
 
 def test_cli_import_does_not_load_dataclasses():

@@ -20,14 +20,19 @@ from eqlab.geometry import (
 )
 from eqlab.jets import (MAX_ORDER, JetScalar, jet_add, jet_mul, jet_neg,
                         jet_partial, value_at_base)
+from eqlab.mapping import synthesize_instance
 from eqlab.tensors import (
     DOWN,
     UP,
     TensorField,
+    gradient,
     random_field,
     tensor_add,
+    tensor_contract,
+    tensor_lincomb,
     tensor_scale,
     tensor_sub,
+    tensor_truncate,
     transpose,
 )
 
@@ -256,6 +261,46 @@ class TestCurvatureK:
         expected = tensor_add(expected, tensor_scale(vp, vp_term))
         expected = tensor_add(expected, tensor_scale(w, w_term))
         assert curvature_K(s, u, up, v, vp, w) == expected
+
+
+def full_connection_curvature(gamma: TensorField) -> TensorField:
+    """G^i_{jm,n} - G^i_{jn,m} + G^p_{jm} G^i_{pn} - G^p_{jn} G^i_{pm},
+    slots (i, j, m, n), for a connection G read with its lower slots as
+    stored; the products are cut to the derivatives' order."""
+    comma = gradient(gamma)
+    g = tensor_truncate(gamma, comma.order)
+    square = tensor_contract("pjm,ipn->ijmn", g, g)
+    return tensor_lincomb([(1, comma), (-1, transpose(comma, (0, 1, 3, 2))),
+                           (1, square), (-1, transpose(square, (0, 1, 3, 2)))])
+
+
+class TestFullConnectionCurvature:
+    """Two curvature tensors of the full connection, R_1 of Gamma and R_2
+    of Gamma with its lower slots exchanged, are built from comma
+    derivatives and products alone, with no split into symmetric part
+    and torsion.  Each is one member of the K family, so they check the
+    coefficients of ``curvature_K`` independently of the checks that
+    read K."""
+
+    def assert_family_members(self, s: Space):
+        r1 = full_connection_curvature(s.gamma)
+        r2 = full_connection_curvature(transpose(s.gamma, (0, 2, 1)))
+        assert r1 == curvature_K(s, 1, -1, 1, -1, 0)
+        assert r2 == curvature_K(s, -1, 1, 1, -1, 0)
+        if s.dim == 2:
+            # the torsion squares are dependent at dim 2
+            assert r1 == curvature_K(s, 1, -1, 0, 0, -1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_random_connection(self, dim: int, order: int):
+        self.assert_family_members(random_connection(dim, order, seed=43))
+
+    @pytest.mark.parametrize("dim, kind", [(2, 1), (3, 2)])
+    def test_source_and_target_of_a_pair(self, dim: int, kind: int):
+        pair = synthesize_instance(dim, kind, seed=5, order=3)
+        self.assert_family_members(pair.source)
+        self.assert_family_members(pair.target)
 
 
 class TestFamilySpan:

@@ -29,9 +29,10 @@ Run it from the repository root, with the standard library alone::
 It runs every mutant and prints one line each: the first step that
 killed it, or ``SURVIVED``, and what the edit does.  A mutant killed by
 ``verify`` or its control also lists the check kinds whose pass or fail
-it flipped.  Exit 0 when every mutant is killed, 1 when one survives, 2
-when the unedited tree fails its own kill set or a mutant's text is not
-found exactly once.
+it flipped.  A last line gives the count of mutants and survivors and
+the total run time.  Exit 0 when every mutant is killed, 1 when one
+survives, 2 when the unedited tree fails its own kill set or a mutant's
+text is not found exactly once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -146,6 +148,11 @@ MUTANTS = (
            "if name in used and name not in free_names:",
            "if False:",
            "_product_signature: a name bound before may appear a third time"),
+    Mutant("target-equals-unchecked", "dsl.py",
+           "parser._expect(\"=\")",
+           "parser.at += 1",
+           "parse_program: the token after the target is skipped unread, so "
+           "a line with no '=' parses"),
     Mutant("draws-cap-inclusive", "cli.py",
            "if args.draws > MAX_DRAWS:",
            "if args.draws >= MAX_DRAWS:",
@@ -254,6 +261,7 @@ def flipped(clean: tuple[int, str], result: tuple[int, str]) -> str:
 
 
 def main() -> int:
+    start = time.monotonic()
     for m in MUTANTS:
         count = (ROOT / "src" / "eqlab" / m.module).read_text().count(m.old)
         if count != 1:
@@ -284,6 +292,8 @@ def main() -> int:
             if killer is None:
                 survivors.append(m.name)
             shutil.rmtree(tree)
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} survived, in "
+          f"{time.monotonic() - start:.0f} s")
     return 1 if survivors else 0
 
 
