@@ -92,7 +92,7 @@ class ExpressionPlan(NamedTuple):
 # parser and the evaluator recurse once per level.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)"
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>[0-9]+)"
                     r"|(?P<punct>[\^_\[\](),+\-*/=]))")
 
 

@@ -192,20 +192,23 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
     return s.torsion_squares()
 
 
+def k_torsion_terms(s: Space) -> tuple[TensorField, ...]:
+    """The five tensors K adds to R, in parameter order (u, u', v, v', w):
+    T^i_{jm;n}, T^i_{jn;m} (; associated) and ``torsion_square_terms``."""
+    cd = s.torsion_cd()
+    return (cd, transpose(cd, (0, 1, 3, 2))) + torsion_square_terms(s)
+
+
 def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,
                 v: Fraction | int, vp: Fraction | int,
                 w: Fraction | int) -> TensorField:
     """Member of the five-parameter curvature family.
 
     K = R + u T^i_{jm;n} + u' T^i_{jn;m} + v T^a_{jm}T^i_{an}
-      + v' T^a_{jn}T^i_{am} + w T^a_{mn}T^i_{aj},
-    with ; the associated covariant derivative.
+      + v' T^a_{jn}T^i_{am} + w T^a_{mn}T^i_{aj}.
     """
-    cd = s.torsion_cd()
-    cd_swapped = transpose(cd, (0, 1, 3, 2))
-    v_term, vp_term, w_term = torsion_square_terms(s)
-    return tensor_lincomb([(1, s.curvature()), (u, cd), (up, cd_swapped),
-                           (v, v_term), (vp, vp_term), (w, w_term)])
+    return tensor_lincomb([(1, s.curvature())]
+                          + list(zip((u, up, v, vp, w), k_torsion_terms(s))))
 
 
 def random_connection(dim: int, order: int, seed: int) -> Space:
@@ -233,8 +236,6 @@ def curvature_family_span(dim: int, seed: int = 0, order: int = 2) -> int:
     for trial in range(SPAN_INSTANCES):
         drawn = random_connection(dim, order, seed * 1009 + trial)
         s = Space(dim, tensor_truncate(drawn.gamma, 1))
-        cd = s.torsion_cd()
-        tensors = (cd, transpose(cd, (0, 1, 3, 2))) + torsion_square_terms(s)
-        for row, tensor in zip(rows, tensors):
+        for row, tensor in zip(rows, k_torsion_terms(s)):
             row.append(base_numerators(tensor))
     return rank_exact(RationalMatrix.from_runs(rows))

@@ -4,7 +4,7 @@ The suite takes finished ``MappedPair`` instances and runs every exact
 check the package offers: the two-route torsion-derivative difference,
 the factorized connection difference, invariance of the W tensor, the
 T-tilde tensors and the parameterized family members, the correlation
-identity tying a family member back to its W tensor, and the curvature
+identity holding ``curvature_K`` to its definition, and the curvature
 transformation equations.  Checks compare a source-side evaluation with
 an independent target-side evaluation and pass only on exact rational
 equality.
@@ -29,6 +29,7 @@ from .invariants import (
     VerificationReport,
     _check_label,
     build_W_matrix,
+    family_difference_terms,
     family_span_dimension,
     sigma_coeff_matrix,
     torsion_cd_difference_check,
@@ -139,7 +140,7 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
                             differences: tuple) -> VerificationReport:
     """F_src - F_tgt over the (p, q) grid, through the linearity of the
     family: cell (p, q) is common - u d_sigma[p] - u' d_swapped[q], with
-    the parameter-free part built once.  ``differences`` is
+    common, ``family_difference_terms``, summed once.  ``differences`` is
     ``sigma_differences`` over the same labels; each is a source value
     minus an independent target value.  Cells whose two differences are
     the same objects are summed once; on a passing instance every label's
@@ -147,9 +148,7 @@ def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
     d_sigma, d_swapped = differences
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
-    common = tensor_lincomb(
-        [(1, curvature_K(src.space, *params)), (1, src.correction(which)),
-         (-1, curvature_K(tgt.space, *params)), (-1, tgt.correction(which))])
+    common = tensor_lincomb(family_difference_terms(src, tgt, which, params))
     sums: dict[tuple[int, int], TensorField] = {}
     cells = []
     for p in p_values:
@@ -168,12 +167,12 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     """The family assembly K + (W - R) - u sigma_p - u' sigma*_q against
     W + u cd + u' cd* + v V + v' V' + w W_t - u sigma_p - u' sigma*_q on
     one side: cd is the torsion derivative, cd* its m/n swap, V, V', W_t
-    the torsion squares.  Both assemblies carry the same sigma terms, so
-    every cell's residual is the one tensor K + (W - R) - (W + u cd + ...),
-    built once and reported for each cell: the check is that K - R equals
-    its torsion terms.  The correction W - R is at no higher order than
-    any sigma, so the sigma terms never cut a cell's sum lower.  It is not a
-    source-to-target comparison."""
+    the torsion squares.  Both carry W and the same sigma terms, so every
+    cell's residual is the one tensor K - R - (u cd + ...), built once and
+    reported for each cell: the check is that ``curvature_K`` equals its
+    definition, whose five terms are listed here apart from
+    ``k_torsion_terms``.  R is at no higher order than any sigma, so the
+    sigma terms never cut a cell's sum lower.  Not a source-to-target check."""
     u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
     for p in p_values:
         _check_label("p", p)
@@ -184,8 +183,7 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     cd_swapped = transpose(cd, (0, 1, 3, 2))
     v_term, vp_term, w_term = torsion_square_terms(space)
     residual = tensor_lincomb(
-        [(1, curvature_K(space, u, up, v, vp, w)),
-         (1, bundle.correction(which)), (-1, bundle.w_star(which)),
+        [(1, curvature_K(space, u, up, v, vp, w)), (-1, space.curvature()),
          (-u, cd), (-up, cd_swapped), (-v, v_term), (-vp, vp_term),
          (-w, w_term)])
     cells = [((p, q), residual) for p in p_values for q in q_values]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .geometry import Keeper, Space, cov_deriv_assoc, curvature_K, kept
+from .geometry import Keeper, Space, cov_deriv_assoc, k_torsion_terms, kept
 from .linalg import (
     ParamMatrix,
     RationalMatrix,
@@ -286,10 +286,10 @@ class InvariantBundle(Keeper):
     lazily built ``_Parts``: U, eta and W directly, sigma as the U
     combination of its table row, T-tilde as the torsion derivative less
     a sigma.  What a command reads more than once is kept, keyed by labels
-    (parts, the derivative of sigma, U, sigma, swapped sigma, W, the W
-    correction); eta, whose one reader is W, T-tilde and the family member,
-    which no command reads, are rebuilt per request.  K is not kept: its
-    key would be a parameter draw.  An invariance check compares two
+    (parts, the derivative of sigma, U, sigma, swapped sigma, W); eta,
+    whose one reader is W, T-tilde and the family member, which no command
+    reads, are rebuilt per request.  The family reads K - R as its torsion
+    terms, never as K less R.  An invariance check compares two
     bundles, one per side, so its routes never share a kept object.
 
     ``order`` is the order the bundle's products are taken at, handed to
@@ -380,11 +380,6 @@ class InvariantBundle(Keeper):
         ])
 
     @kept
-    def correction(self, which: int) -> TensorField:
-        """W minus the curvature: what W adds to R, and to every K."""
-        return tensor_sub(self.w_star(which), self.space.curvature())
-
-    @kept
     def u_tensor(self, theta: int) -> TensorField:
         """One of the twenty torsion products, slots (i, j, m, n)."""
         if not 1 <= theta <= 20:
@@ -420,11 +415,11 @@ class InvariantBundle(Keeper):
         _check_which(which)
         _check_label("p", p)
         _check_label("q", q)
-        u, up, v, vp, w = (Fraction(x) for x in (u, up, v, vp, w))
-        return tensor_lincomb([(1, curvature_K(self.space, u, up, v, vp, w)),
-                               (1, self.correction(which)),
-                               (-u, self.sigma(p)),
-                               (-up, self.sigma_swapped(q))])
+        params = [Fraction(x) for x in (u, up, v, vp, w)]
+        return tensor_lincomb(
+            [(1, self.w_star(which)), (-params[0], self.sigma(p)),
+             (-params[1], self.sigma_swapped(q))]
+            + list(zip(params, k_torsion_terms(self.space))))
 
 
 def eta_star(s: Space, m: AG3Mapping, which: int) -> TensorField:
@@ -491,22 +486,22 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
     ``SPAN_SAMPLES`` (which, p, q) cells, and stacks the base-point
     flattenings of family minus the parameter-free common part across
     all supplied pairs.  The rank of that stack is the number of
-    independent deviations the samples hit.  The common part is W, which
-    cancels exactly: each deviation is K - R - u sigma_p - u' sigma*_q,
-    the same for both values of which.
+    independent deviations the samples hit.  The common part is W: each
+    deviation is K - R - u sigma_p - u' sigma*_q, the same for both values
+    of which, with K - R summed from its torsion terms.
     """
     if not pairs:
         raise ValueError("at least one pair is required")
     rng = random.Random(seed)
     values = random_substitution(PARAM_NAMES, rng)
-    u, up, v, vp, w = (values[name] for name in PARAM_NAMES)
+    params = [values[name] for name in PARAM_NAMES]
     # only base-point values are read: the products are taken at order 0,
     # and K - R, which holds one derivative, from the connection cut to 1
     bundles = [InvariantBundle(
         Space(pair.source.dim, tensor_truncate(pair.source.gamma, 1)),
         pair.mapping, 0) for pair in pairs]
-    k_minus_r = [tensor_sub(curvature_K(b.space, u, up, v, vp, w),
-                            b.space.curvature()) for b in bundles]
+    k_minus_r = [tensor_lincomb(list(zip(params, k_torsion_terms(b.space))))
+                 for b in bundles]
     rows = []
     for _ in range(SPAN_SAMPLES):
         # the kind does not change the deviation, but drawing it keeps
@@ -515,8 +510,8 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
         p = rng.randint(1, 8)
         q = rng.randint(1, 8)
         rows.append([base_numerators(tensor_lincomb(
-            [(1, fixed), (-u, bundle.sigma(p)),
-             (-up, bundle.sigma_swapped(q))]))
+            [(1, fixed), (-params[0], bundle.sigma(p)),
+             (-params[1], bundle.sigma_swapped(q))]))
             for bundle, fixed in zip(bundles, k_minus_r)])
     return rank_exact(RationalMatrix.from_runs(rows))
 
@@ -526,28 +521,34 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
 RK_SQUARE_PARAMS = (Fraction(1), Fraction(2), Fraction(3))
 
 
+def family_difference_terms(src: InvariantBundle, tgt: InvariantBundle,
+                            which: int, params) -> list:
+    """W_src - W_tgt + sum_k theta_k (term_k,src - term_k,tgt) over the
+    five parameters and ``k_torsion_terms``, as (coefficient, tensor)
+    pairs: the part of F_src - F_tgt that no sigma label reaches."""
+    return ([(1, src.w_star(which)), (-1, tgt.w_star(which))]
+            + list(zip(params, k_torsion_terms(src.space)))
+            + [(-theta, t) for theta, t in zip(params, k_torsion_terms(tgt.space))])
+
+
 def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
                                  which: int, p: int, q: int, u, up,
                                  ) -> VerificationReport:
     """Exact check of the curvature transformation under the mapping.
 
-    Verifies that the target curvature equals the source curvature plus
-    the difference of the two W corrections, and that the same holds for
-    the five-parameter family member, at (v, v', w) = ``RK_SQUARE_PARAMS``,
-    once the u and u' sigma differences are added.
+    R_tgt = R_src + (W - R)_tgt - (W - R)_src leaves W_tgt - W_src; the
+    same for K at (v, v', w) = ``RK_SQUARE_PARAMS``, with the u and u'
+    sigma differences, leaves the family difference at (p, q), negated.
     """
     _check_which(which)
     _check_label("p", p)
     _check_label("q", q)
     u, up = Fraction(u), Fraction(up)
     v, vp, w = RK_SQUARE_PARAMS
-    # target minus source, less the difference of the two W corrections
-    corr_diff = [(-1, src.correction(which)), (1, tgt.correction(which))]
-    residual_r = tensor_lincomb(
-        [(1, tgt.space.curvature()), (-1, src.space.curvature())] + corr_diff)
+    residual_r = tensor_sub(tgt.w_star(which), src.w_star(which))
+    # the sides exchanged: the family difference's common part, negated
     residual_k = tensor_lincomb(
-        [(1, curvature_K(tgt.space, u, up, v, vp, w)),
-         (-1, curvature_K(src.space, u, up, v, vp, w))] + corr_diff
+        family_difference_terms(tgt, src, which, (u, up, v, vp, w))
         + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
            (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))])
     return VerificationReport.from_residuals(

@@ -247,8 +247,12 @@ class TestPrograms:
          "line 2, position 25: unexpected end of input"),
         ("  X[^i,^i] = T[^i]",
          "line 1, position 2: repeated index on the left-hand side"),
+        # a literal is ASCII digits: another script's digit is not read
+        ("X[^i] = \u0663*Phi[^i]",
+         "line 1, position 8: unexpected character '\u0663'"),
     ], ids=["index-without-variance", "bad-character", "no-equals",
-            "unclosed-bracket", "end-of-input", "repeated-target-index"])
+            "unclosed-bracket", "end-of-input", "repeated-target-index",
+            "non-ascii-digit"])
     def test_error_positions_are_line_columns(self, src, message):
         """One parser reads the whole line, so a position is the column
         in the line on either side of ``=``, leading spaces counted."""

@@ -4,7 +4,10 @@ The correlation grid reports one residual for every cell, and the
 family-invariance grid sums each distinct pair of label differences once.
 Both are held here against a cell-by-cell reference that sums every cell
 on its own, on a passing instance, under the ``psi-sign`` fault, and on
-bundles whose sigma differences differ from label to label.  A fault
+bundles whose sigma differences differ from label to label.  The family
+and curvature-transformation checks, which sum K - R from its torsion
+terms, are held against K + (W - R) built on each side, also where the
+two torsions differ; verify builds K once per instance.  A fault
 matrix pins which checks each wrong field of the inverse mapping and a
 wrong target connection fail, and that a wrong source torsion is refused
 before any check; ``synth`` is held to one basic-equation residual per
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqlab import harness, mapping
+from eqlab import geometry, harness, invariants, mapping
 from eqlab.geometry import (GAMMA_VALENCE, Keeper, Space, curvature_K,
                             torsion_square_terms)
 from eqlab.harness import (
@@ -27,7 +30,9 @@ from eqlab.harness import (
     sigma_differences,
     verify_instance,
 )
-from eqlab.invariants import PARAM_NAMES, InvariantBundle, VerificationReport
+from eqlab.invariants import (PARAM_NAMES, RK_SQUARE_PARAMS, InvariantBundle,
+                              R_and_K_transformation_check,
+                              VerificationReport)
 from eqlab.jets import JetScalar
 from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
                            synthesize_instance)
@@ -102,9 +107,11 @@ def _reference_correlation(bundle, which, p_values, q_values, values):
 def _reference_family(src, tgt, which, p_values, q_values, values):
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
+    # K + (W - R) on each side, with W - R written out
     common = tensor_lincomb(
-        [(1, curvature_K(src.space, *params)), (1, src.correction(which)),
-         (-1, curvature_K(tgt.space, *params)), (-1, tgt.correction(which))])
+        [(1, curvature_K(src.space, *params)), (1, src.w_star(which)),
+         (-1, src.space.curvature()), (-1, curvature_K(tgt.space, *params)),
+         (-1, tgt.w_star(which)), (1, tgt.space.curvature())])
     return _reference(
         "family_invariance", {"which": which, "draw": 0}, values, p_values,
         q_values,
@@ -184,8 +191,30 @@ def test_passing_grid_sums_one_cell_per_draw(monkeypatch, pair):
     report = family_invariance_check(src, tgt, 1, LABELS, LABELS, VALUES[0],
                                      0, {}, differences)
     assert report.passed and report.params["cells"] == 64
-    # the parameter-free part, then one sum for all 64 cells
-    assert calls == [4, 3]
+    # the label-free part (W and the five torsion terms of K - R, per
+    # side), then one sum for all 64 cells
+    assert calls == [12, 3]
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+def test_verify_builds_curvature_K_once_per_instance(monkeypatch, pair,
+                                                     draws):
+    """Only ``correlation``, which holds ``curvature_K`` to its definition,
+    builds K; the family and curvature-transformation checks sum K - R
+    from its torsion terms, whatever the number of draws."""
+    built = []
+    original = geometry.curvature_K
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    for module in (geometry, invariants, harness):
+        if getattr(module, "curvature_K", None) is original:
+            monkeypatch.setattr(module, "curvature_K", counted)
+    reports, _ = verify_instance(pair, 0, LABELS, LABELS, draws)
+    assert all(report.passed for report in reports)
+    assert len(built) == 1
 
 
 def test_verify_builds_no_family_member(monkeypatch, pair):
@@ -295,6 +324,67 @@ def test_a_wrong_source_torsion_is_refused_before_any_check(dim):
     pair = MappedPair(source, good.mapping, good.target)
     with pytest.raises(BasicEquationError, match="residual is nonzero"):
         verify_instance(pair, 0, LABELS, LABELS, 1)
+
+
+def _k_route_member(bundle, which, p, q, params):
+    """K + (W - R) - u sigma_p - u' sigma*_q, K from ``curvature_K``."""
+    return tensor_lincomb(
+        [(1, curvature_K(bundle.space, *params)), (1, bundle.w_star(which)),
+         (-1, bundle.space.curvature()), (-params[0], bundle.sigma(p)),
+         (-params[1], bundle.sigma_swapped(q))])
+
+
+@pytest.mark.parametrize("dim, kind", [(2, 1), (3, 2)])
+def test_unequal_torsion_keeps_the_k_route_residuals(monkeypatch, dim, kind):
+    """A hand-built target whose torsion differs from the source's, so
+    the torsion-square differences do not vanish: every family cell and
+    both curvature-transformation residuals equal the route that builds
+    K + (W - R) on each side."""
+    good = synthesize_instance(dim, kind, seed=0)
+    target = _shifted(good.target, {(0, 0, 1): 1, (0, 1, 0): -1})
+    src = _bundle(good.source, good.mapping)
+    tgt = _bundle(target, good.inverse())
+    for square, square_bar in zip(torsion_square_terms(src.space),
+                                  torsion_square_terms(tgt.space)):
+        assert square != square_bar
+    values = VALUES[0]
+    params = [values[name] for name in PARAM_NAMES]
+    grids = []
+    monkeypatch.setattr(harness, "_grid_report",
+                        lambda check, head, values, cells: grids.append(cells))
+    family_invariance_check(src, tgt, kind, LABELS, LABELS, values, 0, {},
+                            sigma_differences(src, tgt, LABELS, LABELS))
+    (cells,) = grids
+    assert len(cells) == 64
+    for (p, q), residual in cells:
+        assert residual == tensor_sub(
+            _k_route_member(src, kind, p, q, params),
+            _k_route_member(tgt, kind, p, q, params))
+
+    captured = []
+    from_residuals = VerificationReport.from_residuals.__func__
+
+    def capture(cls, check, head, residuals):
+        captured.append(tuple(residuals))
+        return from_residuals(cls, check, head, captured[-1])
+
+    monkeypatch.setattr(VerificationReport, "from_residuals",
+                        classmethod(capture))
+    u, up = params[:2]
+    report = R_and_K_transformation_check(src, tgt, kind, 3, 6, u, up)
+    (residual_r, residual_k), = captured
+    k_params = (u, up, *RK_SQUARE_PARAMS)
+    corrections = [(-1, src.w_star(kind)), (1, src.space.curvature()),
+                   (1, tgt.w_star(kind)), (-1, tgt.space.curvature())]
+    assert residual_r == tensor_lincomb(
+        [(1, tgt.space.curvature()), (-1, src.space.curvature())]
+        + corrections)
+    assert residual_k == tensor_lincomb(
+        [(1, curvature_K(tgt.space, *k_params)),
+         (-1, curvature_K(src.space, *k_params))] + corrections
+        + [(-u, tgt.sigma(3)), (u, src.sigma(3)),
+           (-up, tgt.sigma_swapped(6)), (up, src.sigma_swapped(6))])
+    assert not report.passed
 
 
 def test_synth_computes_one_residual_per_pair(monkeypatch):

@@ -14,8 +14,10 @@ kill set there:
   ``documents.py`` and ``jets.py`` also ``tests/test_flat_storage.py``,
   which holds the pins of the instance loader and of the coefficient
   placement both share, for ``documents.py`` the CLI test that reads
-  a numerator past the digit limit, and for ``mapping.py`` the test that
-  a synthesis bug exits 4 where a stored pair's fault exits 2.
+  a numerator past the digit limit, for ``mapping.py`` the test that a
+  synthesis bug exits 4 where a stored pair's fault exits 2, and for
+  ``invariants.py`` the test of the family and curvature-transformation
+  residuals on a pair whose target torsion differs from its source's.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -105,9 +107,17 @@ MUTANTS = (
            "return a",
            "_Parts: the inputs not cut to the parts' order"),
     Mutant("curvature-k-coefficient", "geometry.py",
-           "(up, cd_swapped)",
-           "(u, cd_swapped)",
-           "curvature_K: u instead of u' on the swapped torsion derivative"),
+           "(cd, transpose(cd, (0, 1, 3, 2)))",
+           "(transpose(cd, (0, 1, 3, 2)), cd)",
+           "k_torsion_terms: the torsion derivative and its m/n swap "
+           "exchanged, so u and u' multiply each other's term in K"),
+    Mutant("torsion-squares-dropped", "invariants.py",
+           "zip(params, k_torsion_terms(src.space)))\n"
+           "            + [(-theta, t) for theta, t in zip(params, ",
+           "zip(params[:2], k_torsion_terms(src.space)))\n"
+           "            + [(-theta, t) for theta, t in zip(params[:2], ",
+           "family_difference_terms: the torsion-square differences left "
+           "out, as if the mapping always kept the torsion"),
     Mutant("keyed-differences-unshared", "harness.py",
            "differences[label] = shared.setdefault(difference, difference)",
            "differences[label] = difference",
@@ -196,6 +206,8 @@ MORE_TESTS = {"documents.py": (
     "tests/test_cli.py::TestCliVerify::"
     "test_numerator_past_the_digit_limit_names_field_and_limit"),
     "jets.py": ("tests/test_flat_storage.py",),
+    "invariants.py": ("tests/test_harness.py::"
+                      "test_unequal_torsion_keeps_the_k_route_residuals",),
     "mapping.py": ("tests/test_documents.py::"
                    "test_a_nonzero_residual_is_a_bug_in_synthesis_only",)}
 
