@@ -9,8 +9,8 @@ one way: the file is parsed once, every integer is read exactly by
 in turn.  Dims and connection orders are capped, a field that does not
 load is named by its path, and a missing key or a wrongly typed value is
 the file's fault only while it is decoded, not while the pair is checked.
-Callers import this module when they read or write a document, so a
-command that reads and writes none never loads it.
+A command imports this module only to read or write a document, and the
+module imports a layer only once the values it builds with have loaded.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import re
 import sys
 from math import gcd
 
-from .geometry import Space
 from .jets import (MAX_DIM, MAX_ORDER, _lex_slots, _placed, basis_size,
                    graded_basis)
-from .mapping import AG3Mapping, MappedPair
-from .tensors import TensorField, _assemble, _check_valence, _field
 
 
 def _long_as_text(literal: str):
@@ -115,9 +112,11 @@ def pair_json(pair: MappedPair) -> dict:
 
 def decode_pair(obj: dict) -> MappedPair:
     """The pair a document holds, not yet checked."""
-    return MappedPair(load_field("source", load_space, obj["source"]),
-                      load_field("mapping", load_mapping, obj["mapping"]),
-                      load_field("target", load_space, obj["target"]))
+    source = load_field("source", load_space, obj["source"])
+    mapping = load_field("mapping", load_mapping, obj["mapping"])
+    target = load_field("target", load_space, obj["target"])
+    from .mapping import MappedPair
+    return MappedPair(source, mapping, target)
 
 
 def mapping_json(m: AG3Mapping) -> dict:
@@ -132,6 +131,8 @@ def load_mapping(obj: dict) -> AG3Mapping:
     fields = {name: load_field(name, load_tensor, obj[name])
               for name in ("psi", "sigma", "phi", "nu")}
     dim, order, den, nums = load_field("mu", load_block, obj["mu"])
+    from .mapping import AG3Mapping
+    from .tensors import _field
     return AG3Mapping(**fields, mu=_field(dim, (), order, den, nums),
                       kind=json_int(obj["kind"], "the mapping kind"))
 
@@ -150,6 +151,7 @@ def load_space(obj: dict) -> Space:
     if gamma.order > MAX_ORDER:
         raise FieldError(f"gamma: the connection order is {gamma.order}, "
                          f"above the cap of {MAX_ORDER}")
+    from .geometry import Space
     return Space(dim, gamma)
 
 
@@ -167,6 +169,7 @@ def load_tensor(obj: dict) -> TensorField:
     if not isinstance(valence, list):
         raise ValueError(f"a tensor valence must be a list, got {valence!r}")
     blocks = [load_block(c) for c in obj["components"]]
+    from .tensors import _assemble, _check_valence, _field
     return _field(*_assemble(dim, _check_valence(valence), blocks))
 
 

@@ -40,6 +40,7 @@ from .mapping import (
     FactorizationMismatch,
     MappedPair,
     gamma_diff_factorized,
+    reciprocity_inverse,
     synthesize_instance,
 )
 from .tensors import (
@@ -55,18 +56,15 @@ FAULTS = ("psi-sign",)  # the negative control's faults
 
 
 def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
-    """Inverse mapping data with the sign of the barred psi flipped.
-
-    The dependent fields are re-derived from the wrong psi, so nu and mu
-    carry the fault into every barred evaluation even though the W and
-    eta formulas never read psi itself.  Negative control only.
-    """
+    """The checked inverse of the psi-negated mapping, a valid mapping of
+    the same source since psi enters no basic equation.  psi-bar keeps the
+    wrong sign; nu-bar and mu-bar carry the fault into every barred
+    evaluation even though the W and eta formulas never read psi itself.
+    Negative control only."""
     m = pair.mapping
-    psi_wrong = m.psi  # the correct inverse carries -psi
-    nu_wrong = tensor_lincomb([(1, m.nu), (-1, m.psi), (2, m.sigma_phi())])
-    mu_wrong = tensor_sub(m.mu, m.psi_phi())
-    return AG3Mapping(psi=psi_wrong, sigma=tensor_neg(m.sigma), phi=m.phi,
-                      nu=nu_wrong, mu=mu_wrong, kind=m.kind)
+    flipped = AG3Mapping(psi=tensor_neg(m.psi), sigma=m.sigma, phi=m.phi,
+                         nu=m.nu, mu=m.mu, kind=m.kind)
+    return reciprocity_inverse(pair.source, flipped)
 
 
 def w_invariance_check(src: InvariantBundle, tgt: InvariantBundle,

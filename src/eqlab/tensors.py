@@ -507,20 +507,17 @@ def antisym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
 
 
 def partial_deriv_field(a: TensorField, k: int) -> TensorField:
-    """Componentwise comma derivative; the valence is left unchanged.
-
-    The result is not a tensor under coordinate change; callers that need
-    a tensorial derivative go through the covariant-derivative builders.
-    """
+    """Componentwise comma derivative, the direction-k blocks of
+    :func:`gradient`; the valence is left unchanged.  The result is not a
+    tensor under coordinate change; callers that need a tensorial
+    derivative go through the covariant-derivative builders."""
     if not 0 <= k < a.dim:
         raise ValueError(f"coordinate index {k} out of range for dim {a.dim}")
-    if a.order < 1:
-        raise OrderExhaustedError("cannot differentiate an order-0 jet")
-    table = _partial_table(a.dim, a.order, k)
-    size, nums = basis_size(a.dim, a.order), a.nums
-    out = [nums[start + i] * f for start in range(0, len(nums), size)
-           for i, f in table]
-    return _field(a.dim, a.valence, a.order - 1, a.den, out)
+    g = gradient(a)
+    size, nums = basis_size(g.dim, g.order), g.nums
+    out = [x for start in range(k * size, len(nums), a.dim * size)
+           for x in nums[start:start + size]]
+    return _field(a.dim, a.valence, g.order, g.den, out)
 
 
 def gradient(a: TensorField) -> TensorField:

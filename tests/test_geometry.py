@@ -18,6 +18,8 @@ from eqlab.geometry import (
     random_connection,
     torsion_square_terms,
 )
+from eqlab.harness import corrupted_inverse
+from eqlab.invariants import InvariantBundle
 from eqlab.jets import (MAX_ORDER, JetScalar, jet_add, jet_mul, jet_neg,
                         jet_partial, value_at_base)
 from eqlab.mapping import synthesize_instance
@@ -301,6 +303,33 @@ class TestFullConnectionCurvature:
         pair = synthesize_instance(dim, kind, seed=5, order=3)
         self.assert_family_members(pair.source)
         self.assert_family_members(pair.target)
+
+    @staticmethod
+    def transformed(space: Space, mapping, kind: int, order: int) -> list:
+        """R_theta + W - R - u sigma_p - u' sigma*_q at three cells, with
+        (u, u') = (1, -1) for R_1 and (-1, 1) for R_2, from a bundle at
+        ``order``."""
+        bundle = InvariantBundle(space, mapping, order)
+        r1 = full_connection_curvature(space.gamma)
+        r2 = full_connection_curvature(transpose(space.gamma, (0, 2, 1)))
+        return [tensor_lincomb([(1, r), (1, bundle.w_star(kind)),
+                                (-1, space.curvature()), (-u, bundle.sigma(p)),
+                                (-up, bundle.sigma_swapped(q))])
+                for r, u, up in ((r1, 1, -1), (r2, -1, 1))
+                for p, q in ((1, 1), (3, 6), (8, 2))]
+
+    @pytest.mark.parametrize("dim, kind, order", [(2, 1, 2), (3, 2, 3),
+                                                  (3, 1, 2)])
+    def test_each_transforms_as_k_does(self, dim: int, kind: int, order: int):
+        """The K family's transformation law, with K built without the
+        split into symmetric part and torsion: equal on the two sides of
+        a pair, unequal under the psi-sign control."""
+        pair = synthesize_instance(dim, kind, seed=5, order=order)
+        source = self.transformed(pair.source, pair.mapping, kind, order - 1)
+        for m_bar, equal in ((pair.inverse(), True),
+                             (corrupted_inverse(pair), False)):
+            target = self.transformed(pair.target, m_bar, kind, order - 1)
+            assert [a == b for a, b in zip(source, target)] == [equal] * 6
 
 
 class TestFamilySpan:

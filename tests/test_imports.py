@@ -2,8 +2,9 @@
 
 ``import eqlab`` loads no submodule: the package exports its names
 lazily.  The command line builds its parser from ``cli`` alone and each
-command imports what it runs: a rejected input file loads only the
-reader (``documents`` and the layers it decodes into), only the commands
+command imports what it runs: an input file rejected before a value
+decodes loads only the reader (``documents`` and ``jets``), one whose
+pair fails its check also the layers it decodes into, only the commands
 that read or write a document load ``documents``, only
 ``ranks --format csv`` loads ``csv``, and only ``eval`` loads the
 expression language.  Drawing and loading instances works in integers,
@@ -32,6 +33,8 @@ EVERY_LAYER = LOADER | {"cli", "dsl", "harness", "invariants", "linalg"}
 # the module of the instance format, loaded only to read or write one
 DOCUMENTS = {"documents"}
 READER = {"cli"} | DOCUMENTS | LOADER
+# the reader applies the jets' integer and block rules before it builds
+REJECTED = {"cli", "jets"} | DOCUMENTS
 RATIONALS = {"fractions", "decimal"}
 PROBE = SRC.parent / "bench" / "build_inputs.py"
 
@@ -93,12 +96,12 @@ def test_random_connection_loads_no_mapping(work):
 
 def test_non_object_file_is_rejected_by_the_reader(work):
     argv = ["verify", "--instance", "list.json"]
-    assert loaded_by_command(argv, 2, work) == READER
+    assert loaded_by_command(argv, 2, work) == REJECTED
 
 
 def test_file_the_loader_rejects_loads_only_the_loader(work):
     argv = ["verify", "--instance", "den0.json"]
-    assert loaded_by_command(argv, 2, work) == READER
+    assert loaded_by_command(argv, 2, work) == REJECTED
 
 
 def test_pair_its_check_rejects_loads_only_the_loader(work):

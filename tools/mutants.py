@@ -154,6 +154,11 @@ MUTANTS = (
            "weight[letter] += dim ** (len(side) - 1 - p)",
            "weight[letter] += dim ** (len(side) - 1 - p) - 1",
            "_contract_plan: every slot's stride weight one too small"),
+    Mutant("gradient-factor-dropped", "tensors.py",
+           "out = [nums[start + i] * f for start",
+           "out = [nums[start + i] for start",
+           "gradient: each coefficient moved down without its exponent "
+           "factor"),
     Mutant("signature-third-use", "dsl.py",
            "if name in used and name not in free_names:",
            "if False:",
@@ -185,7 +190,8 @@ MUTANTS = (
            "load_space: a connection at the order cap refused"),
     Mutant("validate-inside-except", "documents.py",
            "pair = _decoded(decode_pair, doc, path)\n    pair.validate()\n",
-           "pair = _decoded(MappedPair.from_json, doc, path)\n",
+           "from .mapping import MappedPair\n"
+           "    pair = _decoded(MappedPair.from_json, doc, path)\n",
            "_pair_from: a KeyError or TypeError raised by validate() is "
            "reported as a malformed file"),
     Mutant("seed-list-refused-late", "cli.py",
@@ -198,6 +204,10 @@ MUTANTS = (
            "except SynthesisError as exc:\n        raise SynthesisError(",
            "synthesize_instance: a nonzero residual on a synthesized pair "
            "is not re-raised, so a bug exits 2 as bad input does"),
+    Mutant("inverse-nu-sigma-phi", "mapping.py",
+           "(2, m.sigma_phi())])",
+           "(1, m.sigma_phi())])",
+           "_inverse_onto: nu-bar takes sigma_{ja} phi^a once, not twice"),
 )
 
 # tests of a module's code that live outside its own test file
