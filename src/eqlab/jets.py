@@ -2,9 +2,12 @@
 
 Every scalar quantity in this package is a jet: the expansion of a field
 around the coordinate origin, truncated above a declared total degree.
-Arithmetic is exact.  Differentiation lowers the order by one and binary
-operations take the minimum of the two orders, so a value always knows
-how many of its derivatives are still trustworthy.
+:class:`JetScalar` is a value with one constructor.  The arithmetic is
+exact and is this module's functions: the ring ``jet_add``, ``jet_neg``,
+``jet_scale`` and ``jet_mul``, ``jet_partial`` and ``jet_inverse``.
+Differentiation lowers the order by one and binary operations take the
+minimum of the two orders, so a value always knows how many of its
+derivatives are still trustworthy.
 
 A jet stores its coefficients as integer numerators over one shared
 positive denominator, on a graded monomial basis: the exponent tuples of
@@ -142,7 +145,9 @@ class JetScalar:
     ``den`` a positive int.  The form is canonical: ``gcd(den, *nums) == 1``,
     and the zero jet has ``den == 1``, so equal jets have equal fields.
     ``coeffs`` is derived on demand: a fresh dict from exponent tuples to
-    the nonzero ``Fraction`` coefficients.  Instances are immutable.
+    the nonzero ``Fraction`` coefficients.  Instances are immutable.  The
+    one constructor takes coefficients by multi-index; a jet has no
+    arithmetic operators, the module's ``jet_*`` functions are its ring.
     """
 
     __slots__ = ("dim", "order", "den", "nums")
@@ -169,20 +174,6 @@ class JetScalar:
                 for alpha, n in zip(graded_basis(self.dim, self.order), self.nums)
                 if n}
 
-    @classmethod
-    def constant(cls, dim: int, order: int, value: Fraction | int) -> "JetScalar":
-        return cls(dim, order, {(0,) * dim: _exact(value)})
-
-    @classmethod
-    def coordinate(cls, dim: int, order: int, k: int) -> "JetScalar":
-        """The coordinate function x_k (0-based k) as a jet."""
-        if not 0 <= k < dim:
-            raise ValueError(f"coordinate index {k} out of range for dim {dim}")
-        if order < 1:
-            raise ValueError("a coordinate jet needs order >= 1")
-        alpha = tuple(1 if i == k else 0 for i in range(dim))
-        return cls(dim, order, {alpha: 1})
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -194,40 +185,6 @@ class JetScalar:
 
     def __hash__(self) -> int:
         return hash((self.dim, self.order, self.den, self.nums))
-
-    def __add__(self, other):
-        from fractions import Fraction
-
-        if isinstance(other, (int, Fraction)):
-            other = JetScalar.constant(self.dim, self.order, other)
-        if not isinstance(other, JetScalar):
-            return NotImplemented
-        return jet_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from fractions import Fraction
-
-        if isinstance(other, (int, Fraction)):
-            other = JetScalar.constant(self.dim, self.order, other)
-        if not isinstance(other, JetScalar):
-            return NotImplemented
-        return jet_add(self, jet_neg(other))
-
-    def __neg__(self):
-        return jet_neg(self)
-
-    def __mul__(self, other):
-        from fractions import Fraction
-
-        if isinstance(other, (int, Fraction)):
-            return jet_scale(other, self)
-        if not isinstance(other, JetScalar):
-            return NotImplemented
-        return jet_mul(self, other)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         coeffs = self.coeffs
@@ -348,13 +305,6 @@ def jet_partial(a: JetScalar, k: int) -> JetScalar:
                 [nums[i] * f for i, f in _partial_table(a.dim, a.order, k)])
 
 
-def jet_truncate(a: JetScalar, order: int) -> JetScalar:
-    """The same jet with every term above total degree ``order`` dropped."""
-    if not 0 <= order <= a.order:
-        raise ValueError(f"cannot truncate an order-{a.order} jet to order {order}")
-    return _jet(a.dim, order, a.den, a.nums[:basis_size(a.dim, order)])
-
-
 def jet_inverse(a: JetScalar) -> JetScalar:
     """Multiplicative inverse up to the truncation order, in integers.
 
@@ -375,12 +325,6 @@ def jet_inverse(a: JetScalar) -> JetScalar:
     power = n0 ** (order + 1)
     den = a.den if power > 0 else -a.den
     return _jet(dim, order, abs(power), [den * x for x in s.nums])
-
-
-def value_at_base(a: JetScalar) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(a.nums[0], a.den)
 
 
 @cache

@@ -39,8 +39,9 @@ class BasicEquationError(ValueError):
     """The mapping data does not satisfy its basic equation on this space."""
 
 
-class ReciprocityError(ValueError):
-    """The inverse mapping does not carry the image back onto the source."""
+class ReciprocityError(RuntimeError):
+    """The inverse of a built or validated pair fails its basic equation
+    or its round trip: the pair's checks imply both, so this is a bug."""
 
 
 class FactorizationMismatch(AssertionError):
@@ -90,15 +91,6 @@ class AG3Mapping:
         self.mu = mu
         self.kind = kind
         self.dim = dim
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AG3Mapping):
-            return NotImplemented
-        return (self.kind == other.kind and self.psi == other.psi
-                and self.sigma == other.sigma and self.phi == other.phi
-                and self.nu == other.nu and self.mu == other.mu)
-
-    __hash__ = None
 
     def sigma_phi(self) -> TensorField:
         """The (0,1) contraction sigma_{ja} phi^a."""
@@ -163,10 +155,11 @@ def reciprocity_inverse(s: Space, m: AG3Mapping) -> AG3Mapping:
 def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
     """:func:`reciprocity_inverse` with the image space ``target`` given.
 
-    The caller has proved the basic equation on s; this proves it on the
-    target.  The round trip target -> s rejects a target that is not the
-    image of s under m, since the inverse increment is exactly minus the
-    forward one.
+    The caller has proved the basic equation on s and that ``target`` is
+    the image of s under m; this proves the basic equation on the target
+    and the round trip target -> s, which the inverse increment, exactly
+    minus the forward one, passes.  Either failure is a bug in the
+    inverse formula, so it raises :class:`ReciprocityError`.
     """
     nu_bar = tensor_lincomb([(1, m.nu), (1, m.psi), (2, m.sigma_phi())])
     mu_bar = tensor_add(m.mu, m.psi_phi())
@@ -175,7 +168,7 @@ def _inverse_onto(s: Space, m: AG3Mapping, target: Space) -> AG3Mapping:
     if transform_connection(target, m_bar).gamma != s.gamma:
         raise ReciprocityError("inverse mapping does not map the image back")
     if not basic_equation_residual(target, m_bar).is_zero():
-        raise BasicEquationError(
+        raise ReciprocityError(
             "inverse mapping violates the basic equation on the image space")
     return m_bar
 

@@ -138,10 +138,6 @@ class TensorField:
                                   product(range(dim), repeat=len(valence))])
 
     @classmethod
-    def zero(cls, dim: int, valence: Sequence[str], order: int) -> "TensorField":
-        return _constant(dim, _check_valence(valence), order, 0, ())
-
-    @classmethod
     def scalar(cls, dim: int, order: int, value: Fraction | int) -> "TensorField":
         """The rank-0 field of the constant ``value``."""
         return _constant(dim, (), order, value, (0,))

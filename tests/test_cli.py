@@ -25,7 +25,7 @@ from eqlab.harness import (
 )
 from eqlab.invariants import W_star
 from eqlab.jets import (MAX_CONTRACT_OUTPUT, MAX_DIM, MAX_ORDER, JetScalar,
-                        _jet, jet_truncate)
+                        _jet, jet_add)
 from eqlab.mapping import (
     AG3Mapping,
     MappedPair,
@@ -34,6 +34,7 @@ from eqlab.mapping import (
 )
 from eqlab.dsl import MAX_NESTING, EvaluationError
 from eqlab.tensors import DOWN, UP, TensorField, random_field, tensor_sub
+from helpers import const, jet_truncate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,7 +73,7 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 40) -> MappedPai
     zero = JetScalar(dim, order)
     gamma = TensorField.build(dim, GAMMA_VALENCE, lambda idx: zero)
     phi = TensorField.build(dim, (UP,),
-                            lambda idx: JetScalar.constant(dim, order + 1,
+                            lambda idx: const(dim, order + 1,
                                                            idx[0] + 2))
     psi = random_field(rng, dim, (DOWN,), order)
     sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
@@ -439,7 +440,7 @@ class TestCliVerify:
         doc = synth_document(2, 1, seed=0)
         components = doc["mapping"]["sigma"]["components"]
         # sigma[0, 1] := sigma[1, 0] + 1, row-major
-        jet = _jet(*load_block(components[2])) + JetScalar.constant(2, 2, 1)
+        jet = jet_add(_jet(*load_block(components[2])), const(2, 2, 1))
         components[1] = block_json(jet.dim, jet.order, jet.den, jet.nums)
         path = tmp_path / "asymmetric.json"
         path.write_text(json.dumps(doc))
@@ -482,7 +483,8 @@ class TestCliVerify:
         # Gamma^1_11 is diagonal in its lower slots: the torsion stays equal
         shifted = json.loads(json.dumps(doc))
         components = shifted["target"]["gamma"]["components"]
-        jet = _jet(*load_block(components[0])) + 1
+        jet = _jet(*load_block(components[0]))
+        jet = jet_add(jet, const(jet.dim, jet.order, 1))
         components[0] = block_json(jet.dim, jet.order, jet.den, jet.nums)
         # a declared order whose dense basis is out of reach
         huge = json.loads(json.dumps(doc))

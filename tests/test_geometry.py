@@ -21,7 +21,7 @@ from eqlab.geometry import (
 from eqlab.harness import corrupted_inverse
 from eqlab.invariants import InvariantBundle
 from eqlab.jets import (MAX_ORDER, JetScalar, jet_add, jet_mul, jet_neg,
-                        jet_partial, value_at_base)
+                        jet_partial)
 from eqlab.mapping import synthesize_instance
 from eqlab.tensors import (
     DOWN,
@@ -37,6 +37,7 @@ from eqlab.tensors import (
     tensor_truncate,
     transpose,
 )
+from helpers import const, coord, value_at_base
 
 import random
 
@@ -53,14 +54,14 @@ def space_from_entries(dim: int, order: int, entries: dict) -> Space:
 class TestSplit:
     def test_symmetric_connection_has_zero_torsion(self):
         dim = 2
-        x2 = JetScalar.coordinate(dim, 2, 1)
+        x2 = coord(dim, 2, 1)
         s = space_from_entries(dim, 2, {(0, 0, 1): x2, (0, 1, 0): x2})
         assert s.torsion().is_zero()
         assert s.sym() == s.gamma
 
     def test_single_asymmetric_entry(self):
         dim = 2
-        one = JetScalar.constant(dim, 2, 1)
+        one = const(dim, 2, 1)
         s = space_from_entries(dim, 2, {(0, 0, 1): one})
         sym, torsion = s.sym(), s.torsion()
         half = Fraction(1, 2)
@@ -77,7 +78,7 @@ class TestSplit:
 
     def test_trace_of_symmetric_part(self):
         dim = 2
-        x2 = JetScalar.coordinate(dim, 2, 1)
+        x2 = coord(dim, 2, 1)
         s = space_from_entries(dim, 2, {(0, 0, 0): x2})
         trace = s.trace_sym()
         assert trace[0] == x2
@@ -117,7 +118,7 @@ class TestCovDerivAssoc:
     def test_pure_torsion_reduces_to_comma(self):
         # antisymmetric gamma has zero symmetric part
         dim = 2
-        x1 = JetScalar.coordinate(dim, 2, 0)
+        x1 = coord(dim, 2, 0)
         s = space_from_entries(dim, 2, {(0, 0, 1): x1, (0, 1, 0): jet_neg(x1)})
         assert s.sym().is_zero()
         a = random_field(random.Random(13), dim, (UP, DOWN), 2)
@@ -203,7 +204,7 @@ class TestCurvatureR:
     def test_linear_coefficient_hand_case(self):
         # Gamma^1_{11} = x_2 makes R^1_{112} = 1 at the base point
         dim = 2
-        x2 = JetScalar.coordinate(dim, 2, 1)
+        x2 = coord(dim, 2, 1)
         s = space_from_entries(dim, 2, {(0, 0, 0): x2})
         r = curvature_R(s)
         assert value_at_base(r[0, 0, 0, 1]) == 1

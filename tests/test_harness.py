@@ -33,11 +33,11 @@ from eqlab.harness import (
 from eqlab.invariants import (PARAM_NAMES, RK_SQUARE_PARAMS, InvariantBundle,
                               R_and_K_transformation_check,
                               VerificationReport)
-from eqlab.jets import JetScalar
 from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
                            synthesize_instance)
 from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb, tensor_sub,
                            transpose)
+from helpers import const, zero
 
 LABELS = list(range(1, 9))
 GRIDS = [(LABELS, LABELS), ([2, 5, 8], [1, 4]), ([3, 3, 6], [7, 2, 7])]
@@ -155,19 +155,19 @@ def test_grids_match_the_cell_by_cell_reference(case, grid, pair, unrelated):
 
 def test_labels_are_keyed_by_the_first_equal_difference():
     a = TensorField.delta(2, 1)
-    zero = TensorField.zero(2, a.valence, 1)
-    values = {1: a, 2: zero, 3: a, 4: zero, 5: a}
+    z = zero(2, a.valence, 1)
+    values = {1: a, 2: z, 3: a, 4: z, 5: a}
     differences = _keyed_differences(
-        [1, 2, 3, 4, 5, 3], values.__getitem__, lambda label: zero)
-    assert differences == {1: a, 2: zero, 3: a, 4: zero, 5: a}
+        [1, 2, 3, 4, 5, 3], values.__getitem__, lambda label: z)
+    assert differences == {1: a, 2: z, 3: a, 4: z, 5: a}
     assert differences[3] is differences[1] is differences[5]
     assert differences[4] is differences[2]
 
 
 def test_grid_report_lists_the_cells_of_each_failing_residual():
     a = TensorField.delta(2, 1)
-    zero = TensorField.zero(2, a.valence, 1)
-    cells = [((1, 1), zero), ((1, 2), a), ((2, 1), zero), ((2, 2), a),
+    z = zero(2, a.valence, 1)
+    cells = [((1, 1), z), ((1, 2), a), ((2, 1), z), ((2, 2), a),
              ((2, 2), a)]
     report = harness._grid_report("family_invariance", {"draw": 0},
                                   VALUES[0], cells)
@@ -295,7 +295,7 @@ def _shifted(space: Space, shifts: dict) -> Space:
     Gamma^i_jk."""
     dim, order = space.dim, space.gamma.order
     bump = TensorField.build(dim, GAMMA_VALENCE, lambda idx:
-                             JetScalar.constant(dim, order, shifts.get(idx, 0)))
+                             const(dim, order, shifts.get(idx, 0)))
     return Space(dim, tensor_add(space.gamma, bump))
 
 

@@ -52,6 +52,7 @@ from eqlab.tensors import (
     tensor_truncate,
     transpose,
 )
+from helpers import const, coord, jet_sum, zero
 
 W_VALENCE = (UP, DOWN, DOWN, DOWN)
 
@@ -97,15 +98,15 @@ def _sigma_component(parts: _Parts, p: int, c: Fraction,
 
     def first_mid():
         # Gamma^a_{v jm} Gamma^i_{_an}
-        return sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
 
     def mid_contr():
         # Gamma^i_{v am} Gamma^a_{_jn}
-        return sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
 
     def last_contr():
         # Gamma^i_{v ja} Gamma^a_{_mn}
-        return sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
 
     def phi_tail():
         # Gamma^a_{v jm} phi^i sigma_{an}
@@ -204,15 +205,15 @@ def _u_component(parts: _Parts, theta: int, idx: tuple[int, ...]) -> JetScalar:
     sigma, phi = parts.sigma, parts.phi
     i, j, m, n = idx
     if theta == 1:
-        return sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[a, j, m], sym[i, a, n]) for a in range(dim))
     if theta == 2:
-        return sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
+        return jet_sum(jet_mul(t[a, j, n], sym[i, a, m]) for a in range(dim))
     if theta == 3:
-        return sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[i, a, m], sym[a, j, n]) for a in range(dim))
     if theta == 4:
-        return sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
+        return jet_sum(jet_mul(t[i, a, n], sym[a, j, m]) for a in range(dim))
     if theta == 5:
-        return sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
+        return jet_sum(jet_mul(t[i, j, a], sym[a, m, n]) for a in range(dim))
     if theta == 6:
         return jet_mul(t[i, j, m], parts.trace[n])
     if theta == 7:
@@ -306,7 +307,7 @@ def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
     """Arbitrary mapping data; the tensor builders don't require validity."""
     rng = random.Random(seed)
     if zero_sigma:
-        sigma = TensorField.zero(dim, (DOWN, DOWN), order)
+        sigma = zero(dim, (DOWN, DOWN), order)
     else:
         sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     return AG3Mapping(
@@ -321,15 +322,15 @@ def random_mapping(dim: int, order: int, seed: int, kind: int = 1,
 def identity_pair(dim: int = 2, order: int = 2,
                   scale: Fraction = Fraction(2)) -> MappedPair:
     """Zero deformation on a flat space; phi constant so nu = mu = 0 works."""
-    space = Space(dim, TensorField.zero(dim, GAMMA_VALENCE, order))
+    space = Space(dim, zero(dim, GAMMA_VALENCE, order))
     mapping = AG3Mapping(
-        psi=TensorField.zero(dim, (DOWN,), order),
-        sigma=TensorField.zero(dim, (DOWN, DOWN), order),
+        psi=zero(dim, (DOWN,), order),
+        sigma=zero(dim, (DOWN, DOWN), order),
         phi=TensorField.build(
             dim, (UP,),
-            lambda idx: JetScalar.constant(dim, order + 1, scale)),
-        nu=TensorField.zero(dim, (DOWN,), order),
-        mu=TensorField.zero(dim, (), order),
+            lambda idx: const(dim, order + 1, scale)),
+        nu=zero(dim, (DOWN,), order),
+        mu=zero(dim, (), order),
         kind=1)
     return MappedPair.build(space, mapping)
 
@@ -339,17 +340,17 @@ def torsion_free_pair(dim: int = 2, order: int = 2, seed: int = 0,
     """Flat space, coordinate phi, random psi and sigma: a valid pair
     whose torsion vanishes identically."""
     rng = random.Random(seed)
-    space = Space(dim, TensorField.zero(dim, GAMMA_VALENCE, order))
+    space = Space(dim, zero(dim, GAMMA_VALENCE, order))
     scale = Fraction(rng.randint(1, 9))
     phi = TensorField.build(
         dim, (UP,),
-        lambda idx: jet_scale(scale, JetScalar.coordinate(dim, order + 1, idx[0])))
+        lambda idx: jet_scale(scale, coord(dim, order + 1, idx[0])))
     sigma = random_field(rng, dim, (DOWN, DOWN), order, symmetric=True)
     mapping = AG3Mapping(
         psi=random_field(rng, dim, (DOWN,), order),
         sigma=sigma,
         phi=phi,
-        nu=TensorField.zero(dim, (DOWN,), order),
+        nu=zero(dim, (DOWN,), order),
         mu=TensorField.scalar(dim, order, scale),
         kind=kind)
     return MappedPair.build(space, mapping)
@@ -634,7 +635,7 @@ class TestSwapTransport:
         s, m = pair21.source, pair21.mapping
         matrix = sigma_coeff_matrix(s.dim)
         transported = swap_row(exact_rows(matrix)[p - 1])
-        combo = TensorField.zero(s.dim, W_VALENCE, s.torsion().order)
+        combo = zero(s.dim, W_VALENCE, s.torsion().order)
         for theta in range(20):
             if transported[theta]:
                 combo = tensor_add(
@@ -979,7 +980,7 @@ class TestCutOrder:
         def square(pairing):
             return TensorField.build(
                 dim, W_VALENCE,
-                lambda idx: sum(jet_mul(*pairing(idx, a))
+                lambda idx: jet_sum(jet_mul(*pairing(idx, a))
                                 for a in range(dim)))
 
         expected = (

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqlab.mapping as mapping_module
+from eqlab.cli import main
 from eqlab.documents import pair_json
 from eqlab.geometry import GAMMA_VALENCE, Space
-from eqlab.jets import JetScalar, jet_inverse, jet_mul, jet_scale, value_at_base
+from eqlab.harness import synth_document
+from eqlab.jets import JetScalar, jet_add, jet_inverse, jet_scale
 from eqlab.mapping import (
     AG3Mapping,
     BasicEquationError,
@@ -28,6 +30,7 @@ from eqlab.mapping import (
 )
 from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_add,
                            tensor_sub)
+from helpers import const, coord, mapping_data, value_at_base, zero
 
 seeds = st.integers(min_value=0, max_value=10**6)
 kinds = st.sampled_from([1, 2])
@@ -35,13 +38,13 @@ dims = st.sampled_from([2, 3])
 
 
 def zero_space(dim: int, order: int) -> Space:
-    return Space(dim, TensorField.zero(dim, GAMMA_VALENCE, order))
+    return Space(dim, zero(dim, GAMMA_VALENCE, order))
 
 
 def constant_covector(dim: int, order: int, values) -> TensorField:
     return TensorField.build(
         dim, (DOWN,),
-        lambda idx: JetScalar.constant(dim, order, values[idx[0]]))
+        lambda idx: const(dim, order, values[idx[0]]))
 
 
 def flat_instance(dim: int = 2, order: int = 3, scale: Fraction = Fraction(3, 2),
@@ -50,12 +53,12 @@ def flat_instance(dim: int = 2, order: int = 3, scale: Fraction = Fraction(3, 2)
     space = zero_space(dim, order)
     phi = TensorField.build(
         dim, (UP,),
-        lambda idx: jet_scale(scale, JetScalar.coordinate(dim, order + 1, idx[0])))
+        lambda idx: jet_scale(scale, coord(dim, order + 1, idx[0])))
     mapping = AG3Mapping(
-        psi=TensorField.zero(dim, (DOWN,), order),
-        sigma=TensorField.zero(dim, (DOWN, DOWN), order),
+        psi=zero(dim, (DOWN,), order),
+        sigma=zero(dim, (DOWN, DOWN), order),
         phi=phi,
-        nu=TensorField.zero(dim, (DOWN,), order),
+        nu=zero(dim, (DOWN,), order),
         mu=TensorField.scalar(dim, order, scale),
         kind=kind)
     return space, mapping
@@ -72,10 +75,10 @@ class TestTransform:
         space = zero_space(dim, order)
         mapping = AG3Mapping(
             psi=constant_covector(dim, order, (1, 0)),
-            sigma=TensorField.zero(dim, (DOWN, DOWN), order),
-            phi=TensorField.zero(dim, (UP,), order + 1),
-            nu=TensorField.zero(dim, (DOWN,), order),
-            mu=TensorField.zero(dim, (), order),
+            sigma=zero(dim, (DOWN, DOWN), order),
+            phi=zero(dim, (UP,), order + 1),
+            nu=zero(dim, (DOWN,), order),
+            mu=zero(dim, (), order),
             kind=1)
         bar = transform_connection(space, mapping).gamma
         values = {idx: value_at_base(bar[idx])
@@ -117,8 +120,8 @@ class TestBasicEquation:
         dim, order = 2, 2
         space = Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
         mapping = AG3Mapping(
-            psi=TensorField.zero(dim, (DOWN,), order),
-            sigma=TensorField.zero(dim, (DOWN, DOWN), order),
+            psi=zero(dim, (DOWN,), order),
+            sigma=zero(dim, (DOWN, DOWN), order),
             phi=random_field(rng, dim, (UP,), order + 1),
             nu=random_field(rng, dim, (DOWN,), order),
             mu=random_field(rng, dim, (), order),
@@ -145,7 +148,7 @@ class TestSynthesize:
         again = MappedPair.from_json(pair_json(pair))
         assert again.source.gamma == pair.source.gamma
         assert again.target.gamma == pair.target.gamma
-        assert again.mapping == pair.mapping
+        assert mapping_data(again.mapping) == mapping_data(pair.mapping)
 
     def test_degenerate_assembly_hand_case(self):
         # B = 0, nu = 0, mu and phi constant: the kind-1 assembly collapses
@@ -154,8 +157,8 @@ class TestSynthesize:
         mu = Fraction(3)
         phi = TensorField.build(
             dim, (UP,),
-            lambda idx: JetScalar.constant(dim, order + 1, 2 if idx[0] == 0 else 1))
-        w = jet_inverse(JetScalar.constant(dim, order, 2))
+            lambda idx: const(dim, order + 1, 2 if idx[0] == 0 else 1))
+        w = jet_inverse(const(dim, order, 2))
 
         def gamma_entry(idx):
             i, k, j = idx
@@ -165,10 +168,10 @@ class TestSynthesize:
 
         space = Space(dim, TensorField.build(dim, GAMMA_VALENCE, gamma_entry))
         mapping = AG3Mapping(
-            psi=TensorField.zero(dim, (DOWN,), order),
-            sigma=TensorField.zero(dim, (DOWN, DOWN), order),
+            psi=zero(dim, (DOWN,), order),
+            sigma=zero(dim, (DOWN, DOWN), order),
             phi=phi,
-            nu=TensorField.zero(dim, (DOWN,), order),
+            nu=zero(dim, (DOWN,), order),
             mu=TensorField.scalar(dim, order, mu),
             kind=1)
         assert basic_equation_residual(space, mapping).is_zero()
@@ -224,37 +227,40 @@ class TestReciprocity:
         pair = synthesize_instance(2, kind, seed)
         inverse = pair.inverse()
         again = reciprocity_inverse(pair.target, inverse)
-        assert again == pair.mapping
+        assert mapping_data(again) == mapping_data(pair.mapping)
 
     def test_sign_conventions(self):
         pair = synthesize_instance(3, 1, 11)
         inverse = pair.inverse()
         m = pair.mapping
-        assert inverse.psi == tensor_sub(TensorField.zero(3, (DOWN,), m.psi.order), m.psi)
+        assert inverse.psi == tensor_sub(zero(3, (DOWN,), m.psi.order), m.psi)
         assert inverse.sigma == tensor_sub(
-            TensorField.zero(3, (DOWN, DOWN), m.sigma.order), m.sigma)
+            zero(3, (DOWN, DOWN), m.sigma.order), m.sigma)
         assert inverse.phi == m.phi
         # nubar_j = nu_j + psi_j + 2 sigma_{ja} phi^a, mubar = mu + psi_a phi^a
         sigma_phi = m.sigma_phi()
         for j in range(3):
-            expected = m.nu[j] + m.psi[j] + jet_scale(2, sigma_phi[j])
+            expected = jet_add(jet_add(m.nu[j], m.psi[j]),
+                               jet_scale(2, sigma_phi[j]))
             assert inverse.nu[j] == expected
-        assert inverse.mu[()] == m.mu[()] + m.psi_phi()[()]
+        assert inverse.mu[()] == jet_add(m.mu[()], m.psi_phi()[()])
 
     def test_inverse_reuses_only_a_checked_target(self):
         pair = synthesize_instance(2, 1, 3)
-        expected = reciprocity_inverse(pair.source, pair.mapping)
-        assert pair.inverse() == expected
-        assert MappedPair.from_json(pair_json(pair)).inverse() == expected
+        expected = mapping_data(reciprocity_inverse(pair.source, pair.mapping))
+        assert mapping_data(pair.inverse()) == expected
+        assert mapping_data(
+            MappedPair.from_json(pair_json(pair)).inverse()) == expected
         order = pair.target.gamma.order
         bump = TensorField.build(
             2, GAMMA_VALENCE,
-            lambda idx: JetScalar.constant(2, order, 1 if idx == (0, 1, 1) else 0))
+            lambda idx: const(2, order, 1 if idx == (0, 1, 1) else 0))
         fake_target = Space(2, tensor_add(pair.target.gamma, bump))
         with pytest.raises(ReciprocityError, match="image back"):
             _inverse_onto(pair.source, pair.mapping, fake_target)
         # a hand-built pair is inverted from its source, whatever its target
-        assert MappedPair(pair.source, pair.mapping, fake_target).inverse() == expected
+        hand_built = MappedPair(pair.source, pair.mapping, fake_target)
+        assert mapping_data(hand_built.inverse()) == expected
 
     def test_each_side_proves_the_basic_equation_once(self, monkeypatch):
         """Build or validate proves the source side; the inverse proves
@@ -273,6 +279,29 @@ class TestReciprocity:
             pair = make()
             pair.inverse()
             assert calls == [pair.source, pair.target]
+
+    def test_a_failing_inverse_is_a_bug(self, capsys, monkeypatch, tmp_path):
+        """build or validate proves what the inverse's own checks rest on,
+        so an inverse that fails them is a bug and exits 4, for a
+        synthesized pair and a stored one alike."""
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(synth_document(2, 1, 0)))
+        psi_phi = AG3Mapping.psi_phi
+
+        def shifted(m):
+            value = psi_phi(m)
+            return tensor_add(value, TensorField.scalar(m.dim, value.order, 1))
+
+        monkeypatch.setattr(AG3Mapping, "psi_phi", shifted)
+        for argv in (["verify", "--dim", "2", "--seed", "0"],
+                     ["verify", "--instance", str(path)]):
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[:2] == [
+                "eqlab: internal error: ReciprocityError: inverse mapping "
+                "violates the basic equation on the image space",
+                "rerun: eqlab " + " ".join(argv)]
 
     def test_nonzero_residual_rejected(self):
         space, mapping = flat_instance()
@@ -309,9 +338,9 @@ class TestGammaDiffFactorized:
                 for k in range(2):
                     expected = JetScalar(2, diff.order)
                     if i == k:
-                        expected = expected + psi[j]
+                        expected = jet_add(expected, psi[j])
                     if i == j:
-                        expected = expected + psi[k]
+                        expected = jet_add(expected, psi[k])
                     assert diff[i, j, k] == expected
 
     def test_corrupted_pair_raises_with_residual(self):
@@ -321,7 +350,7 @@ class TestGammaDiffFactorized:
         # factorized side cannot absorb it
         bump = TensorField.build(
             2, GAMMA_VALENCE,
-            lambda idx: JetScalar.constant(2, order, 1 if idx == (0, 1, 1) else 0))
+            lambda idx: const(2, order, 1 if idx == (0, 1, 1) else 0))
         fake_target = Space(2, tensor_add(pair.target.gamma, bump))
         corrupted = MappedPair(pair.source, pair.mapping, fake_target)
         with pytest.raises(FactorizationMismatch) as excinfo:

@@ -20,8 +20,6 @@ from eqlab.jets import (
     jet_mul,
     jet_partial,
     jet_scale,
-    jet_truncate,
-    value_at_base,
 )
 from eqlab.invariants import _numerator_digits
 from eqlab.tensors import (
@@ -46,6 +44,7 @@ from eqlab.tensors import (
     tensor_truncate,
     transpose,
 )
+from helpers import const, coord, jet_sum, jet_truncate, value_at_base, zero
 
 F = Fraction
 
@@ -85,7 +84,7 @@ def tensor_field_pairs(draw):
 class TestBasics:
     def test_delta_plus_zero(self):
         d = TensorField.delta(3, 2)
-        z = TensorField.zero(3, (UP, DOWN), 2)
+        z = zero(3, (UP, DOWN), 2)
         assert tensor_add(d, z) == d
 
     def test_scale_delta(self):
@@ -95,16 +94,16 @@ class TestBasics:
             assert value_at_base(s[i, j]) == (2 if i == j else 0)
 
     def test_add_valence_mismatch(self):
-        a = TensorField.zero(2, (UP,), 1)
-        b = TensorField.zero(2, (DOWN,), 1)
+        a = zero(2, (UP,), 1)
+        b = zero(2, (DOWN,), 1)
         with pytest.raises(ValenceMismatchError):
             tensor_add(a, b)
 
     def test_outer_components(self):
         phi = TensorField.build(2, (UP,),
-                                lambda idx: JetScalar.constant(2, 1, idx[0] + 1))
+                                lambda idx: const(2, 1, idx[0] + 1))
         psi = TensorField.build(2, (DOWN,),
-                                lambda idx: JetScalar.constant(2, 1, 5 - idx[0]))
+                                lambda idx: const(2, 1, 5 - idx[0]))
         prod = outer(phi, psi)
         assert prod.valence == (UP, DOWN)
         for i, j in product(range(2), repeat=2):
@@ -112,7 +111,7 @@ class TestBasics:
 
     def test_json_round_trip(self):
         t = TensorField.build(2, (UP, DOWN),
-                              lambda idx: JetScalar.constant(2, 1, F(idx[0] - idx[1], 3)))
+                              lambda idx: const(2, 1, F(idx[0] - idx[1], 3)))
         assert load_tensor(tensor_json(t)) == t
 
 
@@ -125,19 +124,19 @@ class TestContract:
 
     def test_contract_outer_is_dot(self):
         phi = TensorField.build(3, (UP,),
-                                lambda idx: JetScalar.constant(3, 1, idx[0] + 1))
+                                lambda idx: const(3, 1, idx[0] + 1))
         psi = TensorField.build(3, (DOWN,),
-                                lambda idx: JetScalar.constant(3, 1, idx[0] * 2))
+                                lambda idx: const(3, 1, idx[0] * 2))
         s = contract(outer(phi, psi), 0, 1)
         expected = sum(value_at_base(phi[a]) * value_at_base(psi[a]) for a in range(3))
         assert value_at_base(s[()]) == expected
 
     def test_contract_zero(self):
-        z = TensorField.zero(3, (UP, DOWN, DOWN), 2)
+        z = zero(3, (UP, DOWN, DOWN), 2)
         assert contract(z, 0, 1).is_zero()
 
     def test_slot_kind_mismatch(self):
-        t = TensorField.zero(2, (UP, UP), 1)
+        t = zero(2, (UP, UP), 1)
         with pytest.raises(ValenceMismatchError):
             contract(t, 0, 1)
 
@@ -145,32 +144,32 @@ class TestContract:
 class TestSymmetrizers:
     def test_antisym_nodiv_on_symmetric_is_zero(self):
         sigma = TensorField.build(2, (DOWN, DOWN),
-                                  lambda idx: JetScalar.constant(2, 1, idx[0] + idx[1]))
+                                  lambda idx: const(2, 1, idx[0] + idx[1]))
         assert antisym_pair_nodiv(sigma, 0, 1).is_zero()
 
     def test_antisym_nodiv_direct_values(self):
         # eta_{12}=1, eta_{21}=0: result_{12}=1, result_{21}=-1
         comps = {(0, 1): F(1)}
         eta = TensorField.build(2, (DOWN, DOWN),
-                                lambda idx: JetScalar.constant(2, 1, comps.get(idx, 0)))
+                                lambda idx: const(2, 1, comps.get(idx, 0)))
         r = antisym_pair_nodiv(eta, 0, 1)
         assert value_at_base(r[0, 1]) == 1
         assert value_at_base(r[1, 0]) == -1
 
     def test_antisym_nodiv_twice_doubles(self):
         t = TensorField.build(2, (DOWN, DOWN),
-                              lambda idx: JetScalar.constant(2, 1, 3 * idx[0] - idx[1] ** 2))
+                              lambda idx: const(2, 1, 3 * idx[0] - idx[1] ** 2))
         once = antisym_pair_nodiv(t, 0, 1)
         assert antisym_pair_nodiv(once, 0, 1) == tensor_scale(2, once)
 
     def test_variance_mismatch(self):
-        t = TensorField.zero(2, (UP, DOWN), 1)
+        t = zero(2, (UP, DOWN), 1)
         with pytest.raises(ValenceMismatchError):
             sym_pair(t, 0, 1)
 
     def test_sym_pair_matches_half_sum(self):
         g = TensorField.build(2, (UP, DOWN, DOWN),
-                              lambda idx: JetScalar.constant(2, 1, idx[0] + 2 * idx[1] - idx[2]))
+                              lambda idx: const(2, 1, idx[0] + 2 * idx[1] - idx[2]))
         s = sym_pair(g, 1, 2)
         for i, j, k in product(range(2), repeat=3):
             expected = F(1, 2) * (value_at_base(g[i, j, k]) + value_at_base(g[i, k, j]))
@@ -183,7 +182,7 @@ class TestDerivative:
         assert partial_deriv_field(d, 0).is_zero()
 
     def test_coordinate_times_delta(self):
-        x1 = JetScalar.coordinate(2, 1, 0)
+        x1 = coord(2, 1, 0)
         t = TensorField.build(2, (UP, DOWN),
                               lambda idx: x1 if idx[0] == idx[1] else JetScalar(2, 1))
         d = partial_deriv_field(t, 0)
@@ -195,13 +194,13 @@ class TestFlatten:
         assert flatten_at_base(TensorField.delta(2, 1)) == [F(1), F(0), F(0), F(1)]
 
     def test_zero(self):
-        assert flatten_at_base(TensorField.zero(2, (DOWN, DOWN), 1)) == [F(0)] * 4
+        assert flatten_at_base(zero(2, (DOWN, DOWN), 1)) == [F(0)] * 4
 
     def test_outer_matches_flat_products(self):
         phi = TensorField.build(2, (UP,),
-                                lambda idx: JetScalar.constant(2, 1, F(idx[0] + 1, 2)))
+                                lambda idx: const(2, 1, F(idx[0] + 1, 2)))
         psi = TensorField.build(2, (DOWN,),
-                                lambda idx: JetScalar.constant(2, 1, 3 - idx[0]))
+                                lambda idx: const(2, 1, 3 - idx[0]))
         flat = flatten_at_base(outer(phi, psi))
         direct = [value_at_base(phi[i]) * value_at_base(psi[j])
                   for i in range(2) for j in range(2)]
@@ -246,14 +245,14 @@ def test_lincomb_matches_add_scale_chain(terms):
     assert result.order == min(t.order for _, t in live)
     # and componentwise against the jet layer alone
     for pos, comp in enumerate(result.components):
-        assert comp == sum(jet_scale(c, t.components[pos]) for c, t in live)
+        assert comp == jet_sum(jet_scale(c, t.components[pos]) for c, t in live)
 
 
 @pytest.mark.parametrize("coeff", [F(0), F(-2, 3)])
 def test_lincomb_rejects_mismatched_shapes(coeff):
     a = TensorField.delta(2, 1)
     wider = TensorField.delta(3, 1)
-    flipped = TensorField.zero(2, (DOWN, UP), 1)
+    flipped = zero(2, (DOWN, UP), 1)
     with pytest.raises(DimensionMismatchError):
         tensor_lincomb([(1, a), (coeff, wider)])
     with pytest.raises(ValenceMismatchError):
@@ -301,7 +300,7 @@ def test_contract_outer_matches_loop(ab):
 @given(tensor_fields(valence=(UP, DOWN, DOWN), order=2), st.integers(0, 2))
 def test_field_leibniz(t, k):
     k = k % t.dim
-    x = JetScalar.coordinate(t.dim, 2, k)
+    x = coord(t.dim, 2, k)
 
     def times(f, field):
         return TensorField(field.dim, field.valence,
@@ -349,8 +348,8 @@ def reference_contract(a: TensorField, slot_up: int, slot_down: int) -> TensorFi
     def component(out_idx: tuple[int, ...]) -> JetScalar:
         kept = dict(zip(keep, out_idx))
         # every slot not kept is one of the two contracted ones
-        return sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
-                   for alpha in range(dim))
+        return jet_sum(a[tuple(kept.get(t, alpha) for t in range(a.rank))]
+                       for alpha in range(dim))
 
     return TensorField.build(dim, out_valence, component)
 
@@ -459,7 +458,7 @@ def field_pairs_maybe_equal(draw):
         # one component changed
         k = draw(st.integers(0, len(comps) - 1))
         changed = list(comps)
-        changed[k] = jet_add(changed[k], JetScalar.constant(dim, a.order, 1))
+        changed[k] = jet_add(changed[k], const(dim, a.order, 1))
         b = TensorField(dim, valence, changed)
     return a, b
 
@@ -550,7 +549,7 @@ def test_index_errors_name_the_bad_index():
         t[0, 3]
     with pytest.raises(IndexError, match=r"^index -1 out of range for dim 3$"):
         t[-1, 0]
-    assert t[2, 2] == JetScalar.constant(3, 1, 1)
+    assert t[2, 2] == const(3, 1, 1)
 
 
 # The contraction primitive against the component-wise route it replaces:
@@ -615,19 +614,19 @@ def test_tensor_contract_matches_outer_then_contract(case):
 
 def test_tensor_contract_rank_zero_and_outer():
     phi = TensorField.build(3, (UP,),
-                            lambda idx: JetScalar.constant(3, 1, idx[0] + 1))
+                            lambda idx: const(3, 1, idx[0] + 1))
     psi = TensorField.build(3, (DOWN,),
-                            lambda idx: JetScalar.constant(3, 2, F(1, idx[0] + 2)))
+                            lambda idx: const(3, 2, F(1, idx[0] + 2)))
     dot = tensor_contract("a,a->", phi, psi)
     assert dot.valence == () and dot.order == 1
-    assert dot[()] == JetScalar.constant(3, 1, F(1, 2) + F(2, 3) + F(3, 4))
+    assert dot[()] == const(3, 1, F(1, 2) + F(2, 3) + F(3, 4))
     assert tensor_contract("i,j->ji", phi, psi) == transpose(outer(phi, psi),
                                                              (1, 0))
 
 
 class TestTensorContractRejects:
-    up = TensorField.zero(2, (UP,), 1)
-    mixed = TensorField.zero(2, (UP, DOWN), 1)
+    up = zero(2, (UP,), 1)
+    mixed = zero(2, (UP, DOWN), 1)
 
     def test_summed_index_on_two_up_slots(self):
         with pytest.raises(ValenceMismatchError, match="up and a down"):
@@ -639,8 +638,8 @@ class TestTensorContractRejects:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            tensor_contract("a,a->", TensorField.zero(3, (UP,), 1),
-                            TensorField.zero(2, (DOWN,), 1))
+            tensor_contract("a,a->", zero(3, (UP,), 1),
+                            zero(2, (DOWN,), 1))
 
     @pytest.mark.parametrize("spec", ["ij,j->ij", "ij,j->", "ij,j->ii",
                                       "ij,k->ij", "ij->ij", "i,j->ij"])

@@ -208,6 +208,11 @@ MUTANTS = (
            "(2, m.sigma_phi())])",
            "(1, m.sigma_phi())])",
            "_inverse_onto: nu-bar takes sigma_{ja} phi^a once, not twice"),
+    Mutant("reciprocity-as-input", "mapping.py",
+           "class ReciprocityError(RuntimeError):",
+           "class ReciprocityError(ValueError):",
+           "ReciprocityError: an inverse that fails its own check exits 2 "
+           "as bad input does, not 4 as the bug it is"),
 )
 
 # tests of a module's code that live outside its own test file
