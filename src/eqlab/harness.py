@@ -75,10 +75,15 @@ def w_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
 
 
 def t_tilde_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
-                             rho: int, base: dict) -> VerificationReport:
-    return VerificationReport.from_residuals(
+                             rho_values, d_sigma: dict,
+                             base: dict) -> list[VerificationReport]:
+    """T-tilde_src - T-tilde_tgt per label rho: the torsion-derivative
+    difference, built once, less ``d_sigma[rho]``.  It is minus the second
+    residual of ``torsion_cd_difference_check`` at p = rho."""
+    cd_difference = tensor_sub(src.space.torsion_cd(), tgt.space.torsion_cd())
+    return [VerificationReport.from_residuals(
         "T_tilde_invariance", {**base, "rho": rho},
-        (tensor_sub(src.t_tilde(rho), tgt.t_tilde(rho)),))
+        (tensor_sub(cd_difference, d_sigma[rho]),)) for rho in rho_values]
 
 
 def factorization_check(pair: MappedPair, m_bar: AG3Mapping,
@@ -124,9 +129,10 @@ def _keyed_differences(labels, src_value, tgt_value,
 
 def sigma_differences(src: InvariantBundle, tgt: InvariantBundle,
                       p_values, q_values) -> tuple:
-    """The sigma_p and swapped sigma_q differences of the family grid,
-    ``_keyed_differences`` of each axis.  They do not depend on the
-    parameters, so one instance builds them once for all its draws."""
+    """The sigma_p and swapped sigma_q differences of the grid,
+    ``_keyed_differences`` of each axis: the one table every check that
+    reads sigma reads.  They do not depend on the parameters, so one
+    instance builds them once for all its draws."""
     return (_keyed_differences(p_values, src.sigma, tgt.sigma),
             _keyed_differences(q_values, src.sigma_swapped,
                                tgt.sigma_swapped))
@@ -217,17 +223,15 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
     rng = random.Random(_draw_seed(dim, kind, label, order))
     draw_values = [random_substitution(PARAM_NAMES, rng) for _ in range(draws)]
     base = {"dim": dim, "kind": kind, "seed": label}
+    differences = sigma_differences(src, tgt, p_values, q_values)
+    d_sigma = differences[0]
 
-    checks = torsion_cd_difference_check(src, tgt, p_values)
-    for report in checks:
-        report.params["seed"] = label
+    checks = torsion_cd_difference_check(src, tgt, p_values, d_sigma, base)
     checks.append(factorization_check(pair, m_bar, base))
     checks.append(w_invariance_check(src, tgt, kind, base))
-    for rho in p_values:
-        checks.append(t_tilde_invariance_check(src, tgt, rho, base))
+    checks.extend(t_tilde_invariance_check(src, tgt, p_values, d_sigma, base))
     checks.append(correlation_check(src, kind, p_values, q_values,
                                     draw_values[0], base))
-    differences = sigma_differences(src, tgt, p_values, q_values)
     for draw, values in enumerate(draw_values):
         checks.append(family_invariance_check(src, tgt, kind,
                                               p_values, q_values,
@@ -235,11 +239,9 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
                                               differences))
     p_cell = p_values[label % len(p_values)]
     q_cell = q_values[(3 * label + 1) % len(q_values)]
-    report = R_and_K_transformation_check(
-        src, tgt, kind, p_cell, q_cell,
-        u=draw_values[0]["u"], up=draw_values[0]["u'"])
-    report.params["seed"] = label
-    checks.append(report)
+    checks.append(R_and_K_transformation_check(
+        src, tgt, kind, p_cell, q_cell, draw_values[0]["u"],
+        draw_values[0]["u'"], differences, base))
 
     notes: list[str] = []
     if pair.source.torsion().is_zero():

@@ -248,19 +248,17 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
 
 
 def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
-                                p_values) -> list[VerificationReport]:
+                                p_values, d_sigma: dict, base: dict,
+                                ) -> list[VerificationReport]:
     """Exact two-route check of the torsion covariant-derivative difference,
     one report per label p.
 
     Route one expands the difference through P = sym(target) - sym(source);
-    route two evaluates the p-th sigma combination on both sides.  Both
-    must match the directly computed derivative difference.  Route one
-    does not depend on p, so it is built once, from the torsion and P cut
-    to the order of the derivative difference.
+    route two reads the p-th sigma difference, source less target, from
+    ``d_sigma``.  Both must match the directly computed derivative
+    difference.  Route one does not depend on p, so it is built once,
+    from the torsion and P cut to the order of the derivative difference.
     """
-    p_values = list(p_values)
-    for p in p_values:
-        _check_label("p", p)
     space, space_bar = src.space, tgt.space
     lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
     t = tensor_truncate(space.torsion(), lhs.order)
@@ -272,11 +270,8 @@ def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
          (1, tensor_contract("iam,ajn->ijmn", t, sym_diff)),
          (1, tensor_contract("ija,amn->ijmn", t, sym_diff))])
     return [VerificationReport.from_residuals(
-        "torsion_cd_difference",
-        {"p": p, "dim": space.dim, "kind": src.mapping.kind},
-        (direct,
-         tensor_lincomb([(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))])))
-        for p in p_values]
+        "torsion_cd_difference", {"p": p, **base},
+        (direct, tensor_add(lhs, d_sigma[p]))) for p in p_values]
 
 
 class InvariantBundle(Keeper):
@@ -533,6 +528,7 @@ def family_difference_terms(src: InvariantBundle, tgt: InvariantBundle,
 
 def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
                                  which: int, p: int, q: int, u, up,
+                                 differences: tuple, base: dict,
                                  ) -> VerificationReport:
     """Exact check of the curvature transformation under the mapping.
 
@@ -541,18 +537,16 @@ def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
     sigma differences, leaves the family difference at (p, q), negated.
     """
     _check_which(which)
-    _check_label("p", p)
-    _check_label("q", q)
+    d_sigma, d_swapped = differences
     u, up = Fraction(u), Fraction(up)
     v, vp, w = RK_SQUARE_PARAMS
     residual_r = tensor_sub(tgt.w_star(which), src.w_star(which))
     # the sides exchanged: the family difference's common part, negated
     residual_k = tensor_lincomb(
         family_difference_terms(tgt, src, which, (u, up, v, vp, w))
-        + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
-           (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))])
+        + [(u, d_sigma[p]), (up, d_swapped[q])])
     return VerificationReport.from_residuals(
         "R_K_transformation",
         {"which": which, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
-         "w": w, "dim": src.space.dim, "kind": src.mapping.kind},
+         "w": w, **base},
         (residual_r, residual_k))

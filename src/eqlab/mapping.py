@@ -14,7 +14,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .geometry import GAMMA_VALENCE, Space, cov_deriv_kind
-from .jets import basis_size, jet_inverse
+from .jets import jet_inverse
 from .tensors import (
     DOWN,
     UP,
@@ -317,10 +317,9 @@ def synthesize_instance(dim: int, kind: int, seed: int, order: int = 2) -> Mappe
                        + [(-1, gradient(phi)),
                           (-1, tensor_contract(spec, bulk, phi))])
     # the covector dx^1 / phi^1: 1/phi^1 on slot 0, zero elsewhere
-    inverse = jet_inverse(phi[0])
-    size = basis_size(dim, order)
+    inverse = jet_inverse(tensor_truncate(phi, order)[0])
     first = _field(dim, (DOWN,), order, inverse.den,
-                   [*inverse.nums[:size], *[0] * ((dim - 1) * size)])
+                   [*inverse.nums, *[0] * ((dim - 1) * len(inverse.nums))])
     spec = "ib,a->iab" if kind == 1 else "ia,b->iab"
     gamma = tensor_lincomb([(1, bulk), (1, tensor_contract(spec, w, first))])
     try:

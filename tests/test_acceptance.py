@@ -14,7 +14,8 @@ import pytest
 
 from eqlab.dsl import evaluate, parse
 from eqlab.geometry import curvature_R, curvature_family_span, random_connection
-from eqlab.harness import correlation_check, run_verify_suite
+from eqlab.harness import (correlation_check, run_verify_suite,
+                           sigma_differences)
 from eqlab.invariants import (
     PARAM_NAMES,
     InvariantBundle,
@@ -162,7 +163,10 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
             problems.append(f"{tag}: symmetric difference factorization")
         src = InvariantBundle(pair.source, pair.mapping)
         tgt = InvariantBundle(pair.target, m_bar)
-        for report in torsion_cd_difference_check(src, tgt, LABELS):
+        base = {"dim": dim, "kind": kind}
+        differences = sigma_differences(src, tgt, LABELS, LABELS)
+        for report in torsion_cd_difference_check(src, tgt, LABELS,
+                                                   differences[0], base):
             if not report.passed:
                 problems.append(f"{tag}: torsion derivative difference "
                                 f"at p={report.params['p']}")
@@ -171,7 +175,8 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
         if not correlation_check(src, kind, grid, grid, values, {}).passed:
             problems.append(f"{tag}: family correlation")
         transformation = R_and_K_transformation_check(
-            src, tgt, kind, 2, 7, values["u"], values["u'"])
+            src, tgt, kind, 2, 7, values["u"], values["u'"], differences,
+            base)
         if not transformation.passed:
             problems.append(f"{tag}: curvature transformation")
     announce(6, "the identity suite holds exactly on dim-2 and dim-3 "

@@ -4,14 +4,16 @@ The correlation grid reports one residual for every cell, and the
 family-invariance grid sums each distinct pair of label differences once.
 Both are held here against a cell-by-cell reference that sums every cell
 on its own, on a passing instance, under the ``psi-sign`` fault, and on
-bundles whose sigma differences differ from label to label.  The family
-and curvature-transformation checks, which sum K - R from its torsion
-terms, are held against K + (W - R) built on each side, also where the
-two torsions differ; verify builds K once per instance.  A fault
-matrix pins which checks each wrong field of the inverse mapping and a
-wrong target connection fail, and that a wrong source torsion is refused
-before any check; ``synth`` is held to one basic-equation residual per
-pair.
+bundles whose sigma differences differ from label to label.  There the
+torsion-derivative, T-tilde and curvature-transformation checks, which
+read the same table of sigma differences, are held against sigma read
+on each side.  The family and curvature-transformation checks, which
+sum K - R from its torsion terms, are held against K + (W - R) built on
+each side, also where the two torsions differ; verify builds K once per
+instance.  A fault matrix pins which checks each wrong field of the
+inverse mapping and a wrong target connection fail, and that a wrong
+source torsion is refused before any check; ``synth`` is held to one
+basic-equation residual per pair.
 """
 
 from collections import Counter
@@ -28,11 +30,13 @@ from eqlab.harness import (
     corrupted_inverse,
     family_invariance_check,
     sigma_differences,
+    t_tilde_invariance_check,
     verify_instance,
 )
 from eqlab.invariants import (PARAM_NAMES, RK_SQUARE_PARAMS, InvariantBundle,
                               R_and_K_transformation_check,
-                              VerificationReport)
+                              VerificationReport, family_difference_terms,
+                              torsion_cd_difference_check)
 from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
                            synthesize_instance)
 from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb, tensor_sub,
@@ -121,6 +125,57 @@ def _reference_family(src, tgt, which, p_values, q_values, values):
                               tgt.sigma_swapped(q)))]))
 
 
+def _table_route(monkeypatch, src, tgt, p_values, q_values, differences,
+                 values):
+    """The torsion-derivative, T-tilde and curvature-transformation
+    reports over the grid, each reading ``differences``, with the
+    residuals each report was built from: the last is the one that reads
+    sigma."""
+    d_sigma = differences[0]
+    u, up = values["u"], values["u'"]
+    captured = []
+    from_residuals = VerificationReport.from_residuals.__func__
+
+    def capture(cls, check, params, residuals):
+        captured.append(tuple(residuals))
+        return from_residuals(cls, check, params, captured[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VerificationReport, "from_residuals",
+                      classmethod(capture))
+        reports = (
+            torsion_cd_difference_check(src, tgt, p_values, d_sigma, {})
+            + t_tilde_invariance_check(src, tgt, p_values, d_sigma, {})
+            + [R_and_K_transformation_check(src, tgt, 1, p, q, u, up,
+                                            differences, {})
+               for p in p_values for q in q_values])
+    return [(r.check, r.params, residuals[-1])
+            for r, residuals in zip(reports, captured)]
+
+
+def _reference_per_side(src, tgt, p_values, q_values, values):
+    """What ``_table_route`` gives, with sigma and swapped sigma read on
+    each side and T-tilde built on each side."""
+    u, up = values["u"], values["u'"]
+    v, vp, w = RK_SQUARE_PARAMS
+    lhs = tensor_sub(tgt.space.torsion_cd(), src.space.torsion_cd())
+    return (
+        [("torsion_cd_difference", {"p": p}, tensor_lincomb(
+            [(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))]))
+         for p in p_values]
+        + [("T_tilde_invariance", {"rho": rho},
+            tensor_sub(src.t_tilde(rho), tgt.t_tilde(rho)))
+           for rho in p_values]
+        + [("R_K_transformation",
+            {"which": 1, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
+             "w": w},
+            tensor_lincomb(
+                family_difference_terms(tgt, src, 1, (u, up, v, vp, w))
+                + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
+                   (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))]))
+           for p in p_values for q in q_values])
+
+
 def _assert_same(report, expected):
     assert report.passed == expected.passed
     assert report.params == expected.params
@@ -131,7 +186,8 @@ def _assert_same(report, expected):
 
 @pytest.mark.parametrize("case", ["passing", "psi-sign", "unrelated"])
 @pytest.mark.parametrize("grid", range(len(GRIDS)))
-def test_grids_match_the_cell_by_cell_reference(case, grid, pair, unrelated):
+def test_grids_match_the_cell_by_cell_reference(monkeypatch, case, grid, pair,
+                                                unrelated):
     p_values, q_values = GRIDS[grid]
     src, tgt = _sides(case, pair, unrelated)
     differences = sigma_differences(src, tgt, p_values, q_values)
@@ -144,6 +200,12 @@ def test_grids_match_the_cell_by_cell_reference(case, grid, pair, unrelated):
                                              values, 0, {}, differences),
                      expected)
         assert expected.passed == (case == "passing")
+        table = _table_route(monkeypatch, src, tgt, p_values, q_values,
+                             differences, values)
+        reference = _reference_per_side(src, tgt, p_values, q_values, values)
+        assert table == reference
+        assert (all(residual.is_zero() for _, _, residual in reference)
+                == (case == "passing"))
     d_sigma, d_swapped = differences
     distinct = (len({id(d) for d in d_sigma.values()})
                 * len({id(d) for d in d_swapped.values()}))
@@ -218,10 +280,13 @@ def test_verify_builds_curvature_K_once_per_instance(monkeypatch, pair,
 
 
 def test_verify_builds_no_family_member(monkeypatch, pair):
+    """Nor a T-tilde tensor: every check that reads sigma reads the one
+    table of differences."""
     def unused(self, *args):
-        raise AssertionError("verify read a family member")
+        raise AssertionError("verify read a family member or a T-tilde")
 
     monkeypatch.setattr(InvariantBundle, "family", unused)
+    monkeypatch.setattr(InvariantBundle, "t_tilde", unused)
     built = []
 
     def counted(*args):
@@ -371,7 +436,9 @@ def test_unequal_torsion_keeps_the_k_route_residuals(monkeypatch, dim, kind):
     monkeypatch.setattr(VerificationReport, "from_residuals",
                         classmethod(capture))
     u, up = params[:2]
-    report = R_and_K_transformation_check(src, tgt, kind, 3, 6, u, up)
+    report = R_and_K_transformation_check(
+        src, tgt, kind, 3, 6, u, up, sigma_differences(src, tgt, [3], [6]),
+        {})
     (residual_r, residual_k), = captured
     k_params = (u, up, *RK_SQUARE_PARAMS)
     corrections = [(-1, src.w_star(kind)), (1, src.space.curvature()),

@@ -264,6 +264,25 @@ def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
             InvariantBundle(pair.target, pair.inverse()))
 
 
+def tcd_reports(src: InvariantBundle, tgt: InvariantBundle, labels,
+                ) -> list[VerificationReport]:
+    """The torsion-derivative reports over ``labels``, reading the sigma
+    differences from their table as verify does."""
+    d_sigma, _ = sigma_differences(src, tgt, labels, [])
+    return torsion_cd_difference_check(
+        src, tgt, labels, d_sigma,
+        {"dim": src.space.dim, "kind": src.mapping.kind})
+
+
+def rk_report(src: InvariantBundle, tgt: InvariantBundle, which: int,
+              p: int, q: int, u, up) -> VerificationReport:
+    """The curvature-transformation report at (p, q), its sigma
+    differences read from their table as verify does."""
+    return R_and_K_transformation_check(
+        src, tgt, which, p, q, u, up, sigma_differences(src, tgt, [p], [q]),
+        {"dim": src.space.dim, "kind": src.mapping.kind})
+
+
 def random_space(dim: int, order: int, seed: int) -> Space:
     rng = random.Random(seed)
     return Space(dim, random_field(rng, dim, GAMMA_VALENCE, order))
@@ -647,36 +666,36 @@ class TestSwapTransport:
 
 class TestTorsionCdDifference:
     def test_identity_pair_trivial(self):
-        [report] = torsion_cd_difference_check(*sides(identity_pair()), [1])
+        [report] = tcd_reports(*sides(identity_pair()), [1])
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
         assert report.residual is None
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_synthesized_exact(self, p, pair31):
-        [report] = torsion_cd_difference_check(*sides(pair31), [p])
+        [report] = tcd_reports(*sides(pair31), [p])
         assert report.passed
 
     def test_one_report_per_label_in_order(self, pair21):
         src, tgt = sides(pair21)
         labels = [8, 2, 5]
-        reports = torsion_cd_difference_check(src, tgt, labels)
+        reports = tcd_reports(src, tgt, labels)
         assert [r.params["p"] for r in reports] == labels
         for p, report in zip(labels, reports):
-            [alone] = torsion_cd_difference_check(*sides(pair21), [p])
+            [alone] = tcd_reports(*sides(pair21), [p])
             assert report.to_json() == alone.to_json()
 
     def test_invalid_label_rejected_before_any_report(self, pair21):
+        # the sigma table, built before any check, checks the labels
         with pytest.raises(ValueError, match="p must be between 1 and 8"):
-            torsion_cd_difference_check(*sides(pair21), [1, 9])
+            sigma_differences(*sides(pair21), [1, 9], [])
 
     def test_torsion_free_pair_trivial(self):
-        [report] = torsion_cd_difference_check(
-            *sides(torsion_free_pair(seed=3)), [4])
+        [report] = tcd_reports(*sides(torsion_free_pair(seed=3)), [4])
         assert report.passed
 
     def test_report_json_shape(self, pair21):
-        [report] = torsion_cd_difference_check(*sides(pair21), [2])
+        [report] = tcd_reports(*sides(pair21), [2])
         payload = report.to_json()
         assert set(payload) == {"check", "params", "pass",
                                 "max_abs_residual_num_digits", "residual",
@@ -887,16 +906,16 @@ class TestFamilySpanDimension:
 
 class TestRKTransformation:
     def test_identity_pair_trivial(self):
-        report = R_and_K_transformation_check(*sides(identity_pair()), 1, 1,
-                                              1, Fraction(1), Fraction(1))
+        report = rk_report(*sides(identity_pair()), 1, 1, 1, Fraction(1),
+                           Fraction(1))
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
 
     @pytest.mark.parametrize("kind", [1, 2])
     def test_synthesized_exact(self, kind, pair31, pair32):
         pair = pair_for(kind, pair31, pair32)
-        report = R_and_K_transformation_check(*sides(pair), kind, 2, 6,
-                                              Fraction(2), Fraction(-1, 3))
+        report = rk_report(*sides(pair), kind, 2, 6, Fraction(2),
+                           Fraction(-1, 3))
         assert report.passed
         assert report.max_abs_residual_num_digits == 0
 
@@ -912,8 +931,8 @@ class TestRKTransformation:
         assert tensor_sub(k_diff, r_diff).is_zero()
 
     def test_report_parameters_serialized(self, pair21):
-        report = R_and_K_transformation_check(*sides(pair21), 1, 3, 4,
-                                              Fraction(1, 2), Fraction(5))
+        report = rk_report(*sides(pair21), 1, 3, 4, Fraction(1, 2),
+                           Fraction(5))
         payload = report.to_json()
         assert payload["check"] == "R_K_transformation"
         assert payload["params"]["u"] == "1/2"

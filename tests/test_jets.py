@@ -366,9 +366,10 @@ def test_equal_jets_hash_alike_across_routes(operands):
 
 
 @st.composite
-def invertible_jets(draw):
-    """A jet of order 0..4 with a constant term of either sign."""
-    dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+def invertible_jets(draw, max_dim=3):
+    """A jet of dim 1..max_dim and order 0..4 with a constant term of
+    either sign."""
+    dim, order = draw(st.integers(1, max_dim)), draw(st.integers(0, 4))
     alphas = sorted(graded_basis(dim, order))[1:]
     coeffs = draw(st.dictionaries(st.sampled_from(alphas) if alphas
                                   else st.nothing(), wide_rationals,
@@ -383,3 +384,12 @@ def test_inverse_matches_the_fraction_series(a):
     inverse = jet_inverse(a)
     assert_canonical(inverse)
     assert inverse.coeffs == ref_inverse(a.coeffs, a.dim, a.order)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(invertible_jets(max_dim=4), st.data())
+def test_inverse_of_a_cut_jet_is_the_cut_inverse(a, data):
+    # synthesis inverts phi^1 cut to the order it keeps
+    k = data.draw(st.integers(0, a.order))
+    assert jet_inverse(jet_truncate(a, k)) == jet_truncate(jet_inverse(a), k)

@@ -118,6 +118,16 @@ MUTANTS = (
            "            + [(-theta, t) for theta, t in zip(params[:2], ",
            "family_difference_terms: the torsion-square differences left "
            "out, as if the mapping always kept the torsion"),
+    Mutant("t-tilde-difference-sign", "harness.py",
+           "(tensor_sub(cd_difference, d_sigma[rho]),)",
+           "(tensor_lincomb([(1, cd_difference), (1, d_sigma[rho])]),)",
+           "t_tilde_invariance_check: the sigma difference added to the "
+           "torsion-derivative difference, not subtracted"),
+    Mutant("rk-sigma-difference-sign", "invariants.py",
+           "+ [(u, d_sigma[p]), (up, d_swapped[q])])",
+           "+ [(-u, d_sigma[p]), (up, d_swapped[q])])",
+           "R_and_K_transformation_check: the u sigma difference enters "
+           "with the wrong sign"),
     Mutant("keyed-differences-unshared", "harness.py",
            "differences[label] = shared.setdefault(difference, difference)",
            "differences[label] = difference",
