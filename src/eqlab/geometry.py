@@ -111,9 +111,10 @@ class Space(Keeper):
         t = self.torsion()
         t = tensor_truncate(t, max(t.order - 1, 0))
         v_term = tensor_contract("ajm,ian->ijmn", t, t)
-        # T^a_{jn} T^i_{am} is the first square with m and n exchanged
+        # the other two relabel the first square's slots: T^a_{jn} T^i_{am}
+        # exchanges m and n, T^a_{mn} T^i_{aj} reads (j, m, n) as (m, n, j)
         return (v_term, transpose(v_term, (0, 1, 3, 2)),
-                tensor_contract("amn,iaj->ijmn", t, t))
+                transpose(v_term, (0, 3, 1, 2)))
 
 
 def _cov_deriv(a: TensorField, conn: TensorField) -> TensorField:

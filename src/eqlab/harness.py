@@ -28,8 +28,9 @@ from .invariants import (
     R_and_K_transformation_check,
     VerificationReport,
     _check_label,
+    _shared,
     build_W_matrix,
-    family_difference_terms,
+    difference_table,
     family_span_dimension,
     sigma_coeff_matrix,
     torsion_cd_difference_check,
@@ -67,23 +68,21 @@ def corrupted_inverse(pair: MappedPair) -> AG3Mapping:
     return reciprocity_inverse(pair.source, flipped)
 
 
-def w_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
-                       which: int, base: dict) -> VerificationReport:
+def w_invariance_check(table, base: dict) -> VerificationReport:
     return VerificationReport.from_residuals(
-        "W_invariance", {**base, "which": which},
-        (tensor_sub(src.w_star(which), tgt.w_star(which)),))
+        "W_invariance", {**base, "which": table.which}, (table.w,))
 
 
-def t_tilde_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
-                             rho_values, d_sigma: dict,
+def t_tilde_invariance_check(rho_values, table,
                              base: dict) -> list[VerificationReport]:
     """T-tilde_src - T-tilde_tgt per label rho: the torsion-derivative
-    difference, built once, less ``d_sigma[rho]``.  It is minus the second
-    residual of ``torsion_cd_difference_check`` at p = rho."""
-    cd_difference = tensor_sub(src.space.torsion_cd(), tgt.space.torsion_cd())
+    difference less the rho-th sigma difference, each distinct one built
+    once; minus ``torsion_cd_difference_check``'s second residual."""
+    d_cd, built = table.terms[0], {}
     return [VerificationReport.from_residuals(
         "T_tilde_invariance", {**base, "rho": rho},
-        (tensor_sub(cd_difference, d_sigma[rho]),)) for rho in rho_values]
+        (_shared(built, lambda d: tensor_sub(d_cd, d), table.sigma[rho]),))
+        for rho in rho_values]
 
 
 def factorization_check(pair: MappedPair, m_bar: AG3Mapping,
@@ -115,55 +114,23 @@ def _grid_report(check: str, head: dict, values: dict,
     return VerificationReport.from_residuals(check, params, distinct.values())
 
 
-def _keyed_differences(labels, src_value, tgt_value,
-                       ) -> dict[int, TensorField]:
-    """Source value minus target value per label.  Labels whose
-    differences are equal share one object, so ``id`` keys them alike."""
-    shared: dict[TensorField, TensorField] = {}
-    differences = {}
-    for label in labels:
-        difference = tensor_sub(src_value(label), tgt_value(label))
-        differences[label] = shared.setdefault(difference, difference)
-    return differences
-
-
-def sigma_differences(src: InvariantBundle, tgt: InvariantBundle,
-                      p_values, q_values) -> tuple:
-    """The sigma_p and swapped sigma_q differences of the grid,
-    ``_keyed_differences`` of each axis: the one table every check that
-    reads sigma reads.  They do not depend on the parameters, so one
-    instance builds them once for all its draws."""
-    return (_keyed_differences(p_values, src.sigma, tgt.sigma),
-            _keyed_differences(q_values, src.sigma_swapped,
-                               tgt.sigma_swapped))
-
-
-def family_invariance_check(src: InvariantBundle, tgt: InvariantBundle,
-                            which: int, p_values, q_values,
-                            values: dict, draw: int, base: dict,
-                            differences: tuple) -> VerificationReport:
+def family_invariance_check(table, p_values, q_values, values: dict,
+                            draw: int, base: dict) -> VerificationReport:
     """F_src - F_tgt over the (p, q) grid, through the linearity of the
-    family: cell (p, q) is common - u d_sigma[p] - u' d_swapped[q], with
-    common, ``family_difference_terms``, summed once.  ``differences`` is
-    ``sigma_differences`` over the same labels; each is a source value
-    minus an independent target value.  Cells whose two differences are
-    the same objects are summed once; on a passing instance every label's
-    difference is the same, so the grid is one sum."""
-    d_sigma, d_swapped = differences
+    family: cell (p, q) is ``table.common`` - u d_sigma[p] - u' d_swapped[q],
+    each a source value less an independent target value.  Each distinct
+    pair of label differences is summed once; on a passing instance every
+    label's difference is the same object, so the grid is one sum."""
     params = [values[name] for name in PARAM_NAMES]
     u, up = params[:2]
-    common = tensor_lincomb(family_difference_terms(src, tgt, which, params))
-    sums: dict[tuple[int, int], TensorField] = {}
-    cells = []
-    for p in p_values:
-        for q in q_values:
-            key = id(d_sigma[p]), id(d_swapped[q])
-            if key not in sums:
-                sums[key] = tensor_lincomb([(1, common), (-u, d_sigma[p]),
-                                            (-up, d_swapped[q])])
-            cells.append(((p, q), sums[key]))
+    common, sums = table.common(params), {}
+    cells = [((p, q), _shared(
+        sums, lambda a, b: tensor_lincomb([(1, common), (-u, a), (-up, b)]),
+        table.sigma[p], table.swapped[q]))
+        for p in p_values for q in q_values]
     return _grid_report("family_invariance",
-                        {**base, "which": which, "draw": draw}, values, cells)
+                        {**base, "which": table.which, "draw": draw}, values,
+                        cells)
 
 
 def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
@@ -223,25 +190,22 @@ def verify_instance(pair: MappedPair, label: int, p_values, q_values,
     rng = random.Random(_draw_seed(dim, kind, label, order))
     draw_values = [random_substitution(PARAM_NAMES, rng) for _ in range(draws)]
     base = {"dim": dim, "kind": kind, "seed": label}
-    differences = sigma_differences(src, tgt, p_values, q_values)
-    d_sigma = differences[0]
+    table = difference_table(src, tgt, kind, p_values, q_values)
 
-    checks = torsion_cd_difference_check(src, tgt, p_values, d_sigma, base)
+    checks = torsion_cd_difference_check(src, tgt, p_values, table, base)
     checks.append(factorization_check(pair, m_bar, base))
-    checks.append(w_invariance_check(src, tgt, kind, base))
-    checks.extend(t_tilde_invariance_check(src, tgt, p_values, d_sigma, base))
+    checks.append(w_invariance_check(table, base))
+    checks.extend(t_tilde_invariance_check(p_values, table, base))
     checks.append(correlation_check(src, kind, p_values, q_values,
                                     draw_values[0], base))
     for draw, values in enumerate(draw_values):
-        checks.append(family_invariance_check(src, tgt, kind,
-                                              p_values, q_values,
-                                              values, draw, base,
-                                              differences))
+        checks.append(family_invariance_check(table, p_values, q_values,
+                                              values, draw, base))
     p_cell = p_values[label % len(p_values)]
     q_cell = q_values[(3 * label + 1) % len(q_values)]
     checks.append(R_and_K_transformation_check(
-        src, tgt, kind, p_cell, q_cell, draw_values[0]["u"],
-        draw_values[0]["u'"], differences, base))
+        table, p_cell, q_cell, draw_values[0]["u"], draw_values[0]["u'"],
+        base))
 
     notes: list[str] = []
     if pair.source.torsion().is_zero():

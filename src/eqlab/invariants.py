@@ -7,7 +7,8 @@ combinations built from them, the invariant difference tensors T-tilde,
 and the five-parameter W family members indexed by a pair (p, q) of sigma
 choices.  The module also carries the exact rank analyses over those
 objects and the checks that compare a source bundle with an independent
-target bundle built on the inverse mapping data.
+target bundle built on the inverse mapping data, through one table of
+their differences, ``difference_table``.
 
 Each sigma combination is read off the U basis through one coefficient
 table, ``_SIGMA_COEFFS``; the test suite proves every row of it against
@@ -23,6 +24,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from typing import NamedTuple
 
 from .geometry import Keeper, Space, cov_deriv_assoc, k_torsion_terms, kept
 from .linalg import (
@@ -39,6 +41,7 @@ from .tensors import (
     tensor_add,
     tensor_contract,
     tensor_lincomb,
+    tensor_neg,
     tensor_sub,
     tensor_truncate,
     transpose,
@@ -245,33 +248,6 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
     """
     return RationalMatrix.from_runs(
         [[(N + 1, row)] for row in _sigma_numerators(N)])
-
-
-def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
-                                p_values, d_sigma: dict, base: dict,
-                                ) -> list[VerificationReport]:
-    """Exact two-route check of the torsion covariant-derivative difference,
-    one report per label p.
-
-    Route one expands the difference through P = sym(target) - sym(source);
-    route two reads the p-th sigma difference, source less target, from
-    ``d_sigma``.  Both must match the directly computed derivative
-    difference.  Route one does not depend on p, so it is built once,
-    from the torsion and P cut to the order of the derivative difference.
-    """
-    space, space_bar = src.space, tgt.space
-    lhs = tensor_sub(space_bar.torsion_cd(), space.torsion_cd())
-    t = tensor_truncate(space.torsion(), lhs.order)
-    sym_diff = tensor_truncate(tensor_sub(space_bar.sym(), space.sym()),
-                               lhs.order)
-    # T^a_{jm} P^i_{an} - T^i_{am} P^a_{jn} - T^i_{ja} P^a_{mn}
-    direct = tensor_lincomb(
-        [(1, lhs), (-1, tensor_contract("ajm,ian->ijmn", t, sym_diff)),
-         (1, tensor_contract("iam,ajn->ijmn", t, sym_diff)),
-         (1, tensor_contract("ija,amn->ijmn", t, sym_diff))])
-    return [VerificationReport.from_residuals(
-        "torsion_cd_difference", {"p": p, **base},
-        (direct, tensor_add(lhs, d_sigma[p]))) for p in p_values]
 
 
 class InvariantBundle(Keeper):
@@ -516,37 +492,95 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
 RK_SQUARE_PARAMS = (Fraction(1), Fraction(2), Fraction(3))
 
 
-def family_difference_terms(src: InvariantBundle, tgt: InvariantBundle,
-                            which: int, params) -> list:
-    """W_src - W_tgt + sum_k theta_k (term_k,src - term_k,tgt) over the
-    five parameters and ``k_torsion_terms``, as (coefficient, tensor)
-    pairs: the part of F_src - F_tgt that no sigma label reaches."""
-    return ([(1, src.w_star(which)), (-1, tgt.w_star(which))]
-            + list(zip(params, k_torsion_terms(src.space)))
-            + [(-theta, t) for theta, t in zip(params, k_torsion_terms(tgt.space))])
+def _keyed_differences(labels, src_value, tgt_value,
+                       ) -> dict[int, TensorField]:
+    """Source value minus target value per label.  Labels whose
+    differences are equal share one object, so ``id`` keys them alike."""
+    shared: dict[TensorField, TensorField] = {}
+    differences = {}
+    for label in labels:
+        difference = tensor_sub(src_value(label), tgt_value(label))
+        differences[label] = shared.setdefault(difference, difference)
+    return differences
 
 
-def R_and_K_transformation_check(src: InvariantBundle, tgt: InvariantBundle,
-                                 which: int, p: int, q: int, u, up,
-                                 differences: tuple, base: dict,
-                                 ) -> VerificationReport:
+def _shared(built: dict, build, *differences) -> TensorField:
+    """``build(*differences)``, built once per distinct tuple of difference
+    objects and kept in ``built``, however many labels read it."""
+    key = tuple(map(id, differences))
+    if key not in built:
+        built[key] = build(*differences)
+    return built[key]
+
+
+class Differences(NamedTuple):
+    """One instance's differences, source less target: W of kind ``which``,
+    the five ``k_torsion_terms`` (the torsion-derivative difference first)
+    and the sigma_p and swapped sigma_q tables of ``_keyed_differences``.
+    None depends on the parameters, so one table serves every draw."""
+    which: int
+    w: TensorField
+    terms: tuple[TensorField, ...]
+    sigma: dict[int, TensorField]
+    swapped: dict[int, TensorField]
+
+    def common(self, params) -> TensorField:
+        """The W difference plus sum_k theta_k (term_k difference) over the
+        five parameters: the part of F_src - F_tgt no sigma label reaches."""
+        return tensor_lincomb([(1, self.w), *zip(params, self.terms)])
+
+
+def difference_table(src: InvariantBundle, tgt: InvariantBundle, which: int,
+                     p_values, q_values) -> Differences:
+    """The table that every check comparing two bundles reads."""
+    return Differences(
+        which, tensor_sub(src.w_star(which), tgt.w_star(which)),
+        tuple(map(tensor_sub, k_torsion_terms(src.space),
+                  k_torsion_terms(tgt.space))),
+        _keyed_differences(p_values, src.sigma, tgt.sigma),
+        _keyed_differences(q_values, src.sigma_swapped, tgt.sigma_swapped))
+
+
+def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,
+                                p_values, table: Differences, base: dict,
+                                ) -> list[VerificationReport]:
+    """Exact two-route check of the torsion covariant-derivative difference
+    ``table.terms[0]``, one report per label p.
+
+    Route one expands it through P = sym(target) - sym(source), from the
+    torsion and P cut to its order, once.  Route two reads the p-th sigma
+    difference; each distinct residual is built once.
+    """
+    d_cd, seconds = table.terms[0], {}
+    t = tensor_truncate(src.space.torsion(), d_cd.order)
+    sym_diff = tensor_truncate(tensor_sub(tgt.space.sym(), src.space.sym()),
+                               d_cd.order)
+    # T^a_{jm} P^i_{an} - T^i_{am} P^a_{jn} - T^i_{ja} P^a_{mn}: the torsion
+    # is antisymmetric, so the last is minus the second, j and m exchanged
+    direct = tensor_lincomb(
+        [(-1, d_cd), (-1, tensor_contract("ajm,ian->ijmn", t, sym_diff)),
+         (1, antisym_pair_nodiv(
+             tensor_contract("iam,ajn->ijmn", t, sym_diff), 1, 2))])
+    return [VerificationReport.from_residuals(
+        "torsion_cd_difference", {"p": p, **base},
+        (direct, _shared(seconds, lambda d: tensor_sub(d, d_cd),
+                         table.sigma[p]))) for p in p_values]
+
+
+def R_and_K_transformation_check(table: Differences, p: int, q: int, u, up,
+                                 base: dict) -> VerificationReport:
     """Exact check of the curvature transformation under the mapping.
 
-    R_tgt = R_src + (W - R)_tgt - (W - R)_src leaves W_tgt - W_src; the
-    same for K at (v, v', w) = ``RK_SQUARE_PARAMS``, with the u and u'
-    sigma differences, leaves the family difference at (p, q), negated.
+    R_tgt = R_src + (W - R)_tgt - (W - R)_src leaves minus the W
+    difference; the same for K at (v, v', w) = ``RK_SQUARE_PARAMS``, with
+    the u and u' sigma differences, leaves minus the family cell (p, q).
     """
-    _check_which(which)
-    d_sigma, d_swapped = differences
-    u, up = Fraction(u), Fraction(up)
-    v, vp, w = RK_SQUARE_PARAMS
-    residual_r = tensor_sub(tgt.w_star(which), src.w_star(which))
-    # the sides exchanged: the family difference's common part, negated
-    residual_k = tensor_lincomb(
-        family_difference_terms(tgt, src, which, (u, up, v, vp, w))
-        + [(u, d_sigma[p]), (up, d_swapped[q])])
+    params = (Fraction(u), Fraction(up), *RK_SQUARE_PARAMS)
+    residual_k = tensor_lincomb([(-1, table.common(params)),
+                                 (params[0], table.sigma[p]),
+                                 (params[1], table.swapped[q])])
     return VerificationReport.from_residuals(
         "R_K_transformation",
-        {"which": which, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
-         "w": w, **base},
-        (residual_r, residual_k))
+        {"which": table.which, "p": p, "q": q,
+         **dict(zip(PARAM_NAMES, params)), **base},
+        (tensor_neg(table.w), residual_k))

@@ -14,8 +14,7 @@ import pytest
 
 from eqlab.dsl import evaluate, parse
 from eqlab.geometry import curvature_R, curvature_family_span, random_connection
-from eqlab.harness import (correlation_check, run_verify_suite,
-                           sigma_differences)
+from eqlab.harness import correlation_check, run_verify_suite
 from eqlab.invariants import (
     PARAM_NAMES,
     InvariantBundle,
@@ -23,6 +22,7 @@ from eqlab.invariants import (
     T_tilde,
     W_star,
     build_W_matrix,
+    difference_table,
     family_span_dimension,
     sigma_coeff_matrix,
     torsion_cd_difference_check,
@@ -164,9 +164,9 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
         src = InvariantBundle(pair.source, pair.mapping)
         tgt = InvariantBundle(pair.target, m_bar)
         base = {"dim": dim, "kind": kind}
-        differences = sigma_differences(src, tgt, LABELS, LABELS)
-        for report in torsion_cd_difference_check(src, tgt, LABELS,
-                                                   differences[0], base):
+        table = difference_table(src, tgt, kind, LABELS, LABELS)
+        for report in torsion_cd_difference_check(src, tgt, LABELS, table,
+                                                   base):
             if not report.passed:
                 problems.append(f"{tag}: torsion derivative difference "
                                 f"at p={report.params['p']}")
@@ -175,8 +175,7 @@ def test_criterion_06_exact_identity_suite(pairs_dim2, pairs_dim3):
         if not correlation_check(src, kind, grid, grid, values, {}).passed:
             problems.append(f"{tag}: family correlation")
         transformation = R_and_K_transformation_check(
-            src, tgt, kind, 2, 7, values["u"], values["u'"], differences,
-            base)
+            table, 2, 7, values["u"], values["u'"], base)
         if not transformation.passed:
             problems.append(f"{tag}: curvature transformation")
     announce(6, "the identity suite holds exactly on dim-2 and dim-3 "

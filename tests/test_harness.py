@@ -6,11 +6,14 @@ Both are held here against a cell-by-cell reference that sums every cell
 on its own, on a passing instance, under the ``psi-sign`` fault, and on
 bundles whose sigma differences differ from label to label.  There the
 torsion-derivative, T-tilde and curvature-transformation checks, which
-read the same table of sigma differences, are held against sigma read
-on each side.  The family and curvature-transformation checks, which
-sum K - R from its torsion terms, are held against K + (W - R) built on
-each side, also where the two torsions differ; verify builds K once per
-instance.  A fault matrix pins which checks each wrong field of the
+read the same table of differences, are held against sigma read on each
+side.  The family and curvature-transformation checks, which sum K - R
+from its torsion terms, are held against K + (W - R) built on each
+side, also where the two torsions differ; verify builds K once per
+instance.  README's restatements of T-tilde, family and curvature-
+transformation residuals through the other checks' residuals are held
+report by report, and tcd's and T-tilde's residuals are built once per
+distinct sigma difference.  A fault matrix pins which checks each wrong field of the
 inverse mapping and a wrong target connection fail, and that a wrong
 source torsion is refused before any check; ``synth`` is held to one
 basic-equation residual per pair.
@@ -23,24 +26,22 @@ import pytest
 
 from eqlab import geometry, harness, invariants, mapping
 from eqlab.geometry import (GAMMA_VALENCE, Keeper, Space, curvature_K,
-                            torsion_square_terms)
+                            k_torsion_terms, torsion_square_terms)
 from eqlab.harness import (
-    _keyed_differences,
     correlation_check,
     corrupted_inverse,
     family_invariance_check,
-    sigma_differences,
     t_tilde_invariance_check,
     verify_instance,
 )
 from eqlab.invariants import (PARAM_NAMES, RK_SQUARE_PARAMS, InvariantBundle,
                               R_and_K_transformation_check,
-                              VerificationReport, family_difference_terms,
-                              torsion_cd_difference_check)
+                              VerificationReport, _keyed_differences,
+                              difference_table, torsion_cd_difference_check)
 from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
                            synthesize_instance)
-from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb, tensor_sub,
-                           transpose)
+from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb,
+                           tensor_neg, tensor_sub, transpose)
 from helpers import const, zero
 
 LABELS = list(range(1, 9))
@@ -125,13 +126,10 @@ def _reference_family(src, tgt, which, p_values, q_values, values):
                               tgt.sigma_swapped(q)))]))
 
 
-def _table_route(monkeypatch, src, tgt, p_values, q_values, differences,
-                 values):
+def _table_route(monkeypatch, src, tgt, p_values, q_values, table, values):
     """The torsion-derivative, T-tilde and curvature-transformation
-    reports over the grid, each reading ``differences``, with the
-    residuals each report was built from: the last is the one that reads
-    sigma."""
-    d_sigma = differences[0]
+    reports over the grid, each reading ``table``, with the residuals each
+    report was built from: the last is the one that reads sigma."""
     u, up = values["u"], values["u'"]
     captured = []
     from_residuals = VerificationReport.from_residuals.__func__
@@ -144,10 +142,9 @@ def _table_route(monkeypatch, src, tgt, p_values, q_values, differences,
         patch.setattr(VerificationReport, "from_residuals",
                       classmethod(capture))
         reports = (
-            torsion_cd_difference_check(src, tgt, p_values, d_sigma, {})
-            + t_tilde_invariance_check(src, tgt, p_values, d_sigma, {})
-            + [R_and_K_transformation_check(src, tgt, 1, p, q, u, up,
-                                            differences, {})
+            torsion_cd_difference_check(src, tgt, p_values, table, {})
+            + t_tilde_invariance_check(p_values, table, {})
+            + [R_and_K_transformation_check(table, p, q, u, up, {})
                for p in p_values for q in q_values])
     return [(r.check, r.params, residuals[-1])
             for r, residuals in zip(reports, captured)]
@@ -159,6 +156,11 @@ def _reference_per_side(src, tgt, p_values, q_values, values):
     u, up = values["u"], values["u'"]
     v, vp, w = RK_SQUARE_PARAMS
     lhs = tensor_sub(tgt.space.torsion_cd(), src.space.torsion_cd())
+    # W and the five torsion terms of K - R, target less source
+    exchanged = ([(1, tgt.w_star(1)), (-1, src.w_star(1))]
+                 + list(zip((u, up, v, vp, w), k_torsion_terms(tgt.space)))
+                 + [(-theta, term) for theta, term
+                    in zip((u, up, v, vp, w), k_torsion_terms(src.space))])
     return (
         [("torsion_cd_difference", {"p": p}, tensor_lincomb(
             [(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))]))
@@ -170,7 +172,7 @@ def _reference_per_side(src, tgt, p_values, q_values, values):
             {"which": 1, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
              "w": w},
             tensor_lincomb(
-                family_difference_terms(tgt, src, 1, (u, up, v, vp, w))
+                exchanged
                 + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
                    (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))]))
            for p in p_values for q in q_values])
@@ -190,25 +192,24 @@ def test_grids_match_the_cell_by_cell_reference(monkeypatch, case, grid, pair,
                                                 unrelated):
     p_values, q_values = GRIDS[grid]
     src, tgt = _sides(case, pair, unrelated)
-    differences = sigma_differences(src, tgt, p_values, q_values)
+    table = difference_table(src, tgt, 1, p_values, q_values)
     for values in VALUES:
         _assert_same(
             correlation_check(src, 1, p_values, q_values, values, {}),
             _reference_correlation(src, 1, p_values, q_values, values))
         expected = _reference_family(src, tgt, 1, p_values, q_values, values)
-        _assert_same(family_invariance_check(src, tgt, 1, p_values, q_values,
-                                             values, 0, {}, differences),
+        _assert_same(family_invariance_check(table, p_values, q_values,
+                                             values, 0, {}),
                      expected)
         assert expected.passed == (case == "passing")
-        table = _table_route(monkeypatch, src, tgt, p_values, q_values,
-                             differences, values)
+        route = _table_route(monkeypatch, src, tgt, p_values, q_values,
+                             table, values)
         reference = _reference_per_side(src, tgt, p_values, q_values, values)
-        assert table == reference
+        assert route == reference
         assert (all(residual.is_zero() for _, _, residual in reference)
                 == (case == "passing"))
-    d_sigma, d_swapped = differences
-    distinct = (len({id(d) for d in d_sigma.values()})
-                * len({id(d) for d in d_swapped.values()}))
+    distinct = (len({id(d) for d in table.sigma.values()})
+                * len({id(d) for d in table.swapped.values()}))
     if case == "passing":
         assert distinct == 1
     elif case == "unrelated":
@@ -242,20 +243,20 @@ def test_grid_report_lists_the_cells_of_each_failing_residual():
 
 def test_passing_grid_sums_one_cell_per_draw(monkeypatch, pair):
     src, tgt = _sides("passing", pair, None)
-    differences = sigma_differences(src, tgt, LABELS, LABELS)
+    table = difference_table(src, tgt, 1, LABELS, LABELS)
     calls = []
 
     def counted(terms):
         calls.append(len(terms))
         return tensor_lincomb(terms)
 
-    monkeypatch.setattr(harness, "tensor_lincomb", counted)
-    report = family_invariance_check(src, tgt, 1, LABELS, LABELS, VALUES[0],
-                                     0, {}, differences)
+    for module in (harness, invariants):
+        monkeypatch.setattr(module, "tensor_lincomb", counted)
+    report = family_invariance_check(table, LABELS, LABELS, VALUES[0], 0, {})
     assert report.passed and report.params["cells"] == 64
-    # the label-free part (W and the five torsion terms of K - R, per
-    # side), then one sum for all 64 cells
-    assert calls == [12, 3]
+    # the label-free part (the W difference and the five torsion-term
+    # differences of the table), then one sum for all 64 cells
+    assert calls == [6, 3]
 
 
 @pytest.mark.parametrize("draws", [1, 3])
@@ -280,8 +281,8 @@ def test_verify_builds_curvature_K_once_per_instance(monkeypatch, pair,
 
 
 def test_verify_builds_no_family_member(monkeypatch, pair):
-    """Nor a T-tilde tensor: every check that reads sigma reads the one
-    table of differences."""
+    """Nor a T-tilde tensor: every check that compares the two sides
+    reads the one table of differences."""
     def unused(self, *args):
         raise AssertionError("verify read a family member or a T-tilde")
 
@@ -291,13 +292,109 @@ def test_verify_builds_no_family_member(monkeypatch, pair):
 
     def counted(*args):
         built.append(args)
-        return sigma_differences(*args)
+        return difference_table(*args)
 
-    monkeypatch.setattr(harness, "sigma_differences", counted)
+    monkeypatch.setattr(harness, "difference_table", counted)
     reports, _ = verify_instance(pair, 0, LABELS, LABELS, 3)
     assert all(report.passed for report in reports)
-    # the label differences are built once for the three draws
+    # the table is built once for the three draws
     assert len(built) == 1
+
+
+def _verify_residuals(monkeypatch, pair, corrupt=None):
+    """``verify_instance`` over the full grid at one draw, as
+    {check: [(params, residuals)]}: each report with the residuals it was
+    built from, a grid report with its residual per cell."""
+    captured, grids = [], []
+    from_residuals = VerificationReport.from_residuals.__func__
+    grid_report = harness._grid_report
+
+    def capture(cls, check, params, residuals):
+        captured.append(tuple(residuals))
+        return from_residuals(cls, check, params, captured[-1])
+
+    def capture_grid(check, head, values, cells):
+        grids.append(dict(cells))
+        return grid_report(check, head, values, cells)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VerificationReport, "from_residuals",
+                      classmethod(capture))
+        patch.setattr(harness, "_grid_report", capture_grid)
+        reports, _ = verify_instance(pair, 0, LABELS, LABELS, 1, corrupt)
+    by_check, cells = {}, iter(grids)
+    for report, residuals in zip(reports, captured, strict=True):
+        if "cells" in report.params:
+            residuals = next(cells)
+        by_check.setdefault(report.check, []).append(
+            (report.params, residuals))
+    return by_check
+
+
+def _unrelated_target(pair, unrelated):
+    return MappedPair(pair.source, pair.mapping, unrelated.target)
+
+
+@pytest.mark.parametrize("case", ["psi-sign", "unrelated"])
+def test_the_restated_checks_combine_the_other_residuals(monkeypatch, case,
+                                                         pair, unrelated):
+    """README's restatement identities, report by report, where the
+    residuals are nonzero: T-tilde at rho is minus tcd's second residual
+    at p = rho; a family cell is the W residual less u tcd(p) and u'
+    tcd*(q), plus the v, v' and w multiples of the torsion-square
+    differences; R_K's residuals are minus the W residual and minus the
+    family cell at its one cell."""
+    if case == "psi-sign":
+        checked, corrupt = pair, "psi-sign"
+    else:
+        checked, corrupt = _unrelated_target(pair, unrelated), None
+    by_check = _verify_residuals(monkeypatch, checked, corrupt)
+    tcd = {params["p"]: residuals[1]
+           for params, residuals in by_check["torsion_cd_difference"]}
+    [(_, (w_residual,))] = by_check["W_invariance"]
+    squares = [tensor_sub(a, b) for a, b in zip(
+        torsion_square_terms(checked.source),
+        torsion_square_terms(checked.target))]
+    assert not w_residual.is_zero()
+    if case == "unrelated":
+        assert not any(residual.is_zero() for residual in tcd.values())
+        assert not any(square.is_zero() for square in squares)
+
+    def cell(params, p, q):
+        u, up, v, vp, w = (params[name] for name in PARAM_NAMES)
+        return tensor_lincomb(
+            [(1, w_residual), (-u, tcd[p]),
+             (-up, transpose(tcd[q], (0, 1, 3, 2)))]
+            + list(zip((v, vp, w), squares)))
+
+    for params, (residual,) in by_check["T_tilde_invariance"]:
+        assert residual == tensor_neg(tcd[params["rho"]])
+    [(params, cells)] = by_check["family_invariance"]
+    assert len(cells) == 64
+    for (p, q), residual in cells.items():
+        assert residual == cell(params, p, q)
+    [(params, (residual_r, residual_k))] = by_check["R_K_transformation"]
+    assert residual_r == tensor_neg(w_residual)
+    assert residual_k == tensor_neg(cell(params, params["p"], params["q"]))
+
+
+@pytest.mark.parametrize("case", ["passing", "unrelated"])
+def test_each_distinct_residual_is_built_once(monkeypatch, case, pair,
+                                              unrelated):
+    """tcd's second residual and T-tilde's are built once per distinct
+    sigma difference, not once per label: on a passing instance, one
+    object each serves all eight reports."""
+    checked = pair if case == "passing" else _unrelated_target(pair,
+                                                               unrelated)
+    by_check = _verify_residuals(monkeypatch, checked)
+    for check, position in (("torsion_cd_difference", 1),
+                            ("T_tilde_invariance", 0)):
+        residuals = [residuals[position]
+                     for _, residuals in by_check[check]]
+        assert len(residuals) == 8
+        assert len({id(residual) for residual in residuals}) == len(
+            set(residuals))
+        assert (len(set(residuals)) == 1) == (case == "passing")
 
 
 def test_kept_results_do_not_grow_with_draws(monkeypatch):
@@ -417,8 +514,8 @@ def test_unequal_torsion_keeps_the_k_route_residuals(monkeypatch, dim, kind):
     grids = []
     monkeypatch.setattr(harness, "_grid_report",
                         lambda check, head, values, cells: grids.append(cells))
-    family_invariance_check(src, tgt, kind, LABELS, LABELS, values, 0, {},
-                            sigma_differences(src, tgt, LABELS, LABELS))
+    family_invariance_check(difference_table(src, tgt, kind, LABELS, LABELS),
+                            LABELS, LABELS, values, 0, {})
     (cells,) = grids
     assert len(cells) == 64
     for (p, q), residual in cells:
@@ -437,8 +534,7 @@ def test_unequal_torsion_keeps_the_k_route_residuals(monkeypatch, dim, kind):
                         classmethod(capture))
     u, up = params[:2]
     report = R_and_K_transformation_check(
-        src, tgt, kind, 3, 6, u, up, sigma_differences(src, tgt, [3], [6]),
-        {})
+        difference_table(src, tgt, kind, [3], [6]), 3, 6, u, up, {})
     (residual_r, residual_k), = captured
     k_params = (u, up, *RK_SQUARE_PARAMS)
     corrections = [(-1, src.w_star(kind)), (1, src.space.curvature()),

@@ -11,7 +11,6 @@ from eqlab import harness
 from eqlab.harness import (
     corrupted_inverse,
     family_invariance_check,
-    sigma_differences,
     verify_instance,
 )
 from eqlab.invariants import (
@@ -25,6 +24,7 @@ from eqlab.invariants import (
     VerificationReport,
     W_star,
     build_W_matrix,
+    difference_table,
     eta_star,
     family_span_dimension,
     sigma_coeff_matrix,
@@ -266,20 +266,20 @@ def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
 
 def tcd_reports(src: InvariantBundle, tgt: InvariantBundle, labels,
                 ) -> list[VerificationReport]:
-    """The torsion-derivative reports over ``labels``, reading the sigma
+    """The torsion-derivative reports over ``labels``, reading the
     differences from their table as verify does."""
-    d_sigma, _ = sigma_differences(src, tgt, labels, [])
     return torsion_cd_difference_check(
-        src, tgt, labels, d_sigma,
+        src, tgt, labels,
+        difference_table(src, tgt, src.mapping.kind, labels, []),
         {"dim": src.space.dim, "kind": src.mapping.kind})
 
 
 def rk_report(src: InvariantBundle, tgt: InvariantBundle, which: int,
               p: int, q: int, u, up) -> VerificationReport:
-    """The curvature-transformation report at (p, q), its sigma
-    differences read from their table as verify does."""
+    """The curvature-transformation report at (p, q), its differences
+    read from their table as verify does."""
     return R_and_K_transformation_check(
-        src, tgt, which, p, q, u, up, sigma_differences(src, tgt, [p], [q]),
+        difference_table(src, tgt, which, [p], [q]), p, q, u, up,
         {"dim": src.space.dim, "kind": src.mapping.kind})
 
 
@@ -688,7 +688,7 @@ class TestTorsionCdDifference:
     def test_invalid_label_rejected_before_any_report(self, pair21):
         # the sigma table, built before any check, checks the labels
         with pytest.raises(ValueError, match="p must be between 1 and 8"):
-            sigma_differences(*sides(pair21), [1, 9], [])
+            difference_table(*sides(pair21), 1, [1, 9], [])
 
     def test_torsion_free_pair_trivial(self):
         [report] = tcd_reports(*sides(torsion_free_pair(seed=3)), [4])
@@ -795,8 +795,8 @@ class TestWFamily:
         for p in range(1, 9):
             for q in range(1, 9):
                 report = family_invariance_check(
-                    src, tgt, 1, [p], [q], values, 0, {},
-                    sigma_differences(src, tgt, [p], [q]))
+                    difference_table(src, tgt, 1, [p], [q]), [p], [q],
+                    values, 0, {})
                 expected = tensor_sub(src.family(1, p, q, *params),
                                       tgt.family(1, p, q, *params))
                 if expected.is_zero():
@@ -809,8 +809,8 @@ class TestWFamily:
         assert bool(differing) == corrupt
         labels = list(range(1, 9))
         report = family_invariance_check(
-            src, tgt, 1, labels, labels, values, 0, {},
-            sigma_differences(src, tgt, labels, labels))
+            difference_table(src, tgt, 1, labels, labels), labels, labels,
+            values, 0, {})
         assert report.params["failed_cells"] == differing
 
     def test_invalid_labels(self, pair21):
@@ -830,7 +830,7 @@ class TestWFamily:
         with pytest.raises(ValueError, match=message):
             bundle.sigma_swapped(q)
         with pytest.raises(ValueError, match=message):
-            sigma_differences(bundle, bundle, [1], [q])
+            difference_table(bundle, bundle, 1, [1], [q])
 
 
 class TestBuildWMatrix:

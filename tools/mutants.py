@@ -17,7 +17,8 @@ kill set there:
   a numerator past the digit limit, for ``mapping.py`` the test that a
   synthesis bug exits 4 where a stored pair's fault exits 2, and for
   ``invariants.py`` the test of the family and curvature-transformation
-  residuals on a pair whose target torsion differs from its source's.
+  residuals on a pair whose target torsion differs from its source's and
+  the test that each distinct residual is built once.
 
 A mutant is killed by the first step that differs or fails, and survives
 when none does.  A survivor needs a test that kills it, or a reason why
@@ -112,23 +113,32 @@ MUTANTS = (
            "k_torsion_terms: the torsion derivative and its m/n swap "
            "exchanged, so u and u' multiply each other's term in K"),
     Mutant("torsion-squares-dropped", "invariants.py",
-           "zip(params, k_torsion_terms(src.space)))\n"
-           "            + [(-theta, t) for theta, t in zip(params, ",
-           "zip(params[:2], k_torsion_terms(src.space)))\n"
-           "            + [(-theta, t) for theta, t in zip(params[:2], ",
-           "family_difference_terms: the torsion-square differences left "
-           "out, as if the mapping always kept the torsion"),
+           "*zip(params, self.terms)",
+           "*zip(params[:2], self.terms)",
+           "Differences.common: the torsion-square differences left out, "
+           "as if the mapping always kept the torsion"),
+    Mutant("w-square-permutation", "geometry.py",
+           "transpose(v_term, (0, 3, 1, 2))",
+           "transpose(v_term, (0, 2, 3, 1))",
+           "Space.torsion_squares: the w square read off the v square "
+           "through the wrong slot relabeling"),
+    Mutant("tcd-antisym-dropped", "invariants.py",
+           "antisym_pair_nodiv(\n"
+           "             tensor_contract(\"iam,ajn->ijmn\", t, sym_diff), 1, 2)",
+           "tensor_contract(\"iam,ajn->ijmn\", t, sym_diff)",
+           "torsion_cd_difference_check: T^i_{ja}P^a_{mn} left out of the "
+           "direct route"),
     Mutant("t-tilde-difference-sign", "harness.py",
-           "(tensor_sub(cd_difference, d_sigma[rho]),)",
-           "(tensor_lincomb([(1, cd_difference), (1, d_sigma[rho])]),)",
+           "lambda d: tensor_sub(d_cd, d)",
+           "lambda d: tensor_lincomb([(1, d_cd), (1, d)])",
            "t_tilde_invariance_check: the sigma difference added to the "
            "torsion-derivative difference, not subtracted"),
     Mutant("rk-sigma-difference-sign", "invariants.py",
-           "+ [(u, d_sigma[p]), (up, d_swapped[q])])",
-           "+ [(-u, d_sigma[p]), (up, d_swapped[q])])",
+           "(params[0], table.sigma[p])",
+           "(-params[0], table.sigma[p])",
            "R_and_K_transformation_check: the u sigma difference enters "
            "with the wrong sign"),
-    Mutant("keyed-differences-unshared", "harness.py",
+    Mutant("keyed-differences-unshared", "invariants.py",
            "differences[label] = shared.setdefault(difference, difference)",
            "differences[label] = difference",
            "_keyed_differences: equal differences kept as separate objects"),
@@ -232,7 +242,9 @@ MORE_TESTS = {"documents.py": (
     "test_numerator_past_the_digit_limit_names_field_and_limit"),
     "jets.py": ("tests/test_flat_storage.py",),
     "invariants.py": ("tests/test_harness.py::"
-                      "test_unequal_torsion_keeps_the_k_route_residuals",),
+                      "test_unequal_torsion_keeps_the_k_route_residuals",
+                      "tests/test_harness.py::"
+                      "test_each_distinct_residual_is_built_once"),
     "mapping.py": ("tests/test_documents.py::"
                    "test_a_nonzero_residual_is_a_bug_in_synthesis_only",)}
 
