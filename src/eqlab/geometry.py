@@ -20,7 +20,6 @@ from .tensors import (
     DOWN,
     UP,
     TensorField,
-    antisym_pair,
     antisym_pair_nodiv,
     base_numerators,
     contract,
@@ -29,6 +28,7 @@ from .tensors import (
     sym_pair,
     tensor_contract,
     tensor_lincomb,
+    tensor_sub,
     tensor_truncate,
     transpose,
 )
@@ -64,7 +64,7 @@ class Space(Keeper):
     """Dimension plus connection field.
 
     The derived objects (symmetric part, torsion, trace, curvature,
-    covariant derivative of torsion, torsion squares) are kept, since
+    torsion derivative and its m/n swap, torsion squares) are kept, since
     every command that reads one reads it more than once.  The
     connection's own parts keep its order o.  Whatever holds a derivative
     (curvature, torsion derivative) is at o - 1, and so are the torsion
@@ -88,8 +88,8 @@ class Space(Keeper):
 
     @kept
     def torsion(self) -> TensorField:
-        """Antisymmetric part of the connection."""
-        return antisym_pair(self.gamma, 1, 2)
+        """Antisymmetric part of the connection: Gamma less ``sym()``."""
+        return tensor_sub(self.gamma, self.sym())
 
     @kept
     def trace_sym(self) -> TensorField:
@@ -104,6 +104,11 @@ class Space(Keeper):
     def torsion_cd(self) -> TensorField:
         """Associated covariant derivative of the torsion, slots (i, j, m; n)."""
         return cov_deriv_assoc(self.torsion(), self)
+
+    @kept
+    def torsion_cd_swapped(self) -> TensorField:
+        """The torsion derivative with m and n exchanged, T^i_{jn;m}."""
+        return transpose(self.torsion_cd(), (0, 1, 3, 2))
 
     @kept
     def torsion_squares(self) -> tuple[TensorField, TensorField, TensorField]:
@@ -196,8 +201,7 @@ def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorFiel
 def k_torsion_terms(s: Space) -> tuple[TensorField, ...]:
     """The five tensors K adds to R, in parameter order (u, u', v, v', w):
     T^i_{jm;n}, T^i_{jn;m} (; associated) and ``torsion_square_terms``."""
-    cd = s.torsion_cd()
-    return (cd, transpose(cd, (0, 1, 3, 2))) + torsion_square_terms(s)
+    return (s.torsion_cd(), s.torsion_cd_swapped()) + torsion_square_terms(s)
 
 
 def curvature_K(s: Space, u: Fraction | int, up: Fraction | int,

@@ -49,7 +49,6 @@ from .tensors import (
     tensor_lincomb,
     tensor_neg,
     tensor_sub,
-    transpose,
 )
 
 
@@ -150,8 +149,7 @@ def correlation_check(bundle: InvariantBundle, which: int, p_values, q_values,
     for q in q_values:
         _check_label("q", q)
     space = bundle.space
-    cd = space.torsion_cd()
-    cd_swapped = transpose(cd, (0, 1, 3, 2))
+    cd, cd_swapped = space.torsion_cd(), space.torsion_cd_swapped()
     v_term, vp_term, w_term = torsion_square_terms(space)
     residual = tensor_lincomb(
         [(1, curvature_K(space, u, up, v, vp, w)), (-1, space.curvature()),

@@ -158,8 +158,9 @@ class _Parts:
         self.delta = TensorField.delta(dim, t.order)
         # T^i_{a k} phi^a, slots (i, k)
         self.torsion_phi = tensor_contract("iak,a->ik", t, self.phi)
-        # T^i_{j a} phi^a, slots (i, j)
-        self.torsion_phi_last = tensor_contract("ija,a->ij", t, self.phi)
+        # T^i_{j a} phi^a, slots (i, j): the torsion is antisymmetric in
+        # its lower slots, so this is minus the product above
+        self.torsion_phi_last = tensor_neg(self.torsion_phi)
         # T^a_{j m} G_a, slots (j, m)
         self.torsion_trace = tensor_contract("ajm,a->jm", t, self.trace)
         # T^a_{j m} (sigma phi)_a, slots (j, m)
@@ -331,30 +332,35 @@ class InvariantBundle(Keeper):
         # d^i_j (eta_{[mn]} - c G_{[m;n]})
         on_ij = tensor_lincomb([(1, antisym_pair_nodiv(eta, 0, 1)),
                                 (-c, antisym_pair_nodiv(trace_cd, 0, 1))])
-        # d^i_n (c (G_{j;m} - (N+1) eta_{jm}) + mu sigma_{jm}), less the
-        # same on d^i_m with m and n exchanged
+        # c (G_{j;m} - (N+1) eta_{jm}) + mu sigma_{jm}, on d^i_n
         on_in = tensor_lincomb([(c, trace_cd), (-1, eta),
                                 (1, tensor_contract(",jm->jm", m.mu, sigma))])
-        # (sigma_{jm} phi^i)_{;n} - (m <-> n), with phi_{;n} expanded
-        gradient = antisym_pair_nodiv(tensor_lincomb(
+        # (sigma_{jm} phi^i)_{;n}, with phi_{;n} expanded
+        gradient = tensor_lincomb(
             [(1, self.sigma_cd()),
              (1, tensor_contract("jm,n->jmn", sigma,
-                                 tensor_add(m.nu, parts.sigma_phi)))]), 1, 2)
+                                 tensor_add(m.nu, parts.sigma_phi)))])
+        # the terms that W takes less their m/n mirrors
+        unmirrored = tensor_lincomb([
+            (1, tensor_contract("in,jm->ijmn", delta, on_in)),
+            (1, tensor_contract("jmn,i->ijmn", gradient, parts.phi)),
+            (-eps, tensor_contract("jm,in->ijmn", sigma, parts.torsion_phi)),
+        ])
         return tensor_lincomb([
             (1, s.curvature()),
             (1, tensor_contract("ij,mn->ijmn", delta, on_ij)),
-            (1, tensor_contract("in,jm->ijmn", delta, on_in)),
-            (-1, tensor_contract("im,jn->ijmn", delta, on_in)),
-            (1, tensor_contract("jmn,i->ijmn", gradient, parts.phi)),
-            (-eps, tensor_contract("jm,in->ijmn", sigma, parts.torsion_phi)),
-            (eps, tensor_contract("jn,im->ijmn", sigma, parts.torsion_phi)),
+            (1, antisym_pair_nodiv(unmirrored, 2, 3)),
         ])
 
     @kept
     def u_tensor(self, theta: int) -> TensorField:
-        """One of the twenty torsion products, slots (i, j, m, n)."""
+        """One of the twenty torsion products, slots (i, j, m, n); the m/n
+        mirror of a lower-numbered one is read off it by transpose."""
         if not 1 <= theta <= 20:
             raise ValueError(f"theta must be between 1 and 20, got {theta}")
+        partner = _SWAP_POSITION[theta - 1] + 1
+        if partner < theta:
+            return transpose(self.u_tensor(partner), (0, 1, 3, 2))
         spec, left, right = _U_TERMS[theta - 1]
         parts = self.parts()
         return tensor_contract(spec, getattr(parts, left),

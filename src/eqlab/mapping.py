@@ -105,9 +105,9 @@ def _increment(x: TensorField, c: Fraction, sigma: TensorField,
                phi: TensorField, c_phi: Fraction) -> list:
     """The terms of c (x_j d^i_k + x_k d^i_j) + c_phi sigma_{jk} phi^i,
     slots (i, j, k), for ``tensor_lincomb``."""
-    delta = TensorField.delta(x.dim, x.order)
-    return [(c, tensor_contract("ik,j->ijk", delta, x)),
-            (c, tensor_contract("ij,k->ijk", delta, x)),
+    # x_j d^i_k; its (j, k) mirror is x_k d^i_j
+    term = tensor_contract("ik,j->ijk", TensorField.delta(x.dim, x.order), x)
+    return [(c, term), (c, transpose(term, (0, 2, 1))),
             (c_phi, tensor_contract("jk,i->ijk", sigma, phi))]
 
 

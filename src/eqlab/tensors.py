@@ -494,14 +494,6 @@ def sym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
     return tensor_lincomb([(half, a), (half, _swapped(a, s1, s2))])
 
 
-def antisym_pair(a: TensorField, s1: int, s2: int) -> TensorField:
-    from fractions import Fraction
-
-    _check_pair(a, s1, s2)
-    half = Fraction(1, 2)
-    return tensor_lincomb([(half, a), (-half, _swapped(a, s1, s2))])
-
-
 def partial_deriv_field(a: TensorField, k: int) -> TensorField:
     """Componentwise comma derivative, the direction-k blocks of
     :func:`gradient`; the valence is left unchanged.  The result is not a

@@ -19,6 +19,7 @@ source torsion is refused before any check; ``synth`` is held to one
 basic-equation residual per pair.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from eqlab.harness import (
     correlation_check,
     corrupted_inverse,
     family_invariance_check,
+    synthesized_pairs,
     t_tilde_invariance_check,
     verify_instance,
 )
@@ -395,6 +397,34 @@ def test_each_distinct_residual_is_built_once(monkeypatch, case, pair,
         assert len({id(residual) for residual in residuals}) == len(
             set(residuals))
         assert (len(set(residuals)) == 1) == (case == "passing")
+
+
+def test_each_space_transposes_gamma_and_its_torsion_derivative_once(
+        monkeypatch):
+    """One verify instance transposes each space's connection by (0, 2, 1)
+    at most once, for its symmetric part, and its torsion derivative by
+    (0, 1, 3, 2) once, for the m/n swap that every reader of the K terms
+    shares.  Counted per (object, permutation) through every module
+    binding of ``transpose``."""
+    calls = []
+
+    def counted(a, perm):
+        calls.append((a, tuple(perm)))
+        return transpose(a, perm)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "eqlab"
+                and getattr(module, "transpose", None) is transpose):
+            monkeypatch.setattr(module, "transpose", counted)
+    [(label, pair)] = synthesized_pairs(3, 1, [0])
+    verify_instance(pair, label, LABELS, LABELS, 3)
+
+    def count(tensor, perm):
+        return sum(a is tensor and p == perm for a, p in calls)
+
+    for space in (pair.source, pair.target):
+        assert count(space.gamma, (0, 2, 1)) <= 1
+        assert count(space.torsion_cd(), (0, 1, 3, 2)) == 1
 
 
 def test_kept_results_do_not_grow_with_draws(monkeypatch):

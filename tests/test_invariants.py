@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from eqlab.geometry import GAMMA_VALENCE, Space, torsion_square_terms, curvature_K
+from eqlab.geometry import (GAMMA_VALENCE, Space, cov_deriv_assoc,
+                            curvature_K, torsion_square_terms)
 from eqlab import harness
 from eqlab.harness import (
     corrupted_inverse,
@@ -18,6 +19,7 @@ from eqlab.invariants import (
     InvariantBundle,
     _Parts,
     _SIGMA_COEFFS,
+    _U_TERMS,
     R_and_K_transformation_check,
     T_tilde,
     U_theta,
@@ -44,9 +46,12 @@ from eqlab.tensors import (
     DOWN,
     UP,
     TensorField,
+    antisym_pair_nodiv,
     base_numerators,
     random_field,
     tensor_add,
+    tensor_contract,
+    tensor_lincomb,
     tensor_scale,
     tensor_sub,
     tensor_truncate,
@@ -256,6 +261,39 @@ def term_by_term_u(bundle: InvariantBundle, theta: int) -> TensorField:
     parts = bundle.parts()
     return TensorField.build(parts.dim, W_VALENCE,
                              lambda idx: _u_component(parts, theta, idx))
+
+
+def seven_term_w_star(bundle: InvariantBundle, which: int) -> TensorField:
+    """W of kind ``which`` as the sum of its seven terms, each m/n mirror
+    written out as a contraction of its own."""
+    s, m, parts = bundle.space, bundle.mapping, bundle.parts()
+    eta = bundle.eta(which)
+    c = Fraction(1, s.dim + 1)
+    eps = 1 if which == 1 else -1
+    trace_cd = cov_deriv_assoc(s.trace_sym(), s)
+    sigma, delta, t_phi = parts.sigma, parts.delta, parts.torsion_phi
+    on_ij = tensor_lincomb([(1, antisym_pair_nodiv(eta, 0, 1)),
+                            (-c, antisym_pair_nodiv(trace_cd, 0, 1))])
+    on_in = tensor_lincomb([(c, trace_cd), (-1, eta),
+                            (1, tensor_contract(",jm->jm", m.mu, sigma))])
+    gradient = antisym_pair_nodiv(tensor_lincomb(
+        [(1, bundle.sigma_cd()),
+         (1, tensor_contract("jm,n->jmn", sigma,
+                             tensor_add(m.nu, parts.sigma_phi)))]), 1, 2)
+    return tensor_lincomb([
+        (1, s.curvature()),
+        (1, tensor_contract("ij,mn->ijmn", delta, on_ij)),
+        (1, tensor_contract("in,jm->ijmn", delta, on_in)),
+        (-1, tensor_contract("im,jn->ijmn", delta, on_in)),
+        (1, tensor_contract("jmn,i->ijmn", gradient, parts.phi)),
+        (-eps, tensor_contract("jm,in->ijmn", sigma, t_phi)),
+        (eps, tensor_contract("jn,im->ijmn", sigma, t_phi)),
+    ])
+
+
+# (dim, order) of the pairs on which the products read off another one
+# are held to their own definitions
+MIRROR_CASES = [(2, 3), (3, 2)]
 
 
 def sides(pair: MappedPair) -> tuple[InvariantBundle, InvariantBundle]:
@@ -468,6 +506,16 @@ class TestWStar:
         with pytest.raises(ValueError, match="which"):
             W_star(pair21.source, pair21.mapping, 0)
 
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("dim, order", MIRROR_CASES)
+    def test_equals_its_seven_terms(self, dim, order, kind):
+        """W, which takes three of its terms' m/n mirrors by one
+        antisymmetrization, equals its seven terms written out."""
+        for side in sides(synthesize_instance(dim, kind, seed=3,
+                                              order=order)):
+            for which in (1, 2):
+                assert side.w_star(which) == seven_term_w_star(side, which)
+
 
 class TestUTheta:
     def test_torsion_free_all_vanish(self):
@@ -503,6 +551,22 @@ class TestUTheta:
         pair = identity_pair()
         with pytest.raises(ValueError, match="theta"):
             U_theta(pair.source, pair.mapping, 21)
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("dim, order", MIRROR_CASES)
+    def test_each_u_equals_its_own_contraction(self, dim, order, kind):
+        """Every U, a mirror read off its partner by transpose too, equals
+        the contraction its own ``_U_TERMS`` row names; the torsion-phi
+        factor read by negation equals its own contraction as well."""
+        pair = synthesize_instance(dim, kind, seed=3, order=order)
+        bundle = InvariantBundle(pair.source, pair.mapping)
+        parts = bundle.parts()
+        assert parts.torsion_phi_last == tensor_contract(
+            "ija,a->ij", parts.torsion, parts.phi)
+        for theta, (spec, left, right) in enumerate(_U_TERMS, start=1):
+            assert bundle.u_tensor(theta) == tensor_contract(
+                spec, getattr(parts, left), getattr(parts, right)), \
+                f"U_{theta}"
 
     @pytest.mark.parametrize("kind", [1, 2])
     @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqlab.documents import block_json, load_block, load_tensor, tensor_json
+from eqlab.geometry import Space
 from eqlab.jets import (
     DimensionMismatchError,
     JetScalar,
@@ -28,7 +29,6 @@ from eqlab.tensors import (
     TensorField,
     ValenceMismatchError,
     _field,
-    antisym_pair,
     antisym_pair_nodiv,
     contract,
     flatten_at_base,
@@ -264,8 +264,12 @@ def test_lincomb_rejects_mismatched_shapes(coeff):
 @settings(max_examples=100)
 @given(tensor_fields(valence=(UP, DOWN, DOWN)))
 def test_sym_antisym_decomposition(t):
-    assert tensor_add(sym_pair(t, 1, 2), antisym_pair(t, 1, 2)) == t
-    assert antisym_pair(sym_pair(t, 1, 2), 1, 2).is_zero()
+    """The torsion is Gamma less its symmetric part, and antisymmetric."""
+    space = Space(t.dim, t)
+    torsion = space.torsion()
+    assert transpose(torsion, (0, 2, 1)) == tensor_neg(torsion)
+    assert transpose(space.sym(), (0, 2, 1)) == space.sym()
+    assert tensor_add(space.sym(), torsion) == t
 
 
 @settings(max_examples=100)

@@ -98,18 +98,29 @@ MUTANTS = (
     Mutant("w-star-eps-sign", "invariants.py",
            "(-eps, tensor_contract(\"jm,in->ijmn\"",
            "(eps, tensor_contract(\"jm,in->ijmn\"",
-           "InvariantBundle.w_star: the sign of one eps term flipped"),
+           "InvariantBundle.w_star: the sign of the sigma T-phi eps term "
+           "flipped"),
     Mutant("u-term-spec", "invariants.py",
            "(\"ajm,ian->ijmn\", \"torsion\", \"sym\")",
            "(\"amj,ian->ijmn\", \"torsion\", \"sym\")",
            "_U_TERMS: U_1 reads the torsion's lower slots swapped"),
+    Mutant("u-mirror-permutation", "invariants.py",
+           "transpose(self.u_tensor(partner), (0, 1, 3, 2))",
+           "transpose(self.u_tensor(partner), (0, 1, 2, 3))",
+           "InvariantBundle.u_tensor: an m/n mirror read off its partner "
+           "through the identity, not the m/n swap"),
+    Mutant("w-star-mirror-slots", "invariants.py",
+           "antisym_pair_nodiv(unmirrored, 2, 3)",
+           "antisym_pair_nodiv(unmirrored, 1, 3)",
+           "InvariantBundle.w_star: the mirrored terms antisymmetrized "
+           "over (j, n), not (m, n)"),
     Mutant("parts-order-cut", "invariants.py",
            "return a if order is None else tensor_truncate(a, order)",
            "return a",
            "_Parts: the inputs not cut to the parts' order"),
     Mutant("curvature-k-coefficient", "geometry.py",
-           "(cd, transpose(cd, (0, 1, 3, 2)))",
-           "(transpose(cd, (0, 1, 3, 2)), cd)",
+           "(s.torsion_cd(), s.torsion_cd_swapped())",
+           "(s.torsion_cd_swapped(), s.torsion_cd())",
            "k_torsion_terms: the torsion derivative and its m/n swap "
            "exchanged, so u and u' multiply each other's term in K"),
     Mutant("torsion-squares-dropped", "invariants.py",
