@@ -10,12 +10,15 @@ opposite variance contracts, and ``d(expr, _k)`` is the comma derivative,
 which appends one covariant slot.  The parser enforces the index
 discipline up front: a name appears once (free) or exactly twice with
 opposite variance (bound), and all summands must expose the same free
-names with the same variances.  A summand that is a bare tensor
-reference must additionally list its indices in the sum's slot order,
-since the written order is the tensor's storage order; composite
-summands (products, derivatives) have no storage order and are aligned
-by index name, so ``d(Gamma[^i,_j,_n],_m)`` lands in the (i, j, m, n)
-slot order of the surrounding sum.
+names with the same variances.  Its signature also fixes every slot
+order the evaluator uses: a product's free indices come in the order
+they are first written, a derivative's slot after its operand's, and a
+sum's in its first summand's order.  A summand that is a bare tensor
+reference must list its indices in the sum's slot order, since the
+written order is the tensor's storage order; composite summands
+(products, derivatives) have no storage order and are aligned by index
+name, so ``d(Gamma[^i,_j,_n],_m)`` lands in the (i, j, m, n) slot order
+of the surrounding sum.
 """
 
 from __future__ import annotations
@@ -259,24 +262,25 @@ def _product_signature(parts) -> tuple[tuple[Index, ...], tuple[str, ...]]:
     return tuple(free), tuple(used)
 
 
-def _signature(node) -> tuple[tuple[Index, ...], tuple[str, ...]]:
+def _signature(node, orders=None) -> tuple[tuple[Index, ...], tuple[str, ...]]:
     """Ordered free indices and the names used beneath node, in the order
-    written.  A reference is the product of its single indices."""
+    written.  A reference is the product of its single indices.  ``orders``,
+    if given, maps the ``id`` of every node walked to its free indices."""
     if isinstance(node, Literal):
-        return (), ()
-    if isinstance(node, Ref):
-        return _product_signature([((i,), (i.name,)) for i in node.indices])
-    if isinstance(node, Product):
-        return _product_signature([_signature(f) for f in node.factors])
-    if isinstance(node, Derivative):
-        return _product_signature(
-            [_signature(node.operand), ((node.index,), (node.index.name,))])
-    if isinstance(node, Sum):
-        first_sig, first_used = _signature(node.terms[0][1])
+        result = (), ()
+    elif isinstance(node, Ref):
+        result = _product_signature([((i,), (i.name,)) for i in node.indices])
+    elif isinstance(node, Product):
+        result = _product_signature([_signature(f, orders) for f in node.factors])
+    elif isinstance(node, Derivative):
+        result = _product_signature(
+            [_signature(node.operand, orders), ((node.index,), (node.index.name,))])
+    elif isinstance(node, Sum):
+        first_sig, first_used = _signature(node.terms[0][1], orders)
         used = dict.fromkeys(first_used)
         variances = {i.name: i.variance for i in first_sig}
         for _, term in node.terms[1:]:
-            sig, term_used = _signature(term)
+            sig, term_used = _signature(term, orders)
             if {i.name: i.variance for i in sig} != variances:
                 raise IndexUsageError(
                     "free-index variance mismatch across summands: "
@@ -289,8 +293,12 @@ def _signature(node) -> tuple[tuple[Index, ...], tuple[str, ...]]:
                     "free-index order mismatch across summands: "
                     f"{[str(i) for i in first_sig]} vs {[str(i) for i in sig]}")
             used.update(dict.fromkeys(term_used))
-        return first_sig, tuple(used)
-    raise TypeError(f"unknown node {node!r}")
+        result = first_sig, tuple(used)
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    if orders is not None:
+        orders[id(node)] = result[0]
+    return result
 
 
 def parse(src: str) -> ExpressionPlan:
@@ -305,6 +313,7 @@ class _Context:
         self.bindings = bindings
         self.dim = dims.pop() if dims else None
         self.order = min((t.order for t in bindings.values()), default=None)
+        self.orders: dict = {}  # each node's free indices, as _signature walks them
 
     def lookup(self, name: str) -> TensorField:
         if name in self.bindings:
@@ -324,86 +333,77 @@ class _Context:
         return self.order
 
 
-def _contract_repeats(tensor: TensorField, sig: list[Index]):
-    """Sum each index name that repeats inside one reference or derivative,
-    as one product with the constant 1."""
-    names = [i.name for i in sig]
-    if len(set(names)) == len(names):
-        return tensor, sig
-    return _product(TensorField.scalar(tensor.dim, tensor.order, 1), [],
-                    tensor, sig)
+def _fold(parts, free: tuple[Index, ...]) -> TensorField:
+    """The product of ``parts``, each a ``(tensor, written indices)``, with
+    its slots in the order ``free``.  Parts are multiplied left to right;
+    each partial product keeps the free indices ``_product_signature``
+    gives it, and the last writes ``free``.  A lone part is transposed,
+    unless a name repeats in it: then it is multiplied by the constant 1."""
+    if len(parts) == 1:
+        tensor, sig = parts[0]
+        positions = {index.name: p for p, index in enumerate(sig)}
+        if len(positions) == len(sig):
+            return tensor if sig == free else transpose(
+                tensor, [positions[index.name] for index in free])
+        parts = [(TensorField.scalar(tensor.dim, tensor.order, 1), ()), *parts]
+    tensor, sig = parts[0]
+    for k, (other, other_sig) in enumerate(parts[1:], start=2):
+        out = free if k == len(parts) else _product_signature(
+            [(sig, ()), (other_sig, ())])[0]
+        names = list(dict.fromkeys(i.name for i in (*sig, *other_sig)))
+        left, right, result = ("".join(chr(65 + names.index(i.name)) for i in s)
+                               for s in (sig, other_sig, out))
+        tensor, sig = tensor_contract(f"{left},{right}->{result}", tensor, other), out
+    return tensor
 
 
-def _product(a: TensorField, a_sig: list[Index], b: TensorField,
-             b_sig: list[Index]):
-    """a times b, every index name the two share summed, in one call."""
-    names = [i.name for i in a_sig + b_sig]
-    letter = {name: chr(65 + k) for k, name in enumerate(names)}
-    free = [i for i in a_sig + b_sig if names.count(i.name) == 1]
-    left, right, out = ("".join(letter[i.name] for i in sig)
-                        for sig in (a_sig, b_sig, free))
-    return tensor_contract(f"{left},{right}->{out}", a, b), free
-
-
-def _evaluate(node, ctx: _Context):
-    """Returns (tensor_or_None, ordered signature, rational multiplier)."""
+def _evaluate(node, ctx: _Context, free: tuple[Index, ...]):
+    """Returns (tensor or None, rational multiplier), the tensor's slots
+    in the order ``free``: the node's signature, or a permutation of it."""
     if isinstance(node, Literal):
-        return None, [], node.value
+        return None, node.value
     if isinstance(node, Ref):
         tensor = ctx.lookup(node.name)
         if tensor.valence != tuple(i.variance for i in node.indices):
             raise EvaluationError(
                 f"{node.name!r} is bound to valence {tensor.valence}, "
                 f"referenced as {tuple(i.variance for i in node.indices)}")
-        return (*_contract_repeats(tensor, list(node.indices)), Fraction(1))
+        return _fold([(tensor, node.indices)], free), Fraction(1)
     if isinstance(node, Product):
         scale = Fraction(1)
-        tensor = None
-        sig: list[Index] = []
+        parts = []
         for factor in node.factors:
-            f_tensor, f_sig, f_scale = _evaluate(factor, ctx)
+            sig = ctx.orders[id(factor)]
+            tensor, f_scale = _evaluate(factor, ctx, sig)
             scale *= f_scale
-            if f_tensor is None:
-                continue
-            if tensor is None:
-                tensor, sig = f_tensor, f_sig
-            else:
-                tensor, sig = _product(tensor, sig, f_tensor, f_sig)
-        return tensor, sig, scale
+            if tensor is not None:
+                parts.append((tensor, sig))
+        return (_fold(parts, free) if parts else None), scale
     if isinstance(node, Sum):
+        sig = ctx.orders[id(node)]
         terms: list[tuple[Fraction, TensorField]] = []
-        total_sig: list[Index] = []
         pending = Fraction(0)
         for sign, term in node.terms:
-            tensor, sig, scale = _evaluate(term, ctx)
+            tensor, scale = _evaluate(term, ctx, sig)
             if tensor is None:
                 pending += sign * scale
-                continue
-            if not terms:
-                total_sig = sig
             else:
-                # align this term's slots to the first tensor term by name
-                positions = {index.name: p for p, index in enumerate(sig)}
-                tensor = transpose(tensor, tuple(positions[index.name]
-                                                 for index in total_sig))
-            terms.append((sign * scale, tensor))
+                terms.append((sign * scale, tensor))
         if not terms:
-            return None, [], pending
+            return None, pending
         if pending:
-            if total_sig:
-                raise EvaluationError("cannot add a bare rational to an indexed tensor")
+            # the parser admits a bare rational only among rank-0 summands
             order = min(tensor.order for _, tensor in terms)
             terms.append((pending, TensorField.scalar(terms[0][1].dim, order, 1)))
-        return tensor_lincomb(terms), total_sig, Fraction(1)
+        return _fold([(tensor_lincomb(terms), sig)], free), Fraction(1)
     if isinstance(node, Derivative):
-        tensor, sig, scale = _evaluate(node.operand, ctx)
+        sig = ctx.orders[id(node.operand)]
+        tensor, scale = _evaluate(node.operand, ctx, sig)
         if tensor is None:
             # derivative of a constant: a zero scalar
             dim, order = ctx.require_dim(), ctx.require_order()
-            tensor, sig = TensorField.scalar(dim, order, scale), []
-            scale = Fraction(1)
-        return (*_contract_repeats(gradient(tensor), sig + [node.index]),
-                scale)
+            tensor, scale = TensorField.scalar(dim, order, scale), Fraction(1)
+        return _fold([(gradient(tensor), (*sig, node.index))], free), scale
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -414,14 +414,11 @@ def evaluate(plan: ExpressionPlan, bindings: dict) -> TensorField:
     and the lowest order.  A plan that reads no tensor still needs one
     binding to fix them."""
     ctx = _Context(dict(bindings))
-    tensor, sig, scale = _evaluate(plan.root, ctx)
+    _signature(plan.root, ctx.orders)
+    tensor, scale = _evaluate(plan.root, ctx, plan.free)
     if tensor is None:
         return TensorField.scalar(ctx.require_dim(), ctx.require_order(), scale)
-    tensor = tensor_lincomb([(scale, tensor)])
-    if tuple(sig) != plan.free:
-        positions = {index.name: p for p, index in enumerate(sig)}
-        tensor = transpose(tensor, tuple(positions[index.name] for index in plan.free))
-    return tensor
+    return tensor_lincomb([(scale, tensor)])
 
 
 def parse_program(src: str) -> list[tuple[int, str, ExpressionPlan]]:

@@ -71,34 +71,21 @@ class RationalMatrix:
 
 
 def rank_exact(m: RationalMatrix) -> int:
-    """Rank over Q via fraction-free elimination with full pivoting."""
+    """Rank over Q via fraction-free elimination: column by column, the
+    first nonzero row at or below the current rank is the pivot."""
     a = [list(row) for row in m.nums]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    while rank < min(rows, cols):
-        pivot = None
-        for i in range(rank, rows):
-            for j in range(rank, cols):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+    rank, prev = 0, 1
+    for c in range(m.cols):
+        pivot = next((r for r in range(rank, m.rows) if a[r][c]), None)
         if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != rank:
-            a[pi], a[rank] = a[rank], a[pi]
-        if pj != rank:
-            for row in a:
-                row[pj], row[rank] = row[rank], row[pj]
-        p = a[rank][rank]
-        for i in range(rank + 1, rows):
-            for j in range(rank + 1, cols):
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        p = a[rank][c]
+        for i in range(rank + 1, m.rows):
+            for j in range(c + 1, m.cols):
                 # Bareiss step: the quotient is an exact minor
-                a[i][j] = (a[i][j] * p - a[i][rank] * a[rank][j]) // prev
-            a[i][rank] = 0
+                a[i][j] = (a[i][j] * p - a[i][c] * a[rank][j]) // prev
+            a[i][c] = 0
         prev = p
         rank += 1
     return rank

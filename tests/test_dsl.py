@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqlab import dsl
 from eqlab.dsl import (
     EvaluationError,
     ExpressionSyntaxError,
@@ -22,9 +24,11 @@ from eqlab.dsl import (
 )
 from eqlab.geometry import Space, curvature_R, random_connection
 from eqlab.harness import evaluate_program_lines
-from eqlab.jets import OrderExhaustedError, jet_add, jet_partial
+from eqlab.jets import (OrderExhaustedError, jet_add, jet_mul, jet_neg,
+                        jet_partial)
 from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_contract,
-                           tensor_scale, transpose)
+                           tensor_lincomb, tensor_scale, transpose)
+from helpers import const, jet_sum
 
 CURVATURE_SRC = ("d(Gamma[^i,_j,_m],_n) - d(Gamma[^i,_j,_n],_m)"
                  " + Gamma[^a,_j,_m]*Gamma[^i,_a,_n]"
@@ -207,6 +211,55 @@ class TestEvaluate:
         assert result[()].coeffs[(0, 0)] == Fraction(5, 6)
 
 
+def summed(term, count: int):
+    """The jet sum of ``term`` over every value of ``count`` bound names,
+    at dim 3."""
+    return jet_sum(term(*values) for values in product(range(3), repeat=count))
+
+
+# Each case's value at one output index, summed componentwise in the jet
+# ring from the bindings ``b``; the arguments are the free indices in the
+# order the parser's signature lists them.
+FOLD_CASES = {
+    # T*S keeps a free for U, which sums it
+    "T[^a,_j]*S[^i,_b]*U[_a,^b]": lambda b, j, i: summed(
+        lambda a, c: jet_mul(jet_mul(b["T"][a, j], b["S"][i, c]), b["U"][a, c]), 2),
+    # the summands' slots are (m, i, n) and (i, n, m)
+    "T[^a,_m]*S[^i,_a]*W[_n] - d(S[^i,_n],_m)": lambda b, m, i, n: jet_add(
+        summed(lambda a: jet_mul(jet_mul(b["T"][a, m], b["S"][i, a]), b["W"][n]), 1),
+        jet_neg(jet_partial(b["S"][i, n], m))),
+    # a trace inside the operand, and the derivative's own slot summed
+    "d(R[^a,_j,_a]*V[^k],_k)": lambda b, j: summed(
+        lambda a, k: jet_partial(jet_mul(b["R"][a, j, a], b["V"][k]), k), 2),
+    "d(2,_k) + W[_k]": lambda b, k: jet_add(
+        jet_partial(const(3, 2, 2), k), b["W"][k]),
+}
+
+
+@pytest.mark.parametrize("src", FOLD_CASES)
+def test_fold_matches_the_componentwise_sum(src):
+    rng = random.Random(16)
+    bindings = {name: random_field(rng, 3, valence, 2) for name, valence in (
+        ("T", (UP, DOWN)), ("S", (UP, DOWN)), ("U", (DOWN, UP)), ("W", (DOWN,)),
+        ("R", (UP, DOWN, DOWN)), ("V", (UP,)))}
+    result = evaluate(parse(src), bindings)
+    for idx in product(range(3), repeat=result.rank):
+        assert result[idx] == FOLD_CASES[src](bindings, *idx)
+
+
+def test_evaluation_walks_the_signatures_once(monkeypatch):
+    # seven nodes: two derivatives, a product, a sum and three references
+    plan = parse("d(T[^a,_j]*d(S[^i,_a] + T[^i,_a],_k),_m)")
+    walked = []
+    signature = dsl._signature
+    monkeypatch.setattr(dsl, "_signature",
+                        lambda node, *rest: walked.append(node) or signature(node, *rest))
+    rng = random.Random(18)
+    evaluate(plan, {"T": random_field(rng, 2, (UP, DOWN), 3),
+                    "S": random_field(rng, 2, (UP, DOWN), 3)})
+    assert len(walked) == 7
+
+
 class TestPrograms:
     def test_two_line_program_with_reference(self):
         t = random_field(random.Random(11), 2, (UP, DOWN), 2)
@@ -224,6 +277,19 @@ class TestPrograms:
         t = random_field(random.Random(12), 2, (UP, DOWN), 2)
         out = evaluate_program_lines("Flipped[_j,^i] = T[^i,_j]", {"T": t})
         assert out["Flipped"] == transpose(t, (1, 0))
+
+    def test_a_permuted_sum_is_transposed_once(self, monkeypatch):
+        # the summands are added in the sum's own slot order, and the total
+        # is transposed once to the target's
+        perms = []
+        monkeypatch.setattr(dsl, "transpose", lambda tensor, perm: perms.append(
+            tuple(perm)) or transpose(tensor, perm))
+        rng = random.Random(17)
+        t, s = (random_field(rng, 2, (UP, DOWN), 2) for _ in range(2))
+        out = evaluate_program_lines("F[_j,^i] = T[^i,_j] + S[^i,_j] - 2*T[^i,_j]",
+                                     {"T": t, "S": s})
+        assert perms == [(1, 0)]
+        assert out["F"] == transpose(tensor_lincomb([(1, s), (-1, t)]), (1, 0))
 
     def test_left_hand_indices_must_match_free(self):
         with pytest.raises(IndexUsageError):

@@ -277,19 +277,57 @@ def full_connection_curvature(gamma: TensorField) -> TensorField:
                            (1, square), (-1, transpose(square, (0, 1, 3, 2)))])
 
 
+def mincic_curvatures(gamma: TensorField) -> tuple[TensorField, ...]:
+    """Minčić's R_3, R_4 and R_5 of a connection L, slots (i, j, m, n):
+
+    R_3 = L^i_{jm,n} - L^i_{nj,m} + L^p_{jm}L^i_{np} - L^p_{nj}L^i_{pm}
+          + L^p_{nm}(L^i_{pj} - L^i_{jp}),
+    R_4 = R_3 with L^p_{mn} in its last term,
+    R_5 = 1/2 (L^i_{jm,n} + L^i_{mj,n} - L^i_{jn,m} - L^i_{nj,m}
+          + L^p_{jm}L^i_{pn} + L^p_{mj}L^i_{np} - L^p_{jn}L^i_{mp}
+          - L^p_{nj}L^i_{pm}).
+
+    A comma term names its slots as written (``"injm"`` is L^i_{nj,m}),
+    and each product is one contraction; the products are cut to the
+    derivatives' order."""
+    comma = gradient(gamma)
+    g = tensor_truncate(gamma, comma.order)
+
+    def d(slots: str) -> TensorField:
+        return transpose(comma, [slots.index(x) for x in "ijmn"])
+
+    def prod(spec: str) -> TensorField:
+        return tensor_contract(spec + "->ijmn", g, g)
+
+    r3_head = [(1, d("ijmn")), (-1, d("injm")),
+               (1, prod("pjm,inp")), (-1, prod("pnj,ipm"))]
+    r3 = tensor_lincomb(r3_head + [(1, prod("pnm,ipj")), (-1, prod("pnm,ijp"))])
+    r4 = tensor_lincomb(r3_head + [(1, prod("pmn,ipj")), (-1, prod("pmn,ijp"))])
+    half = Fraction(1, 2)
+    r5 = tensor_lincomb([
+        (half, d("ijmn")), (half, d("imjn")), (-half, d("ijnm")),
+        (-half, d("injm")), (half, prod("pjm,ipn")), (half, prod("pmj,inp")),
+        (-half, prod("pjn,imp")), (-half, prod("pnj,ipm"))])
+    return r3, r4, r5
+
+
 class TestFullConnectionCurvature:
-    """Two curvature tensors of the full connection, R_1 of Gamma and R_2
-    of Gamma with its lower slots exchanged, are built from comma
-    derivatives and products alone, with no split into symmetric part
-    and torsion.  Each is one member of the K family, so they check the
-    coefficients of ``curvature_K`` independently of the checks that
-    read K."""
+    """Minčić's five curvature tensors of the full connection are built
+    from comma derivatives and products alone, with no split into
+    symmetric part and torsion: R_1 of Gamma, R_2 of Gamma with its lower
+    slots exchanged, and R_3, R_4 and R_5.  Each is one member of the K
+    family, so they check the coefficients of ``curvature_K``
+    independently of the checks that read K."""
 
     def assert_family_members(self, s: Space):
         r1 = full_connection_curvature(s.gamma)
         r2 = full_connection_curvature(transpose(s.gamma, (0, 2, 1)))
         assert r1 == curvature_K(s, 1, -1, 1, -1, 0)
         assert r2 == curvature_K(s, -1, 1, 1, -1, 0)
+        r3, r4, r5 = mincic_curvatures(s.gamma)
+        assert r3 == curvature_K(s, 1, 1, -1, 1, -2)
+        assert r4 == curvature_K(s, 1, 1, -1, 1, 2)
+        assert r5 == curvature_K(s, 0, 0, 1, 1, 0)
         if s.dim == 2:
             # the torsion squares are dependent at dim 2
             assert r1 == curvature_K(s, 1, -1, 0, 0, -1)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eqlab.linalg import (
     ParamMatrix,
@@ -212,8 +212,16 @@ def integer_runs(draw):
     return rows, fraction_rows
 
 
+# rank 2, with a zero column between two pivot columns: the elimination
+# moves past it without a column swap
+DEFICIENT_RUNS = [[(1, [1, 0]), (2, [2, 3])],
+                  [(1, [2, 0]), (1, [2, 3])],
+                  [(3, [1, 0]), (1, [1, 1])]]
+
+
 @settings(max_examples=80)
 @given(integer_runs())
+@example((DEFICIENT_RUNS, [[1, 0, 1, F(3, 2)], [2, 0, 2, 3], [F(1, 3), 0, 1, 1]]))
 def test_runs_match_fraction_rows(case):
     rows, fraction_rows = case
     m = RationalMatrix.from_runs(rows)

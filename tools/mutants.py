@@ -194,6 +194,11 @@ MUTANTS = (
            "if name in used and name not in free_names:",
            "if False:",
            "_product_signature: a name bound before may appear a third time"),
+    Mutant("fold-partial-free", "dsl.py",
+           "out = free if k == len(parts) else _product_signature(",
+           "out = free if True else _product_signature(",
+           "_fold: every partial product keeps only the node's free indices, "
+           "so a name the first and third factors share is dropped early"),
     Mutant("target-equals-unchecked", "dsl.py",
            "parser._expect(\"=\")",
            "parser.at += 1",
