@@ -305,14 +305,21 @@ def parse(src: str) -> ExpressionPlan:
     return _Parser(src).parse_plan()
 
 
+def lowest_order(bindings: dict) -> int | None:
+    """The lowest jet order among ``bindings``, None when there are none."""
+    return min((t.order for t in bindings.values()), default=None)
+
+
 class _Context:
-    def __init__(self, bindings: dict):
+    def __init__(self, bindings: dict, differentiate_at: int | None):
         dims = {t.dim for t in bindings.values()}
         if len(dims) > 1:
             raise EvaluationError("bindings disagree on dimension")
         self.bindings = bindings
         self.dim = dims.pop() if dims else None
-        self.order = min((t.order for t in bindings.values()), default=None)
+        self.order = lowest_order(bindings)
+        self.differentiate_at = (self.order if differentiate_at is None
+                                 else differentiate_at)
         self.orders: dict = {}  # each node's free indices, as _signature walks them
 
     def lookup(self, name: str) -> TensorField:
@@ -400,20 +407,25 @@ def _evaluate(node, ctx: _Context, free: tuple[Index, ...]):
         sig = ctx.orders[id(node.operand)]
         tensor, scale = _evaluate(node.operand, ctx, sig)
         if tensor is None:
-            # derivative of a constant: a zero scalar
-            dim, order = ctx.require_dim(), ctx.require_order()
-            tensor, scale = TensorField.scalar(dim, order, scale), Fraction(1)
+            # derivative of a constant: the constant at ``differentiate_at``
+            # (with no bindings, the dim check fails first)
+            tensor = TensorField.scalar(ctx.require_dim(),
+                                        ctx.differentiate_at, scale)
+            scale = Fraction(1)
         return _fold([(gradient(tensor), (*sig, node.index))], free), scale
     raise TypeError(f"unknown node {node!r}")
 
 
-def evaluate(plan: ExpressionPlan, bindings: dict) -> TensorField:
+def evaluate(plan: ExpressionPlan, bindings: dict,
+             differentiate_at: int | None = None) -> TensorField:
     """The plan's value with its slots in the order of ``plan.free``.
 
     Dimension and jet order come from the bindings: the shared dimension,
-    and the lowest order.  A plan that reads no tensor still needs one
+    and the lowest order, which constants and ``delta`` take.  A constant
+    is differentiated at ``differentiate_at`` when it is given, else at
+    that lowest order.  A plan that reads no tensor still needs one
     binding to fix them."""
-    ctx = _Context(dict(bindings))
+    ctx = _Context(dict(bindings), differentiate_at)
     _signature(plan.root, ctx.orders)
     tensor, scale = _evaluate(plan.root, ctx, plan.free)
     if tensor is None:

@@ -112,7 +112,14 @@ class Space(Keeper):
 
     @kept
     def torsion_squares(self) -> tuple[TensorField, TensorField, TensorField]:
-        """See :func:`torsion_square_terms`."""
+        """The three quadratic torsion contractions entering the K family.
+
+        Returns (T^a_{jm} T^i_{an}, T^a_{jn} T^i_{am}, T^a_{mn} T^i_{aj}),
+        each with slots (i, j, m, n).  They are at the torsion's order less
+        one (never below 0), the order of the curvature and the torsion
+        derivative they are summed with: the products are taken from the
+        torsion cut to that order.
+        """
         t = self.torsion()
         t = tensor_truncate(t, max(t.order - 1, 0))
         v_term = tensor_contract("ajm,ian->ijmn", t, t)
@@ -186,16 +193,7 @@ def curvature_R(s: Space) -> TensorField:
         [(1, comma), (1, tensor_contract("ajm,ian->ijmn", sym, sym))]), 2, 3)
 
 
-def torsion_square_terms(s: Space) -> tuple[TensorField, TensorField, TensorField]:
-    """The three quadratic torsion contractions entering the K family.
-
-    Returns (T^a_{jm} T^i_{an}, T^a_{jn} T^i_{am}, T^a_{mn} T^i_{aj}),
-    each with slots (i, j, m, n), as kept by the space.  They are at the
-    torsion's order less one (never below 0), the order of the curvature
-    and the torsion derivative they are summed with: the products are
-    taken from the torsion cut to that order.
-    """
-    return s.torsion_squares()
+torsion_square_terms = Space.torsion_squares
 
 
 def k_torsion_terms(s: Space) -> tuple[TensorField, ...]:

@@ -306,14 +306,17 @@ def evaluate_program_lines(text: str, bindings: dict,
                            ) -> dict[str, TensorField]:
     """Assignments evaluated top to bottom.  A ``ValueError`` raised by a
     line's evaluation comes back as an ``EvaluationError`` naming the
-    line; parse errors carry theirs.  Only this loads the language."""
-    from .dsl import EvaluationError, evaluate, parse_program
+    line; parse errors carry theirs.  Every line differentiates its
+    constants at the lowest order of ``bindings``, the instance's order,
+    whatever the orders of earlier results.  Only this loads the
+    language."""
+    from .dsl import EvaluationError, evaluate, lowest_order, parse_program
 
-    env = dict(bindings)
+    env, order = dict(bindings), lowest_order(bindings)
     defined: dict[str, TensorField] = {}
     for lineno, name, plan in parse_program(text):
         try:
-            tensor = evaluate(plan, env)
+            tensor = evaluate(plan, env, order)
         except ValueError as exc:
             raise EvaluationError(f"line {lineno}: {exc}") from None
         env[name] = tensor

@@ -3,19 +3,20 @@
 Everything here is derived data of one ``(Space, AG3Mapping)`` side,
 built by that side's ``InvariantBundle``: the eta tensors, the W tensors
 of both kinds, the twenty torsion products U_1..U_20, the eight sigma
-combinations built from them, the invariant difference tensors T-tilde,
-and the five-parameter W family members indexed by a pair (p, q) of sigma
-choices.  The module also carries the exact rank analyses over those
-objects and the checks that compare a source bundle with an independent
-target bundle built on the inverse mapping data, through one table of
-their differences, ``difference_table``.
+combinations built from them, and the five-parameter W family members
+indexed by a pair (p, q) of sigma choices; the invariant difference
+tensors T-tilde are the torsion derivative less a sigma.  The module also
+carries the exact rank analyses over those objects and the checks that
+compare a source bundle with an independent target bundle built on the
+inverse mapping data, through one table of their differences,
+``difference_table``.
 
 Each sigma combination is read off the U basis through one coefficient
 table, ``_SIGMA_COEFFS``; the test suite proves every row of it against
 the paper's term-by-term definition of sigma_p.  The m/n swap of the q
-term is an index transposition of a fresh evaluation, and barred objects
-are always recomputed in the target space, so the two routes of a check
-never share a cached object.
+term, sigma*_q, is an index transposition of sigma_q, or of the sigma_q
+difference in the table, and barred objects are always recomputed in the
+target space, so the two routes of a check never share a cached object.
 """
 
 from __future__ import annotations
@@ -254,19 +255,19 @@ def sigma_coeff_matrix(N: int) -> RationalMatrix:
 class InvariantBundle(Keeper):
     """The invariant objects of one (space, mapping) side, each built once.
 
-    The only builder of U, sigma, eta, W and T-tilde, all read off one
-    lazily built ``_Parts``: U, eta and W directly, sigma as the U
-    combination of its table row, T-tilde as the torsion derivative less
-    a sigma.  What a command reads more than once is kept, keyed by labels
-    (parts, the derivative of sigma, U, sigma, swapped sigma, W); eta,
-    whose one reader is W, T-tilde and the family member, which no command
-    reads, are rebuilt per request.  The family reads K - R as its torsion
-    terms, never as K less R.  An invariance check compares two
-    bundles, one per side, so its routes never share a kept object.
+    The only builder of U, sigma, eta and W, all read off one lazily
+    built ``_Parts``: U, eta and W directly, sigma as the U combination of
+    its table row.  What a command reads more than once is kept, keyed by
+    labels (parts, the derivative of sigma, U, sigma, W); eta, whose one
+    reader is W, and the family member, which no command reads, are
+    rebuilt per request.  sigma*_q is read off the kept sigma_q by
+    transpose.  The family reads K - R as its torsion terms, never as K
+    less R.  An invariance check compares two bundles, one per side, so
+    its routes never share a kept object.
 
     ``order`` is the order the bundle's products are taken at, handed to
-    ``_Parts``; every value read off the parts (U, sigma, eta, W, T-tilde)
-    comes out at that order or lower and equals the full-order value cut
+    ``_Parts``; every value read off the parts (U, sigma, eta, W) comes
+    out at that order or lower and equals the full-order value cut
     to it.  A check whose residuals hold a derivative reads them one order
     below the data, so it builds its bundles there; ``None`` keeps the
     data's order, as the module functions do.  Derivatives (of sigma, of
@@ -376,16 +377,6 @@ class InvariantBundle(Keeper):
         return tensor_lincomb([(Fraction(n, den), self.u_tensor(theta))
                                for theta, n in enumerate(row, start=1) if n])
 
-    @kept
-    def sigma_swapped(self, q: int) -> TensorField:
-        _check_label("q", q)
-        return transpose(self.sigma(q), (0, 1, 3, 2))
-
-    def t_tilde(self, rho: int) -> TensorField:
-        """Torsion derivative minus the rho-th sigma; not kept."""
-        _check_label("rho", rho)
-        return tensor_sub(self.space.torsion_cd(), self.sigma(rho))
-
     def family(self, which: int, p: int, q: int, u, up, v, vp, w) -> TensorField:
         """The family member of the cell (p, q): K + (W - R) - u sigma_p
         - u' sigma*_q, where sigma*_q has its last two slots exchanged."""
@@ -395,7 +386,7 @@ class InvariantBundle(Keeper):
         params = [Fraction(x) for x in (u, up, v, vp, w)]
         return tensor_lincomb(
             [(1, self.w_star(which)), (-params[0], self.sigma(p)),
-             (-params[1], self.sigma_swapped(q))]
+             (-params[1], transpose(self.sigma(q), (0, 1, 3, 2)))]
             + list(zip(params, k_torsion_terms(self.space))))
 
 
@@ -420,8 +411,9 @@ def sigma_p(s: Space, m: AG3Mapping, p: int) -> TensorField:
 
 
 def T_tilde(s: Space, m: AG3Mapping, rho: int) -> TensorField:
-    """Invariant difference tensor: torsion derivative minus its U expansion."""
-    return InvariantBundle(s, m).t_tilde(rho)
+    """Invariant difference tensor: torsion derivative minus sigma_rho."""
+    _check_label("rho", rho)
+    return tensor_sub(s.torsion_cd(), InvariantBundle(s, m).sigma(rho))
 
 
 def build_W_matrix(N: int) -> ParamMatrix:
@@ -488,7 +480,7 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
         q = rng.randint(1, 8)
         rows.append([base_numerators(tensor_lincomb(
             [(1, fixed), (-params[0], bundle.sigma(p)),
-             (-params[1], bundle.sigma_swapped(q))]))
+             (-params[1], transpose(bundle.sigma(q), (0, 1, 3, 2)))]))
             for bundle, fixed in zip(bundles, k_minus_r)])
     return rank_exact(RationalMatrix.from_runs(rows))
 
@@ -521,9 +513,10 @@ def _shared(built: dict, build, *differences) -> TensorField:
 
 class Differences(NamedTuple):
     """One instance's differences, source less target: W of kind ``which``,
-    the five ``k_torsion_terms`` (the torsion-derivative difference first)
-    and the sigma_p and swapped sigma_q tables of ``_keyed_differences``.
-    None depends on the parameters, so one table serves every draw."""
+    the five ``k_torsion_terms`` (the torsion-derivative difference first),
+    the sigma differences of ``_keyed_differences`` for every p and q label,
+    and the swapped sigma_q table, their m/n transposes.  None depends on
+    the parameters, so one table serves every draw."""
     which: int
     w: TensorField
     terms: tuple[TensorField, ...]
@@ -538,13 +531,19 @@ class Differences(NamedTuple):
 
 def difference_table(src: InvariantBundle, tgt: InvariantBundle, which: int,
                      p_values, q_values) -> Differences:
-    """The table that every check comparing two bundles reads."""
+    """The table that every check comparing two bundles reads: one sigma
+    difference per distinct label, and one transpose per distinct
+    difference that a q label reads."""
+    for q in q_values:
+        _check_label("q", q)
+    sigma, swaps = _keyed_differences(
+        dict.fromkeys([*p_values, *q_values]), src.sigma, tgt.sigma), {}
     return Differences(
         which, tensor_sub(src.w_star(which), tgt.w_star(which)),
         tuple(map(tensor_sub, k_torsion_terms(src.space),
                   k_torsion_terms(tgt.space))),
-        _keyed_differences(p_values, src.sigma, tgt.sigma),
-        _keyed_differences(q_values, src.sigma_swapped, tgt.sigma_swapped))
+        sigma, {q: _shared(swaps, lambda d: transpose(d, (0, 1, 3, 2)),
+                           sigma[q]) for q in q_values})
 
 
 def torsion_cd_difference_check(src: InvariantBundle, tgt: InvariantBundle,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import reduce
 
 from eqlab.jets import JetScalar, jet_add
-from eqlab.tensors import TensorField
+from eqlab.tensors import TensorField, tensor_sub, transpose
 
 
 def const(dim: int, order: int, value) -> JetScalar:
@@ -53,3 +53,15 @@ def mapping_data(m) -> tuple:
     """The five fields and the kind of an ``AG3Mapping``: its value, for
     comparing two mappings."""
     return m.psi, m.sigma, m.phi, m.nu, m.mu, m.kind
+
+
+def sigma_star(bundle, q: int) -> TensorField:
+    """sigma*_q of one ``InvariantBundle``: its sigma_q with the last two
+    slots exchanged, read on that side alone."""
+    return transpose(bundle.sigma(q), (0, 1, 3, 2))
+
+
+def t_tilde(bundle, rho: int) -> TensorField:
+    """T-tilde_rho of one ``InvariantBundle``: its space's torsion
+    derivative less its sigma_rho, at the bundle's order."""
+    return tensor_sub(bundle.space.torsion_cd(), bundle.sigma(rho))

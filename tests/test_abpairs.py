@@ -1,4 +1,5 @@
-"""The gain rule of ``tools/abpairs.py`` on fixed numbers."""
+"""The gain and no-regression rules of ``tools/abpairs.py`` on fixed
+numbers."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +45,36 @@ def test_higher_is_better_reads_the_other_way():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         abpairs.verdict(PARENT, PARENT[:9], "lower")
+
+
+def test_a_median_past_the_bound_is_worse():
+    # the bound is a share of the parent's median: 0.25 * 1.05 = 0.2625
+    assert abpairs.regression(PARENT, [x + 0.3 for x in PARENT], "lower",
+                              0.25) == "worse"
+    assert abpairs.regression(PARENT, [x + 0.1 for x in PARENT], "lower",
+                              0.25) == "no worse"
+
+
+def test_a_median_exactly_at_the_bound_is_no_worse():
+    assert abpairs.regression([4.0] * 10, [5.0] * 10, "lower",
+                              0.25) == "no worse"
+
+
+def test_a_spread_past_the_bound_is_unresolved():
+    # the parent's spread, 0.055, exceeds 0.05 * 1.05 = 0.0525
+    assert abpairs.regression(PARENT, PARENT, "lower", 0.05) == "unresolved"
+    # ... unless every change run beats every parent run
+    better = [x - 0.2 for x in PARENT]
+    assert abpairs.regression(PARENT, better, "lower", 0.05) == "no worse"
+    # a worse median is worse, whatever the spread
+    assert abpairs.regression(PARENT, [x + 0.06 for x in PARENT], "lower",
+                              0.05) == "worse"
+
+
+def test_no_regression_reads_higher_is_better_the_other_way():
+    down = [x - 0.3 for x in PARENT]
+    assert abpairs.regression(PARENT, down, "higher", 0.25) == "worse"
+    assert abpairs.regression(PARENT, down, "lower", 0.25) == "no worse"
+    up = [x + 0.2 for x in PARENT]
+    assert abpairs.regression(PARENT, up, "higher", 0.05) == "no worse"
+    assert abpairs.regression(PARENT, PARENT, "higher", 0.05) == "unresolved"

@@ -33,7 +33,8 @@ from eqlab.mapping import (
     synthesize_instance,
 )
 from eqlab.dsl import MAX_NESTING, EvaluationError
-from eqlab.tensors import DOWN, UP, TensorField, random_field, tensor_sub
+from eqlab.tensors import (DOWN, UP, TensorField, random_field, tensor_sub,
+                           tensor_truncate)
 from helpers import const, jet_truncate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -971,6 +972,26 @@ class TestCliEval:
             "eqlab: line 2: a product with 12 free indices at dim 3 would "
             f"hold {3 ** 12 * 10} coefficients, more than the limit of "
             f"{MAX_CONTRACT_OUTPUT}\n"))
+
+    @pytest.mark.parametrize("before", [
+        "", "W[_k] = d(2,_k)\n",
+        "Z[_j,_k] = d(Gamma[^a,_j,_a],_k)\nW[_k] = d(2,_k)\n"])
+    def test_constants_are_differentiated_at_the_instance_order(
+            self, capsys, tmp_path, before):
+        """A line differentiates a constant at the instance's order o, not
+        at the lowest order among earlier results: the derivative of a
+        constant is zero at any order, so after order-(o - 1) results W3
+        is the same order-(o - 1) field as on its own line, Psi cut to
+        o - 1."""
+        program = self.write(tmp_path,
+                             before + "W3[_k] = d(2,_k) + Psi[_k]\n")
+        code, out, err = run_cli(capsys, "eval", program, "--dim", "2",
+                                 "--seed", "3")
+        assert (code, err) == (0, "")
+        psi = synthesize_instance(2, 1, seed=3).mapping.psi
+        w3 = load_tensor(json.loads(out)["results"]["W3"])
+        assert w3.order == 1
+        assert w3 == tensor_truncate(psi, 1)
 
     def test_order_exhaustion_names_its_line(self, capsys, tmp_path):
         """Every error raised while evaluating a line names the line, not

@@ -273,6 +273,17 @@ class TestPrograms:
         assert out["Twice"] == tensor_scale(2, t)
         assert out["Traced"][()] == jet_add(out["Twice"][0, 0], out["Twice"][1, 1])
 
+    def test_a_constant_is_differentiated_at_the_bindings_order(self):
+        """An earlier result of a lower order leaves the derivative of a
+        constant at the bindings' order; a bare constant still takes the
+        lowest order among the bindings and the results."""
+        psi = random_field(random.Random(14), 2, (DOWN,), 2)
+        out = evaluate_program_lines(
+            "W[_k] = d(2,_k)\nW3[_k] = d(2,_k) + Psi[_k]\nC = 1/2\n",
+            {"Psi": psi})
+        assert [out[name].order for name in ("W", "W3", "C")] == [1, 1, 1]
+        assert out["W"].is_zero()
+
     def test_left_hand_side_reorders_slots(self):
         t = random_field(random.Random(12), 2, (UP, DOWN), 2)
         out = evaluate_program_lines("Flipped[_j,^i] = T[^i,_j]", {"T": t})

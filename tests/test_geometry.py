@@ -37,7 +37,7 @@ from eqlab.tensors import (
     tensor_truncate,
     transpose,
 )
-from helpers import const, coord, value_at_base
+from helpers import const, coord, sigma_star, value_at_base
 
 import random
 
@@ -319,12 +319,17 @@ class TestFullConnectionCurvature:
     family, so they check the coefficients of ``curvature_K``
     independently of the checks that read K."""
 
+    @staticmethod
+    def curvatures(gamma: TensorField) -> tuple[TensorField, ...]:
+        """R_1..R_5 of the full connection ``gamma``."""
+        return (full_connection_curvature(gamma),
+                full_connection_curvature(transpose(gamma, (0, 2, 1))),
+                *mincic_curvatures(gamma))
+
     def assert_family_members(self, s: Space):
-        r1 = full_connection_curvature(s.gamma)
-        r2 = full_connection_curvature(transpose(s.gamma, (0, 2, 1)))
+        r1, r2, r3, r4, r5 = self.curvatures(s.gamma)
         assert r1 == curvature_K(s, 1, -1, 1, -1, 0)
         assert r2 == curvature_K(s, -1, 1, 1, -1, 0)
-        r3, r4, r5 = mincic_curvatures(s.gamma)
         assert r3 == curvature_K(s, 1, 1, -1, 1, -2)
         assert r4 == curvature_K(s, 1, 1, -1, 1, 2)
         assert r5 == curvature_K(s, 0, 0, 1, 1, 0)
@@ -343,18 +348,39 @@ class TestFullConnectionCurvature:
         self.assert_family_members(pair.source)
         self.assert_family_members(pair.target)
 
-    @staticmethod
-    def transformed(space: Space, mapping, kind: int, order: int) -> list:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_k_is_affine_in_the_five_curvatures(self, dim: int, order: int):
+        """K(x) = R + sum_theta lambda_theta (R_theta - R) at random draws
+        x = (u, u', v, v', w): the five parameter points are independent,
+        and the right-hand side reads R and the full connection's comma
+        derivatives and products, with no torsion and no torsion square."""
+        s = random_connection(dim, order, seed=47)
+        r = curvature_R(s)
+        differences = [tensor_sub(member, r)
+                       for member in self.curvatures(s.gamma)]
+        rng = random.Random(dim * 10 + order)
+        for _ in range(3):
+            u, up, v, vp, w = (Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(5))
+            lambdas = (u / 2 + (v - vp) / 4, up / 2 + (v - vp) / 4,
+                       (u + up - w) / 4, (u + up + w) / 4, (v + vp) / 2)
+            assert curvature_K(s, u, up, v, vp, w) == tensor_lincomb(
+                [(1, r), *zip(lambdas, differences)])
+
+    # (u, u') of each R_theta's parameter point
+    POINTS = ((1, -1), (-1, 1), (1, 1), (1, 1), (0, 0))
+
+    @classmethod
+    def transformed(cls, space: Space, mapping, kind: int,
+                    order: int) -> list:
         """R_theta + W - R - u sigma_p - u' sigma*_q at three cells, with
-        (u, u') = (1, -1) for R_1 and (-1, 1) for R_2, from a bundle at
-        ``order``."""
+        (u, u') at R_theta's parameter point, from a bundle at ``order``."""
         bundle = InvariantBundle(space, mapping, order)
-        r1 = full_connection_curvature(space.gamma)
-        r2 = full_connection_curvature(transpose(space.gamma, (0, 2, 1)))
         return [tensor_lincomb([(1, r), (1, bundle.w_star(kind)),
                                 (-1, space.curvature()), (-u, bundle.sigma(p)),
-                                (-up, bundle.sigma_swapped(q))])
-                for r, u, up in ((r1, 1, -1), (r2, -1, 1))
+                                (-up, sigma_star(bundle, q))])
+                for r, (u, up) in zip(cls.curvatures(space.gamma), cls.POINTS)
                 for p, q in ((1, 1), (3, 6), (8, 2))]
 
     @pytest.mark.parametrize("dim, kind, order", [(2, 1, 2), (3, 2, 3),
@@ -368,7 +394,7 @@ class TestFullConnectionCurvature:
         for m_bar, equal in ((pair.inverse(), True),
                              (corrupted_inverse(pair), False)):
             target = self.transformed(pair.target, m_bar, kind, order - 1)
-            assert [a == b for a, b in zip(source, target)] == [equal] * 6
+            assert [a == b for a, b in zip(source, target)] == [equal] * 15
 
 
 class TestFamilySpan:

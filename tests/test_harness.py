@@ -44,7 +44,7 @@ from eqlab.mapping import (AG3Mapping, BasicEquationError, MappedPair,
                            synthesize_instance)
 from eqlab.tensors import (TensorField, tensor_add, tensor_lincomb,
                            tensor_neg, tensor_sub, transpose)
-from helpers import const, zero
+from helpers import const, sigma_star, t_tilde, zero
 
 LABELS = list(range(1, 9))
 GRIDS = [(LABELS, LABELS), ([2, 5, 8], [1, 4]), ([3, 3, 6], [7, 2, 7])]
@@ -108,7 +108,7 @@ def _reference_correlation(bundle, which, p_values, q_values, values):
         "correlation", {"which": which}, values, p_values, q_values,
         lambda p, q: tensor_lincomb(
             [(1, bundle.family(which, p, q, u, up, v, vp, w)), (-1, fixed),
-             (u, bundle.sigma(p)), (up, bundle.sigma_swapped(q))]))
+             (u, bundle.sigma(p)), (up, sigma_star(bundle, q))]))
 
 
 def _reference_family(src, tgt, which, p_values, q_values, values):
@@ -124,8 +124,7 @@ def _reference_family(src, tgt, which, p_values, q_values, values):
         q_values,
         lambda p, q: tensor_lincomb(
             [(1, common), (-u, tensor_sub(src.sigma(p), tgt.sigma(p))),
-             (-up, tensor_sub(src.sigma_swapped(q),
-                              tgt.sigma_swapped(q)))]))
+             (-up, tensor_sub(sigma_star(src, q), sigma_star(tgt, q)))]))
 
 
 def _table_route(monkeypatch, src, tgt, p_values, q_values, table, values):
@@ -168,7 +167,7 @@ def _reference_per_side(src, tgt, p_values, q_values, values):
             [(1, lhs), (-1, tgt.sigma(p)), (1, src.sigma(p))]))
          for p in p_values]
         + [("T_tilde_invariance", {"rho": rho},
-            tensor_sub(src.t_tilde(rho), tgt.t_tilde(rho)))
+            tensor_sub(t_tilde(src, rho), t_tilde(tgt, rho)))
            for rho in p_values]
         + [("R_K_transformation",
             {"which": 1, "p": p, "q": q, "u": u, "u'": up, "v": v, "v'": vp,
@@ -176,7 +175,7 @@ def _reference_per_side(src, tgt, p_values, q_values, values):
             tensor_lincomb(
                 exchanged
                 + [(-u, tgt.sigma(p)), (u, src.sigma(p)),
-                   (-up, tgt.sigma_swapped(q)), (up, src.sigma_swapped(q))]))
+                   (-up, sigma_star(tgt, q)), (up, sigma_star(src, q))]))
            for p in p_values for q in q_values])
 
 
@@ -283,13 +282,12 @@ def test_verify_builds_curvature_K_once_per_instance(monkeypatch, pair,
 
 
 def test_verify_builds_no_family_member(monkeypatch, pair):
-    """Nor a T-tilde tensor: every check that compares the two sides
-    reads the one table of differences."""
+    """Every check that compares the two sides reads the one table of
+    differences."""
     def unused(self, *args):
-        raise AssertionError("verify read a family member or a T-tilde")
+        raise AssertionError("verify read a family member")
 
     monkeypatch.setattr(InvariantBundle, "family", unused)
-    monkeypatch.setattr(InvariantBundle, "t_tilde", unused)
     built = []
 
     def counted(*args):
@@ -523,7 +521,7 @@ def _k_route_member(bundle, which, p, q, params):
     return tensor_lincomb(
         [(1, curvature_K(bundle.space, *params)), (1, bundle.w_star(which)),
          (-1, bundle.space.curvature()), (-params[0], bundle.sigma(p)),
-         (-params[1], bundle.sigma_swapped(q))])
+         (-params[1], sigma_star(bundle, q))])
 
 
 @pytest.mark.parametrize("dim, kind", [(2, 1), (3, 2)])
@@ -576,7 +574,7 @@ def test_unequal_torsion_keeps_the_k_route_residuals(monkeypatch, dim, kind):
         [(1, curvature_K(tgt.space, *k_params)),
          (-1, curvature_K(src.space, *k_params))] + corrections
         + [(-u, tgt.sigma(3)), (u, src.sigma(3)),
-           (-up, tgt.sigma_swapped(6)), (up, src.sigma_swapped(6))])
+           (-up, sigma_star(tgt, 6)), (up, sigma_star(src, 6))])
     assert not report.passed
 
 

@@ -48,6 +48,7 @@ from eqlab.tensors import (
     TensorField,
     antisym_pair_nodiv,
     base_numerators,
+    gradient,
     random_field,
     tensor_add,
     tensor_contract,
@@ -57,7 +58,7 @@ from eqlab.tensors import (
     tensor_truncate,
     transpose,
 )
-from helpers import const, coord, jet_sum, zero
+from helpers import const, coord, jet_sum, sigma_star, t_tilde, zero
 
 W_VALENCE = (UP, DOWN, DOWN, DOWN)
 
@@ -797,6 +798,22 @@ class TestTTilde:
             rows.append(runs)
         assert rank_exact(RationalMatrix.from_runs(rows)) == 4
 
+    @pytest.mark.parametrize("dim, kind, order", [(2, 1, 2), (3, 2, 3),
+                                                  (4, 1, 2), (5, 2, 2)])
+    def test_rho_one_is_the_torsion_gradient(self, dim, kind, order):
+        """sigma_1 = U_1 - U_3 - U_5 is the correction part of T^i_{jm;n},
+        so T-tilde_1 is the comma derivative of the torsion: a second route
+        to the corrections of ``cov_deriv_assoc``, to rows 1, 3 and 5 of
+        ``_U_TERMS`` and to row 1 of ``_SIGMA_COEFFS``."""
+        pair = synthesize_instance(dim, kind, seed=3, order=order)
+        for space, mapping in ((pair.source, pair.mapping),
+                               (pair.target, pair.inverse())):
+            comma = gradient(space.torsion())
+            assert not comma.is_zero()
+            assert T_tilde(space, mapping, 1) == comma
+            cut = InvariantBundle(space, mapping, order - 1)
+            assert t_tilde(cut, 1) == comma
+
     def test_invalid_rho(self, pair21):
         with pytest.raises(ValueError, match="rho"):
             T_tilde(pair21.source, pair21.mapping, 0)
@@ -891,10 +908,12 @@ class TestWFamily:
     def test_swapped_sigma_names_its_label_q(self, pair21, q):
         bundle = InvariantBundle(pair21.source, pair21.mapping)
         message = f"^q must be between 1 and 8, got {q}$"
+        one = Fraction(1)
         with pytest.raises(ValueError, match=message):
-            bundle.sigma_swapped(q)
+            bundle.family(1, 1, q, one, one, one, one, one)
         with pytest.raises(ValueError, match=message):
             difference_table(bundle, bundle, 1, [1], [q])
+        assert bundle._cache == {}
 
 
 class TestBuildWMatrix:
@@ -1030,8 +1049,8 @@ def bundle_values(bundle: InvariantBundle) -> dict[str, TensorField]:
               for theta in range(1, 21)}
     for p in range(1, 9):
         values[f"sigma({p})"] = bundle.sigma(p)
-        values[f"sigma_swapped({p})"] = bundle.sigma_swapped(p)
-        values[f"t_tilde({p})"] = bundle.t_tilde(p)
+        values[f"sigma_star({p})"] = sigma_star(bundle, p)
+        values[f"t_tilde({p})"] = t_tilde(bundle, p)
     for which in (1, 2):
         values[f"eta({which})"] = bundle.eta(which)
         values[f"w_star({which})"] = bundle.w_star(which)

@@ -3,11 +3,16 @@
 Runs the benchmark's command in a parent checkout and in a change
 checkout, ``--pairs`` times per workload, the parent first in even pairs
 and the change first in odd ones, so drift in the machine's speed falls
-on both sides alike.  For each end-to-end metric it prints the two medians, the parent's interquartile spread, how many
-pairs the change won (ties count for neither side), and whether a gain
-may be claimed: the change wins at least nine tenths of the pairs and
-its median is better than the parent's by more than the parent's
-spread.  Every run's value is printed too.
+on both sides alike.  For each end-to-end metric it prints the two
+medians, the parent's interquartile spread, how many pairs the change
+won (ties count for neither side), and whether a gain may be claimed:
+the change wins at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's spread.  It also
+prints the no-regression verdict against the metric's ``bound``, a
+share of the parent's median: ``worse`` when the change's median is
+past the parent's by more than that share, ``unresolved`` when the
+parent's spread exceeds it and not every change run beats every parent
+run, and ``no worse`` otherwise.  Every run's value is printed too.
 
 Run it from anywhere, with the standard library alone::
 
@@ -58,6 +63,21 @@ def verdict(parent: list[float], change: list[float], better: str) -> Verdict:
     return Verdict(p_med, c_med, q3 - q1, wins, len(parent), gain)
 
 
+def regression(parent: list[float], change: list[float], better: str,
+               bound: float) -> str:
+    """The no-regression rule on paired runs, ``bound`` a share of the
+    parent's median: ``"worse"``, ``"unresolved"`` or ``"no worse"``."""
+    v = verdict(parent, change, better)
+    sign = 1 if better == "lower" else -1
+    allowed = bound * abs(v.parent_median)
+    if sign * (v.change_median - v.parent_median) > allowed:
+        return "worse"
+    beaten = max(sign * c for c in change) < min(sign * p for p in parent)
+    if v.parent_iqr > allowed and not beaten:
+        return "unresolved"
+    return "no worse"
+
+
 def bench_run(checkout: Path, spec: dict, workload: str) -> dict:
     """The result object of one benchmark run in ``checkout``."""
     proc = subprocess.run(
@@ -99,10 +119,13 @@ def main(argv=None) -> int:
                               for side in ("parent", "change"))
             v = verdict(parent, change, metric["better"])
             gain = v.gain and failed["change"] <= failed["parent"]
+            against = regression(parent, change, metric["better"],
+                                 metric["bound"])
             print(f"  {name}: parent median {v.parent_median:.4g}, change "
                   f"median {v.change_median:.4g} {metric['unit']}; parent "
                   f"IQR {v.parent_iqr:.4g}; change won {v.wins}/{v.pairs}; "
-                  f"gain {'holds' if gain else 'not shown'}")
+                  f"gain {'holds' if gain else 'not shown'}; against the "
+                  f"{metric['bound']:.0%} bound: {against}")
             print(f"    parent runs: {' '.join(f'{x:.4g}' for x in parent)}")
             print(f"    change runs: {' '.join(f'{x:.4g}' for x in change)}")
     return 0 if all_correct else 1

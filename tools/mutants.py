@@ -149,6 +149,11 @@ MUTANTS = (
            "(-params[0], table.sigma[p])",
            "R_and_K_transformation_check: the u sigma difference enters "
            "with the wrong sign"),
+    Mutant("swapped-table-untransposed", "invariants.py",
+           "lambda d: transpose(d, (0, 1, 3, 2))",
+           "lambda d: d",
+           "difference_table: the swapped sigma_q differences read without "
+           "the m/n transpose"),
     Mutant("keyed-differences-unshared", "invariants.py",
            "differences[label] = shared.setdefault(difference, difference)",
            "differences[label] = difference",
@@ -199,6 +204,12 @@ MUTANTS = (
            "out = free if True else _product_signature(",
            "_fold: every partial product keeps only the node's free indices, "
            "so a name the first and third factors share is dropped early"),
+    Mutant("differentiate-at-ignored", "dsl.py",
+           "self.differentiate_at = (self.order if differentiate_at is None\n"
+           "                                 else differentiate_at)",
+           "self.differentiate_at = self.order",
+           "_Context: a constant differentiated at the lowest order among "
+           "earlier results, not at the order it is handed"),
     Mutant("target-equals-unchecked", "dsl.py",
            "parser._expect(\"=\")",
            "parser.at += 1",
