@@ -25,15 +25,9 @@ import random
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import Keeper, Space, cov_deriv_assoc, k_torsion_terms, kept
-from .linalg import (
-    ParamMatrix,
-    RationalMatrix,
-    random_substitution,
-    rank_exact,
-)
 from .mapping import AG3Mapping, MappedPair
 from .tensors import (
     TensorField,
@@ -48,7 +42,19 @@ from .tensors import (
     transpose,
 )
 
+if TYPE_CHECKING:
+    from .linalg import ParamMatrix, RationalMatrix
+
 PARAM_NAMES = ("u", "u'", "v", "v'", "w")
+
+
+def random_substitution(params: tuple[str, ...], rng: random.Random,
+                        ) -> dict[str, Fraction]:
+    # numerators and denominators uniform in [1, 10^6]; positive values are
+    # as generic as signed ones for rank purposes
+    return {p: Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            for p in params}
+
 
 # the labels p of the eight sigma_p tensors
 SIGMA_LABELS = tuple(range(1, 9))
@@ -224,30 +230,31 @@ _SWAP_POSITION = (1, 0, 3, 2, 4, 6, 5, 7, 9, 8, 10, 12, 11, 13, 15, 14, 17,
 _SWAP_NEGATED = frozenset({7, 13})
 
 
-def _sigma_numerators(N: int) -> list[list[int]]:
-    """The rows of ``_SIGMA_COEFFS`` as integer numerators over N + 1.
+@cache
+def _sigma_numerators(N: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``_SIGMA_COEFFS`` as integer numerators over N + 1,
+    read off once per dimension.
 
     With c = 1/(N+1), the entry ``whole + scaled * c`` is
-    ``(whole * (N + 1) + scaled) / (N + 1)``.
+    ``(whole * (N + 1) + scaled) / (N + 1)``.  The table is proved in the
+    test suite: each row equals the term-by-term sigma definition on
+    generic instances at two dimensions, and both sides are affine in c
+    with coefficients free of N, so the two values of c fix the table for
+    every N.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    return [[whole * (N + 1) + scaled
-             for whole, scaled in (_SIGMA_COEFFS[p].get(theta, (0, 0))
-                                   for theta in range(1, 21))]
-            for p in SIGMA_LABELS]
+    return tuple(tuple(whole * (N + 1) + scaled
+                       for whole, scaled in (_SIGMA_COEFFS[p].get(theta, (0, 0))
+                                             for theta in range(1, 21)))
+                 for p in SIGMA_LABELS)
 
 
-@cache
 def sigma_coeff_matrix(N: int) -> RationalMatrix:
-    """The 8 x 20 coefficient matrix expressing each sigma over the U basis.
+    """The 8 x 20 coefficient matrix expressing each sigma over the U
+    basis: the integer rows of ``_sigma_numerators``."""
+    from .linalg import RationalMatrix  # loaded by ranks alone
 
-    Read off ``_SIGMA_COEFFS`` at c = 1/(N+1), once per dimension.  The
-    table is proved in the test suite: each row equals the term-by-term
-    sigma definition on generic instances at two dimensions, and both
-    sides are affine in c with coefficients free of N, so the two values
-    of c fix the table for every N.
-    """
     return RationalMatrix.from_runs(
         [[(N + 1, row)] for row in _sigma_numerators(N)])
 
@@ -372,8 +379,8 @@ class InvariantBundle(Keeper):
         """The p-th sigma combination, slots (i, j, m, n): row p of the
         coefficient table over the kept U tensors."""
         _check_label("p", p)
-        table = sigma_coeff_matrix(self.space.dim)
-        den, row = table.dens[p - 1], table.nums[p - 1]
+        den = self.space.dim + 1
+        row = _sigma_numerators(self.space.dim)[p - 1]
         return tensor_lincomb([(Fraction(n, den), self.u_tensor(theta))
                                for theta, n in enumerate(row, start=1) if n])
 
@@ -421,17 +428,19 @@ def build_W_matrix(N: int) -> ParamMatrix:
 
     Row layout: leading 1, then the twenty combined U coefficients
     -(u u^p_theta + u' u^q*_theta) with the starred row transported
-    through the m/n swap, then the five bare parameters.
+    through the m/n swap, then the five bare parameters.  Every row is
+    over N + 1 like the sigma rows, and stored as its numerators.
     """
+    from .linalg import ParamMatrix  # loaded by ranks alone
+
     plain = _sigma_numerators(N)
     swapped = [
         [(-1 if pos in _SWAP_NEGATED else 1) * row[_SWAP_POSITION[pos]]
          for pos in range(20)]
         for row in plain
     ]
-    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w), every
-    # row over N + 1 like the sigma rows; each row ends in the five bare
-    # parameters
+    # affine entries over PARAM_NAMES: (constant, u, u', v, v', w); each
+    # row ends in the five bare parameters
     one = N + 1
     bare = [tuple(one * (k == slot) for k in range(6)) for slot in range(1, 6)]
     rows = []
@@ -441,7 +450,7 @@ def build_W_matrix(N: int) -> ParamMatrix:
             entries.extend((0, -plain[p][theta], -swapped[q][theta], 0, 0, 0)
                            for theta in range(20))
             entries.extend(bare)
-            rows.append((one, entries))
+            rows.append(entries)
     return ParamMatrix.from_integer_rows(PARAM_NAMES, rows)
 
 
@@ -459,6 +468,8 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
     deviation is K - R - u sigma_p - u' sigma*_q, the same for both values
     of which, with K - R summed from its torsion terms.
     """
+    from .linalg import RationalMatrix, rank_exact  # loaded by ranks alone
+
     if not pairs:
         raise ValueError("at least one pair is required")
     rng = random.Random(seed)
@@ -471,17 +482,19 @@ def family_span_dimension(pairs: list[MappedPair], seed: int = 0) -> int:
         pair.mapping, 0) for pair in pairs]
     k_minus_r = [tensor_lincomb(list(zip(params, k_torsion_terms(b.space))))
                  for b in bundles]
-    rows = []
+    cells = []
     for _ in range(SPAN_SAMPLES):
         # the kind does not change the deviation, but drawing it keeps
         # the RNG stream, so the sampled (p, q) cells stay the same
         rng.choice((1, 2))
-        p = rng.randint(1, 8)
-        q = rng.randint(1, 8)
-        rows.append([base_numerators(tensor_lincomb(
-            [(1, fixed), (-params[0], bundle.sigma(p)),
-             (-params[1], transpose(bundle.sigma(q), (0, 1, 3, 2)))]))
-            for bundle, fixed in zip(bundles, k_minus_r)])
+        cells.append((rng.randint(1, 8), rng.randint(1, 8)))
+    # each bundle's sigma*_q, transposed once per distinct q
+    starred = [{q: transpose(b.sigma(q), (0, 1, 3, 2))
+                for q in dict.fromkeys(q for _, q in cells)} for b in bundles]
+    rows = [[base_numerators(tensor_lincomb(
+        [(1, fixed), (-params[0], bundle.sigma(p)), (-params[1], star[q])]))
+        for bundle, fixed, star in zip(bundles, k_minus_r, starred)]
+        for p, q in cells]
     return rank_exact(RationalMatrix.from_runs(rows))
 
 

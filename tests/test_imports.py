@@ -5,12 +5,12 @@ lazily.  The command line builds its parser from ``cli`` alone and each
 command imports what it runs: an input file rejected before a value
 decodes loads only the reader (``documents`` and ``jets``), one whose
 pair fails its check also the layers it decodes into, only the commands
-that read or write a document load ``documents``, only
-``ranks --format csv`` loads ``csv``, and only ``eval`` loads the
-expression language.  Drawing and loading instances works in integers,
-so that path never imports ``fractions`` (nor the ``decimal`` it
-brings).  Each case runs in a fresh interpreter, as a user's command
-does.
+that read or write a document load ``documents``, only ``ranks`` loads
+the exact rank module ``linalg``, only ``ranks --format csv`` loads
+``csv``, and only ``eval`` loads the expression language.  Drawing and
+loading instances works in integers, so that path never imports
+``fractions`` (nor the ``decimal`` it brings).  Each case runs in a
+fresh interpreter, as a user's command does.
 """
 
 import ast
@@ -32,6 +32,8 @@ LOADER = {"jets", "tensors", "geometry", "mapping"}
 EVERY_LAYER = LOADER | {"cli", "dsl", "harness", "invariants", "linalg"}
 # the module of the instance format, loaded only to read or write one
 DOCUMENTS = {"documents"}
+# the exact rank module, loaded by ranks alone
+RANKING = {"linalg"}
 READER = {"cli"} | DOCUMENTS | LOADER
 # the reader applies the jets' integer and block rules before it builds
 REJECTED = {"cli", "jets"} | DOCUMENTS
@@ -124,10 +126,10 @@ def test_instance_path_imports_no_fractions(work, code):
     assert modules_after(code, work) & RATIONALS == set()
 
 
-@pytest.mark.parametrize("argv, exit_code, documents", [
+@pytest.mark.parametrize("argv, exit_code, own", [
     (["synth", "--dim", "2", "--out", "out.json"], 0, DOCUMENTS),
     (["ranks", "--dim", "2", "--trials", "1", "--out", "out.json"], 1,
-     set()),
+     RANKING),
     (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
       "--out", "out.json"], 0, set()),
     (["verify", "--dim", "2", "--grid", "1", "--draws", "1",
@@ -136,17 +138,20 @@ def test_instance_path_imports_no_fractions(work, code):
       "--out", "out.json"], 0, DOCUMENTS),
 ], ids=["synth", "ranks", "verify", "verify-failing", "verify-instance"])
 def test_commands_load_every_layer_but_the_language(work, argv, exit_code,
-                                                    documents):
-    """``documents`` too, where the command reads or writes a document:
-    a failing check writes its residual as the instance format does."""
-    expected = EVERY_LAYER - {"dsl"} | documents
+                                                    own):
+    """Every layer but the language and ``linalg``, with the command's
+    own: ``documents`` where the command reads or writes a document (a
+    failing check writes its residual as the instance format does), and
+    ``linalg`` for ``ranks``, the one command that ranks a matrix."""
+    expected = EVERY_LAYER - {"dsl"} - RANKING | own
     assert loaded_by_command(argv, exit_code, work) == expected
 
 
-def test_eval_loads_every_layer(work):
+def test_eval_loads_every_layer_but_linalg(work):
     argv = ["eval", "program.eqs", "--instance", "pair.json",
             "--out", "out.json"]
-    assert loaded_by_command(argv, 0, work) == EVERY_LAYER | DOCUMENTS
+    expected = EVERY_LAYER - RANKING | DOCUMENTS
+    assert loaded_by_command(argv, 0, work) == expected
 
 
 @pytest.mark.parametrize("argv, exit_code, imports_csv", [

@@ -20,6 +20,7 @@ from eqlab.invariants import (
     _Parts,
     _SIGMA_COEFFS,
     _U_TERMS,
+    _sigma_numerators,
     R_and_K_transformation_check,
     T_tilde,
     U_theta,
@@ -29,6 +30,7 @@ from eqlab.invariants import (
     difference_table,
     eta_star,
     family_span_dimension,
+    random_substitution,
     sigma_coeff_matrix,
     sigma_p,
     torsion_cd_difference_check,
@@ -71,9 +73,11 @@ SWAP_FIXED = (5, 11)
 SWAP_NEGATED = (8, 14)
 
 
-def exact_rows(m: RationalMatrix) -> list[list[Fraction]]:
-    """The entries of a matrix, row by row, read off its integer rows."""
-    return [[Fraction(n, den) for n in nums] for den, nums in zip(m.dens, m.nums)]
+def sigma_rows(n: int) -> list[list[Fraction]]:
+    """The entries of the sigma table at dimension n: the integer rows of
+    ``sigma_coeff_matrix(n)`` over n + 1."""
+    return [[Fraction(x, n + 1) for x in row]
+            for row in sigma_coeff_matrix(n).nums]
 
 
 def fraction_matrix(rows: list[list[Fraction]]) -> RationalMatrix:
@@ -620,11 +624,10 @@ class TestSigmaP:
 
 class TestSigmaCoeffMatrix:
     def test_row_one(self):
-        matrix = sigma_coeff_matrix(3)
         expected = [Fraction(0)] * 20
         expected[0], expected[2], expected[4] = (Fraction(1), Fraction(-1),
                                                  Fraction(-1))
-        assert exact_rows(matrix)[0] == expected
+        assert sigma_rows(3)[0] == expected
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rank_is_four(self, n):
@@ -635,7 +638,7 @@ class TestSigmaCoeffMatrix:
         c = Fraction(1, 5)
         allowed = {Fraction(0), Fraction(1), Fraction(-1), c, -c, 2 * c, -2 * c}
         assert (matrix.rows, matrix.cols) == (8, 20)
-        assert {e for row in exact_rows(matrix) for e in row} <= allowed
+        assert {e for row in sigma_rows(4) for e in row} <= allowed
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_table_matches_term_by_term_sigma(self, dim):
@@ -683,7 +686,7 @@ class TestSigmaCoeffMatrix:
             return total
 
         for n in range(2, 7):
-            assert exact_rows(sigma_coeff_matrix(n)) == table(Fraction(1, n + 1))
+            assert sigma_rows(n) == table(Fraction(1, n + 1))
         six = [Fraction(x) for x in (0, 1, -1, "1/3", "2/7", "-3/2")]
         for c in six:
             assert rank_exact(fraction_matrix(table(c))) <= 4, c
@@ -700,13 +703,13 @@ class TestSigmaCoeffMatrix:
     def test_run_time_suite_sees_a_corrupted_row(self, monkeypatch, pair31):
         # every sigma the suite builds is read off the table, so a wrong
         # row breaks the torsion derivative route as well as T-tilde
-        sigma_coeff_matrix.cache_clear()
+        _sigma_numerators.cache_clear()
         monkeypatch.setitem(_SIGMA_COEFFS[3], 5, (1, 0))
         try:
             reports, _ = verify_instance(pair31, 0, [3], [3], 1)
         finally:
             monkeypatch.undo()
-            sigma_coeff_matrix.cache_clear()
+            _sigma_numerators.cache_clear()
         failed = {(r.check, r.params.get("p", r.params.get("rho")))
                   for r in reports if not r.passed}
         assert ("torsion_cd_difference", 3) in failed
@@ -717,8 +720,7 @@ class TestSwapTransport:
     @pytest.mark.parametrize("p", range(1, 9))
     def test_swapped_evaluation_matches_transported_row(self, p, pair21):
         s, m = pair21.source, pair21.mapping
-        matrix = sigma_coeff_matrix(s.dim)
-        transported = swap_row(exact_rows(matrix)[p - 1])
+        transported = swap_row(sigma_rows(s.dim)[p - 1])
         combo = zero(s.dim, W_VALENCE, s.torsion().order)
         for theta in range(20):
             if transported[theta]:
@@ -918,12 +920,14 @@ class TestWFamily:
 
 class TestBuildWMatrix:
     def test_generic_rank_six(self):
-        assert generic_rank(build_W_matrix(3)) == 6
+        rng = random.Random(0)
+        draws = [random_substitution(PARAM_NAMES, rng) for _ in range(5)]
+        assert generic_rank(build_W_matrix(3), draws) == 6
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_entries_follow_the_sigma_rows(self, n):
         matrix = build_W_matrix(n)
-        sigma = exact_rows(sigma_coeff_matrix(n))
+        sigma = sigma_rows(n)
         zero, one = Fraction(0), Fraction(1)
         assert (matrix.rows, matrix.cols) == (64, 26)
         for p in range(8):
@@ -931,7 +935,7 @@ class TestBuildWMatrix:
             for q in range(8):
                 swapped = swap_row(sigma[q])
                 r = 8 * p + q
-                row = [tuple(Fraction(x, matrix.dens[r]) for x in entry)
+                row = [tuple(Fraction(x, n + 1) for x in entry)
                        for entry in matrix.coeffs[r]]
                 assert row[0] == (one,) + (zero,) * 5
                 assert row[1:21] == [(zero, -plain[t], -swapped[t], zero, zero,
@@ -948,7 +952,9 @@ class TestBuildWMatrix:
         expected_row = ([Fraction(1)] + [Fraction(0)] * 20
                         + [Fraction(0), Fraction(0), Fraction(7),
                            Fraction(11), Fraction(13)])
-        assert exact_rows(substituted) == [expected_row] * 64
+        # the rows over N + 1 = 3; the values' common denominator is 1
+        assert [[Fraction(x, 3) for x in row]
+                for row in substituted.nums] == [expected_row] * 64
         assert rank_exact(substituted) == 1
 
     @pytest.mark.parametrize("kept", ["u", "u'"])

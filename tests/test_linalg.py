@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,11 +22,6 @@ def matrix(rows):
     """A RationalMatrix of int or Fraction rows, one run per entry."""
     return RationalMatrix.from_runs(
         [[(F(x).denominator, [F(x).numerator]) for x in row] for row in rows])
-
-
-def values(m):
-    """The exact entries of a RationalMatrix, row by row."""
-    return [[F(n, den) for n in nums] for den, nums in zip(m.dens, m.nums)]
 
 
 def fraction_rank(rows):
@@ -85,11 +80,10 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @st.composite
-def matrices(draw):
+def fraction_rows(draw):
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 5))
-    return matrix(
-        [[draw(small_fracs) for _ in range(cols)] for _ in range(rows)])
+    return [[draw(small_fracs) for _ in range(cols)] for _ in range(rows)]
 
 
 nonzero_fracs = small_fracs.filter(lambda r: r != 0)
@@ -97,12 +91,12 @@ nonzero_fracs = small_fracs.filter(lambda r: r != 0)
 
 @st.composite
 def shuffled_scaled_matrices(draw):
-    m = draw(matrices())
-    perm = draw(st.permutations(range(m.rows)))
-    scales = [draw(nonzero_fracs) for _ in range(m.rows)]
-    entries = values(m)
-    rows = [[scales[i] * e for e in entries[perm[i]]] for i in range(m.rows)]
-    return m, matrix(rows)
+    entries = draw(fraction_rows())
+    perm = draw(st.permutations(range(len(entries))))
+    scales = [draw(nonzero_fracs) for _ in entries]
+    rows = [[scales[i] * e for e in entries[perm[i]]]
+            for i in range(len(entries))]
+    return matrix(entries), matrix(rows)
 
 
 @settings(max_examples=60)
@@ -114,10 +108,10 @@ def test_rank_invariant_under_row_permutation_and_scaling(pair):
 
 @st.composite
 def column_permuted_matrices(draw):
-    m = draw(matrices())
-    perm = draw(st.permutations(range(m.cols)))
-    permuted = matrix([[row[c] for c in perm] for row in values(m)])
-    return m, permuted
+    entries = draw(fraction_rows())
+    perm = draw(st.permutations(range(len(entries[0]))))
+    permuted = matrix([[row[c] for c in perm] for row in entries])
+    return matrix(entries), permuted
 
 
 @settings(max_examples=60)
@@ -127,67 +121,115 @@ def test_rank_invariant_under_column_permutation(pair):
     assert rank_exact(permuted) == rank_exact(m)
 
 
+# rank 2 whose column contents are 1: dividing a column by its smallest
+# entry instead of its content floors (2, 3) to (1, 1) and loses the rank
+CONTENT_ONE = [[2, 1], [3, 1]]
+
+
+@st.composite
+def column_scaled_matrices(draw):
+    """An integer matrix, and the same after positive row scales and
+    nonzero column scales, with zero columns and columns sharing a factor
+    among them."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entries = [[draw(st.integers(-9, 9)) for _ in range(cols)]
+               for _ in range(rows)]
+    for c in range(cols):
+        # a zero column, a plain one, or one whose entries share a factor
+        factor = draw(st.sampled_from((0, 1, 6)))
+        for row in entries:
+            row[c] *= factor
+    row_scales = [draw(st.integers(1, 12)) for _ in range(rows)]
+    col_scales = [draw(st.integers(-12, 12).filter(bool)) for _ in range(cols)]
+    scaled = [[r * k * x for k, x in zip(col_scales, row)]
+              for r, row in zip(row_scales, entries)]
+    return entries, scaled
+
+
+@settings(max_examples=80)
+@given(column_scaled_matrices())
+@example((CONTENT_ONE, CONTENT_ONE))
+@example(([[2, 0, 6], [3, 0, 9], [4, 0, 6]], [[2, 0, 18], [9, 0, 81],
+                                               [4, 0, 18]]))
+def test_rank_invariant_under_row_and_column_scales(case):
+    entries, scaled = case
+    assert rank_exact(matrix(scaled)) == fraction_rank(entries)
+    assert rank_exact(matrix(entries)) == fraction_rank(scaled)
+
+
 # affine entries: (constant, coefficient of each parameter)
 U, V, ZERO = (0, 1, 0), (0, 0, 1), (0, 0, 0)
-
-
-def param_matrix(params, rows):
-    """A ParamMatrix of integer entry rows, each over denominator 1."""
-    return ParamMatrix.from_integer_rows(params, [(1, row) for row in rows])
+UV_POINT = {"u": F(3, 2), "v": F(1)}
 
 
 class TestGenericRank:
     def test_diagonal_parameter(self):
-        m = param_matrix(("u", "v"), [[U, ZERO], [ZERO, U]])
-        assert generic_rank(m, trials=3, seed=1) == 2
+        m = ParamMatrix.from_integer_rows(("u", "v"), [[U, ZERO], [ZERO, U]])
+        assert generic_rank(m, [UV_POINT]) == 2
 
     def test_identical_rows(self):
-        m = param_matrix(("u", "v"), [[U, U], [U, U]])
-        assert generic_rank(m, trials=3, seed=1) == 1
+        m = ParamMatrix.from_integer_rows(("u", "v"), [[U, U], [U, U]])
+        assert generic_rank(m, [UV_POINT, {"u": F(5), "v": F(-2)}]) == 1
 
     def test_trials_must_be_positive(self):
-        m = param_matrix(("u", "v"), [[U]])
-        with pytest.raises(ValueError):
-            generic_rank(m, trials=0)
+        m = ParamMatrix.from_integer_rows(("u", "v"), [[U]])
+        with pytest.raises(ValueError, match="at least one substitution"):
+            generic_rank(m, [])
 
     def test_monotone_in_trials_and_bounds_single_substitution(self):
         u, one = (0, 1), (1, 0)
-        m = param_matrix(("u",), [[u, one], [one, u]])
-        r1 = generic_rank(m, trials=1, seed=3)
-        r10 = generic_rank(m, trials=10, seed=3)
-        assert r1 <= r10 == 2
+        m = ParamMatrix.from_integer_rows(("u",), [[u, one], [one, u]])
+        # rank 1 where u = 1 or u = -1, rank 2 elsewhere
+        points = [{"u": F(1)}, {"u": F(-1)}, {"u": F(7, 3)}]
+        r1 = generic_rank(m, points[:1])
+        r3 = generic_rank(m, points)
+        assert r1 == 1 <= r3 == 2
         single = rank_exact(m.substitute({"u": F(1)}))
-        assert r10 >= single
+        assert r3 >= single
 
     def test_substitution_determinism(self):
-        m = param_matrix(("u", "v"), [[U, V], [V, U]])
-        assert generic_rank(m, trials=4, seed=9) == generic_rank(m, trials=4, seed=9)
+        m = ParamMatrix.from_integer_rows(("u", "v"), [[U, V], [V, U]])
+        points = [{"u": F(1), "v": F(1)}, UV_POINT]
+        assert generic_rank(m, points) == generic_rank(m, points[::-1]) == 2
+
+    def test_maximum_of_the_substitution_ranks(self):
+        # rows (u, 1), (1, u), (v, 0): rank 1 at u = +-1 with v = 0, else 2
+        m = ParamMatrix.from_integer_rows(
+            ("u", "v"), [[U, (1, 0, 0)], [(1, 0, 0), U], [V, ZERO]])
+        points = [{"u": F(1), "v": F(0)}, {"u": F(-1), "v": F(2)},
+                  {"u": F(2), "v": F(0)}, UV_POINT]
+        for k in range(1, len(points) + 1):
+            ranks = [rank_exact(m.substitute(v)) for v in points[:k]]
+            assert generic_rank(m, points[:k]) == max(ranks)
+        assert [rank_exact(m.substitute(v)) for v in points] == [1, 2, 2, 2]
 
 
 class TestParamMatrix:
     def test_affine_substitution(self):
-        # entries (1/2 + 3u - v, 2v), over the row denominator 2
+        # entries (1 + 6u - 2v, 4v); the values' common denominator is 6,
+        # and the row comes back times 6
         m = ParamMatrix.from_integer_rows(("u", "v"),
-                                          [(2, [(1, 6, -2), (0, 0, 4)])])
+                                          [[(1, 6, -2), (0, 0, 4)]])
         point = {"u": F(3, 2), "v": F(1, 3)}
-        assert values(m.substitute(point)) == [[F(1, 2) + F(9, 2) - F(1, 3),
-                                                F(2, 3)]]
+        assert m.substitute(point).nums == ((6 * (1 + 9 - F(2, 3)),
+                                             6 * F(4, 3)),)
 
     def test_substitute_coerces_each_value(self):
         # ints and bools count as rationals, any other type is refused
-        m = param_matrix(("u", "v"), [[(1, 2, 3)]])
-        assert values(m.substitute({"u": 2, "v": True})) == [[F(8)]]
+        m = ParamMatrix.from_integer_rows(("u", "v"), [[(1, 2, 3)]])
+        assert m.substitute({"u": 2, "v": True}).nums == ((8,),)
         with pytest.raises(TypeError, match="float"):
             m.substitute({"u": 0.5, "v": 1})
 
     def test_missing_parameter_value(self):
-        m = param_matrix(("u",), [[(0, 1)]])
+        m = ParamMatrix.from_integer_rows(("u",), [[(0, 1)]])
         with pytest.raises(ValueError, match="no values"):
             m.substitute({})
 
     def test_entry_length_checked(self):
         with pytest.raises(ValueError, match="entry length"):
-            param_matrix(("u", "v"), [[(0, 1, 2, 3)]])
+            ParamMatrix.from_integer_rows(("u", "v"), [[(0, 1, 2, 3)]])
 
 
 # The integer path: rows given as runs of (den, numerators), with mixed
@@ -226,9 +268,11 @@ def test_runs_match_fraction_rows(case):
     rows, fraction_rows = case
     m = RationalMatrix.from_runs(rows)
     assert (m.rows, m.cols) == (len(fraction_rows), len(fraction_rows[0]))
-    assert values(m) == fraction_rows
+    # each row is stored times the lcm of its run denominators
+    assert m.nums == tuple(tuple(lcm(*(den for den, _ in runs)) * x
+                                 for x in row)
+                           for runs, row in zip(rows, fraction_rows))
     assert rank_exact(m) == fraction_rank(fraction_rows)
-    assert all(den > 0 for den in m.dens)
 
 
 class TestRunsValidation:
@@ -258,44 +302,40 @@ def affine_substitutions(draw):
     cols = draw(st.integers(1, 4))
     integer_rows = []
     for _ in range(rows):
-        den = draw(st.integers(1, 12))
         zero_row = draw(st.booleans()) and draw(st.booleans())
         entry = st.tuples(*[st.integers(-9, 9)] * (len(params) + 1))
-        entries = ([(0,) * (len(params) + 1)] * cols if zero_row
-                   else draw(st.lists(entry, min_size=cols, max_size=cols)))
-        integer_rows.append((den, entries))
+        integer_rows.append(
+            [(0,) * (len(params) + 1)] * cols if zero_row
+            else draw(st.lists(entry, min_size=cols, max_size=cols)))
     point = {p: draw(small_fracs | st.integers(-5, 5)) for p in params}
-    expected = [F(e[0], den) + sum(F(k, den) * point[p]
-                                   for k, p in zip(e[1:], params))
-                for den, entries in integer_rows for e in entries]
+    expected = [e[0] + sum(k * point[p] for k, p in zip(e[1:], params))
+                for entries in integer_rows for e in entries]
     return params, integer_rows, point, expected
 
 
 @settings(max_examples=80)
 @given(affine_substitutions())
 def test_substitute_matches_fraction_evaluation(case):
+    """Each entry at the point, times the values' common denominator."""
     params, integer_rows, point, expected = case
     m = ParamMatrix.from_integer_rows(params, integer_rows)
-    assert [e for row in values(m.substitute(point)) for e in row] == expected
-    assert (m.rows, m.cols) == (len(integer_rows), len(integer_rows[0][1]))
+    scale = lcm(*(F(x).denominator for x in point.values()))
+    assert [e for row in m.substitute(point).nums for e in row] == [
+        scale * e for e in expected]
+    assert (m.rows, m.cols) == (len(integer_rows), len(integer_rows[0]))
 
 
 class TestIntegerRowsValidation:
-    def test_nonpositive_denominator(self):
-        with pytest.raises(ValueError, match="positive"):
-            ParamMatrix.from_integer_rows(("u",), [(0, [(1, 2)])])
-
     def test_ragged_rows(self):
         with pytest.raises(ValueError, match="ragged"):
-            ParamMatrix.from_integer_rows(("u",), [(1, [(1, 2)]),
-                                                   (1, [(1, 2), (0, 1)])])
+            ParamMatrix.from_integer_rows(("u",), [[(1, 2)], [(1, 2), (0, 1)]])
 
     def test_entry_length(self):
         with pytest.raises(ValueError, match="entry length"):
-            ParamMatrix.from_integer_rows(("u", "v"), [(1, [(1, 2)])])
+            ParamMatrix.from_integer_rows(("u", "v"), [[(1, 2)]])
 
     def test_empty_matrix(self):
         with pytest.raises(ValueError, match="at least one row"):
             ParamMatrix.from_integer_rows(("u",), [])
         with pytest.raises(ValueError, match="positive"):
-            ParamMatrix.from_integer_rows(("u",), [(1, [])])
+            ParamMatrix.from_integer_rows(("u",), [[]])

@@ -78,6 +78,11 @@ MUTANTS = (
            "point = (scale, *(x.numerator * (scale // x.denominator) for x in xs))",
            "point = (scale, *(x.numerator for x in xs))",
            "ParamMatrix.substitute: values not brought to one denominator"),
+    Mutant("column-content-min", "linalg.py",
+           "contents = [gcd(*col) or 1",
+           "contents = [min(map(abs, col)) or 1",
+           "rank_exact: each column divided by its smallest entry, not by "
+           "its content, so the floored quotients change the matrix"),
     Mutant("shared-bundle-cache", "geometry.py",
            """    def _cached(self, key, compute):
         if key not in self._cache:
